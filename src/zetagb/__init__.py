@@ -36,7 +36,6 @@ from .zero_scan import (
     Rectangle,
     ScanConfig,
     ZeroRecord,
-    count_zeros_rectangle,
     read_records_csv,
     read_records_jsonl,
     rectangle_winding,
@@ -67,7 +66,7 @@ __all__ = [
     "dirichlet_partial_sum", "em_tail", "zeta_gb", "auto_params", "remainder_bound",
     "QValue", "q_gb", "zero_residual", "consistency_identity",
     "ZeroRecord", "Rectangle", "ScanConfig",
-    "refine_zero", "scan_critical_line", "count_zeros_rectangle", "rectangle_winding",
+    "refine_zero", "scan_critical_line", "rectangle_winding",
     "write_records_csv", "read_records_csv", "write_records_jsonl", "read_records_jsonl",
     "PropositionChecks", "QVariation", "AuditReport",
     "factorization_check", "draw_samples", "audit_zero", "q_variation", "audit_range",

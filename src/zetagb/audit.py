@@ -31,7 +31,8 @@ from .errors import (
 )
 from .qfunction import consistency_identity, q_gb
 from .serialize import dumps
-from .zero_scan import Rectangle, ScanConfig, ZeroRecord, count_zeros_rectangle, scan_critical_line
+from .zero_scan import (Rectangle, ScanConfig, ZeroRecord, _check_t_range, record_fields,
+                        rectangle_winding, scan_critical_line)
 from .zeta_core import EvalParams, _as_complex, auto_params, zeta_gb
 
 __all__ = [
@@ -224,16 +225,23 @@ def _verdicts(
     tol = TOLERANCES
     lines: list[str] = []
 
-    def summary(fn, tolerance: float, label: str, idx: int, extra: str = "") -> None:
-        if aborted is not None and not checks and not controls:
+    def vacuous(idx: int, label: str) -> bool:
+        # A per-zero verdict with no zero to judge: once the controls ran, the
+        # scan has finished, so "no zeros" is a measured fact and passes.
+        if checks:
+            return False
+        if aborted is not None and not controls:
             lines.append(_line(idx, "SKIP", "audit aborted before this check"))
-            return
-        if not checks:
+        else:
             lines.append(_line(idx, "PASS", f"vacuous, no zeros in range ({label})"))
+        return True
+
+    def summary(fn, tolerance: float, label: str, idx: int) -> None:
+        if vacuous(idx, label):
             return
         worst = max(fn(c) for _, c in checks)
         status = "PASS" if worst <= tolerance else "FAIL"
-        lines.append(_line(idx, status, f"{label}: max {worst:.3e} vs tolerance {tolerance:.1e}{extra}"))
+        lines.append(_line(idx, status, f"{label}: max {worst:.3e} vs tolerance {tolerance:.1e}"))
 
     # I: every zero sits on the line within tolerance
     summary(lambda c: c.xi_abs, tol["xi"], "measured |xi| at each zero", 0)
@@ -264,9 +272,7 @@ def _verdicts(
     summary(lambda c: c.zero_residual_abs, tol["zero_residual"], "|s(s-1) + Q|", 3)
 
     # V: Q is real and equals 1/4 + t^2 within tolerance
-    if not checks:
-        lines.append(_line(4, "SKIP" if aborted else "PASS", "vacuous, no zeros in range (Q realness)"))
-    else:
+    if not vacuous(4, "Q realness"):
         worst_imag = max(c.q_imag_rel for _, c in checks)
         worst_quarter = max(c.q_vs_quarter_plus_t2 for _, c in checks)
         ok = worst_imag <= tol["q_imag_rel"] and worst_quarter <= tol["q_vs_quarter_plus_t2"]
@@ -280,9 +286,7 @@ def _verdicts(
     summary(lambda c: c.division_rest_abs, tol["division_rest"], "division rest |Q - s(1-s)|", 5)
 
     # VII: factorization max deviation reproduces the rest
-    if not checks:
-        lines.append(_line(6, "SKIP" if aborted else "PASS", "vacuous, no zeros in range (factorization)"))
-    else:
+    if not vacuous(6, "factorization"):
         worst = 0.0
         for rec, c in checks:
             scale = 1.0 + abs(rec.q_value)
@@ -312,10 +316,7 @@ def audit_range(
     Fatal numeric failures in any sub-step abort the audit; the partial
     report comes back with ``complete=False`` and the abort reason.
     """
-    if not isinstance(t_min, (int, float)) or not isinstance(t_max, (int, float)):
-        raise ParameterError("t_min and t_max must be numbers")
-    if not (math.isfinite(t_min) and math.isfinite(t_max)) or t_min < 0 or t_max <= t_min:
-        raise ParameterError(f"need 0 <= t_min < t_max, got [{t_min!r}, {t_max!r}]")
+    _check_t_range(t_min, t_max)
     if not isinstance(seed, int):
         raise ParameterError(f"seed must be an integer, got {seed!r}")
     cfg = scan_cfg if scan_cfg is not None else ScanConfig()
@@ -340,8 +341,8 @@ def audit_range(
         )
         window_lo = max(float(t_min), 0.1)
         if t_max - window_lo > 0.2:
-            left = count_zeros_rectangle(Rectangle(0.01, 0.49, window_lo, float(t_max)), params)
-            right = count_zeros_rectangle(Rectangle(0.51, 0.99, window_lo, float(t_max)), params)
+            left, _ = rectangle_winding(Rectangle(0.01, 0.49, window_lo, float(t_max)), params)
+            right, _ = rectangle_winding(Rectangle(0.51, 0.99, window_lo, float(t_max)), params)
             half_counts = (left, right)
     except (PrecisionError, SingularQError, InconclusiveError, RefinementError) as exc:
         abort = f"{type(exc).__name__}: {exc}"
@@ -372,15 +373,7 @@ def _report_payload(report: AuditReport) -> dict:
     zeros = []
     for rec, c in report.zero_checks:
         zeros.append({
-            "t": rec.t,
-            "re_s": rec.s.real,
-            "xi": rec.xi,
-            "z_modulus": rec.z_modulus,
-            "q_re": rec.q_value.real,
-            "q_im": rec.q_value.imag,
-            "N": rec.params_used.cutoff_n,
-            "nu": rec.params_used.tail_order,
-            "iterations": rec.refine_iterations,
+            **record_fields(rec),
             "checks": {
                 "zero_residual_abs": c.zero_residual_abs,
                 "q_imag_rel": c.q_imag_rel,

@@ -44,13 +44,6 @@ class BernoulliTable:
             raise ParameterError(f"index {index!r} outside table range 0..{self.max_index}")
         return self.values[index]
 
-    def covers(self, index: int) -> bool:
-        return 0 <= index <= self.max_index
-
-    def as_float(self, index: int) -> float:
-        """Correctly rounded binary64 image of B_index."""
-        return float(self[index])
-
 
 def build_table(max_index: int) -> BernoulliTable:
     """Build B_0 .. B_max_index exactly.

@@ -2,21 +2,21 @@
 
 Commands: ``eval``, ``zeros``, ``count``, ``audit``, ``params``,
 ``bernoulli``. Exit codes: 0 success, 2 parameter errors, 3 precision
-errors, 4 inconclusive winding counts, 5 refinement failures under
-``--strict-refine``. The default target accuracy comes from the
+errors and singular Q, 4 inconclusive winding counts, 5 refinement
+failures under ``--strict-refine``; ``audit`` maps its abort reason
+through the same table. The default target accuracy comes from the
 ``ZETAGB_DEFAULT_EPS`` environment variable (1e-8 when unset).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import logging
 import math
 import os
 import sys
 
+from . import errors
 from .audit import DEFAULT_SAMPLE_SEED, audit_range, render_text, report_to_json
 from .bernoulli import build_table
 from .errors import (
@@ -24,22 +24,34 @@ from .errors import (
     ParameterError,
     PrecisionError,
     RefinementError,
+    SingularQError,
     ZetaGBError,
 )
-from .serialize import dumps, fmt_float
+from .serialize import csv_text, dumps
 from .zero_scan import (
     Rectangle,
     ScanConfig,
     rectangle_winding,
+    record_fields,
     scan_critical_line,
     write_records_csv,
     write_records_jsonl,
 )
-from .zeta_core import DEFAULT_TARGET_EPS, EvalParams, auto_params, zeta_gb
+from .zeta_core import DEFAULT_TARGET_EPS, EvalParams, auto_params, remainder_bound, zeta_gb
 
 __all__ = ["build_parser", "run", "main"]
 
 _ENV_EPS = "ZETAGB_DEFAULT_EPS"
+
+# exception type -> exit code and stderr prefix; the first matching row wins
+_EXIT_CODES = (
+    (ParameterError, 2, "parameter error"),
+    (PrecisionError, 3, "precision error"),
+    (SingularQError, 3, "singular Q"),
+    (InconclusiveError, 4, "inconclusive"),
+    (RefinementError, 5, "refinement error"),
+    (ZetaGBError, 2, "error"),
+)
 
 
 def _default_eps() -> float:
@@ -118,22 +130,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _explicit_params(args: argparse.Namespace, eps: float) -> EvalParams | None:
-    cutoff = getattr(args, "cutoff_n", None)
-    nu = getattr(args, "nu", None)
-    if cutoff is None and nu is None:
-        return None
-    if cutoff is None or nu is None:
-        raise ParameterError("--N and --nu must be given together")
-    return EvalParams(cutoff_n=cutoff, tail_order=nu, target_eps=eps)
-
-
-def _resolve_params(args: argparse.Namespace, s: complex) -> EvalParams:
+def _explicit_params(args: argparse.Namespace) -> tuple[float, EvalParams | None]:
+    """The target accuracy, and the parameters ``--N``/``--nu`` pin (None without them)."""
     eps = args.eps if args.eps is not None else _default_eps()
-    explicit = _explicit_params(args, eps)
-    if explicit is not None:
-        return explicit
-    return auto_params(s, eps)
+    if args.cutoff_n is None and args.nu is None:
+        return eps, None
+    if args.cutoff_n is None or args.nu is None:
+        raise ParameterError("--N and --nu must be given together")
+    return eps, EvalParams(cutoff_n=args.cutoff_n, tail_order=args.nu, target_eps=eps)
+
+
+def _exit_status(exc_type: type[ZetaGBError]) -> tuple[int, str]:
+    return next((code, prefix) for cls, code, prefix in _EXIT_CODES if issubclass(exc_type, cls))
 
 
 def _deliver(text: str, out: str | None) -> None:
@@ -144,12 +152,14 @@ def _deliver(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _csv_line(header: list[str], row: list[str]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerow(row)
-    return buf.getvalue()
+def _render(fields: dict | list[dict], fmt: str, text: str) -> str:
+    # one record (a dict) or a non-empty table of them; ``text`` is the text format
+    if fmt == "json":
+        return dumps(fields, indent=2) + "\n"
+    if fmt == "csv":
+        rows = [fields] if isinstance(fields, dict) else fields
+        return csv_text(rows[0], [row.values() for row in rows])
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -159,80 +169,58 @@ def _csv_line(header: list[str], row: list[str]) -> str:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     s = complex(args.re, args.im)
-    params = _resolve_params(args, s)
+    eps, params = _explicit_params(args)
+    auto = params is None
+    if auto:
+        params = auto_params(s, eps)
     result = zeta_gb(s, params)
-    auto = _explicit_params(args, params.target_eps) is None
-    fields = [
-        ("re", s.real), ("im", s.imag),
-        ("value_re", result.value.real), ("value_im", result.value.imag),
-        ("abs_value", abs(result.value)),
-        ("remainder_bound", result.remainder_bound),
-        ("N", params.cutoff_n), ("nu", params.tail_order),
-        ("auto_params", auto),
-    ]
-    if args.format == "json":
-        text = dumps(dict(fields), indent=2) + "\n"
-    elif args.format == "csv":
-        header = [k for k, _ in fields]
-        row = [fmt_float(v) if isinstance(v, float) else str(v) for _, v in fields]
-        text = _csv_line(header, row)
-    else:
-        text = (
-            f"Z({s.real:g}{s.imag:+g}i) = {result.value.real:.15g} {result.value.imag:+.15g}i\n"
-            f"remainder bound {result.remainder_bound:.3e}  "
-            f"(N={params.cutoff_n}, nu={params.tail_order}, "
-            f"{'auto' if auto else 'explicit'} parameters)\n"
-        )
-    _deliver(text, args.out)
+    fields = {
+        "re": s.real, "im": s.imag,
+        "value_re": result.value.real, "value_im": result.value.imag,
+        "abs_value": abs(result.value),
+        "remainder_bound": result.remainder_bound,
+        "N": params.cutoff_n, "nu": params.tail_order,
+        "auto_params": auto,
+    }
+    text = (
+        f"Z({s.real:g}{s.imag:+g}i) = {result.value.real:.15g} {result.value.imag:+.15g}i\n"
+        f"remainder bound {result.remainder_bound:.3e}  "
+        f"(N={params.cutoff_n}, nu={params.tail_order}, "
+        f"{'auto' if auto else 'explicit'} parameters)\n"
+    )
+    _deliver(_render(fields, args.format, text), args.out)
     return 0
 
 
 def _cmd_params(args: argparse.Namespace) -> int:
     s = complex(args.re, args.im)
-    params = _resolve_params(args, s)
-    from .zeta_core import remainder_bound
-
+    eps, params = _explicit_params(args)
+    if params is None:
+        params = auto_params(s, eps)
     bound = remainder_bound(s, params.cutoff_n, params.tail_order)
-    fields = [
-        ("re", s.real), ("im", s.imag),
-        ("N", params.cutoff_n), ("nu", params.tail_order),
-        ("target_eps", params.target_eps), ("certified_bound", bound),
-    ]
-    if args.format == "json":
-        text = dumps(dict(fields), indent=2) + "\n"
-    elif args.format == "csv":
-        text = _csv_line([k for k, _ in fields],
-                         [fmt_float(v) if isinstance(v, float) else str(v) for _, v in fields])
-    else:
-        text = (
-            f"N = {params.cutoff_n}\nnu = {params.tail_order}\n"
-            f"certified bound = {bound:.6e} (target {params.target_eps:g})\n"
-        )
-    _deliver(text, args.out)
+    fields = {
+        "re": s.real, "im": s.imag,
+        "N": params.cutoff_n, "nu": params.tail_order,
+        "target_eps": params.target_eps, "certified_bound": bound,
+    }
+    text = (
+        f"N = {params.cutoff_n}\nnu = {params.tail_order}\n"
+        f"certified bound = {bound:.6e} (target {params.target_eps:g})\n"
+    )
+    _deliver(_render(fields, args.format, text), args.out)
     return 0
 
 
 def _cmd_zeros(args: argparse.Namespace) -> int:
-    eps = args.eps if args.eps is not None else _default_eps()
-    explicit = _explicit_params(args, eps)
+    _, explicit = _explicit_params(args)
     records = scan_critical_line(
         args.t_min, args.t_max, args.step, args.tol,
         max_iter=args.max_iter, params=explicit, strict_refine=args.strict_refine,
     )
-    if args.format == "json":
-        if args.jsonl:
-            text = write_records_jsonl(records)
-        else:
-            rows = []
-            for rec in records:
-                rows.append({
-                    "t": rec.t, "re_s": rec.s.real, "xi": rec.xi,
-                    "z_modulus": rec.z_modulus,
-                    "q_re": rec.q_value.real, "q_im": rec.q_value.imag,
-                    "N": rec.params_used.cutoff_n, "nu": rec.params_used.tail_order,
-                    "iterations": rec.refine_iterations,
-                })
-            text = dumps(rows, indent=2) + "\n"
+    if args.format == "json" and args.jsonl:
+        text = write_records_jsonl(records)
+    elif args.format == "json":
+        text = dumps([record_fields(rec) for rec in records], indent=2) + "\n"
     elif args.format == "csv":
         text = write_records_csv(records)
     else:
@@ -249,46 +237,30 @@ def _cmd_zeros(args: argparse.Namespace) -> int:
 
 def _cmd_count(args: argparse.Namespace) -> int:
     rect = Rectangle(args.sigma_min, args.sigma_max, args.t_min, args.t_max)
-    eps = args.eps if args.eps is not None else _default_eps()
-    explicit = _explicit_params(args, eps)
-    params = explicit if explicit is not None else auto_params(
-        complex(rect.sigma_max, max(abs(rect.t_min), abs(rect.t_max))), min(eps, 1e-9)
-    )
+    eps, params = _explicit_params(args)
+    if params is None:
+        params = auto_params(complex(rect.sigma_max, max(abs(rect.t_min), abs(rect.t_max))), min(eps, 1e-9))
     count, residual = rectangle_winding(rect, params)
-    if args.format == "json":
-        text = dumps({
-            "sigma_min": rect.sigma_min, "sigma_max": rect.sigma_max,
-            "t_min": rect.t_min, "t_max": rect.t_max,
-            "count": count, "winding_residual": residual,
-        }, indent=2) + "\n"
-    elif args.format == "csv":
-        text = _csv_line(
-            ["sigma_min", "sigma_max", "t_min", "t_max", "count", "winding_residual"],
-            [fmt_float(rect.sigma_min), fmt_float(rect.sigma_max), fmt_float(rect.t_min),
-             fmt_float(rect.t_max), str(count), fmt_float(residual)],
-        )
-    else:
-        text = f"{count}\n"
-    _deliver(text, args.out)
+    fields = {
+        "sigma_min": rect.sigma_min, "sigma_max": rect.sigma_max,
+        "t_min": rect.t_min, "t_max": rect.t_max,
+        "count": count, "winding_residual": residual,
+    }
+    _deliver(_render(fields, args.format, f"{count}\n"), args.out)
     return 0
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    eps = args.eps if args.eps is not None else _default_eps()
-    explicit = _explicit_params(args, eps)
+    _, explicit = _explicit_params(args)
     cfg = ScanConfig(step=args.step, tol=args.tol, max_iter=args.max_iter,
                      strict_refine=args.strict_refine)
     report = audit_range(args.t_min, args.t_max, cfg, explicit, seed=args.seed)
     _deliver(report_to_json(report), args.out)
     sys.stderr.write(render_text(report))
-    if not report.complete:
-        reason = report.abort_reason or ""
-        if "Inconclusive" in reason or "Boundary" in reason:
-            return 4
-        if "Refinement" in reason:
-            return 5
-        return 3
-    return 0
+    if report.complete:
+        return 0
+    # abort_reason starts with the exception's class name
+    return _exit_status(getattr(errors, report.abort_reason.partition(":")[0]))[0]
 
 
 def _cmd_bernoulli(args: argparse.Namespace) -> int:
@@ -297,18 +269,8 @@ def _cmd_bernoulli(args: argparse.Namespace) -> int:
         {"index": i, "numerator": str(table[i].numerator), "denominator": str(table[i].denominator)}
         for i in range(0, table.max_index + 1, 2)
     ]
-    if args.format == "json":
-        text = dumps(rows, indent=2) + "\n"
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["index", "numerator", "denominator"])
-        for row in rows:
-            writer.writerow([row["index"], row["numerator"], row["denominator"]])
-        text = buf.getvalue()
-    else:
-        text = "".join(f"B_{r['index']} = {r['numerator']}/{r['denominator']}\n" for r in rows)
-    _deliver(text, args.out)
+    text = "".join(f"B_{r['index']} = {r['numerator']}/{r['denominator']}\n" for r in rows)
+    _deliver(_render(rows, args.format, text), args.out)
     return 0
 
 
@@ -331,21 +293,10 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _HANDLERS[args.command](args)
-    except ParameterError as exc:
-        sys.stderr.write(f"parameter error: {exc}\n")
-        return 2
-    except PrecisionError as exc:
-        sys.stderr.write(f"precision error: {exc}\n")
-        return 3
-    except InconclusiveError as exc:
-        sys.stderr.write(f"inconclusive: {exc}\n")
-        return 4
-    except RefinementError as exc:
-        sys.stderr.write(f"refinement error: {exc}\n")
-        return 5
     except ZetaGBError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+        code, prefix = _exit_status(type(exc))
+        sys.stderr.write(f"{prefix}: {exc}\n")
+        return code
 
 
 def main() -> None:

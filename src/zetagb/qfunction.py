@@ -18,9 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .bernoulli import _full_table
 from .errors import ParameterError, SingularQError
-from .zeta_core import DEFAULT_TARGET_EPS, EvalParams, _as_complex, _rpow, auto_params, em_tail, zeta_gb
+from .zeta_core import (DEFAULT_TARGET_EPS, EvalParams, _as_complex, _rpow, auto_params,
+                        dirichlet_partial_sum, em_tail, zeta_gb)
 
 __all__ = ["QValue", "q_gb", "zero_residual", "consistency_identity"]
 
@@ -38,9 +38,7 @@ class QValue:
 
 
 def _reciprocal_q(s: complex, params: EvalParams) -> complex:
-    from .zeta_core import dirichlet_partial_sum
-
-    r, _ = em_tail(s, params, _full_table())
+    r, _ = em_tail(s, params)
     n_pow = _rpow(params.cutoff_n, 1 - s)
     return dirichlet_partial_sum(s, params.cutoff_n) / (s * n_pow) + r / n_pow
 

@@ -3,16 +3,19 @@
 Floats are written with 17 significant digits, which round-trips every
 finite binary64 value exactly. The JSON writer mirrors the layout of
 ``json.dumps(..., indent=n)`` but routes floats through the same
-formatter, so parse -> rewrite is byte-identical.
+formatter, so parse -> rewrite is byte-identical. CSV cells use the
+same formatter.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
-from typing import Any
+from typing import Any, Iterable
 
-__all__ = ["fmt_float", "dumps"]
+__all__ = ["fmt_float", "dumps", "csv_text"]
 
 
 def fmt_float(x: float) -> str:
@@ -77,3 +80,13 @@ def dumps(obj: Any, indent: int | None = None) -> str:
     out: list[str] = []
     _emit(obj, indent, 0, out)
     return "".join(out)
+
+
+def csv_text(header: Iterable[str], rows: Iterable[Iterable[Any]]) -> str:
+    """Header line plus one line per row; floats through ``fmt_float``."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([fmt_float(v) if isinstance(v, float) else str(v) for v in row])
+    return out.getvalue()

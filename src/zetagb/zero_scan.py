@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import BoundaryError, InconclusiveError, ParameterError, RefinementError
-from .serialize import fmt_float
+from .serialize import csv_text, dumps
 from .zeta_core import EvalParams, _as_complex, auto_params, zeta_gb
 from .qfunction import q_gb
 
@@ -28,8 +28,8 @@ __all__ = [
     "ScanConfig",
     "refine_zero",
     "scan_critical_line",
-    "count_zeros_rectangle",
     "rectangle_winding",
+    "record_fields",
     "write_records_csv",
     "read_records_csv",
     "write_records_jsonl",
@@ -131,6 +131,13 @@ def _refine_params(s0: complex, tol: float) -> EvalParams:
     return auto_params(s0, max(1e-13, tol / 10.0))
 
 
+def _check_t_range(t_min: float, t_max: float) -> None:
+    if not isinstance(t_min, (int, float)) or not isinstance(t_max, (int, float)):
+        raise ParameterError("t_min and t_max must be numbers")
+    if not (math.isfinite(t_min) and math.isfinite(t_max)) or t_min < 0 or t_max <= t_min:
+        raise ParameterError(f"need 0 <= t_min < t_max, got [{t_min!r}, {t_max!r}]")
+
+
 def refine_zero(
     s0: complex,
     tol: float = 1e-9,
@@ -181,13 +188,14 @@ def refine_zero(
             )
     if z.imag < 0:
         z = z.conjugate()
+        fz = f(z)
     if z.imag == 0:
         raise RefinementError(f"refinement landed on the real axis at {z!r}")
     return ZeroRecord(
         t=z.imag,
         s=z,
         xi=z.real - 0.5,
-        z_modulus=abs(f(z)),
+        z_modulus=abs(fz),
         q_value=q_gb(z, params).value,
         refine_iterations=iterations,
         params_used=params,
@@ -212,12 +220,9 @@ def scan_critical_line(
     and restricted to ordinates strictly inside (t_min, t_max).
     """
     cfg = ScanConfig(step=step, tol=tol, max_iter=max_iter, strict_refine=strict_refine)
-    if not isinstance(t_min, (int, float)) or not isinstance(t_max, (int, float)):
-        raise ParameterError("t_min and t_max must be numbers")
-    if not (math.isfinite(t_min) and math.isfinite(t_max)) or t_min < 0 or t_max <= t_min:
-        raise ParameterError(f"need 0 <= t_min < t_max, got [{t_min!r}, {t_max!r}]")
+    _check_t_range(t_min, t_max)
     if params is None:
-        params = auto_params(complex(0.5, t_max), max(1e-13, cfg.tol / 10.0))
+        params = _refine_params(complex(0.5, t_max), cfg.tol)
 
     count = int(math.floor((t_max - t_min) / cfg.step + 1e-9))
     grid = [t_min + k * cfg.step for k in range(count + 1)]
@@ -329,11 +334,6 @@ def rectangle_winding(rect: Rectangle, params: EvalParams | None = None) -> tupl
     return int(count), residual
 
 
-def count_zeros_rectangle(rect: Rectangle, params: EvalParams | None = None) -> int:
-    """Number of zeros inside ``rect`` by the argument principle."""
-    return rectangle_winding(rect, params)[0]
-
-
 # ---------------------------------------------------------------------------
 # record persistence: JSON lines and CSV, 17 significant digits
 # ---------------------------------------------------------------------------
@@ -341,17 +341,18 @@ def count_zeros_rectangle(rect: Rectangle, params: EvalParams | None = None) -> 
 RECORD_FIELDS = ("t", "re_s", "xi", "z_modulus", "q_re", "q_im", "N", "nu", "iterations")
 
 
-def _record_row(rec: ZeroRecord) -> dict[str, str]:
+def record_fields(rec: ZeroRecord) -> dict[str, float | int]:
+    """The record's values keyed by ``RECORD_FIELDS``, in that order."""
     return {
-        "t": fmt_float(rec.t),
-        "re_s": fmt_float(rec.s.real),
-        "xi": fmt_float(rec.xi),
-        "z_modulus": fmt_float(rec.z_modulus),
-        "q_re": fmt_float(rec.q_value.real),
-        "q_im": fmt_float(rec.q_value.imag),
-        "N": str(rec.params_used.cutoff_n),
-        "nu": str(rec.params_used.tail_order),
-        "iterations": str(rec.refine_iterations),
+        "t": rec.t,
+        "re_s": rec.s.real,
+        "xi": rec.xi,
+        "z_modulus": rec.z_modulus,
+        "q_re": rec.q_value.real,
+        "q_im": rec.q_value.imag,
+        "N": rec.params_used.cutoff_n,
+        "nu": rec.params_used.tail_order,
+        "iterations": rec.refine_iterations,
     }
 
 
@@ -369,12 +370,7 @@ def _record_from_row(row: dict[str, str]) -> ZeroRecord:
 
 
 def write_records_csv(records: list[ZeroRecord]) -> str:
-    out = io.StringIO()
-    writer = csv.DictWriter(out, fieldnames=RECORD_FIELDS, lineterminator="\n")
-    writer.writeheader()
-    for rec in records:
-        writer.writerow(_record_row(rec))
-    return out.getvalue()
+    return csv_text(RECORD_FIELDS, [record_fields(rec).values() for rec in records])
 
 
 def read_records_csv(text: str) -> list[ZeroRecord]:
@@ -383,12 +379,7 @@ def read_records_csv(text: str) -> list[ZeroRecord]:
 
 
 def write_records_jsonl(records: list[ZeroRecord]) -> str:
-    lines = []
-    for rec in records:
-        row = _record_row(rec)
-        # values are pre-formatted decimals; emit them unquoted
-        lines.append("{" + ", ".join(f"{json.dumps(k)}: {row[k]}" for k in RECORD_FIELDS) + "}")
-    return "".join(line + "\n" for line in lines)
+    return "".join(dumps(record_fields(rec)) + "\n" for rec in records)
 
 
 def read_records_jsonl(text: str) -> list[ZeroRecord]:

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .bernoulli import MAX_INDEX, BernoulliTable, _full_table
+from .bernoulli import MAX_INDEX, _full_table
 from .errors import ParameterError, PoleError, PrecisionError
 
 __all__ = [
@@ -129,38 +129,23 @@ def remainder_bound(s: complex, cutoff_n: int, tail_order: int) -> float:
     return abs(_coeff(nu + 1)) * prod * scale * abs(s + 2 * nu + 1) / denom
 
 
-def _em_correction(s: complex, cutoff_n: int, tail_order: int, coeffs) -> complex:
-    # N^{-s}/2 + sum_mu c_mu * s(s+1)...(s+2mu-2) * N^{-s-2mu+1}; safe at s = 0
+def _em_series(s: complex, cutoff_n: int, tail_order: int, head: complex, prod: complex) -> complex:
+    # head + sum_mu c_mu * prod * (s+1)...(s+2mu-2) * N^{-s-2mu+1}. The evaluator
+    # passes head = N^{-s}/2, prod = s (safe at s = 0); the abbreviated tail
+    # r(N, s) passes head = N^{-s}/(2s), prod = 1.
     n = cutoff_n
-    total = _rpow(n, -s) / 2
-    prod = s
+    total = head
     npow = _rpow(n, -s - 1)
     inv_n2 = 1.0 / (n * n)
     for mu in range(1, tail_order + 1):
         if mu > 1:
             prod *= (s + 2 * mu - 3) * (s + 2 * mu - 2)
-        total += coeffs(mu) * prod * npow
+        total += _coeff(mu) * prod * npow
         npow *= inv_n2
     return total
 
 
-def _em_tail_r(s: complex, cutoff_n: int, tail_order: int, coeffs) -> complex:
-    # Abbreviated form r(N, s) with the leading s factored out:
-    # N^{-s}/(2s) + sum_mu c_mu * (s+1)...(s+2mu-2) * N^{-s-2mu+1}
-    n = cutoff_n
-    total = _rpow(n, -s) / (2 * s)
-    prod = 1.0 + 0.0j
-    npow = _rpow(n, -s - 1)
-    inv_n2 = 1.0 / (n * n)
-    for mu in range(1, tail_order + 1):
-        if mu > 1:
-            prod *= (s + 2 * mu - 3) * (s + 2 * mu - 2)
-        total += coeffs(mu) * prod * npow
-        npow *= inv_n2
-    return total
-
-
-def em_tail(s: complex, params: EvalParams, table: BernoulliTable) -> tuple[complex, float]:
+def em_tail(s: complex, params: EvalParams) -> tuple[complex, float]:
     """Abbreviated tail r(N, s) and its certified bound divided by |s|.
 
     The product in the mu = 1 term is empty, so that term is
@@ -170,18 +155,9 @@ def em_tail(s: complex, params: EvalParams, table: BernoulliTable) -> tuple[comp
     s = _as_complex(s)
     if s == 0:
         raise ParameterError("the abbreviated tail divides by s; s = 0 is excluded")
-    nu = params.tail_order
-    if not table.covers(2 * (nu + 1)):
-        raise ParameterError(
-            f"table covers indices up to {table.max_index}, need {2 * (nu + 1)} for tail order {nu}"
-        )
-
-    def coeffs(mu: int) -> float:
-        return float(table[2 * mu] / math.factorial(2 * mu))
-
-    r = _em_tail_r(s, params.cutoff_n, nu, coeffs)
-    bound = remainder_bound(s, params.cutoff_n, nu)
-    return r, bound / abs(s)
+    n, nu = params.cutoff_n, params.tail_order
+    r = _em_series(s, n, nu, _rpow(n, -s) / (2 * s), 1.0 + 0.0j)
+    return r, remainder_bound(s, n, nu) / abs(s)
 
 
 def zeta_gb(s: complex, params: EvalParams | None = None, *, eps: float | None = None) -> EvalResult:
@@ -201,7 +177,7 @@ def zeta_gb(s: complex, params: EvalParams | None = None, *, eps: float | None =
     value = (
         dirichlet_partial_sum(s, n)
         + _rpow(n, 1 - s) / (s - 1)
-        + _em_correction(s, n, params.tail_order, _coeff)
+        + _em_series(s, n, params.tail_order, _rpow(n, -s) / 2, s)
     )
     if not cmath.isfinite(value):
         raise ParameterError(f"evaluation overflowed at s = {s!r} with cutoff {n}")

@@ -22,7 +22,7 @@ from zetagb.audit import (
     render_text,
     report_to_json,
 )
-from zetagb.errors import ParameterError
+from zetagb.errors import InconclusiveError, ParameterError
 from zetagb.qfunction import q_gb
 from zetagb.zero_scan import ScanConfig, ZeroRecord, refine_zero
 from zetagb.zeta_core import EvalParams
@@ -156,6 +156,20 @@ def test_audit_range_with_no_zeros_is_vacuously_complete() -> None:
     assert report.half_counts == (0, 0)
     assert any("vacuous" in line for line in report.verdict_lines)
     assert not any(" FAIL " in line for line in report.verdict_lines)
+
+
+def test_winding_abort_keeps_one_vacuous_rule(monkeypatch) -> None:
+    def abort(*args, **kwargs):
+        raise InconclusiveError("winding count aborted")
+
+    monkeypatch.setattr("zetagb.audit.rectangle_winding", abort)
+    report = audit_range(0.5, 10.0)
+    assert not report.complete
+    assert report.zero_checks == ()
+    # the scan finished, so "no zeros" is measured: all six per-zero verdicts pass
+    per_zero = [line.split() for line in report.verdict_lines]
+    per_zero = [words[1] for words in per_zero if words[0] in ("I", "IV", "V", "VI", "VII", "VIII")]
+    assert per_zero == ["PASS"] * 6
 
 
 def test_audit_range_aborts_to_a_partial_report() -> None:

@@ -68,18 +68,6 @@ def test_prefix_agreement() -> None:
     assert small.values == build_table(MAX_INDEX).values[:13]
 
 
-def test_as_float_is_correctly_rounded(table: BernoulliTable) -> None:
-    assert table.as_float(2) == float(Fraction(1, 6))
-    assert table.as_float(60) == float(table[60])
-
-
-def test_covers(table: BernoulliTable) -> None:
-    assert table.covers(0)
-    assert table.covers(MAX_INDEX)
-    assert not table.covers(MAX_INDEX + 1)
-    assert not table.covers(-1)
-
-
 def test_index_validation(table: BernoulliTable) -> None:
     with pytest.raises(ParameterError):
         table[-1]

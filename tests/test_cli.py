@@ -11,6 +11,7 @@ import math
 import pytest
 
 from zetagb.cli import run
+from zetagb.errors import SingularQError
 from zetagb.zeta_core import EvalParams, zeta_gb
 
 FIRST_ORDINATE = 14.13472514172102
@@ -218,6 +219,16 @@ def test_audit_report_to_file(capsys, tmp_path) -> None:
     assert out == ""
     assert "verdicts:" in err
     assert json.loads(target.read_text())["complete"] is True
+
+
+@pytest.mark.parametrize("command", ["zeros", "audit"])
+def test_singular_q_exits_3(capsys, monkeypatch, command: str) -> None:
+    def singular(*args, **kwargs):
+        raise SingularQError("|1/Q| underflowed")
+
+    monkeypatch.setattr("zetagb.zero_scan.q_gb", singular)
+    code, _, _ = invoke(capsys, command, "--t-min", "14", "--t-max", "15")
+    assert code == 3
 
 
 def test_audit_strict_refinement_failure_exits_5(capsys) -> None:

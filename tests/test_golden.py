@@ -1,0 +1,72 @@
+"""Byte-for-byte replay of a fixed set of CLI commands.
+
+Each case in ``CASES`` has three recorded files under ``tests/golden/``:
+``<name>.out`` (stdout), ``<name>.err`` (stderr) and ``<name>.code``
+(exit status). The test runs the command in-process through ``cli.run``
+and compares bytes. The recorded bytes depend on the platform's libm,
+so they are regenerated only from an unmodified reference checkout,
+never to make a refactor pass:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from zetagb.cli import run
+
+GOLDEN_DIR = Path(__file__).with_name("golden")
+
+_EVAL = ("eval", "--re", "0.5", "--im", "14.134725")
+_PARAMS = ("params", "--re", "0.5", "--im", "250")
+_ZEROS = ("zeros", "--t-min", "0", "--t-max", "60")
+_COUNT = ("count", "--sigma-min", "0.01", "--sigma-max", "0.99", "--t-min", "0.1", "--t-max", "60")
+_BERNOULLI = ("bernoulli", "--max-index", "20")
+_FORMATS = ("text", "json", "csv")
+
+CASES: dict[str, tuple[str, ...]] = {
+    **{f"eval_{fmt}": (*_EVAL, "--format", fmt) for fmt in _FORMATS},
+    "eval_cancelling_json": ("eval", "--re", "-0.9", "--im", "400", "--eps", "1e-10", "--format", "json"),
+    "eval_explicit_csv": ("eval", "--re", "0.3", "--im", "7", "--N", "40", "--nu", "6", "--format", "csv"),
+    **{f"params_{fmt}": (*_PARAMS, "--format", fmt) for fmt in _FORMATS},
+    **{f"zeros_{fmt}": (*_ZEROS, "--format", fmt) for fmt in _FORMATS},
+    "zeros_jsonl": (*_ZEROS, "--format", "json", "--jsonl"),
+    **{f"count_{fmt}": (*_COUNT, "--format", fmt) for fmt in _FORMATS},
+    "audit_0_50": ("audit", "--t-min", "0", "--t-max", "50"),
+    "audit_250_256": ("audit", "--t-min", "250", "--t-max", "256"),
+    **{f"bernoulli_{fmt}": (*_BERNOULLI, "--format", fmt) for fmt in _FORMATS},
+}
+
+
+def _golden(name: str) -> tuple[int, bytes, bytes]:
+    code = int((GOLDEN_DIR / f"{name}.code").read_text())
+    return code, (GOLDEN_DIR / f"{name}.out").read_bytes(), (GOLDEN_DIR / f"{name}.err").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_is_byte_identical(capsys, name: str) -> None:
+    code = run(list(CASES[name]))
+    captured = capsys.readouterr()
+    assert (code, captured.out.encode(), captured.err.encode()) == _golden(name)
+
+
+def _record() -> None:
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for name, argv in CASES.items():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(list(argv))
+        (GOLDEN_DIR / f"{name}.out").write_bytes(out.getvalue().encode())
+        (GOLDEN_DIR / f"{name}.err").write_bytes(err.getvalue().encode())
+        (GOLDEN_DIR / f"{name}.code").write_text(f"{code}\n")
+        print(f"{name}: exit {code}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    _record()

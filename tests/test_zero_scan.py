@@ -13,13 +13,13 @@ import logging
 import pytest
 
 import oracles
+from zetagb import zero_scan
 from zetagb.errors import BoundaryError, ParameterError, RefinementError
 from zetagb.zero_scan import (
     RECORD_FIELDS,
     Rectangle,
     ScanConfig,
     ZeroRecord,
-    count_zeros_rectangle,
     read_records_csv,
     read_records_jsonl,
     rectangle_winding,
@@ -58,6 +58,21 @@ def test_refine_canonicalizes_conjugate_seeds() -> None:
     assert rec.t > 0
     assert abs(rec.t - ORACLE_ORDINATES[0]) <= 1e-8
     assert rec.s.imag == rec.t
+
+
+def test_refine_evaluates_once_per_newton_point(monkeypatch) -> None:
+    calls: list[complex] = []
+    evaluate = zero_scan.zeta_gb
+    monkeypatch.setattr(zero_scan, "zeta_gb", lambda s, params: calls.append(s) or evaluate(s, params))
+    # the seed, then per step a central difference (two) and the new iterate;
+    # |Z| at the converged point reuses the last evaluation
+    rec = refine_zero(complex(0.5, 14.1))
+    assert len(calls) == 1 + 3 * rec.refine_iterations
+    # a conjugated iterate is evaluated once more, at the reported point
+    calls.clear()
+    rec = refine_zero(complex(0.5, -14.1))
+    assert len(calls) == 2 + 3 * rec.refine_iterations
+    assert calls[-1] == rec.s
 
 
 def test_refine_rejects_seeds_outside_the_strip() -> None:
@@ -165,7 +180,8 @@ def test_count_around_the_first_zero() -> None:
 
 
 def test_count_in_an_empty_rectangle() -> None:
-    assert count_zeros_rectangle(Rectangle(0.01, 0.99, 0.1, 10.0)) == 0
+    count, _ = rectangle_winding(Rectangle(0.01, 0.99, 0.1, 10.0))
+    assert count == 0
 
 
 def test_boundary_zero_aborts_the_walk() -> None:

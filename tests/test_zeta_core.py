@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from zetagb.bernoulli import build_table
 from zetagb.errors import ParameterError, PoleError, PrecisionError
 from zetagb.zeta_core import (
     DEFAULT_TARGET_EPS,
@@ -149,10 +148,9 @@ def test_bound_rejects_too_negative_real_part() -> None:
 
 
 def test_tail_reassembles_the_evaluator() -> None:
-    table = build_table(60)
     for s in (2 + 0j, 0.5 + 14.1j, -0.5 + 3j):
         params = EvalParams(32, 6)
-        r, scaled_bound = em_tail(s, params, table)
+        r, scaled_bound = em_tail(s, params)
         n = params.cutoff_n
         rebuilt = (
             dirichlet_partial_sum(s, n)
@@ -165,11 +163,11 @@ def test_tail_reassembles_the_evaluator() -> None:
 
 
 def test_tail_rejects_origin_and_short_tables() -> None:
-    table = build_table(12)
     with pytest.raises(ParameterError):
-        em_tail(0 + 0j, EvalParams(16, 2), table)
+        em_tail(0 + 0j, EvalParams(16, 2))
+    # the bound needs B_62, beyond the table cap
     with pytest.raises(ParameterError):
-        em_tail(2 + 0j, EvalParams(16, 10), table)
+        em_tail(2 + 0j, EvalParams(16, 30))
 
 
 # ---------------------------------------------------------------------------
