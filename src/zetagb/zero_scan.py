@@ -155,10 +155,7 @@ def refine_zero(
     s0 = _as_complex(s0, "s0")
     if not 0.0 < s0.real < 1.0:
         raise ParameterError(f"seed must sit inside the critical strip, got {s0!r}")
-    if not isinstance(tol, (int, float)) or not tol >= _TOL_FLOOR:
-        raise ParameterError(f"tol must be at least {_TOL_FLOOR}, got {tol!r}")
-    if not isinstance(max_iter, int) or max_iter < 1:
-        raise ParameterError(f"max_iter must be a positive integer, got {max_iter!r}")
+    ScanConfig(tol=tol, max_iter=max_iter)  # validates tol and max_iter
     if params is None:
         params = _refine_params(s0, tol)
 

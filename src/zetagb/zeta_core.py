@@ -12,13 +12,15 @@ and certifies the truncation error with the first-omitted-term rule
            * N^{-Re(s)-2nu-1} * |s+2nu+1| / (Re(s)+2nu+1).
 
 Everything is plain binary64; powers go through exp(-s ln n) with the
-real logarithm, so no branch ambiguity arises.
+real logarithm, so no branch ambiguity arises. The Dirichlet sum reads
+ln n from one table, computed once and shared, with the same bits.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -92,14 +94,25 @@ def _rpow(base: float, exponent: complex) -> complex:
     return cmath.exp(exponent * math.log(base))
 
 
+# _LOGS[n] = ln n (index 0 unused). Growth rebinds a new array, never extends
+# in place, so a caller holding the old table never sees it change.
+_LOGS = array("d", [0.0])
+
+
 def dirichlet_partial_sum(s: complex, cutoff_n: int) -> complex:
     """sum_{n=1}^{cutoff_n - 1} n^{-s}, terms in ascending order."""
+    global _LOGS
     s = _as_complex(s)
     if not isinstance(cutoff_n, int) or cutoff_n < 2:
         raise ParameterError(f"cutoff_n must be an integer >= 2, got {cutoff_n!r}")
+    logs = _LOGS
+    if len(logs) < cutoff_n:
+        logs = _LOGS = logs + array("d", map(math.log, range(len(logs), cutoff_n)))
+    minus_s = -s
     total = 1.0 + 0.0j
-    for n in range(2, cutoff_n):
-        total += cmath.exp(-s * math.log(n))
+    # an explicit loop: sum() may compensate and change the bits
+    for log_n in logs[2:cutoff_n]:
+        total += cmath.exp(minus_s * log_n)
     return total
 
 

@@ -5,7 +5,8 @@ Each case in ``CASES`` has three recorded files under ``tests/golden/``:
 (exit status). The test runs the command in-process through ``cli.run``
 and compares bytes. The recorded bytes depend on the platform's libm,
 so they are regenerated only from an unmodified reference checkout,
-never to make a refactor pass:
+never to make a refactor pass. The recorder refuses to run while
+``git status --porcelain -- src`` lists any change:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import subprocess
 import sys
 from pathlib import Path
 
@@ -40,6 +42,8 @@ CASES: dict[str, tuple[str, ...]] = {
     **{f"count_{fmt}": (*_COUNT, "--format", fmt) for fmt in _FORMATS},
     "audit_0_50": ("audit", "--t-min", "0", "--t-max", "50"),
     "audit_250_256": ("audit", "--t-min", "250", "--t-max", "256"),
+    "audit_493_499": ("audit", "--t-min", "493", "--t-max", "499"),
+    "eval_cap_json": ("eval", "--re", "0.5", "--im", "499", "--eps", "1e-10", "--format", "json"),
     **{f"bernoulli_{fmt}": (*_BERNOULLI, "--format", fmt) for fmt in _FORMATS},
 }
 
@@ -56,7 +60,21 @@ def test_cli_output_is_byte_identical(capsys, name: str) -> None:
     assert (code, captured.out.encode(), captured.err.encode()) == _golden(name)
 
 
+def _src_changes() -> str:
+    repo = Path(__file__).resolve().parents[1]
+    try:
+        status = subprocess.run(
+            ["git", "status", "--porcelain", "--", "src"], cwd=repo, capture_output=True, text=True
+        )
+    except OSError as exc:
+        return f"git status failed: {exc}"
+    return status.stdout if status.returncode == 0 else f"git status failed: {status.stderr}"
+
+
 def _record() -> None:
+    changes = _src_changes()
+    if changes:
+        sys.exit(f"refusing to record: src/ is not an unmodified checkout\n{changes}")
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, argv in CASES.items():
         out, err = io.StringIO(), io.StringIO()
@@ -66,6 +84,15 @@ def _record() -> None:
         (GOLDEN_DIR / f"{name}.err").write_bytes(err.getvalue().encode())
         (GOLDEN_DIR / f"{name}.code").write_text(f"{code}\n")
         print(f"{name}: exit {code}", file=sys.stderr)
+
+
+def test_recorder_refuses_a_modified_src(monkeypatch, tmp_path) -> None:
+    monkeypatch.setattr(sys.modules[__name__], "GOLDEN_DIR", tmp_path)
+    monkeypatch.setattr(sys.modules[__name__], "_src_changes", lambda: " M src/zetagb/zeta_core.py\n")
+    with pytest.raises(SystemExit) as exc:
+        _record()
+    assert "src/zetagb/zeta_core.py" in str(exc.value.code)
+    assert not any(tmp_path.iterdir())
 
 
 if __name__ == "__main__":

@@ -94,9 +94,9 @@ def test_refine_reports_iteration_exhaustion() -> None:
 
 
 def test_refine_validation() -> None:
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="tol must be at least"):
         refine_zero(complex(0.5, 14.1), tol=1e-11)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="max_iter must be a positive integer"):
         refine_zero(complex(0.5, 14.1), max_iter=0)
 
 

@@ -3,13 +3,19 @@ parameter selection, and agreement with independent references."""
 
 from __future__ import annotations
 
+import cmath
 import math
+import random
+import sys
+import threading
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from zetagb import zeta_core
 from zetagb.errors import ParameterError, PoleError, PrecisionError
 from zetagb.zeta_core import (
     DEFAULT_TARGET_EPS,
@@ -50,6 +56,77 @@ def test_partial_sum_validation() -> None:
         dirichlet_partial_sum(2 + 0j, 10.0)  # type: ignore[arg-type]
     with pytest.raises(ParameterError):
         dirichlet_partial_sum(float("nan"), 10)
+
+
+_CUTOFFS = (2, 3, 62, 503, 1002)
+
+
+def _fresh_log_table(monkeypatch: pytest.MonkeyPatch) -> None:
+    monkeypatch.setattr(zeta_core, "_LOGS", array("d", [0.0]))
+
+
+def _uncached_sum(s: complex, cutoff_n: int) -> complex:
+    # the kernel before the shared table: a fresh math.log per term
+    total = 1.0 + 0.0j
+    for n in range(2, cutoff_n):
+        total += cmath.exp(-s * math.log(n))
+    return total
+
+
+def _same_bits(got: complex, want: complex) -> bool:
+    return got.real == want.real and got.imag == want.imag
+
+
+def test_partial_sum_matches_uncached_logs_bitwise(monkeypatch: pytest.MonkeyPatch) -> None:
+    rng = random.Random(20151)
+    points = [complex(rng.uniform(-1.0, 2.0), rng.uniform(0.0, 500.0)) for _ in range(200)]
+    want = {(s, n): _uncached_sum(s, n) for s in points for n in _CUTOFFS}
+    _fresh_log_table(monkeypatch)
+    for n in _CUTOFFS:  # ascending from a fresh table: it grows at each cutoff
+        assert all(_same_bits(dirichlet_partial_sum(s, n), want[s, n]) for s in points)
+    assert len(zeta_core._LOGS) == 1002
+    for n in reversed(_CUTOFFS):  # descending: each cutoff reads a prefix of the full table
+        assert all(_same_bits(dirichlet_partial_sum(s, n), want[s, n]) for s in points)
+
+
+def test_partial_sum_is_bitwise_under_concurrent_growth(monkeypatch: pytest.MonkeyPatch) -> None:
+    # four threads interleave growing cutoffs, so each growth races with reads
+    # of the table and with other threads' growth
+    s = 0.5 + 499.0j
+    plans = [range(2 + k, 800, 4) for k in range(4)]
+    want = {n: _uncached_sum(s, n) for plan in plans for n in plan}
+    got: list[dict[int, complex]] = [{} for _ in plans]
+    start = threading.Barrier(len(plans), timeout=60)
+
+    def work(k: int) -> None:
+        start.wait()
+        for n in plans[k]:
+            got[k][n] = dirichlet_partial_sum(s, n)
+
+    _fresh_log_table(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(plans))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for k, plan in enumerate(plans):
+        assert sorted(got[k]) == list(plan)
+        assert all(_same_bits(got[k][n], want[n]) for n in plan)
+
+
+def test_bound_and_schedule_leave_the_log_table_alone(monkeypatch: pytest.MonkeyPatch) -> None:
+    # a refused request walks the whole schedule, up to cutoff 64 * 1000
+    _fresh_log_table(monkeypatch)
+    with pytest.raises(PrecisionError):
+        auto_params(-40 + 499j, 1e-13)
+    remainder_bound(0.5 + 499j, 64128, 25)
+    assert len(zeta_core._LOGS) == 1
 
 
 # ---------------------------------------------------------------------------
