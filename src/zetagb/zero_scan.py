@@ -1,10 +1,10 @@
 """Critical-line zero scanning, Newton refinement, and winding counts.
 
 The scanner samples |Z(1/2 + it)| on a uniform grid, refines promising
-local minima with a damped-free complex Newton iteration (derivative by
-central difference, h = 1e-6), and deduplicates hits. Rectangle counts
-use the argument principle with adaptive boundary sampling that keeps
-every phase increment below pi/2.
+local minima with a damped-free complex Newton iteration (the analytic
+derivative comes from the same evaluation as the value), and
+deduplicates hits. Rectangle counts use the argument principle with
+adaptive boundary sampling that keeps every phase increment below pi/2.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
-_FD_STEP = 1e-6          # central-difference step for the Newton derivative
 _STEP_FLOOR = 1e-12      # Newton stalls below this step size
 _TOL_FLOOR = 1e-10       # refinement tolerances below this are unreliable
 _BOUNDARY_MODULUS = 1e-6  # contour samples below this indicate a boundary zero
@@ -159,18 +158,18 @@ def refine_zero(
     if params is None:
         params = _refine_params(s0, tol)
 
-    def f(z: complex) -> complex:
-        return zeta_gb(z, params).value
+    def f(z: complex) -> tuple[complex, complex]:
+        result = zeta_gb(z, params, derivative=True)
+        return result.value, result.derivative
 
     z = s0
-    fz = f(z)
+    fz, deriv = f(z)
     iterations = 0
     while abs(fz) > tol:
         if iterations >= max_iter:
             raise RefinementError(
                 f"no convergence within {max_iter} iterations from seed {s0!r} (|Z| = {abs(fz):.3e})"
             )
-        deriv = (f(z + _FD_STEP) - f(z - _FD_STEP)) / (2 * _FD_STEP)
         if deriv == 0 or not cmath.isfinite(deriv):
             raise RefinementError(f"derivative degenerated at {z!r}")
         step = fz / deriv
@@ -178,14 +177,14 @@ def refine_zero(
         iterations += 1
         if not 0.0 < z.real < 1.0:
             raise RefinementError(f"iteration left the critical strip at {z!r} from seed {s0!r}")
-        fz = f(z)
+        fz, deriv = f(z)
         if abs(step) < _STEP_FLOOR and abs(fz) > tol:
             raise RefinementError(
                 f"stalled at {z!r}: step {abs(step):.3e} below floor with |Z| = {abs(fz):.3e}"
             )
     if z.imag < 0:
         z = z.conjugate()
-        fz = f(z)
+        fz, _ = f(z)
     if z.imag == 0:
         raise RefinementError(f"refinement landed on the real axis at {z!r}")
     return ZeroRecord(

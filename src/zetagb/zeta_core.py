@@ -14,6 +14,15 @@ and certifies the truncation error with the first-omitted-term rule
 Everything is plain binary64; powers go through exp(-s ln n) with the
 real logarithm, so no branch ambiguity arises. The Dirichlet sum reads
 ln n from one table, computed once and shared, with the same bits.
+
+On request the evaluator also returns the exact derivative of the sum it
+evaluates (H. M. Edwards, *Riemann's Zeta Function*, 6.4),
+
+    Z'(s) = -sum_{n=2}^{N-1} ln n n^{-s}  -  A (ln N + 1/(s-1))  -  ln N N^{-s}/2
+          + sum_{mu=1}^{nu} B_{2mu}/(2mu)! * (P_mu' - ln N P_mu) * N^{-s-2mu+1},
+
+with A = N^{1-s}/(s-1) and P_mu = s(s+1)...(s+2mu-2). Each derivative
+term reuses the n^{-s} or tail term of the same pass.
 """
 
 from __future__ import annotations
@@ -46,6 +55,13 @@ _AUTO_DOUBLINGS = 6
 _AUTO_NU_RANGE = range(2, 26)
 _EPS_FLOOR = 1e-13
 _IM_CAP = 500.0
+# the largest cutoff auto_params can pick; larger ones only grow the log table
+_MAX_CUTOFF = math.ceil(2.0 * (_IM_CAP + 1.0)) << _AUTO_DOUBLINGS
+
+
+def _check_cutoff(cutoff_n: object) -> None:
+    if not isinstance(cutoff_n, int) or not 2 <= cutoff_n <= _MAX_CUTOFF:
+        raise ParameterError(f"cutoff_n must be an integer in [2, {_MAX_CUTOFF}], got {cutoff_n!r}")
 
 
 def _as_complex(s: object, name: str = "s") -> complex:
@@ -67,8 +83,7 @@ class EvalParams:
     target_eps: float = DEFAULT_TARGET_EPS
 
     def __post_init__(self) -> None:
-        if not isinstance(self.cutoff_n, int) or self.cutoff_n < 2:
-            raise ParameterError(f"cutoff_n must be an integer >= 2, got {self.cutoff_n!r}")
+        _check_cutoff(self.cutoff_n)
         if not isinstance(self.tail_order, int) or self.tail_order < 1:
             raise ParameterError(f"tail_order must be an integer >= 1, got {self.tail_order!r}")
         if 2 * self.tail_order > MAX_INDEX:
@@ -82,11 +97,16 @@ class EvalParams:
 
 @dataclass(frozen=True)
 class EvalResult:
-    """Evaluated value plus the certified truncation bound that produced it."""
+    """Evaluated value plus the certified truncation bound that produced it.
+
+    ``derivative`` is the exact derivative of the evaluated sum, or None
+    unless it was asked for.
+    """
 
     value: complex
     remainder_bound: float
     params_used: EvalParams
+    derivative: complex | None = None
 
 
 def _rpow(base: float, exponent: complex) -> complex:
@@ -99,21 +119,33 @@ def _rpow(base: float, exponent: complex) -> complex:
 _LOGS = array("d", [0.0])
 
 
-def dirichlet_partial_sum(s: complex, cutoff_n: int) -> complex:
-    """sum_{n=1}^{cutoff_n - 1} n^{-s}, terms in ascending order."""
+def dirichlet_partial_sum(
+    s: complex, cutoff_n: int, *, derivative: bool = False
+) -> complex | tuple[complex, complex]:
+    """sum_{n=1}^{cutoff_n - 1} n^{-s}, terms in ascending order.
+
+    With ``derivative`` set, returns the pair (sum, -sum ln n n^{-s});
+    the sum keeps the same bits either way.
+    """
     global _LOGS
     s = _as_complex(s)
-    if not isinstance(cutoff_n, int) or cutoff_n < 2:
-        raise ParameterError(f"cutoff_n must be an integer >= 2, got {cutoff_n!r}")
+    _check_cutoff(cutoff_n)
     logs = _LOGS
     if len(logs) < cutoff_n:
         logs = _LOGS = logs + array("d", map(math.log, range(len(logs), cutoff_n)))
     minus_s = -s
     total = 1.0 + 0.0j
-    # an explicit loop: sum() may compensate and change the bits
+    # explicit loops: sum() may compensate and change the bits
+    if not derivative:
+        for log_n in logs[2:cutoff_n]:
+            total += cmath.exp(minus_s * log_n)
+        return total
+    slope = 0.0j
     for log_n in logs[2:cutoff_n]:
-        total += cmath.exp(minus_s * log_n)
-    return total
+        term = cmath.exp(minus_s * log_n)
+        total += term
+        slope -= log_n * term
+    return total, slope
 
 
 @lru_cache(maxsize=None)
@@ -158,6 +190,28 @@ def _em_series(s: complex, cutoff_n: int, tail_order: int, head: complex, prod: 
     return total
 
 
+def _em_series_slope(s: complex, cutoff_n: int, tail_order: int, head: complex) -> tuple[complex, complex]:
+    # The evaluator's _em_series(s, N, nu, head, s) with the same bits, and the
+    # derivative of its sum over mu: prod' rides along by the product rule.
+    n = cutoff_n
+    log_n = math.log(n)
+    total = head
+    slope = 0.0j
+    prod, dprod = s, 1.0 + 0.0j
+    npow = _rpow(n, -s - 1)
+    inv_n2 = 1.0 / (n * n)
+    for mu in range(1, tail_order + 1):
+        if mu > 1:
+            a, b = s + 2 * mu - 3, s + 2 * mu - 2
+            dprod = dprod * (a * b) + prod * (a + b)
+            prod *= a * b
+        term = _coeff(mu) * prod * npow
+        total += term
+        slope += _coeff(mu) * dprod * npow - log_n * term
+        npow *= inv_n2
+    return total, slope
+
+
 def em_tail(s: complex, params: EvalParams) -> tuple[complex, float]:
     """Abbreviated tail r(N, s) and its certified bound divided by |s|.
 
@@ -173,28 +227,48 @@ def em_tail(s: complex, params: EvalParams) -> tuple[complex, float]:
     return r, remainder_bound(s, n, nu) / abs(s)
 
 
-def zeta_gb(s: complex, params: EvalParams | None = None, *, eps: float | None = None) -> EvalResult:
+def zeta_gb(
+    s: complex,
+    params: EvalParams | None = None,
+    *,
+    eps: float | None = None,
+    derivative: bool = False,
+) -> EvalResult:
     """Evaluate the Gram-Backlund extension at ``s``.
 
     With ``params`` omitted the cutoff and tail order come from
     ``auto_params`` at target accuracy ``eps`` (default 1e-8). The
     correction sum keeps its leading s factor, so s = 0 needs no
     special route and lands on -0.5 to machine rounding.
+
+    With ``derivative`` set, ``EvalResult.derivative`` holds the exact
+    derivative of the evaluated sum (see the module docstring), taken in
+    the same Dirichlet pass; ``value`` keeps the same bits either way.
     """
     s = _as_complex(s)
     if s == 1:
         raise PoleError("s = 1 is the simple pole of the extension")
     if params is None:
         params = auto_params(s, DEFAULT_TARGET_EPS if eps is None else eps)
-    n = params.cutoff_n
-    value = (
-        dirichlet_partial_sum(s, n)
-        + _rpow(n, 1 - s) / (s - 1)
-        + _em_series(s, n, params.tail_order, _rpow(n, -s) / 2, s)
-    )
+    n, nu = params.cutoff_n, params.tail_order
+    slope = None
+    if derivative:
+        head, head_slope = dirichlet_partial_sum(s, n, derivative=True)
+        pole_term = _rpow(n, 1 - s) / (s - 1)
+        half = _rpow(n, -s) / 2
+        tail, tail_slope = _em_series_slope(s, n, nu, half)
+        log_n = math.log(n)
+        slope = head_slope - pole_term * (log_n + 1 / (s - 1)) - log_n * half + tail_slope
+    else:
+        head = dirichlet_partial_sum(s, n)
+        pole_term = _rpow(n, 1 - s) / (s - 1)
+        tail = _em_series(s, n, nu, _rpow(n, -s) / 2, s)
+    value = head + pole_term + tail
     if not cmath.isfinite(value):
         raise ParameterError(f"evaluation overflowed at s = {s!r} with cutoff {n}")
-    return EvalResult(value=value, remainder_bound=remainder_bound(s, n, params.tail_order), params_used=params)
+    return EvalResult(
+        value=value, remainder_bound=remainder_bound(s, n, nu), params_used=params, derivative=slope
+    )
 
 
 def auto_params(s: complex, eps: float) -> EvalParams:

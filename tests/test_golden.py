@@ -9,6 +9,14 @@ never to make a refactor pass. The recorder refuses to run while
 ``git status --porcelain -- src`` lists any change:
 
     PYTHONPATH=src python tests/test_golden.py
+
+It prints one line per case, ending in ``changed`` or ``new`` where the
+recorded bytes differ from the files it overwrites.
+
+A change that is meant to move numbers (a refactor must not) is
+recorded in three steps: commit the ``src/`` change, run the recorder,
+and explain each case it reports as changed in CHANGES.md: which fields
+moved, by how much, and that counts and verdicts did not.
 """
 
 from __future__ import annotations
@@ -80,10 +88,39 @@ def _record() -> None:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = run(list(argv))
-        (GOLDEN_DIR / f"{name}.out").write_bytes(out.getvalue().encode())
-        (GOLDEN_DIR / f"{name}.err").write_bytes(err.getvalue().encode())
-        (GOLDEN_DIR / f"{name}.code").write_text(f"{code}\n")
-        print(f"{name}: exit {code}", file=sys.stderr)
+        recorded = {
+            GOLDEN_DIR / f"{name}.out": out.getvalue().encode(),
+            GOLDEN_DIR / f"{name}.err": err.getvalue().encode(),
+            GOLDEN_DIR / f"{name}.code": f"{code}\n".encode(),
+        }
+        if not all(path.exists() for path in recorded):
+            status = ", new"
+        elif any(path.read_bytes() != data for path, data in recorded.items()):
+            status = ", changed"
+        else:
+            status = ""
+        for path, data in recorded.items():
+            path.write_bytes(data)
+        print(f"{name}: exit {code}{status}", file=sys.stderr)
+
+
+def test_recorder_names_the_changed_cases(monkeypatch, tmp_path, capsys) -> None:
+    names = ("eval_json", "params_json")
+    files = [f"{name}.{suffix}" for name in names for suffix in ("out", "err", "code")]
+    for file in files:
+        (tmp_path / file).write_bytes((GOLDEN_DIR / file).read_bytes())
+    (tmp_path / "params_json.out").write_bytes(b"stale\n")
+    (tmp_path / "eval_json.code").unlink()
+    module = sys.modules[__name__]
+    monkeypatch.setattr(module, "GOLDEN_DIR", tmp_path)
+    monkeypatch.setattr(module, "CASES", {name: CASES[name] for name in names})
+    monkeypatch.setattr(module, "_src_changes", lambda: "")
+    _record()
+    assert capsys.readouterr().err.splitlines() == ["eval_json: exit 0, new", "params_json: exit 0, changed"]
+    _record()
+    assert capsys.readouterr().err.splitlines() == ["eval_json: exit 0", "params_json: exit 0"]
+    golden = Path(__file__).with_name("golden")
+    assert all((tmp_path / file).read_bytes() == (golden / file).read_bytes() for file in files)
 
 
 def test_recorder_refuses_a_modified_src(monkeypatch, tmp_path) -> None:

@@ -61,18 +61,25 @@ def test_refine_canonicalizes_conjugate_seeds() -> None:
 
 
 def test_refine_evaluates_once_per_newton_point(monkeypatch) -> None:
-    calls: list[complex] = []
+    calls: list[tuple[complex, bool]] = []
     evaluate = zero_scan.zeta_gb
-    monkeypatch.setattr(zero_scan, "zeta_gb", lambda s, params: calls.append(s) or evaluate(s, params))
-    # the seed, then per step a central difference (two) and the new iterate;
-    # |Z| at the converged point reuses the last evaluation
+    monkeypatch.setattr(
+        zero_scan,
+        "zeta_gb",
+        lambda s, params, *, derivative=False: calls.append((s, derivative))
+        or evaluate(s, params, derivative=derivative),
+    )
+    # the seed, then per step the new iterate, each evaluated once together with
+    # its derivative; |Z| at the converged point reuses the last evaluation
     rec = refine_zero(complex(0.5, 14.1))
-    assert len(calls) == 1 + 3 * rec.refine_iterations
+    assert rec.refine_iterations >= 2
+    assert len(calls) == 1 + rec.refine_iterations
+    assert all(derivative for _, derivative in calls)
     # a conjugated iterate is evaluated once more, at the reported point
     calls.clear()
     rec = refine_zero(complex(0.5, -14.1))
-    assert len(calls) == 2 + 3 * rec.refine_iterations
-    assert calls[-1] == rec.s
+    assert len(calls) == 2 + rec.refine_iterations
+    assert calls[-1][0] == rec.s
 
 
 def test_refine_rejects_seeds_outside_the_strip() -> None:

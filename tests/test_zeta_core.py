@@ -10,6 +10,7 @@ import sys
 import threading
 from array import array
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -129,9 +130,73 @@ def test_bound_and_schedule_leave_the_log_table_alone(monkeypatch: pytest.Monkey
     assert len(zeta_core._LOGS) == 1
 
 
+def test_cutoff_is_capped_before_the_table_grows() -> None:
+    # the cap is the largest cutoff auto_params can pick: 2 * (500 + 1) << 6
+    assert EvalParams(64_128, 4).cutoff_n == 64_128
+    size = len(zeta_core._LOGS)
+    with pytest.raises(ParameterError, match="64128"):
+        EvalParams(64_129, 4)
+    with pytest.raises(ParameterError, match="64128"):
+        dirichlet_partial_sum(0.5 + 14j, 10**8)
+    with pytest.raises(ParameterError, match="64128"):
+        dirichlet_partial_sum(0.5 + 14j, 10**8, derivative=True)
+    assert len(zeta_core._LOGS) == size
+
+
+def test_partial_sum_derivative_keeps_the_sum_bitwise() -> None:
+    rng = random.Random(20152)
+    for _ in range(100):
+        s = complex(rng.uniform(-1.0, 2.0), rng.uniform(0.0, 500.0))
+        n = rng.choice(_CUTOFFS)
+        total, slope = dirichlet_partial_sum(s, n, derivative=True)
+        assert _same_bits(total, dirichlet_partial_sum(s, n))
+        want = -sum(math.log(k) * k ** -s for k in range(2, n))
+        assert abs(slope - want) <= 1e-12 * sum(math.log(k) * k ** -s.real for k in range(2, n))
+
+
 # ---------------------------------------------------------------------------
 # full evaluation
 # ---------------------------------------------------------------------------
+
+
+def _strip_points(seed: int, count: int) -> list[complex]:
+    rng = random.Random(seed)
+    return [complex(rng.uniform(0.01, 0.99), rng.uniform(1.0, 499.0)) for _ in range(count)]
+
+
+def test_derivative_matches_mpmath() -> None:
+    worst = 0.0
+    for s in _strip_points(20153, 100):
+        got = zeta_gb(s, auto_params(s, 1e-10), derivative=True).derivative
+        want = complex(mpmath.zeta(mpmath.mpc(s.real, s.imag), derivative=1))
+        worst = max(worst, abs(got - want) / abs(want))
+    assert worst <= 1e-8
+
+
+def test_derivative_keeps_the_value_bitwise() -> None:
+    rng = random.Random(20154)
+    points = _strip_points(20155, 50) + [
+        complex(rng.uniform(-1.0, 2.0), rng.uniform(0.0, 500.0)) for _ in range(150)
+    ]
+    for s in points:
+        params = auto_params(s, rng.choice((1e-8, 1e-10, 1e-12)))
+        plain = zeta_gb(s, params)
+        both = zeta_gb(s, params, derivative=True)
+        assert _same_bits(both.value, plain.value)
+        assert both.remainder_bound == plain.remainder_bound
+        assert plain.derivative is None
+    assert zeta_gb(2).derivative is None
+
+
+def test_derivative_at_classical_points() -> None:
+    # zeta'(0) = -ln(2 pi)/2; zeta'(2) = pi^2/6 (gamma + ln(2 pi) - 12 ln A)
+    params = EvalParams(50, 10)
+    assert zeta_gb(0, params, derivative=True).derivative == pytest.approx(
+        -0.5 * math.log(2 * math.pi), abs=1e-12
+    )
+    assert zeta_gb(2, params, derivative=True).derivative == pytest.approx(
+        -0.9375482543158437, abs=1e-12
+    )
 
 
 def test_classical_values() -> None:
