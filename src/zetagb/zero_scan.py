@@ -184,7 +184,7 @@ def refine_zero(
             )
     if z.imag < 0:
         z = z.conjugate()
-        fz, _ = f(z)
+        fz = zeta_gb(z, params).value
     if z.imag == 0:
         raise RefinementError(f"refinement landed on the real axis at {z!r}")
     return ZeroRecord(

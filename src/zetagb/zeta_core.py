@@ -174,30 +174,18 @@ def remainder_bound(s: complex, cutoff_n: int, tail_order: int) -> float:
     return abs(_coeff(nu + 1)) * prod * scale * abs(s + 2 * nu + 1) / denom
 
 
-def _em_series(s: complex, cutoff_n: int, tail_order: int, head: complex, prod: complex) -> complex:
-    # head + sum_mu c_mu * prod * (s+1)...(s+2mu-2) * N^{-s-2mu+1}. The evaluator
-    # passes head = N^{-s}/2, prod = s (safe at s = 0); the abbreviated tail
-    # r(N, s) passes head = N^{-s}/(2s), prod = 1.
-    n = cutoff_n
-    total = head
-    npow = _rpow(n, -s - 1)
-    inv_n2 = 1.0 / (n * n)
-    for mu in range(1, tail_order + 1):
-        if mu > 1:
-            prod *= (s + 2 * mu - 3) * (s + 2 * mu - 2)
-        total += _coeff(mu) * prod * npow
-        npow *= inv_n2
-    return total
-
-
-def _em_series_slope(s: complex, cutoff_n: int, tail_order: int, head: complex) -> tuple[complex, complex]:
-    # The evaluator's _em_series(s, N, nu, head, s) with the same bits, and the
-    # derivative of its sum over mu: prod' rides along by the product rule.
+def _em_series(
+    s: complex, cutoff_n: int, tail_order: int, head: complex, prod: complex, dprod: complex
+) -> tuple[complex, complex]:
+    # head + sum_mu c_mu * prod * (s+1)...(s+2mu-2) * N^{-s-2mu+1}, and the
+    # derivative of the sum over mu (head excluded): prod' = dprod rides along
+    # by the product rule. The evaluator passes head = N^{-s}/2, prod = s,
+    # dprod = 1 (safe at s = 0); the abbreviated tail r(N, s) passes
+    # head = N^{-s}/(2s), prod = 1, dprod = 0.
     n = cutoff_n
     log_n = math.log(n)
     total = head
     slope = 0.0j
-    prod, dprod = s, 1.0 + 0.0j
     npow = _rpow(n, -s - 1)
     inv_n2 = 1.0 / (n * n)
     for mu in range(1, tail_order + 1):
@@ -205,9 +193,10 @@ def _em_series_slope(s: complex, cutoff_n: int, tail_order: int, head: complex) 
             a, b = s + 2 * mu - 3, s + 2 * mu - 2
             dprod = dprod * (a * b) + prod * (a + b)
             prod *= a * b
-        term = _coeff(mu) * prod * npow
+        c = _coeff(mu)
+        term = c * prod * npow
         total += term
-        slope += _coeff(mu) * dprod * npow - log_n * term
+        slope += c * dprod * npow - log_n * term
         npow *= inv_n2
     return total, slope
 
@@ -223,7 +212,7 @@ def em_tail(s: complex, params: EvalParams) -> tuple[complex, float]:
     if s == 0:
         raise ParameterError("the abbreviated tail divides by s; s = 0 is excluded")
     n, nu = params.cutoff_n, params.tail_order
-    r = _em_series(s, n, nu, _rpow(n, -s) / (2 * s), 1.0 + 0.0j)
+    r, _ = _em_series(s, n, nu, _rpow(n, -s) / (2 * s), 1.0 + 0.0j, 0.0j)
     return r, remainder_bound(s, n, nu) / abs(s)
 
 
@@ -251,18 +240,16 @@ def zeta_gb(
     if params is None:
         params = auto_params(s, DEFAULT_TARGET_EPS if eps is None else eps)
     n, nu = params.cutoff_n, params.tail_order
+    pole_term = _rpow(n, 1 - s) / (s - 1)
+    half = _rpow(n, -s) / 2
+    tail, tail_slope = _em_series(s, n, nu, half, s, 1.0 + 0.0j)
     slope = None
     if derivative:
         head, head_slope = dirichlet_partial_sum(s, n, derivative=True)
-        pole_term = _rpow(n, 1 - s) / (s - 1)
-        half = _rpow(n, -s) / 2
-        tail, tail_slope = _em_series_slope(s, n, nu, half)
         log_n = math.log(n)
         slope = head_slope - pole_term * (log_n + 1 / (s - 1)) - log_n * half + tail_slope
     else:
         head = dirichlet_partial_sum(s, n)
-        pole_term = _rpow(n, 1 - s) / (s - 1)
-        tail = _em_series(s, n, nu, _rpow(n, -s) / 2, s)
     value = head + pole_term + tail
     if not cmath.isfinite(value):
         raise ParameterError(f"evaluation overflowed at s = {s!r} with cutoff {n}")

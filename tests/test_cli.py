@@ -76,6 +76,12 @@ def test_explicit_params_must_come_in_pairs(capsys) -> None:
     assert "--N and --nu" in err
 
 
+def test_explicit_cutoff_above_the_schedule_exits_2(capsys) -> None:
+    code, _, err = invoke(capsys, "eval", "--re", "0.5", "--im", "14", "--N", "64129", "--nu", "4")
+    assert code == 2
+    assert "cutoff_n must be an integer in [2, 64128]" in err
+
+
 def test_eval_pole_exits_2(capsys) -> None:
     code, _, err = invoke(capsys, "eval", "--re", "1")
     assert code == 2

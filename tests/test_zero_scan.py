@@ -75,10 +75,12 @@ def test_refine_evaluates_once_per_newton_point(monkeypatch) -> None:
     assert rec.refine_iterations >= 2
     assert len(calls) == 1 + rec.refine_iterations
     assert all(derivative for _, derivative in calls)
-    # a conjugated iterate is evaluated once more, at the reported point
+    # a conjugated iterate is evaluated once more, at the reported point,
+    # for |Z| only
     calls.clear()
     rec = refine_zero(complex(0.5, -14.1))
     assert len(calls) == 2 + rec.refine_iterations
+    assert [derivative for _, derivative in calls] == [True] * (1 + rec.refine_iterations) + [False]
     assert calls[-1][0] == rec.s
 
 
