@@ -52,6 +52,8 @@ CASES: dict[str, tuple[str, ...]] = {
     "audit_250_256": ("audit", "--t-min", "250", "--t-max", "256"),
     "audit_493_499": ("audit", "--t-min", "493", "--t-max", "499"),
     "eval_cap_json": ("eval", "--re", "0.5", "--im", "499", "--eps", "1e-10", "--format", "json"),
+    "count_cap_text": ("count", "--sigma-min", "0.01", "--sigma-max", "0.99", "--t-min", "493", "--t-max", "499"),
+    "zeros_cap_json": ("zeros", "--t-min", "493", "--t-max", "499", "--format", "json"),
     **{f"bernoulli_{fmt}": (*_BERNOULLI, "--format", fmt) for fmt in _FORMATS},
 }
 
