@@ -49,6 +49,7 @@ from .zeta_core import (
     EvalParams,
     EvalResult,
     auto_params,
+    dirichlet_line,
     dirichlet_partial_sum,
     em_tail,
     remainder_bound,
@@ -63,7 +64,8 @@ __all__ = [
     "SingularQError", "RefinementError", "InconclusiveError", "BoundaryError",
     "MAX_INDEX", "BernoulliTable", "build_table",
     "DEFAULT_TARGET_EPS", "EvalParams", "EvalResult",
-    "dirichlet_partial_sum", "em_tail", "zeta_gb", "auto_params", "remainder_bound",
+    "dirichlet_partial_sum", "dirichlet_line", "em_tail", "zeta_gb",
+    "auto_params", "remainder_bound",
     "QValue", "q_gb", "zero_residual", "consistency_identity",
     "ZeroRecord", "Rectangle", "ScanConfig",
     "refine_zero", "scan_critical_line", "rectangle_winding",

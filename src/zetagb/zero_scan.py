@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import BoundaryError, InconclusiveError, ParameterError, RefinementError
 from .serialize import csv_text, dumps
-from .zeta_core import EvalParams, _as_complex, auto_params, zeta_gb
+from .zeta_core import EvalParams, _as_complex, auto_params, dirichlet_line, zeta_gb
 from .qfunction import q_gb
 
 __all__ = [
@@ -224,7 +224,14 @@ def scan_critical_line(
     grid = [t_min + k * cfg.step for k in range(count + 1)]
     if grid[-1] < t_max - 1e-12:
         grid.append(t_max)
-    moduli = [abs(zeta_gb(complex(0.5, t), params).value) for t in grid]
+    heads: list[complex | None] = [None]
+    if count:  # grid[0..count] share one line walk
+        heads = dirichlet_line(complex(0.5, grid[0]), complex(0.5, grid[count]), count, params.cutoff_n)
+    # an appended t_max has no head and makes its own Dirichlet pass
+    moduli = [
+        abs(zeta_gb(complex(0.5, t), params, partial_sum=head).value)
+        for t, head in zip(grid, heads + [None])
+    ]
 
     gate = max(10.0 * math.sqrt(cfg.tol), _GATE_FLOOR)
     candidates: list[float] = []
@@ -300,8 +307,8 @@ def rectangle_winding(rect: Rectangle, params: EvalParams | None = None) -> tupl
         worst = complex(rect.sigma_max, max(abs(rect.t_min), abs(rect.t_max)))
         params = auto_params(worst, 1e-9)
 
-    def f(z: complex) -> complex:
-        value = zeta_gb(z, params).value
+    def f(z: complex, head: complex | None = None) -> complex:
+        value = zeta_gb(z, params, partial_sum=head).value
         if abs(value) < _BOUNDARY_MODULUS:
             raise BoundaryError(
                 f"|Z| = {abs(value):.3e} at boundary point {z!r}; "
@@ -315,7 +322,8 @@ def rectangle_winding(rect: Rectangle, params: EvalParams | None = None) -> tupl
         za, zb = corners[idx], corners[(idx + 1) % 4]
         segments = max(4, math.ceil(abs(zb - za) / 0.25))
         nodes = [za + (zb - za) * (k / segments) for k in range(segments + 1)]
-        values = [f(z) for z in nodes]
+        heads = dirichlet_line(za, zb, segments, params.cutoff_n)
+        values = [f(z, head) for z, head in zip(nodes, heads)]
         for k in range(segments):
             total += _phase_walk(nodes[k], nodes[k + 1], values[k], values[k + 1], f, 0)
 

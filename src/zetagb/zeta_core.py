@@ -31,7 +31,8 @@ import cmath
 import math
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add, mul
 
 from .bernoulli import MAX_INDEX, _full_table
 from .errors import ParameterError, PoleError, PrecisionError
@@ -41,6 +42,7 @@ __all__ = [
     "EvalParams",
     "EvalResult",
     "dirichlet_partial_sum",
+    "dirichlet_line",
     "em_tail",
     "zeta_gb",
     "auto_params",
@@ -119,6 +121,16 @@ def _rpow(base: float, exponent: complex) -> complex:
 _LOGS = array("d", [0.0])
 
 
+def _log_table(cutoff_n: int) -> array:
+    # a table covering ln 2 .. ln(cutoff_n - 1); the cap is checked before it grows
+    global _LOGS
+    _check_cutoff(cutoff_n)
+    logs = _LOGS
+    if len(logs) < cutoff_n:
+        logs = _LOGS = logs + array("d", map(math.log, range(len(logs), cutoff_n)))
+    return logs
+
+
 def dirichlet_partial_sum(
     s: complex, cutoff_n: int, *, derivative: bool = False
 ) -> complex | tuple[complex, complex]:
@@ -127,12 +139,8 @@ def dirichlet_partial_sum(
     With ``derivative`` set, returns the pair (sum, -sum ln n n^{-s});
     the sum keeps the same bits either way.
     """
-    global _LOGS
     s = _as_complex(s)
-    _check_cutoff(cutoff_n)
-    logs = _LOGS
-    if len(logs) < cutoff_n:
-        logs = _LOGS = logs + array("d", map(math.log, range(len(logs), cutoff_n)))
+    logs = _log_table(cutoff_n)
     minus_s = -s
     total = 1.0 + 0.0j
     # explicit loops: sum() may compensate and change the bits
@@ -146,6 +154,32 @@ def dirichlet_partial_sum(
         total += term
         slope -= log_n * term
     return total, slope
+
+
+def dirichlet_line(start: complex, stop: complex, segments: int, cutoff_n: int) -> list[complex]:
+    """Partial sums at the nodes start + k (stop - start)/segments, k = 0..segments.
+
+    Walks the line: n^{-(s+d)} = n^{-s} n^{-d}, so after one exp per term
+    for the first node and one for the step d, each further node costs one
+    complex multiply per term. Each node's terms are added in ascending
+    order, so node 0 has the bits of ``dirichlet_partial_sum(start)``; the
+    terms of node k carry about k roundings of the walk.
+    """
+    start = _as_complex(start, "start")
+    stop = _as_complex(stop, "stop")
+    if not isinstance(segments, int) or segments < 1:
+        raise ParameterError(f"segments must be an integer >= 1, got {segments!r}")
+    logs = _log_table(cutoff_n)[2:cutoff_n]
+    minus_s = -start
+    minus_d = -(stop - start) / segments
+    terms = [cmath.exp(minus_s * log_n) for log_n in logs]
+    ratios = [cmath.exp(minus_d * log_n) for log_n in logs]
+    # an explicit left fold: sum() may compensate and change the bits
+    sums = [reduce(add, terms, 1.0 + 0.0j)]
+    for _ in range(segments):
+        terms = list(map(mul, terms, ratios))
+        sums.append(reduce(add, terms, 1.0 + 0.0j))
+    return sums
 
 
 @lru_cache(maxsize=None)
@@ -222,6 +256,7 @@ def zeta_gb(
     *,
     eps: float | None = None,
     derivative: bool = False,
+    partial_sum: complex | None = None,
 ) -> EvalResult:
     """Evaluate the Gram-Backlund extension at ``s``.
 
@@ -233,8 +268,17 @@ def zeta_gb(
     With ``derivative`` set, ``EvalResult.derivative`` holds the exact
     derivative of the evaluated sum (see the module docstring), taken in
     the same Dirichlet pass; ``value`` keeps the same bits either way.
+
+    A ``partial_sum`` given for ``s`` and ``params.cutoff_n`` (say, one node
+    of ``dirichlet_line``) replaces the Dirichlet pass; the pole term, tail,
+    bound and overflow check are the same. It needs explicit ``params``
+    and carries no derivative.
     """
     s = _as_complex(s)
+    if partial_sum is not None:
+        if params is None or derivative:
+            raise ParameterError("partial_sum needs explicit params and excludes derivative")
+        partial_sum = _as_complex(partial_sum, "partial_sum")
     if s == 1:
         raise PoleError("s = 1 is the simple pole of the extension")
     if params is None:
@@ -248,8 +292,10 @@ def zeta_gb(
         head, head_slope = dirichlet_partial_sum(s, n, derivative=True)
         log_n = math.log(n)
         slope = head_slope - pole_term * (log_n + 1 / (s - 1)) - log_n * half + tail_slope
-    else:
+    elif partial_sum is None:
         head = dirichlet_partial_sum(s, n)
+    else:
+        head = partial_sum
     value = head + pole_term + tail
     if not cmath.isfinite(value):
         raise ParameterError(f"evaluation overflowed at s = {s!r} with cutoff {n}")

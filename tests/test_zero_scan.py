@@ -9,6 +9,8 @@ the oracle itself is validated against mpmath in test_oracles.py.
 from __future__ import annotations
 
 import logging
+import math
+import sys
 
 import pytest
 
@@ -149,6 +151,65 @@ def test_scan_skips_failed_refinements_by_default(caplog) -> None:
 def test_scan_strict_mode_raises_instead() -> None:
     with pytest.raises(RefinementError):
         scan_critical_line(14.0, 15.0, max_iter=1, strict_refine=True)
+
+
+def _record_call_stacks(monkeypatch, names: tuple[str, ...]) -> list[tuple[str, ...]]:
+    # wrap each named function in every zetagb namespace that binds it, as the
+    # benchmark tracer does; each call appends the names of its active callers
+    # and its own
+    modules = [m for n, m in sorted(sys.modules.items()) if n == "zetagb" or n.startswith("zetagb.")]
+    stack: list[str] = []
+    calls: list[tuple[str, ...]] = []
+
+    def wrap(name: str, fn):
+        def traced(*args, **kwargs):
+            stack.append(name)
+            calls.append(tuple(stack))
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                stack.pop()
+
+        return traced
+
+    for name in names:
+        original = next(vars(m)[name] for m in modules if name in vars(m))
+        traced = wrap(name, original)
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, traced)
+    return calls
+
+
+def test_scan_walks_the_grid_once(monkeypatch) -> None:
+    calls = _record_call_stacks(
+        monkeypatch, ("scan_critical_line", "refine_zero", "q_gb", "zeta_gb", "dirichlet_partial_sum")
+    )
+    zero_scan.scan_critical_line(0, 30)
+    # one zeta_gb per grid node, t = 0, 0.25, ..., 30; the grid's Dirichlet sums
+    # come from one line walk, so only refinement and Q make their own pass
+    assert calls.count(("scan_critical_line", "zeta_gb")) == 121
+    passes = [stack for stack in calls if stack[-1] == "dirichlet_partial_sum"]
+    assert passes
+    assert all({"refine_zero", "q_gb"} & set(stack) for stack in passes)
+
+
+# the first has no phase-walk split, the second two (the first zero sits
+# 0.06 below its top side)
+@pytest.mark.parametrize(
+    ("rect", "zeros"), ((Rectangle(0.01, 0.99, 0.1, 30.0), 3), (Rectangle(0.45, 0.55, 13.5, 14.2), 1))
+)
+def test_winding_walks_each_side_once(monkeypatch, rect: Rectangle, zeros: int) -> None:
+    calls = _record_call_stacks(monkeypatch, ("zeta_gb", "dirichlet_partial_sum"))
+    count, _ = rectangle_winding(rect)
+    assert count == zeros
+    sides = (rect.sigma_max - rect.sigma_min, rect.t_max - rect.t_min) * 2
+    base_nodes = sum(max(4, math.ceil(side / 0.25)) + 1 for side in sides)
+    evaluations = calls.count(("zeta_gb",))
+    # base nodes take their Dirichlet sums from the side's walk; only the
+    # phase-walk splits make their own pass
+    assert calls.count(("zeta_gb", "dirichlet_partial_sum")) == evaluations - base_nodes
 
 
 def test_scan_validation() -> None:

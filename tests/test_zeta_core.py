@@ -22,6 +22,7 @@ from zetagb.zeta_core import (
     DEFAULT_TARGET_EPS,
     EvalParams,
     auto_params,
+    dirichlet_line,
     dirichlet_partial_sum,
     em_tail,
     remainder_bound,
@@ -90,19 +91,27 @@ def test_partial_sum_matches_uncached_logs_bitwise(monkeypatch: pytest.MonkeyPat
         assert all(_same_bits(dirichlet_partial_sum(s, n), want[s, n]) for s in points)
 
 
+def _line_head(s: complex, cutoff_n: int) -> complex:
+    # node 0 of a one-segment line walk from s
+    return dirichlet_line(s, s + 1j, 1, cutoff_n)[0]
+
+
 def test_partial_sum_is_bitwise_under_concurrent_growth(monkeypatch: pytest.MonkeyPatch) -> None:
     # four threads interleave growing cutoffs, so each growth races with reads
-    # of the table and with other threads' growth
+    # of the table and with other threads' growth; two grow it through the
+    # partial sum, two through the line walk
     s = 0.5 + 499.0j
     plans = [range(2 + k, 800, 4) for k in range(4)]
+    kernels = (dirichlet_partial_sum, _line_head)
     want = {n: _uncached_sum(s, n) for plan in plans for n in plan}
     got: list[dict[int, complex]] = [{} for _ in plans]
     start = threading.Barrier(len(plans), timeout=60)
 
     def work(k: int) -> None:
         start.wait()
+        evaluate = kernels[k % len(kernels)]
         for n in plans[k]:
-            got[k][n] = dirichlet_partial_sum(s, n)
+            got[k][n] = evaluate(s, n)
 
     _fresh_log_table(monkeypatch)
     interval = sys.getswitchinterval()
@@ -140,6 +149,8 @@ def test_cutoff_is_capped_before_the_table_grows() -> None:
         dirichlet_partial_sum(0.5 + 14j, 10**8)
     with pytest.raises(ParameterError, match="64128"):
         dirichlet_partial_sum(0.5 + 14j, 10**8, derivative=True)
+    with pytest.raises(ParameterError, match="64128"):
+        dirichlet_line(0.5 + 14j, 0.5 + 15j, 4, 10**8)
     assert len(zeta_core._LOGS) == size
 
 
@@ -152,6 +163,78 @@ def test_partial_sum_derivative_keeps_the_sum_bitwise() -> None:
         assert _same_bits(total, dirichlet_partial_sum(s, n))
         want = -sum(math.log(k) * k ** -s for k in range(2, n))
         assert abs(slope - want) <= 1e-12 * sum(math.log(k) * k ** -s.real for k in range(2, n))
+
+
+# ---------------------------------------------------------------------------
+# line walks
+# ---------------------------------------------------------------------------
+
+
+def _assert_line_tracks_the_sum(start: complex, stop: complex, segments: int, cutoff_n: int) -> None:
+    # every node within 1e-12 of the sum of |n^{-s_k}|, i.e. rounding level
+    sums = dirichlet_line(start, stop, segments, cutoff_n)
+    assert len(sums) == segments + 1
+    step = (stop - start) / segments
+    scale: dict[float, float] = {}
+    for k, got in enumerate(sums):
+        s = start + k * step
+        if s.real not in scale:
+            scale[s.real] = math.fsum(n ** -s.real for n in range(1, cutoff_n))
+        assert abs(got - dirichlet_partial_sum(s, cutoff_n)) <= 1e-12 * scale[s.real], (start, stop, k)
+
+
+def test_line_starts_on_the_partial_sum_bitwise() -> None:
+    rng = random.Random(20156)
+    for _ in range(40):
+        start = complex(rng.uniform(-1.0, 2.0), rng.uniform(0.0, 500.0))
+        stop = complex(rng.uniform(-1.0, 2.0), rng.uniform(0.0, 500.0))
+        n = rng.choice(_CUTOFFS)
+        assert _same_bits(dirichlet_line(start, stop, rng.randint(1, 5), n)[0], dirichlet_partial_sum(start, n))
+
+
+@pytest.mark.parametrize("sigma", (0.01, 0.5, 0.99))
+def test_vertical_line_tracks_the_partial_sum(sigma: float) -> None:
+    _assert_line_tracks_the_sum(complex(sigma, 0.1), complex(sigma, 500.1), 2000, 1002)
+
+
+def test_horizontal_and_descending_lines_track_the_partial_sum() -> None:
+    rng = random.Random(20157)
+    for n in (2, 3, 62, 1002):
+        t = rng.uniform(0.0, 500.0)
+        _assert_line_tracks_the_sum(complex(-1.0, t), complex(2.0, t), rng.randint(50, 300), n)
+    _assert_line_tracks_the_sum(0.9 + 480.3j, 0.2 + 20.7j, 1840, 1002)
+
+
+def test_line_segments_must_be_a_positive_integer() -> None:
+    for segments in (0, -3, 2.0, None):
+        with pytest.raises(ParameterError, match="segments"):
+            dirichlet_line(0.5 + 14j, 0.5 + 15j, segments, 40)  # type: ignore[arg-type]
+    with pytest.raises(ParameterError):
+        dirichlet_line(float("nan"), 0.5 + 15j, 4, 40)
+
+
+def test_given_partial_sum_keeps_value_and_bound_bitwise() -> None:
+    rng = random.Random(20158)
+    for _ in range(100):
+        s = complex(rng.uniform(-1.0, 2.0), rng.uniform(0.0, 500.0))
+        params = auto_params(s, rng.choice((1e-8, 1e-10, 1e-12)))
+        plain = zeta_gb(s, params)
+        given = zeta_gb(s, params, partial_sum=dirichlet_partial_sum(s, params.cutoff_n))
+        assert _same_bits(given.value, plain.value)
+        assert given.remainder_bound == plain.remainder_bound
+        assert given.params_used == params
+        assert given.derivative is None
+
+
+def test_given_partial_sum_needs_params_and_no_derivative() -> None:
+    s = 0.5 + 14j
+    head = dirichlet_partial_sum(s, 40)
+    with pytest.raises(ParameterError, match="partial_sum"):
+        zeta_gb(s, partial_sum=head)
+    with pytest.raises(ParameterError, match="partial_sum"):
+        zeta_gb(s, eps=1e-10, partial_sum=head)
+    with pytest.raises(ParameterError, match="partial_sum"):
+        zeta_gb(s, EvalParams(40, 6), derivative=True, partial_sum=head)
 
 
 # ---------------------------------------------------------------------------
