@@ -10,11 +10,10 @@ The scan grid and each rectangle side's base nodes are uniformly spaced
 on a line, so their Dirichlet sums come from one ``dirichlet_line`` walk
 (one complex multiply per term and node) and each node is still one
 ``zeta_gb`` call. The walk moves those values by rounding only, at most
-about 2e-14 of sum |n^{-s}|. Grid moduli only pick Newton seeds, so
-the refined zeros keep their bits unless a modulus sits within that
-rounding of the gate or of its neighbour.
-Newton steps, phase-walk splits and an off-grid t_max make the exact
-per-point pass.
+about 2e-14 of sum |n^{-s}|. Grid moduli only pick Newton seeds, so the
+refined zeros keep their bits unless a modulus sits within that rounding
+of the gate or of its neighbour. Newton steps, phase-walk splits and an
+off-grid t_max make the exact per-point pass.
 """
 
 from __future__ import annotations
