@@ -10,7 +10,8 @@ evaluator by s N^{1-s} shows the algebraic identity
     Z(s) = s N^{1-s} * ( 1/(s(s-1)) + 1/Q(s) ),
 
 which holds at every admissible point up to rounding; its measured
-residual is exposed as ``consistency_identity``.
+residual, on Z and Q values already evaluated, is exposed as
+``consistency_identity``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import ParameterError, SingularQError
 from .zeta_core import (DEFAULT_TARGET_EPS, EvalParams, _as_complex, _rpow, auto_params,
-                        dirichlet_partial_sum, em_tail, zeta_gb)
+                        dirichlet_partial_sum, em_tail)
 
 __all__ = ["QValue", "q_gb", "zero_residual", "consistency_identity"]
 
@@ -43,10 +44,15 @@ def _reciprocal_q(s: complex, params: EvalParams) -> complex:
     return dirichlet_partial_sum(s, params.cutoff_n) / (s * n_pow) + r / n_pow
 
 
-def _resolve(s: object, params: EvalParams | None, eps: float | None) -> tuple[complex, EvalParams]:
+def _defined(s: object) -> complex:
     z = _as_complex(s)
     if z == 0 or z == 1:
         raise ParameterError(f"Q is undefined at s = {z}; s(s-1) vanishes there")
+    return z
+
+
+def _resolve(s: object, params: EvalParams | None, eps: float | None) -> tuple[complex, EvalParams]:
+    z = _defined(s)
     if params is None:
         params = auto_params(z, DEFAULT_TARGET_EPS if eps is None else eps)
     return z, params
@@ -70,14 +76,13 @@ def zero_residual(s: complex, params: EvalParams | None = None, *, eps: float | 
     return s * (s - 1) + q_gb(s, params).value
 
 
-def consistency_identity(s: complex, params: EvalParams | None = None, *, eps: float | None = None) -> float:
-    """|Z(s) - s N^{1-s} (1/(s(s-1)) + 1/Q(s))| with shared parameters.
+def consistency_identity(s: complex, z: complex, q: complex, params: EvalParams) -> float:
+    """|z - s N^{1-s} (1/(s(s-1)) + 1/q)| for z = Z(s), q = Q(s) under params.
 
-    Pure rounding residue: small everywhere, zeros or not.
+    Checks values the caller already evaluated, so it costs no Dirichlet
+    pass. Pure rounding residue: small everywhere, zeros or not.
     """
-    s, params = _resolve(s, params, eps)
-    z = zeta_gb(s, params).value
-    q = q_gb(s, params).value
+    s = _defined(s)
     lhs = s * _rpow(params.cutoff_n, 1 - s) * (1.0 / (s * (s - 1)) + 1.0 / q)
     residual = abs(z - lhs)
     if not math.isfinite(residual):

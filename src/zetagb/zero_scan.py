@@ -192,8 +192,7 @@ def refine_zero(
                 f"stalled at {z!r}: step {abs(step):.3e} below floor with |Z| = {abs(fz):.3e}"
             )
     if z.imag < 0:
-        z = z.conjugate()
-        fz = zeta_gb(z, params).value
+        z = z.conjugate()  # |Z| is unchanged: Z(conj s) = conj Z(s)
     if z.imag == 0:
         raise RefinementError(f"refinement landed on the real axis at {z!r}")
     return ZeroRecord(

@@ -155,8 +155,9 @@ def test_09_consistency_identity_off_the_zeros() -> None:
         points.append(s)
     worst = -math.inf
     for s in points:
-        residual = consistency_identity(s, params)
-        budget = 1e-9 * max(1.0, abs(zeta_gb(s, params).value))
+        z = zeta_gb(s, params).value
+        residual = consistency_identity(s, z, q_gb(s, params).value, params)
+        budget = 1e-9 * max(1.0, abs(z))
         worst = max(worst, residual - budget)
         assert residual <= budget
     _passed(9, f"1000 box points, worst margin {worst:.2e}")

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zetagb import audit
 from zetagb.audit import (
     CONTROL_POINTS,
     DEFAULT_SAMPLE_SEED,
@@ -147,6 +148,26 @@ def test_audit_range_over_the_first_window() -> None:
     ]
     assert report.sample_seed == DEFAULT_SAMPLE_SEED
     assert len(report.consistency_controls) == len(CONTROL_POINTS)
+
+
+def test_audit_range_asks_each_question_once(record_call_stacks) -> None:
+    calls = record_call_stacks(
+        ("audit_range", "scan_critical_line", "refine_zero", "rectangle_winding", "audit_zero",
+         "q_variation", "consistency_identity", "zeta_gb", "q_gb", "dirichlet_partial_sum")
+    )
+    report = audit.audit_range(0.0, 30.0)
+    assert len(report.zero_checks) == 3
+
+    def passes_under(name: str) -> int:
+        return sum(1 for stack in calls if stack[-1] == "dirichlet_partial_sum" and name in stack)
+
+    # one Q per zero (reflection covers the conjugate), one Q per control point
+    # in q_variation, one Z per control point in audit_range itself, and the
+    # identity checks those values without a pass of its own
+    assert passes_under("audit_zero") == 3
+    assert passes_under("q_variation") == len(CONTROL_POINTS)
+    assert passes_under("consistency_identity") == 0
+    assert calls.count(("audit_range", "zeta_gb")) == len(CONTROL_POINTS)
 
 
 def test_audit_range_with_no_zeros_is_vacuously_complete() -> None:

@@ -3,13 +3,15 @@ consistency identity, and conjugate reflection."""
 
 from __future__ import annotations
 
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from zetagb.errors import ParameterError
 from zetagb.qfunction import consistency_identity, q_gb, zero_residual
-from zetagb.zeta_core import EvalParams, zeta_gb
+from zetagb.zeta_core import EvalParams, auto_params, zeta_gb
 
 # frozen from the trisection oracle in tests/oracles.py
 FIRST_ORDINATE = 14.13472514172102
@@ -48,33 +50,54 @@ def test_zero_residual_vanishes_only_near_zeros() -> None:
 def test_consistency_identity_is_pure_rounding() -> None:
     params = EvalParams(32, 6)
     for s in (2 + 0j, 3 + 4j, 0.25 + 5j, 0.75 + 20j, -1.5 + 40j):
-        residual = consistency_identity(s, params)
-        scale = max(1.0, abs(zeta_gb(s, params).value))
-        assert residual <= 1e-12 * scale
+        z = zeta_gb(s, params).value
+        residual = consistency_identity(s, z, q_gb(s, params).value, params)
+        assert residual <= 1e-12 * max(1.0, abs(z))
 
 
 def test_identity_holds_under_auto_params_too() -> None:
-    assert consistency_identity(0.6 + 21j) <= 1e-9
+    s = 0.6 + 21j
+    params = auto_params(s, 1e-8)
+    z, q = zeta_gb(s, params).value, q_gb(s, params).value
+    assert consistency_identity(s, z, q, params) <= 1e-9
 
 
+# seeded audit-scale inputs: t in [250, 499] at the cutoffs the audit picks there
+_rng = random.Random(250499)
+_AUDIT_SCALE = [(_rng.uniform(0.05, 0.95), _rng.uniform(250.0, 499.0), n) for n in (500, 1000) for _ in range(8)]
+
+
+def _with_audit_scale_examples(test):
+    for sigma, t, cutoff in _AUDIT_SCALE:
+        test = example(sigma=sigma, t=t, cutoff=cutoff)(test)
+    return test
+
+
+@_with_audit_scale_examples
 @settings(max_examples=60, deadline=None)
 @given(
     sigma=st.floats(min_value=0.05, max_value=0.95),
     t=st.floats(min_value=0.5, max_value=50.0),
+    cutoff=st.just(32),
 )
-def test_conjugate_reflection(sigma: float, t: float) -> None:
-    params = EvalParams(32, 6)
-    upper = q_gb(complex(sigma, t), params).value
-    lower = q_gb(complex(sigma, -t), params).value
-    assert abs(lower - upper.conjugate()) <= 1e-12 * (1.0 + abs(upper))
+def test_conjugate_reflection(sigma: float, t: float, cutoff: int) -> None:
+    # the audit takes Z and Q at conj(s) to be the conjugates, bit for bit
+    params = EvalParams(cutoff, 6)
+    for fn in (q_gb, zeta_gb):
+        upper = fn(complex(sigma, t), params).value
+        lower = fn(complex(sigma, -t), params).value
+        assert lower == upper.conjugate()
 
 
 def test_undefined_points_are_rejected() -> None:
-    for fn in (q_gb, zero_residual, consistency_identity):
+    for fn in (q_gb, zero_residual):
         with pytest.raises(ParameterError):
             fn(0)
         with pytest.raises(ParameterError):
             fn(1)
+    for s in (0, 1):
+        with pytest.raises(ParameterError):
+            consistency_identity(s, 1 + 0j, 1 + 0j, EvalParams(16, 4))
 
 
 def test_value_carries_its_params() -> None:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import logging
 import math
-import sys
 
 import pytest
 
@@ -77,13 +76,12 @@ def test_refine_evaluates_once_per_newton_point(monkeypatch) -> None:
     assert rec.refine_iterations >= 2
     assert len(calls) == 1 + rec.refine_iterations
     assert all(derivative for _, derivative in calls)
-    # a conjugated iterate is evaluated once more, at the reported point,
-    # for |Z| only
+    # a conjugated iterate is not evaluated again: reflection keeps |Z|
     calls.clear()
     rec = refine_zero(complex(0.5, -14.1))
-    assert len(calls) == 2 + rec.refine_iterations
-    assert [derivative for _, derivative in calls] == [True] * (1 + rec.refine_iterations) + [False]
-    assert calls[-1][0] == rec.s
+    assert len(calls) == 1 + rec.refine_iterations
+    assert all(derivative for _, derivative in calls)
+    assert rec.z_modulus == abs(evaluate(rec.s, rec.params_used).value)
 
 
 def test_refine_rejects_seeds_outside_the_strip() -> None:
@@ -153,38 +151,9 @@ def test_scan_strict_mode_raises_instead() -> None:
         scan_critical_line(14.0, 15.0, max_iter=1, strict_refine=True)
 
 
-def _record_call_stacks(monkeypatch, names: tuple[str, ...]) -> list[tuple[str, ...]]:
-    # wrap each named function in every zetagb namespace that binds it, as the
-    # benchmark tracer does; each call appends the names of its active callers
-    # and its own
-    modules = [m for n, m in sorted(sys.modules.items()) if n == "zetagb" or n.startswith("zetagb.")]
-    stack: list[str] = []
-    calls: list[tuple[str, ...]] = []
-
-    def wrap(name: str, fn):
-        def traced(*args, **kwargs):
-            stack.append(name)
-            calls.append(tuple(stack))
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                stack.pop()
-
-        return traced
-
-    for name in names:
-        original = next(vars(m)[name] for m in modules if name in vars(m))
-        traced = wrap(name, original)
-        for module in modules:
-            for key, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, key, traced)
-    return calls
-
-
-def test_scan_walks_the_grid_once(monkeypatch) -> None:
-    calls = _record_call_stacks(
-        monkeypatch, ("scan_critical_line", "refine_zero", "q_gb", "zeta_gb", "dirichlet_partial_sum")
+def test_scan_walks_the_grid_once(record_call_stacks) -> None:
+    calls = record_call_stacks(
+        ("scan_critical_line", "refine_zero", "q_gb", "zeta_gb", "dirichlet_partial_sum")
     )
     zero_scan.scan_critical_line(0, 30)
     # one zeta_gb per grid node, t = 0, 0.25, ..., 30; the grid's Dirichlet sums
@@ -200,8 +169,8 @@ def test_scan_walks_the_grid_once(monkeypatch) -> None:
 @pytest.mark.parametrize(
     ("rect", "zeros"), ((Rectangle(0.01, 0.99, 0.1, 30.0), 3), (Rectangle(0.45, 0.55, 13.5, 14.2), 1))
 )
-def test_winding_walks_each_side_once(monkeypatch, rect: Rectangle, zeros: int) -> None:
-    calls = _record_call_stacks(monkeypatch, ("zeta_gb", "dirichlet_partial_sum"))
+def test_winding_walks_each_side_once(record_call_stacks, rect: Rectangle, zeros: int) -> None:
+    calls = record_call_stacks(("zeta_gb", "dirichlet_partial_sum"))
     count, _ = rectangle_winding(rect)
     assert count == zeros
     sides = (rect.sigma_max - rect.sigma_min, rect.t_max - rect.t_min) * 2
