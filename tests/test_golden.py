@@ -3,7 +3,8 @@
 Each case in ``CASES`` has three recorded files under ``tests/golden/``:
 ``<name>.out`` (stdout), ``<name>.err`` (stderr) and ``<name>.code``
 (exit status). The test runs the command in-process through ``cli.run``
-and compares bytes. The recorded bytes depend on the platform's libm,
+and compares bytes; log records reach stderr as ``%(message)s`` lines,
+as the command line prints them. The recorded bytes depend on the platform's libm,
 so they are regenerated only from an unmodified reference checkout,
 never to make a refactor pass. The recorder refuses to run while
 ``git status --porcelain -- src`` lists any change:
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import logging
 import subprocess
 import sys
 from pathlib import Path
@@ -55,6 +57,12 @@ CASES: dict[str, tuple[str, ...]] = {
     "count_cap_text": ("count", "--sigma-min", "0.01", "--sigma-max", "0.99", "--t-min", "493", "--t-max", "499"),
     "zeros_cap_json": ("zeros", "--t-min", "493", "--t-max", "499", "--format", "json"),
     **{f"bernoulli_{fmt}": (*_BERNOULLI, "--format", fmt) for fmt in _FORMATS},
+    # non-default scan settings and --eps on count, so a dropped option shows
+    "zeros_step_tol_csv": ("zeros", "--t-min", "0", "--t-max", "40", "--step", "0.2", "--tol", "1e-8", "--format", "csv"),
+    "zeros_max_iter_1": ("zeros", "--t-min", "14", "--t-max", "15", "--max-iter", "1"),
+    "audit_step_tol_seed": ("audit", "--t-min", "14", "--t-max", "22", "--step", "0.2", "--tol", "1e-8", "--seed", "7"),
+    "audit_max_iter_strict": ("audit", "--t-min", "14", "--t-max", "15", "--max-iter", "1", "--strict-refine"),
+    "count_eps_json": (*_COUNT[:-1], "30", "--eps", "1e-11", "--format", "json"),
 }
 
 
@@ -63,11 +71,23 @@ def _golden(name: str) -> tuple[int, bytes, bytes]:
     return code, (GOLDEN_DIR / f"{name}.out").read_bytes(), (GOLDEN_DIR / f"{name}.err").read_bytes()
 
 
+def _run_case(argv: tuple[str, ...]) -> tuple[int, bytes, bytes]:
+    out, err = io.StringIO(), io.StringIO()
+    handler = logging.StreamHandler(err)
+    handler.setFormatter(logging.Formatter("%(message)s"))
+    root = logging.getLogger()
+    root.addHandler(handler)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(list(argv))
+    finally:
+        root.removeHandler(handler)
+    return code, out.getvalue().encode(), err.getvalue().encode()
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_output_is_byte_identical(capsys, name: str) -> None:
-    code = run(list(CASES[name]))
-    captured = capsys.readouterr()
-    assert (code, captured.out.encode(), captured.err.encode()) == _golden(name)
+def test_cli_output_is_byte_identical(name: str) -> None:
+    assert _run_case(CASES[name]) == _golden(name)
 
 
 def _src_changes() -> str:
@@ -87,12 +107,10 @@ def _record() -> None:
         sys.exit(f"refusing to record: src/ is not an unmodified checkout\n{changes}")
     GOLDEN_DIR.mkdir(exist_ok=True)
     for name, argv in CASES.items():
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = run(list(argv))
+        code, out, err = _run_case(argv)
         recorded = {
-            GOLDEN_DIR / f"{name}.out": out.getvalue().encode(),
-            GOLDEN_DIR / f"{name}.err": err.getvalue().encode(),
+            GOLDEN_DIR / f"{name}.out": out,
+            GOLDEN_DIR / f"{name}.err": err,
             GOLDEN_DIR / f"{name}.code": f"{code}\n".encode(),
         }
         if not all(path.exists() for path in recorded):
