@@ -319,7 +319,6 @@ def audit_range(
     _check_t_range(t_min, t_max)
     if not isinstance(seed, int):
         raise ParameterError(f"seed must be an integer, got {seed!r}")
-    cfg = scan_cfg if scan_cfg is not None else ScanConfig()
     if params is None:
         params = auto_params(complex(0.5, max(float(t_max), 5.0)), 1e-9)
 
@@ -329,10 +328,7 @@ def audit_range(
     controls: tuple[tuple[complex, float, float], ...] = ()
     half_counts: tuple[int, int] | None = None
     try:
-        records = scan_critical_line(
-            float(t_min), float(t_max), cfg.step, cfg.tol,
-            max_iter=cfg.max_iter, params=params, strict_refine=cfg.strict_refine,
-        )
+        records = scan_critical_line(float(t_min), float(t_max), scan_cfg, params)
         checks = tuple((rec, audit_zero(rec, params, seed=seed)) for rec in records)
         qvar = q_variation(list(CONTROL_POINTS), params)
         # one Z per control point, checked against the Q that q_variation holds

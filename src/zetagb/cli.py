@@ -4,16 +4,15 @@ Commands: ``eval``, ``zeros``, ``count``, ``audit``, ``params``,
 ``bernoulli``. Exit codes: 0 success, 2 parameter errors, 3 precision
 errors and singular Q, 4 inconclusive winding counts, 5 refinement
 failures under ``--strict-refine``; ``audit`` maps its abort reason
-through the same table. The default target accuracy comes from the
-``ZETAGB_DEFAULT_EPS`` environment variable (1e-8 when unset).
+through the same table. ``--eps`` (default 1e-8) sets the target
+accuracy of ``eval``, ``params`` and ``count``. ``zeros`` and ``audit``
+take the scan settings of ``ScanConfig`` (its defaults are theirs).
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
-import math
-import os
 import sys
 
 from . import errors
@@ -41,8 +40,6 @@ from .zeta_core import DEFAULT_TARGET_EPS, EvalParams, auto_params, remainder_bo
 
 __all__ = ["build_parser", "run", "main"]
 
-_ENV_EPS = "ZETAGB_DEFAULT_EPS"
-
 # exception type -> exit code and stderr prefix; the first matching row wins
 _EXIT_CODES = (
     (ParameterError, 2, "parameter error"),
@@ -54,26 +51,25 @@ _EXIT_CODES = (
 )
 
 
-def _default_eps() -> float:
-    raw = os.environ.get(_ENV_EPS)
-    if raw is None:
-        return DEFAULT_TARGET_EPS
-    try:
-        eps = float(raw)
-    except ValueError as exc:
-        raise ParameterError(f"{_ENV_EPS} is not a number: {raw!r}") from exc
-    if not math.isfinite(eps) or eps <= 0:
-        raise ParameterError(f"{_ENV_EPS} must be a finite positive number, got {raw!r}")
-    return eps
-
-
-def _add_common(sub: argparse.ArgumentParser, *, formats: bool = True) -> None:
-    sub.add_argument("--eps", type=float, default=None, help="target accuracy (default from env or 1e-8)")
+def _add_common(sub: argparse.ArgumentParser, *, eps: bool = True, formats: bool = True) -> None:
+    if eps:
+        sub.add_argument("--eps", type=float, default=DEFAULT_TARGET_EPS,
+                         help=f"target accuracy (default {DEFAULT_TARGET_EPS:g})")
     sub.add_argument("--N", type=int, default=None, dest="cutoff_n", help="explicit Dirichlet cutoff")
     sub.add_argument("--nu", type=int, default=None, help="explicit tail order")
     sub.add_argument("--out", default=None, help="write output to this path instead of stdout")
     if formats:
         sub.add_argument("--format", choices=("text", "json", "csv"), default="text")
+
+
+def _add_scan(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--t-min", type=float, required=True)
+    sub.add_argument("--t-max", type=float, required=True)
+    sub.add_argument("--step", type=float, default=ScanConfig.step)
+    sub.add_argument("--tol", type=float, default=ScanConfig.tol)
+    sub.add_argument("--max-iter", type=int, default=ScanConfig.max_iter)
+    sub.add_argument("--strict-refine", action="store_true",
+                     help="treat refinement failures as fatal (exit 5)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -94,15 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = commands.add_parser("zeros", help="scan the critical line and refine zeros")
-    p.add_argument("--t-min", type=float, required=True)
-    p.add_argument("--t-max", type=float, required=True)
-    p.add_argument("--step", type=float, default=0.25)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--max-iter", type=int, default=50)
-    p.add_argument("--strict-refine", action="store_true",
-                   help="treat refinement failures as fatal (exit 5)")
+    _add_scan(p)
     p.add_argument("--jsonl", action="store_true", help="with --format json, emit JSON lines")
-    _add_common(p)
+    _add_common(p, eps=False)
 
     p = commands.add_parser("count", help="count zeros in a rectangle by the argument principle")
     p.add_argument("--sigma-min", type=float, required=True)
@@ -112,15 +102,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = commands.add_parser("audit", help="audit the zero-condition propositions over a range")
-    p.add_argument("--t-min", type=float, required=True)
-    p.add_argument("--t-max", type=float, required=True)
-    p.add_argument("--step", type=float, default=0.25)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--max-iter", type=int, default=50)
-    p.add_argument("--strict-refine", action="store_true")
+    _add_scan(p)
     p.add_argument("--seed", type=int, default=DEFAULT_SAMPLE_SEED,
                    help="seed for the factorization sample box")
-    _add_common(p, formats=False)
+    _add_common(p, eps=False, formats=False)
 
     p = commands.add_parser("bernoulli", help="dump the exact Bernoulli table")
     p.add_argument("--max-index", type=int, required=True)
@@ -130,14 +115,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _explicit_params(args: argparse.Namespace) -> tuple[float, EvalParams | None]:
-    """The target accuracy, and the parameters ``--N``/``--nu`` pin (None without them)."""
-    eps = args.eps if args.eps is not None else _default_eps()
+def _explicit_params(args: argparse.Namespace) -> EvalParams | None:
+    """The parameters ``--N``/``--nu`` pin (None without them), labelled with ``--eps``."""
     if args.cutoff_n is None and args.nu is None:
-        return eps, None
+        return None
     if args.cutoff_n is None or args.nu is None:
         raise ParameterError("--N and --nu must be given together")
-    return eps, EvalParams(cutoff_n=args.cutoff_n, tail_order=args.nu, target_eps=eps)
+    eps = getattr(args, "eps", DEFAULT_TARGET_EPS)  # zeros and audit take no --eps
+    return EvalParams(cutoff_n=args.cutoff_n, tail_order=args.nu, target_eps=eps)
+
+
+def _scan_config(args: argparse.Namespace) -> ScanConfig:
+    return ScanConfig(step=args.step, tol=args.tol, max_iter=args.max_iter,
+                      strict_refine=args.strict_refine)
 
 
 def _exit_status(exc_type: type[ZetaGBError]) -> tuple[int, str]:
@@ -169,11 +159,10 @@ def _render(fields: dict | list[dict], fmt: str, text: str) -> str:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     s = complex(args.re, args.im)
-    eps, params = _explicit_params(args)
+    params = _explicit_params(args)
     auto = params is None
-    if auto:
-        params = auto_params(s, eps)
-    result = zeta_gb(s, params)
+    result = zeta_gb(s, params, eps=args.eps)
+    params = result.params_used
     fields = {
         "re": s.real, "im": s.imag,
         "value_re": result.value.real, "value_im": result.value.imag,
@@ -194,9 +183,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_params(args: argparse.Namespace) -> int:
     s = complex(args.re, args.im)
-    eps, params = _explicit_params(args)
+    params = _explicit_params(args)
     if params is None:
-        params = auto_params(s, eps)
+        params = auto_params(s, args.eps)
     bound = remainder_bound(s, params.cutoff_n, params.tail_order)
     fields = {
         "re": s.real, "im": s.imag,
@@ -212,11 +201,7 @@ def _cmd_params(args: argparse.Namespace) -> int:
 
 
 def _cmd_zeros(args: argparse.Namespace) -> int:
-    _, explicit = _explicit_params(args)
-    records = scan_critical_line(
-        args.t_min, args.t_max, args.step, args.tol,
-        max_iter=args.max_iter, params=explicit, strict_refine=args.strict_refine,
-    )
+    records = scan_critical_line(args.t_min, args.t_max, _scan_config(args), _explicit_params(args))
     if args.format == "json" and args.jsonl:
         text = write_records_jsonl(records)
     elif args.format == "json":
@@ -237,9 +222,9 @@ def _cmd_zeros(args: argparse.Namespace) -> int:
 
 def _cmd_count(args: argparse.Namespace) -> int:
     rect = Rectangle(args.sigma_min, args.sigma_max, args.t_min, args.t_max)
-    eps, params = _explicit_params(args)
+    params = _explicit_params(args)
     if params is None:
-        params = auto_params(complex(rect.sigma_max, max(abs(rect.t_min), abs(rect.t_max))), min(eps, 1e-9))
+        params = auto_params(complex(rect.sigma_max, max(abs(rect.t_min), abs(rect.t_max))), min(args.eps, 1e-9))
     count, residual = rectangle_winding(rect, params)
     fields = {
         "sigma_min": rect.sigma_min, "sigma_max": rect.sigma_max,
@@ -251,10 +236,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    _, explicit = _explicit_params(args)
-    cfg = ScanConfig(step=args.step, tol=args.tol, max_iter=args.max_iter,
-                     strict_refine=args.strict_refine)
-    report = audit_range(args.t_min, args.t_max, cfg, explicit, seed=args.seed)
+    report = audit_range(args.t_min, args.t_max, _scan_config(args), _explicit_params(args), seed=args.seed)
     _deliver(report_to_json(report), args.out)
     sys.stderr.write(render_text(report))
     if report.complete:

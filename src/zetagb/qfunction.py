@@ -51,14 +51,14 @@ def _defined(s: object) -> complex:
     return z
 
 
-def _resolve(s: object, params: EvalParams | None, eps: float | None) -> tuple[complex, EvalParams]:
+def _resolve(s: object, params: EvalParams | None, eps: float) -> tuple[complex, EvalParams]:
     z = _defined(s)
     if params is None:
-        params = auto_params(z, DEFAULT_TARGET_EPS if eps is None else eps)
+        params = auto_params(z, eps)
     return z, params
 
 
-def q_gb(s: complex, params: EvalParams | None = None, *, eps: float | None = None) -> QValue:
+def q_gb(s: complex, params: EvalParams | None = None, *, eps: float = DEFAULT_TARGET_EPS) -> QValue:
     """Evaluate Q(s) = 1 / rhs with the reciprocal as defined above."""
     s, params = _resolve(s, params, eps)
     rhs = _reciprocal_q(s, params)
@@ -70,7 +70,7 @@ def q_gb(s: complex, params: EvalParams | None = None, *, eps: float | None = No
     return QValue(value=1.0 / rhs, inverse_magnitude=inverse_magnitude, params_used=params)
 
 
-def zero_residual(s: complex, params: EvalParams | None = None, *, eps: float | None = None) -> complex:
+def zero_residual(s: complex, params: EvalParams | None = None, *, eps: float = DEFAULT_TARGET_EPS) -> complex:
     """s(s-1) + Q(s); vanishes (numerically) exactly at the zeros."""
     s, params = _resolve(s, params, eps)
     return s * (s - 1) + q_gb(s, params).value

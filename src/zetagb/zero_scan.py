@@ -148,8 +148,8 @@ def _check_t_range(t_min: float, t_max: float) -> None:
 
 def refine_zero(
     s0: complex,
-    tol: float = 1e-9,
-    max_iter: int = 50,
+    tol: float = ScanConfig.tol,
+    max_iter: int = ScanConfig.max_iter,
     params: EvalParams | None = None,
 ) -> ZeroRecord:
     """Newton-refine a zero seed inside the critical strip.
@@ -209,21 +209,20 @@ def refine_zero(
 def scan_critical_line(
     t_min: float,
     t_max: float,
-    step: float = 0.25,
-    tol: float = 1e-9,
-    *,
-    max_iter: int = 50,
+    cfg: ScanConfig | None = None,
     params: EvalParams | None = None,
-    strict_refine: bool = False,
 ) -> list[ZeroRecord]:
     """Scan |Z(1/2 + it)| for t in [t_min, t_max] and refine candidates.
 
-    Grid local minima below max(10 sqrt(tol), 0.5) are refined; failed
+    ``cfg`` (default ``ScanConfig()``) holds every scan setting. Grid
+    local minima below max(10 sqrt(tol), 0.5) are refined; failed
     refinements are skipped with a logged warning unless
-    ``strict_refine`` is set. Records are deduplicated within step/2
+    ``cfg.strict_refine`` is set. Records are deduplicated within step/2
     and restricted to ordinates strictly inside (t_min, t_max).
     """
-    cfg = ScanConfig(step=step, tol=tol, max_iter=max_iter, strict_refine=strict_refine)
+    cfg = ScanConfig() if cfg is None else cfg
+    if not isinstance(cfg, ScanConfig):
+        raise ParameterError(f"cfg must be a ScanConfig, got {type(cfg).__name__}")
     _check_t_range(t_min, t_max)
     if params is None:
         params = _refine_params(complex(0.5, t_max), cfg.tol)
@@ -368,16 +367,24 @@ def record_fields(rec: ZeroRecord) -> dict[str, float | int]:
     }
 
 
-def _record_from_row(row: dict[str, str]) -> ZeroRecord:
-    t = float(row["t"])
+def _record_from_row(row: dict[str, str | None], line: int) -> ZeroRecord:
+    def field(name: str, kind: type = float):
+        raw = row.get(name)
+        try:
+            return kind(raw)
+        except (TypeError, ValueError):
+            detail = f"{name} is missing" if raw is None else f"cannot read {name} = {raw!r}"
+            raise ParameterError(f"malformed record on line {line}: {detail}") from None
+
+    t = field("t")
     return ZeroRecord(
         t=t,
-        s=complex(float(row["re_s"]), t),
-        xi=float(row["xi"]),
-        z_modulus=float(row["z_modulus"]),
-        q_value=complex(float(row["q_re"]), float(row["q_im"])),
-        refine_iterations=int(row["iterations"]),
-        params_used=EvalParams(cutoff_n=int(row["N"]), tail_order=int(row["nu"])),
+        s=complex(field("re_s"), t),
+        xi=field("xi"),
+        z_modulus=field("z_modulus"),
+        q_value=complex(field("q_re"), field("q_im")),
+        refine_iterations=field("iterations", int),
+        params_used=EvalParams(cutoff_n=field("N", int), tail_order=field("nu", int)),
     )
 
 
@@ -387,7 +394,7 @@ def write_records_csv(records: list[ZeroRecord]) -> str:
 
 def read_records_csv(text: str) -> list[ZeroRecord]:
     reader = csv.DictReader(io.StringIO(text))
-    return [_record_from_row(row) for row in reader]
+    return [_record_from_row(row, reader.line_num) for row in reader]
 
 
 def write_records_jsonl(records: list[ZeroRecord]) -> str:
@@ -396,9 +403,12 @@ def write_records_jsonl(records: list[ZeroRecord]) -> str:
 
 def read_records_jsonl(text: str) -> list[ZeroRecord]:
     records = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
-        data = json.loads(line)
-        records.append(_record_from_row({k: repr(v) for k, v in data.items()}))
+        try:
+            row = {k: str(v) for k, v in json.loads(line).items()}
+        except (json.JSONDecodeError, AttributeError):
+            raise ParameterError(f"malformed record on line {number}: not a JSON object") from None
+        records.append(_record_from_row(row, number))
     return records

@@ -263,7 +263,7 @@ def zeta_gb(
     s: complex,
     params: EvalParams | None = None,
     *,
-    eps: float | None = None,
+    eps: float = DEFAULT_TARGET_EPS,
     derivative: bool = False,
     partial_sum: complex | None = None,
 ) -> EvalResult:
@@ -291,7 +291,7 @@ def zeta_gb(
     if s == 1:
         raise PoleError("s = 1 is the simple pole of the extension")
     if params is None:
-        params = auto_params(s, DEFAULT_TARGET_EPS if eps is None else eps)
+        params = auto_params(s, eps)
     n, nu = params.cutoff_n, params.tail_order
     pole_term = _rpow(n, 1 - s) / (s - 1)
     half = _rpow(n, -s) / 2

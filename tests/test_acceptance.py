@@ -19,7 +19,7 @@ import pytest
 import oracles
 from zetagb.audit import audit_range, draw_samples, factorization_check, report_to_json
 from zetagb.qfunction import consistency_identity, q_gb
-from zetagb.zero_scan import Rectangle, refine_zero, rectangle_winding, scan_critical_line
+from zetagb.zero_scan import Rectangle, ScanConfig, refine_zero, rectangle_winding, scan_critical_line
 from zetagb.zeta_core import EvalParams, zeta_gb
 
 _T0 = time.perf_counter()
@@ -34,7 +34,7 @@ def _passed(num: int, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def zeros_to_50() -> list:
-    return scan_critical_line(0.0, 50.0, 0.25, 1e-9)
+    return scan_critical_line(0.0, 50.0, ScanConfig(step=0.25, tol=1e-9))
 
 
 def test_01_classical_values() -> None:
@@ -86,7 +86,7 @@ def test_03_direct_series_agreement() -> None:
 
 def test_04_scan_locates_the_first_three_zeros() -> None:
     start = time.perf_counter()
-    records = scan_critical_line(0.0, 30.0, 0.25, 1e-9)
+    records = scan_critical_line(0.0, 30.0, ScanConfig(step=0.25, tol=1e-9))
     elapsed = time.perf_counter() - start
     assert len(records) == 3
     for rec, rounded, oracle in zip(records, ROUNDED_ORDINATES, ORACLE_ORDINATES):
@@ -109,7 +109,7 @@ def test_05_zeros_sit_on_the_line(zeros_to_50) -> None:
 
 
 def test_06_winding_counts_match_the_scan() -> None:
-    scan_count = len(scan_critical_line(0.0, 30.0, 0.25, 1e-9))
+    scan_count = len(scan_critical_line(0.0, 30.0, ScanConfig(step=0.25, tol=1e-9)))
     full, res_full = rectangle_winding(Rectangle(0.01, 0.99, 0.1, 30.0))
     left, res_left = rectangle_winding(Rectangle(0.01, 0.49, 0.1, 30.0))
     assert full == 3 == scan_count

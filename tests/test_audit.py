@@ -210,6 +210,8 @@ def test_audit_range_validation() -> None:
         audit_range(5.0, 5.0)
     with pytest.raises(ParameterError):
         audit_range(1.0, 3.0, seed="x")  # type: ignore[arg-type]
+    with pytest.raises(ParameterError, match="ScanConfig"):
+        audit_range(0.0, 5.0, {"step": 0.5})  # type: ignore[arg-type]
 
 
 def test_report_json_is_deterministic_and_round_trips() -> None:

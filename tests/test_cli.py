@@ -12,7 +12,7 @@ import pytest
 
 from zetagb.cli import run
 from zetagb.errors import SingularQError
-from zetagb.zeta_core import EvalParams, zeta_gb
+from zetagb.zeta_core import DEFAULT_TARGET_EPS, EvalParams, zeta_gb
 
 FIRST_ORDINATE = 14.13472514172102
 
@@ -112,20 +112,6 @@ def test_params_reports_the_schedule_choice(capsys) -> None:
     assert payload["certified_bound"] <= 1e-8
 
 
-def test_default_eps_env_var(capsys, monkeypatch) -> None:
-    monkeypatch.setenv("ZETAGB_DEFAULT_EPS", "1e-12")
-    code, out, _ = invoke(capsys, "eval", "--re", "2", "--format", "json")
-    assert code == 0
-    assert json.loads(out)["nu"] == 3  # 1e-8 default would pick nu = 2
-
-
-def test_malformed_eps_env_var_exits_2(capsys, monkeypatch) -> None:
-    monkeypatch.setenv("ZETAGB_DEFAULT_EPS", "banana")
-    code, _, err = invoke(capsys, "eval", "--re", "2")
-    assert code == 2
-    assert "ZETAGB_DEFAULT_EPS" in err
-
-
 # ---------------------------------------------------------------------------
 # zeros
 # ---------------------------------------------------------------------------
@@ -172,6 +158,19 @@ def test_zeros_strict_refine_exits_5(capsys) -> None:
 def test_zeros_bad_range_exits_2(capsys) -> None:
     code, _, _ = invoke(capsys, "zeros", "--t-min", "-1", "--t-max", "5")
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ("zeros", "audit"))
+def test_scan_commands_take_no_eps(capsys, command: str) -> None:
+    code, _, err = invoke(capsys, command, "--t-min", "14", "--t-max", "15", "--eps", "1e-3")
+    assert code == 2
+    assert "--eps" in err
+
+
+def test_audit_labels_explicit_params_with_the_default_eps(capsys) -> None:
+    code, out, _ = invoke(capsys, "audit", "--t-min", "14", "--t-max", "15", "--N", "40", "--nu", "6")
+    assert code == 0
+    assert json.loads(out)["params"] == {"N": 40, "nu": 6, "target_eps": DEFAULT_TARGET_EPS}
 
 
 # ---------------------------------------------------------------------------

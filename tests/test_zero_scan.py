@@ -115,7 +115,7 @@ def test_refine_validation() -> None:
 
 
 def test_scan_finds_the_classical_ordinates() -> None:
-    records = scan_critical_line(0.0, 30.0, 0.25, 1e-9)
+    records = scan_critical_line(0.0, 30.0, ScanConfig(step=0.25, tol=1e-9))
     assert len(records) == 3
     for rec, ref in zip(records, ORACLE_ORDINATES):
         assert abs(rec.t - ref) <= 1e-8
@@ -141,14 +141,14 @@ def test_scan_is_deterministic() -> None:
 
 def test_scan_skips_failed_refinements_by_default(caplog) -> None:
     with caplog.at_level(logging.WARNING, logger="zetagb.zero_scan"):
-        records = scan_critical_line(14.0, 15.0, max_iter=1)
+        records = scan_critical_line(14.0, 15.0, ScanConfig(max_iter=1))
     assert records == []
     assert "failed to refine" in caplog.text
 
 
 def test_scan_strict_mode_raises_instead() -> None:
     with pytest.raises(RefinementError):
-        scan_critical_line(14.0, 15.0, max_iter=1, strict_refine=True)
+        scan_critical_line(14.0, 15.0, ScanConfig(max_iter=1, strict_refine=True))
 
 
 def test_scan_walks_the_grid_once(record_call_stacks) -> None:
@@ -187,9 +187,11 @@ def test_scan_validation() -> None:
     with pytest.raises(ParameterError):
         scan_critical_line(5.0, 5.0)
     with pytest.raises(ParameterError):
-        scan_critical_line(0.0, 5.0, step=0.6)
+        scan_critical_line(0.0, 5.0, ScanConfig(step=0.6))
     with pytest.raises(ParameterError):
-        scan_critical_line(0.0, 5.0, tol=1e-12)
+        scan_critical_line(0.0, 5.0, ScanConfig(tol=1e-12))
+    with pytest.raises(ParameterError, match="ScanConfig"):
+        scan_critical_line(0.0, 5.0, {"step": 0.5})  # type: ignore[arg-type]
 
 
 def test_scan_config_defaults() -> None:
@@ -281,6 +283,27 @@ def test_jsonl_round_trip_is_byte_identical(two_records) -> None:
 def test_jsonl_reader_skips_blank_lines(two_records) -> None:
     text = "\n" + write_records_jsonl(two_records) + "\n\n"
     assert len(read_records_jsonl(text)) == len(two_records)
+
+
+def test_malformed_records_raise_parameter_error(two_records) -> None:
+    header, first, _ = write_records_csv(two_records).split("\n", 2)
+    cells = first.split(",")
+    no_xi = ",".join(f for f in RECORD_FIELDS if f != "xi") + "\n" + ",".join(cells[:2] + cells[3:])
+    short = header + "\n" + ",".join(cells[:5])
+    not_a_number = header + "\n" + first + "\n" + ",".join(cells[:6] + ["many"] + cells[7:])
+    bad_json = write_records_jsonl(two_records) + '{"t": 1,\n'
+    cases = (
+        (read_records_csv, no_xi, "line 2: xi is missing"),
+        (read_records_csv, short, "line 2: q_im is missing"),
+        (read_records_csv, not_a_number, "line 3: cannot read N = 'many'"),
+        (read_records_jsonl, bad_json, "line 3: not a JSON object"),
+    )
+    for reader, text, message in cases:
+        with pytest.raises(ParameterError, match=message):
+            reader(text)
+    # a readable row that breaks a record invariant keeps the record's own error
+    with pytest.raises(ParameterError, match="upper half plane"):
+        read_records_csv(header + "\n" + ",".join(["-1"] + cells[1:]))
 
 
 def test_scan_matches_the_trisection_oracle() -> None:
