@@ -63,6 +63,8 @@ CASES: dict[str, tuple[str, ...]] = {
     "audit_step_tol_seed": ("audit", "--t-min", "14", "--t-max", "22", "--step", "0.2", "--tol", "1e-8", "--seed", "7"),
     "audit_max_iter_strict": ("audit", "--t-min", "14", "--t-max", "15", "--max-iter", "1", "--strict-refine"),
     "count_eps_json": (*_COUNT[:-1], "30", "--eps", "1e-11", "--format", "json"),
+    # two zeros 0.44 apart share one cell of a 0.5 grid
+    "audit_coarse_step": ("audit", "--t-min", "415", "--t-max", "417", "--step", "0.5"),
 }
 
 
