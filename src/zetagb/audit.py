@@ -13,15 +13,22 @@ For each refined zero s_H the audit measures, at working precision:
     the division rest exactly (the difference is constant in s).
 
 ``audit_range`` bundles the per-zero checks with consistency controls,
-half-rectangle winding counts, and a Q non-constancy probe into an
-eight-line verdict report (I..VIII) with a stable JSON rendering.
+a Q non-constancy probe, and a count of the window's zeros two ways into
+an eight-line verdict report (I..VIII) with a stable JSON rendering.
+The two counts test the counter-hypothesis, an off-line conjugate pair
+rho, 1 - conj(rho): the winding number of one rectangle over the strip
+counts every zero with multiplicity, and the sign changes of Hardy's Z
+count the zeros of odd order on the line. Outside sigma in [0.01, 0.99]
+there are no zeros for 2 <= t <= 500 (H. Kadiri's explicit zero-free
+region, Acta Arith. 117, 2005, and the functional equation), so equal
+counts mean every zero in the window is on the line and simple.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 from .errors import (
     InconclusiveError,
@@ -32,8 +39,8 @@ from .errors import (
 )
 from .qfunction import consistency_identity, q_gb
 from .serialize import dumps
-from .zero_scan import (Rectangle, ScanConfig, ZeroRecord, _check_t_range, record_fields,
-                        rectangle_winding, scan_critical_line)
+from .zero_scan import (Rectangle, ScanConfig, ZeroRecord, _check_t_range, hardy_sign_changes,
+                        record_fields, rectangle_winding, scan_critical_line)
 from .zeta_core import EvalParams, _as_complex, auto_params, zeta_gb
 
 __all__ = [
@@ -53,10 +60,13 @@ __all__ = [
     "render_text",
 ]
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 DEFAULT_SAMPLE_SEED = 271828
 SAMPLE_BOX = (-2.0, 3.0, -50.0, 50.0)  # sigma_min, sigma_max, t_min, t_max
 CONTROL_POINTS = (2 + 0j, 3 + 0j, 0.75 + 5j, 0.25 + 5j)
+_STRIP = (0.01, 0.99)  # sigma range of the counting rectangle
+# a short sign count is recounted at half the step, down to step / 16
+_RECOUNT_HALVINGS = 4
 
 TOLERANCES = {
     "xi": 1e-6,
@@ -110,7 +120,7 @@ class AuditReport:
     zero_checks: tuple[tuple[ZeroRecord, PropositionChecks], ...]
     q_variation: QVariation | None
     consistency_controls: tuple[tuple[complex, float, float], ...]  # (s, residual, |Z|)
-    half_counts: tuple[int, int] | None
+    line_counts: tuple[int, int] | None  # (zeros in the strip, sign changes of Hardy Z)
     verdict_lines: tuple[str, ...]
 
 
@@ -219,7 +229,7 @@ def _line(idx: int, status: str, text: str) -> str:
 def _verdicts(
     checks: tuple[tuple[ZeroRecord, PropositionChecks], ...],
     controls: tuple[tuple[complex, float, float], ...],
-    half_counts: tuple[int, int] | None,
+    line_counts: tuple[int, int] | None,
     aborted: str | None,
 ) -> tuple[str, ...]:
     tol = TOLERANCES
@@ -257,15 +267,16 @@ def _verdicts(
     else:
         lines.append(_line(1, "SKIP", "audit aborted before the control evaluations"))
 
-    # III: counter-hypothesis control, off-line half rectangles are empty
-    if half_counts is None:
+    # III: counter-hypothesis control, every zero in the strip is a simple zero on the line
+    if line_counts is None:
         note = "audit aborted before the winding counts" if aborted else "window too thin for winding counts"
         lines.append(_line(2, "SKIP" if aborted else "PASS", f"vacuous, {note}"))
     else:
-        left, right = half_counts
-        status = "PASS" if (left, right) == (0, 0) else "FAIL"
+        strip, sign_changes = line_counts
         lines.append(
-            _line(2, status, f"off-line half rectangles hold {left} (left) and {right} (right) zeros")
+            _line(2, "PASS" if strip == sign_changes else "FAIL",
+                  f"strip [{_STRIP[0]}, {_STRIP[1]}] holds {strip} zeros; "
+                  f"Hardy Z changes sign {sign_changes} times on the line")
         )
 
     # IV: zero-condition residual at each zero and its conjugate
@@ -303,6 +314,21 @@ def _verdicts(
     return tuple(lines)
 
 
+def _sign_changes(
+    t_min: float, t_max: float, cfg: ScanConfig | None, params: EvalParams, strip: int
+) -> int:
+    # Two zeros in one grid cell show no sign change; while the count is
+    # short of the strip's, halve the step.
+    cfg = ScanConfig() if cfg is None else cfg
+    count = hardy_sign_changes(t_min, t_max, cfg, params)
+    for _ in range(_RECOUNT_HALVINGS):
+        if count >= strip:
+            break
+        cfg = replace(cfg, step=cfg.step / 2)
+        count = hardy_sign_changes(t_min, t_max, cfg, params)
+    return count
+
+
 def audit_range(
     t_min: float,
     t_max: float,
@@ -326,7 +352,7 @@ def audit_range(
     checks: tuple[tuple[ZeroRecord, PropositionChecks], ...] = ()
     qvar: QVariation | None = None
     controls: tuple[tuple[complex, float, float], ...] = ()
-    half_counts: tuple[int, int] | None = None
+    line_counts: tuple[int, int] | None = None
     try:
         records = scan_critical_line(float(t_min), float(t_max), scan_cfg, params)
         checks = tuple((rec, audit_zero(rec, params, seed=seed)) for rec in records)
@@ -339,13 +365,12 @@ def audit_range(
         )
         window_lo = max(float(t_min), 0.1)
         if t_max - window_lo > 0.2:
-            left, _ = rectangle_winding(Rectangle(0.01, 0.49, window_lo, float(t_max)), params)
-            right, _ = rectangle_winding(Rectangle(0.51, 0.99, window_lo, float(t_max)), params)
-            half_counts = (left, right)
+            strip, _ = rectangle_winding(Rectangle(*_STRIP, window_lo, float(t_max)), params)
+            line_counts = (strip, _sign_changes(float(t_min), float(t_max), scan_cfg, params, strip))
     except (PrecisionError, SingularQError, InconclusiveError, RefinementError) as exc:
         abort = f"{type(exc).__name__}: {exc}"
 
-    verdicts = _verdicts(checks, controls, half_counts, abort)
+    verdicts = _verdicts(checks, controls, line_counts, abort)
     return AuditReport(
         complete=abort is None,
         abort_reason=abort,
@@ -357,7 +382,7 @@ def audit_range(
         zero_checks=checks,
         q_variation=qvar,
         consistency_controls=controls,
-        half_counts=half_counts,
+        line_counts=line_counts,
         verdict_lines=verdicts,
     )
 
@@ -397,8 +422,8 @@ def _report_payload(report: AuditReport) -> dict:
             {"re": p.real, "im": p.imag, "residual": res, "z_abs": zabs}
             for p, res, zabs in report.consistency_controls
         ],
-        "half_rectangle_counts": None if report.half_counts is None else {
-            "left": report.half_counts[0], "right": report.half_counts[1],
+        "line_counts": None if report.line_counts is None else {
+            "strip": report.line_counts[0], "sign_changes": report.line_counts[1],
         },
         "verdicts": list(report.verdict_lines),
     }

@@ -267,7 +267,18 @@ _HANDLERS = {
 
 
 def run(argv: list[str] | None = None) -> int:
-    logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="%(message)s")
+    # the library's log lines go to this call's stderr, for this call only
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(message)s"))
+    library_logger = logging.getLogger("zetagb")
+    library_logger.addHandler(handler)
+    try:
+        return _dispatch(argv)
+    finally:
+        library_logger.removeHandler(handler)
+
+
+def _dispatch(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

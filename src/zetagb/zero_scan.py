@@ -1,10 +1,15 @@
-"""Critical-line zero scanning, Newton refinement, and winding counts.
+"""Critical-line zero scanning, Newton refinement, and zero counts.
 
 The scanner samples |Z(1/2 + it)| on a uniform grid, refines promising
 local minima with a damped-free complex Newton iteration (the analytic
 derivative comes from the same evaluation as the value), and
 deduplicates hits. Rectangle counts use the argument principle with
 adaptive boundary sampling that keeps every phase increment below pi/2.
+On the same grid, ``hardy_sign_changes`` counts the sign changes of
+Hardy's function e^{i theta(t)} zeta(1/2 + it), which is real; each one
+brackets a zero of odd order on the line. ``siegel_theta`` takes theta
+from the Stirling series of log Gamma (H. M. Edwards, *Riemann's Zeta
+Function*, 6.5).
 
 The scan grid and each rectangle side's base nodes are uniformly spaced
 on a line, so their Dirichlet sums come from one ``dirichlet_line`` walk
@@ -25,7 +30,9 @@ import json
 import logging
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
+from .bernoulli import _full_table
 from .errors import BoundaryError, InconclusiveError, ParameterError, RefinementError
 from .serialize import csv_text, dumps
 from .zeta_core import EvalParams, _as_complex, auto_params, dirichlet_line, zeta_gb
@@ -38,6 +45,8 @@ __all__ = [
     "refine_zero",
     "scan_critical_line",
     "rectangle_winding",
+    "siegel_theta",
+    "hardy_sign_changes",
     "record_fields",
     "write_records_csv",
     "read_records_csv",
@@ -55,6 +64,10 @@ _PHASE_LIMIT = math.pi / 2
 # Grid gate: a simple zero within step/2 of a grid point keeps the local
 # modulus under ~|Z'| * step/2, which stays below 0.5 at desk scale.
 _GATE_FLOOR = 0.5
+# theta: shift z = 1/4 + it/2 up to |z| >= 10, then sum 10 Stirling terms; the
+# first dropped one, B_22 / (22 * 21 * z^21), is below 2e-20 there
+_THETA_SHIFT = 10.0
+_STIRLING_TERMS = 10
 
 
 @dataclass(frozen=True)
@@ -139,6 +152,13 @@ def _refine_params(s0: complex, tol: float) -> EvalParams:
     return auto_params(s0, max(1e-13, tol / 10.0))
 
 
+def _scan_config(cfg: ScanConfig | None) -> ScanConfig:
+    cfg = ScanConfig() if cfg is None else cfg
+    if not isinstance(cfg, ScanConfig):
+        raise ParameterError(f"cfg must be a ScanConfig, got {type(cfg).__name__}")
+    return cfg
+
+
 def _check_t_range(t_min: float, t_max: float) -> None:
     if not isinstance(t_min, (int, float)) or not isinstance(t_max, (int, float)):
         raise ParameterError("t_min and t_max must be numbers")
@@ -206,6 +226,26 @@ def refine_zero(
     )
 
 
+def _line_values(
+    t_min: float, t_max: float, step: float, params: EvalParams
+) -> tuple[list[float], list[complex]]:
+    # the grid t_min + k step, plus t_max when it is off the grid, and Z at
+    # 1/2 + it on each node
+    count = int(math.floor((t_max - t_min) / step + 1e-9))
+    grid = [t_min + k * step for k in range(count + 1)]
+    if grid[-1] < t_max - 1e-12:
+        grid.append(t_max)
+    heads: list[complex | None] = [None]
+    if count:  # grid[0..count] share one line walk
+        heads = dirichlet_line(complex(0.5, grid[0]), complex(0.5, grid[count]), count, params.cutoff_n)
+    # an appended t_max has no head and makes its own Dirichlet pass
+    values = [
+        zeta_gb(complex(0.5, t), params, partial_sum=head).value
+        for t, head in zip(grid, heads + [None])
+    ]
+    return grid, values
+
+
 def scan_critical_line(
     t_min: float,
     t_max: float,
@@ -220,25 +260,13 @@ def scan_critical_line(
     ``cfg.strict_refine`` is set. Records are deduplicated within step/2
     and restricted to ordinates strictly inside (t_min, t_max).
     """
-    cfg = ScanConfig() if cfg is None else cfg
-    if not isinstance(cfg, ScanConfig):
-        raise ParameterError(f"cfg must be a ScanConfig, got {type(cfg).__name__}")
+    cfg = _scan_config(cfg)
     _check_t_range(t_min, t_max)
     if params is None:
         params = _refine_params(complex(0.5, t_max), cfg.tol)
 
-    count = int(math.floor((t_max - t_min) / cfg.step + 1e-9))
-    grid = [t_min + k * cfg.step for k in range(count + 1)]
-    if grid[-1] < t_max - 1e-12:
-        grid.append(t_max)
-    heads: list[complex | None] = [None]
-    if count:  # grid[0..count] share one line walk
-        heads = dirichlet_line(complex(0.5, grid[0]), complex(0.5, grid[count]), count, params.cutoff_n)
-    # an appended t_max has no head and makes its own Dirichlet pass
-    moduli = [
-        abs(zeta_gb(complex(0.5, t), params, partial_sum=head).value)
-        for t, head in zip(grid, heads + [None])
-    ]
+    grid, values = _line_values(t_min, t_max, cfg.step, params)
+    moduli = [abs(value) for value in values]
 
     gate = max(10.0 * math.sqrt(cfg.tol), _GATE_FLOOR)
     candidates: list[float] = []
@@ -273,6 +301,76 @@ def scan_critical_line(
     if skipped:
         logger.warning("scan of [%s, %s]: %d candidate(s) failed to refine", t_min, t_max, skipped)
     return deduped
+
+
+# ---------------------------------------------------------------------------
+# sign changes of Hardy's Z on the critical line
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _stirling_coeff(k: int) -> float:
+    # B_{2k} / (2k (2k-1)) rounded once from the exact rational
+    return float(_full_table()[2 * k] / (2 * k * (2 * k - 1)))
+
+
+def siegel_theta(t: float) -> float:
+    """The Riemann-Siegel theta(t) = Im log Gamma(1/4 + it/2) - (t/2) log pi.
+
+    Uses the Stirling series
+
+        log Gamma(z) = (z - 1/2) log z - z + log(2 pi)/2
+                     + sum_k B_2k / (2k (2k-1) z^(2k-1))
+
+    at |z| >= 10; a smaller z is first shifted up with
+    log Gamma(z) = log Gamma(z + 1) - log z. theta is odd in t.
+    """
+    if not isinstance(t, (int, float)) or not math.isfinite(t):
+        raise ParameterError(f"t must be a finite real number, got {t!r}")
+    if t < 0:
+        return -siegel_theta(-t)
+    z = complex(0.25, t / 2)
+    shifted = 0.0  # Im of the logs the recurrence subtracts
+    while abs(z) < _THETA_SHIFT:
+        shifted += cmath.phase(z)
+        z += 1
+    inv_z = 1 / z
+    inv_z2 = inv_z * inv_z
+    series = 0.0j
+    for k in range(1, _STIRLING_TERMS + 1):
+        series += _stirling_coeff(k) * inv_z
+        inv_z *= inv_z2
+    # Im[(z - 1/2) log z - z] for z = x + iy
+    head = (z.real - 0.5) * cmath.phase(z) + z.imag * math.log(abs(z)) - z.imag
+    return head + series.imag - shifted - t / 2 * math.log(math.pi)
+
+
+def hardy_sign_changes(
+    t_min: float,
+    t_max: float,
+    cfg: ScanConfig | None = None,
+    params: EvalParams | None = None,
+) -> int:
+    """Sign changes of Hardy's Z(t) = e^{i theta(t)} zeta(1/2 + it) over [t_min, t_max].
+
+    Z is sampled on the grid of ``scan_critical_line`` (``cfg.step``,
+    default ``ScanConfig()``), with the same walked Dirichlet sums. Z is
+    real, so each strict sign change between neighbouring nodes brackets
+    a zero of odd order on the line. Two zeros inside one grid cell show
+    no change; a caller that holds a count of all zeros can recount at a
+    finer step.
+    """
+    cfg = _scan_config(cfg)
+    _check_t_range(t_min, t_max)
+    if params is None:
+        params = _refine_params(complex(0.5, t_max), cfg.tol)
+    grid, values = _line_values(t_min, t_max, cfg.step, params)
+    hardy = []
+    for t, value in zip(grid, values):
+        theta = siegel_theta(t)
+        hardy.append(math.cos(theta) * value.real - math.sin(theta) * value.imag)
+    signs = [z > 0 for z in hardy if z != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 # ---------------------------------------------------------------------------

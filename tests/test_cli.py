@@ -3,6 +3,7 @@ and captured output."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -146,6 +147,18 @@ def test_zeros_text_summary(capsys) -> None:
     code, out, _ = invoke(capsys, "zeros", "--t-min", "0", "--t-max", "5")
     assert code == 0
     assert "0 zero(s)" in out
+
+
+def test_each_run_logs_to_its_own_stderr() -> None:
+    # the two refinement warnings reach the stderr of each call, once each
+    for _ in range(2):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert run(["zeros", "--t-min", "14", "--t-max", "15", "--max-iter", "1"]) == 0
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 2
+        assert lines[0].startswith("refinement skipped near t = 14.25")
+        assert "1 candidate(s) failed to refine" in lines[1]
 
 
 def test_zeros_strict_refine_exits_5(capsys) -> None:

@@ -3,10 +3,10 @@
 Each case in ``CASES`` has three recorded files under ``tests/golden/``:
 ``<name>.out`` (stdout), ``<name>.err`` (stderr) and ``<name>.code``
 (exit status). The test runs the command in-process through ``cli.run``
-and compares bytes; log records reach stderr as ``%(message)s`` lines,
-as the command line prints them. The recorded bytes depend on the platform's libm,
-so they are regenerated only from an unmodified reference checkout,
-never to make a refactor pass. The recorder refuses to run while
+and compares bytes; ``run`` sends log records to the stderr of the call
+as ``%(message)s`` lines, as the command line prints them. The recorded
+bytes depend on the platform's libm, so they are regenerated only from
+an unmodified reference checkout, never to make a refactor pass. The recorder refuses to run while
 ``git status --porcelain -- src`` lists any change:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import contextlib
 import io
-import logging
 import subprocess
 import sys
 from pathlib import Path
@@ -75,15 +74,8 @@ def _golden(name: str) -> tuple[int, bytes, bytes]:
 
 def _run_case(argv: tuple[str, ...]) -> tuple[int, bytes, bytes]:
     out, err = io.StringIO(), io.StringIO()
-    handler = logging.StreamHandler(err)
-    handler.setFormatter(logging.Formatter("%(message)s"))
-    root = logging.getLogger()
-    root.addHandler(handler)
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = run(list(argv))
-    finally:
-        root.removeHandler(handler)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(list(argv))
     return code, out.getvalue().encode(), err.getvalue().encode()
 
 

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import logging
 import math
+import random
 
+import mpmath
 import pytest
 
 import oracles
@@ -21,11 +23,13 @@ from zetagb.zero_scan import (
     Rectangle,
     ScanConfig,
     ZeroRecord,
+    hardy_sign_changes,
     read_records_csv,
     read_records_jsonl,
     rectangle_winding,
     refine_zero,
     scan_critical_line,
+    siegel_theta,
     write_records_csv,
     write_records_jsonl,
 )
@@ -192,6 +196,56 @@ def test_scan_validation() -> None:
         scan_critical_line(0.0, 5.0, ScanConfig(tol=1e-12))
     with pytest.raises(ParameterError, match="ScanConfig"):
         scan_critical_line(0.0, 5.0, {"step": 0.5})  # type: ignore[arg-type]
+
+
+# ---------------------------------------------------------------------------
+# theta and the sign changes of Hardy's Z
+# ---------------------------------------------------------------------------
+
+
+def test_siegel_theta_matches_mpmath() -> None:
+    rng = random.Random(20260918)
+    # 0, 0.5 and 3 take the shift to |z| >= 10; the seeded points cover [0, 500]
+    for t in [0.0, 0.5, 3.0] + [rng.uniform(0.0, 500.0) for _ in range(64)]:
+        want = float(mpmath.siegeltheta(t))
+        assert abs(siegel_theta(t) - want) <= 1e-12 * max(1.0, abs(want)), t
+
+
+def test_siegel_theta_is_odd_and_validated() -> None:
+    assert siegel_theta(0.0) == 0.0
+    assert siegel_theta(-30.0) == -siegel_theta(30.0)
+    for bad in (math.nan, math.inf, "1"):
+        with pytest.raises(ParameterError):
+            siegel_theta(bad)  # type: ignore[arg-type]
+
+
+@pytest.mark.parametrize(("t_max", "zeros"), ((100, 29), (200, 79), (300, 138), (400, 202), (499, 269)))
+def test_sign_changes_count_every_zero_below_t(t_max: float, zeros: int) -> None:
+    assert int(mpmath.nzeros(t_max)) == zeros
+    assert hardy_sign_changes(0, t_max) == zeros
+
+
+def test_sign_changes_miss_two_zeros_in_one_cell() -> None:
+    # 415.0188 and 415.4552 lie in one cell of the 0.5 grid from 415
+    assert hardy_sign_changes(415.0, 417.0, ScanConfig(step=0.5)) == 0
+    assert hardy_sign_changes(415.0, 417.0, ScanConfig(step=0.25)) == 2
+
+
+def test_sign_changes_walk_the_scan_grid(record_call_stacks) -> None:
+    calls = record_call_stacks(("hardy_sign_changes", "zeta_gb", "dirichlet_partial_sum"))
+    assert zero_scan.hardy_sign_changes(0, 30) == 3
+    # one zeta_gb per node of the scan's grid, t = 0, 0.25, ..., 30, no own pass
+    assert calls.count(("hardy_sign_changes", "zeta_gb")) == 121
+    assert not any(stack[-1] == "dirichlet_partial_sum" for stack in calls)
+
+
+def test_sign_change_validation() -> None:
+    with pytest.raises(ParameterError):
+        hardy_sign_changes(-1.0, 5.0)
+    with pytest.raises(ParameterError):
+        hardy_sign_changes(0.0, 5.0, ScanConfig(step=0.6))
+    with pytest.raises(ParameterError, match="ScanConfig"):
+        hardy_sign_changes(0.0, 5.0, {"step": 0.5})  # type: ignore[arg-type]
 
 
 def test_scan_config_defaults() -> None:
