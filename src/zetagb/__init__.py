@@ -2,9 +2,9 @@
 
 Binary64 evaluation of the Euler-Maclaurin extension of zeta with
 certified truncation bounds, critical-line zero scanning with Newton
-refinement, argument-principle rectangle counts, sign changes of
-Hardy's Z, and a numerical audit
-of the zero-condition propositions built on the auxiliary function Q.
+refinement, argument-principle rectangle counts, sign changes of Hardy's
+Z, and a numerical audit of the zero-condition propositions built on the
+auxiliary function Q.
 """
 
 from __future__ import annotations
@@ -37,10 +37,10 @@ from .zero_scan import (
     Rectangle,
     ScanConfig,
     ZeroRecord,
+    hardy_sign_changes,
     read_records_csv,
     read_records_jsonl,
     rectangle_winding,
-    hardy_sign_changes,
     refine_zero,
     scan_critical_line,
     siegel_theta,

@@ -323,12 +323,10 @@ def siegel_theta(t: float) -> float:
                      + sum_k B_2k / (2k (2k-1) z^(2k-1))
 
     at |z| >= 10; a smaller z is first shifted up with
-    log Gamma(z) = log Gamma(z + 1) - log z. theta is odd in t.
+    log Gamma(z) = log Gamma(z + 1) - log z.
     """
     if not isinstance(t, (int, float)) or not math.isfinite(t):
         raise ParameterError(f"t must be a finite real number, got {t!r}")
-    if t < 0:
-        return -siegel_theta(-t)
     z = complex(0.25, t / 2)
     shifted = 0.0  # Im of the logs the recurrence subtracts
     while abs(z) < _THETA_SHIFT:
