@@ -2,9 +2,9 @@
 
 Binary64 evaluation of the Euler-Maclaurin extension of zeta with
 certified truncation bounds, critical-line zero scanning with Newton
-refinement, argument-principle rectangle counts, sign changes of Hardy's
-Z, and a numerical audit of the zero-condition propositions built on the
-auxiliary function Q.
+refinement from sign-change brackets, argument-principle rectangle
+counts, and a numerical audit of the zero-condition propositions built
+on the auxiliary function Q.
 """
 
 from __future__ import annotations
@@ -37,13 +37,11 @@ from .zero_scan import (
     Rectangle,
     ScanConfig,
     ZeroRecord,
-    hardy_sign_changes,
     read_records_csv,
     read_records_jsonl,
     rectangle_winding,
     refine_zero,
     scan_critical_line,
-    siegel_theta,
     write_records_csv,
     write_records_jsonl,
 )
@@ -71,7 +69,7 @@ __all__ = [
     "auto_params", "remainder_bound",
     "QValue", "q_gb", "zero_residual", "consistency_identity",
     "ZeroRecord", "Rectangle", "ScanConfig",
-    "refine_zero", "scan_critical_line", "rectangle_winding", "siegel_theta", "hardy_sign_changes",
+    "refine_zero", "scan_critical_line", "rectangle_winding",
     "write_records_csv", "read_records_csv", "write_records_jsonl", "read_records_jsonl",
     "PropositionChecks", "QVariation", "AuditReport",
     "factorization_check", "draw_samples", "audit_zero", "q_variation", "audit_range",

@@ -13,15 +13,16 @@ For each refined zero s_H the audit measures, at working precision:
     the division rest exactly (the difference is constant in s).
 
 ``audit_range`` bundles the per-zero checks with consistency controls,
-a Q non-constancy probe, and a count of the window's zeros two ways into
-an eight-line verdict report (I..VIII) with a stable JSON rendering.
-The two counts test the counter-hypothesis, an off-line conjugate pair
+a Q non-constancy probe, and a count of the window's zeros into an
+eight-line verdict report (I..VIII) with a stable JSON rendering.
+Verdict III tests the counter-hypothesis, an off-line conjugate pair
 rho, 1 - conj(rho): the winding number of one rectangle over the strip
-counts every zero with multiplicity, and the sign changes of Hardy's Z
-count the zeros of odd order on the line. Outside sigma in [0.01, 0.99]
-there are no zeros for 2 <= t <= 500 (H. Kadiri's explicit zero-free
-region, Acta Arith. 117, 2005, and the functional equation), so equal
-counts mean every zero in the window is on the line and simple.
+counts every zero with multiplicity, and the scan finds the zeros of odd
+order on the line, one per sign change of Hardy's Z on its grid. Outside
+sigma in [0.01, 0.99] there are no zeros for 2 <= t <= 500 (H. Kadiri's
+explicit zero-free region, Acta Arith. 117, 2005, and the functional
+equation), so equal counts mean every zero in the window is on the line,
+simple, and audited.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .errors import (
 )
 from .qfunction import consistency_identity, q_gb
 from .serialize import dumps
-from .zero_scan import (Rectangle, ScanConfig, ZeroRecord, _check_t_range, hardy_sign_changes,
+from .zero_scan import (Rectangle, ScanConfig, ZeroRecord, _check_t_range, _scan_config,
                         record_fields, rectangle_winding, scan_critical_line)
 from .zeta_core import EvalParams, _as_complex, auto_params, zeta_gb
 
@@ -60,12 +61,12 @@ __all__ = [
     "render_text",
 ]
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 DEFAULT_SAMPLE_SEED = 271828
 SAMPLE_BOX = (-2.0, 3.0, -50.0, 50.0)  # sigma_min, sigma_max, t_min, t_max
 CONTROL_POINTS = (2 + 0j, 3 + 0j, 0.75 + 5j, 0.25 + 5j)
 _STRIP = (0.01, 0.99)  # sigma range of the counting rectangle
-# a short sign count is recounted at half the step, down to step / 16
+# a scan short of the strip's count is repeated at half the step, down to step / 16
 _RECOUNT_HALVINGS = 4
 
 TOLERANCES = {
@@ -120,7 +121,7 @@ class AuditReport:
     zero_checks: tuple[tuple[ZeroRecord, PropositionChecks], ...]
     q_variation: QVariation | None
     consistency_controls: tuple[tuple[complex, float, float], ...]  # (s, residual, |Z|)
-    line_counts: tuple[int, int] | None  # (zeros in the strip, sign changes of Hardy Z)
+    strip_zeros: int | None  # winding count of the strip rectangle over the window
     verdict_lines: tuple[str, ...]
 
 
@@ -229,7 +230,7 @@ def _line(idx: int, status: str, text: str) -> str:
 def _verdicts(
     checks: tuple[tuple[ZeroRecord, PropositionChecks], ...],
     controls: tuple[tuple[complex, float, float], ...],
-    line_counts: tuple[int, int] | None,
+    strip_zeros: int | None,
     aborted: str | None,
 ) -> tuple[str, ...]:
     tol = TOLERANCES
@@ -268,15 +269,14 @@ def _verdicts(
         lines.append(_line(1, "SKIP", "audit aborted before the control evaluations"))
 
     # III: counter-hypothesis control, every zero in the strip is a simple zero on the line
-    if line_counts is None:
+    if strip_zeros is None:
         note = "audit aborted before the winding counts" if aborted else "window too thin for winding counts"
         lines.append(_line(2, "SKIP" if aborted else "PASS", f"vacuous, {note}"))
     else:
-        strip, sign_changes = line_counts
         lines.append(
-            _line(2, "PASS" if strip == sign_changes else "FAIL",
-                  f"strip [{_STRIP[0]}, {_STRIP[1]}] holds {strip} zeros; "
-                  f"Hardy Z changes sign {sign_changes} times on the line")
+            _line(2, "PASS" if strip_zeros == len(checks) else "FAIL",
+                  f"strip [{_STRIP[0]}, {_STRIP[1]}] holds {strip_zeros} zeros; "
+                  f"the scan found {len(checks)} on the line")
         )
 
     # IV: zero-condition residual at each zero and its conjugate
@@ -314,21 +314,6 @@ def _verdicts(
     return tuple(lines)
 
 
-def _sign_changes(
-    t_min: float, t_max: float, cfg: ScanConfig | None, params: EvalParams, strip: int
-) -> int:
-    # Two zeros in one grid cell show no sign change; while the count is
-    # short of the strip's, halve the step.
-    cfg = ScanConfig() if cfg is None else cfg
-    count = hardy_sign_changes(t_min, t_max, cfg, params)
-    for _ in range(_RECOUNT_HALVINGS):
-        if count >= strip:
-            break
-        cfg = replace(cfg, step=cfg.step / 2)
-        count = hardy_sign_changes(t_min, t_max, cfg, params)
-    return count
-
-
 def audit_range(
     t_min: float,
     t_max: float,
@@ -339,23 +324,31 @@ def audit_range(
 ) -> AuditReport:
     """Scan [t_min, t_max], audit every zero, and assemble the verdicts.
 
-    Fatal numeric failures in any sub-step abort the audit; the partial
-    report comes back with ``complete=False`` and the abort reason.
+    While the scan finds fewer zeros than the strip rectangle counts
+    (two zeros in one grid cell show no sign change), the window is
+    scanned again at half the step, down to step / 16, and the new
+    records are audited. Fatal numeric failures in any sub-step abort the
+    audit; the partial report comes back with ``complete=False`` and the
+    abort reason.
     """
     _check_t_range(t_min, t_max)
+    cfg = _scan_config(scan_cfg)
     if not isinstance(seed, int):
         raise ParameterError(f"seed must be an integer, got {seed!r}")
     if params is None:
         params = auto_params(complex(0.5, max(float(t_max), 5.0)), 1e-9)
 
+    def scan_and_audit(cfg: ScanConfig) -> tuple[tuple[ZeroRecord, PropositionChecks], ...]:
+        records = scan_critical_line(float(t_min), float(t_max), cfg, params)
+        return tuple((rec, audit_zero(rec, params, seed=seed)) for rec in records)
+
     abort: str | None = None
     checks: tuple[tuple[ZeroRecord, PropositionChecks], ...] = ()
     qvar: QVariation | None = None
     controls: tuple[tuple[complex, float, float], ...] = ()
-    line_counts: tuple[int, int] | None = None
+    strip_zeros: int | None = None
     try:
-        records = scan_critical_line(float(t_min), float(t_max), scan_cfg, params)
-        checks = tuple((rec, audit_zero(rec, params, seed=seed)) for rec in records)
+        checks = scan_and_audit(cfg)
         qvar = q_variation(list(CONTROL_POINTS), params)
         # one Z per control point, checked against the Q that q_variation holds
         zs = [zeta_gb(c, params).value for c, _ in qvar.points]
@@ -365,12 +358,16 @@ def audit_range(
         )
         window_lo = max(float(t_min), 0.1)
         if t_max - window_lo > 0.2:
-            strip, _ = rectangle_winding(Rectangle(*_STRIP, window_lo, float(t_max)), params)
-            line_counts = (strip, _sign_changes(float(t_min), float(t_max), scan_cfg, params, strip))
+            strip_zeros, _ = rectangle_winding(Rectangle(*_STRIP, window_lo, float(t_max)), params)
+            for _ in range(_RECOUNT_HALVINGS):
+                if len(checks) >= strip_zeros:
+                    break
+                cfg = replace(cfg, step=cfg.step / 2)
+                checks = scan_and_audit(cfg)
     except (PrecisionError, SingularQError, InconclusiveError, RefinementError) as exc:
         abort = f"{type(exc).__name__}: {exc}"
 
-    verdicts = _verdicts(checks, controls, line_counts, abort)
+    verdicts = _verdicts(checks, controls, strip_zeros, abort)
     return AuditReport(
         complete=abort is None,
         abort_reason=abort,
@@ -382,7 +379,7 @@ def audit_range(
         zero_checks=checks,
         q_variation=qvar,
         consistency_controls=controls,
-        line_counts=line_counts,
+        strip_zeros=strip_zeros,
         verdict_lines=verdicts,
     )
 
@@ -422,9 +419,7 @@ def _report_payload(report: AuditReport) -> dict:
             {"re": p.real, "im": p.imag, "residual": res, "z_abs": zabs}
             for p, res, zabs in report.consistency_controls
         ],
-        "line_counts": None if report.line_counts is None else {
-            "strip": report.line_counts[0], "sign_changes": report.line_counts[1],
-        },
+        "strip_zeros": report.strip_zeros,
         "verdicts": list(report.verdict_lines),
     }
 

@@ -1,24 +1,27 @@
 """Critical-line zero scanning, Newton refinement, and zero counts.
 
-The scanner samples |Z(1/2 + it)| on a uniform grid, refines promising
-local minima with a damped-free complex Newton iteration (the analytic
-derivative comes from the same evaluation as the value), and
-deduplicates hits. Rectangle counts use the argument principle with
-adaptive boundary sampling that keeps every phase increment below pi/2.
-On the same grid, ``hardy_sign_changes`` counts the sign changes of
-Hardy's function e^{i theta(t)} zeta(1/2 + it), which is real; each one
-brackets a zero of odd order on the line. ``siegel_theta`` takes theta
-from the Stirling series of log Gamma (H. M. Edwards, *Riemann's Zeta
-Function*, 6.5).
+The scanner samples Z(1/2 + it) on a uniform grid and brackets zeros by
+sign changes of Hardy's function: zeta(1/2 + it) = e^{-i theta(t)} Z(t)
+with Z real, so Re[zeta_b conj(zeta_a)] = Z_a Z_b cos(theta_b - theta_a)
+has the sign of Z_a Z_b while |theta_b - theta_a| < pi/2, and a negative
+value brackets a zero of odd order on the line without computing theta.
+On a 0.5 grid |theta(t + 0.5) - theta(t)| stays below 1.13 for
+0 <= t <= 500. Each bracket is refined by complex Newton (the analytic
+derivative comes from the same evaluation as the value) from its end
+with the smaller |Z|, and the refined zero must lie strictly inside its
+bracket. Two zeros in one cell show no sign change; a caller that holds
+a count of all zeros rescans at a finer step. Rectangle counts use the
+argument principle with adaptive boundary sampling that keeps every
+phase increment below pi/2.
 
 The scan grid and each rectangle side's base nodes are uniformly spaced
 on a line, so their Dirichlet sums come from one ``dirichlet_line`` walk
 (one complex multiply per term and node) and each node is still one
 ``zeta_gb`` call. The walk moves those values by rounding only, at most
-about 2e-14 of sum |n^{-s}|. Grid moduli only pick Newton seeds, so the
-refined zeros keep their bits unless a modulus sits within that rounding
-of the gate or of its neighbour. Newton steps, phase-walk splits and an
-off-grid t_max make the exact per-point pass.
+about 2e-14 of sum |n^{-s}|. Grid values only pick brackets and Newton
+seeds, so the refined zeros keep their bits unless a sign test or a
+modulus comparison sits within that rounding. Newton steps, phase-walk
+splits and an off-grid t_max make the exact per-point pass.
 """
 
 from __future__ import annotations
@@ -30,12 +33,10 @@ import json
 import logging
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .bernoulli import _full_table
 from .errors import BoundaryError, InconclusiveError, ParameterError, RefinementError
 from .serialize import csv_text, dumps
-from .zeta_core import EvalParams, _as_complex, auto_params, dirichlet_line, zeta_gb
+from .zeta_core import _IM_CAP, EvalParams, _as_complex, auto_params, dirichlet_line, zeta_gb
 from .qfunction import q_gb
 
 __all__ = [
@@ -45,8 +46,6 @@ __all__ = [
     "refine_zero",
     "scan_critical_line",
     "rectangle_winding",
-    "siegel_theta",
-    "hardy_sign_changes",
     "record_fields",
     "write_records_csv",
     "read_records_csv",
@@ -61,13 +60,6 @@ _TOL_FLOOR = 1e-10       # refinement tolerances below this are unreliable
 _BOUNDARY_MODULUS = 1e-6  # contour samples below this indicate a boundary zero
 _MAX_SPLIT_DEPTH = 12    # adaptive phase-walk refinement levels
 _PHASE_LIMIT = math.pi / 2
-# Grid gate: a simple zero within step/2 of a grid point keeps the local
-# modulus under ~|Z'| * step/2, which stays below 0.5 at desk scale.
-_GATE_FLOOR = 0.5
-# theta: shift z = 1/4 + it/2 up to |z| >= 10, then sum 10 Stirling terms; the
-# first dropped one, B_22 / (22 * 21 * z^21), is below 2e-20 there
-_THETA_SHIFT = 10.0
-_STIRLING_TERMS = 10
 
 
 @dataclass(frozen=True)
@@ -164,6 +156,8 @@ def _check_t_range(t_min: float, t_max: float) -> None:
         raise ParameterError("t_min and t_max must be numbers")
     if not (math.isfinite(t_min) and math.isfinite(t_max)) or t_min < 0 or t_max <= t_min:
         raise ParameterError(f"need 0 <= t_min < t_max, got [{t_min!r}, {t_max!r}]")
+    if t_max > _IM_CAP:
+        raise ParameterError(f"t_max = {t_max!r} exceeds the supported range {_IM_CAP}")
 
 
 def refine_zero(
@@ -252,13 +246,15 @@ def scan_critical_line(
     cfg: ScanConfig | None = None,
     params: EvalParams | None = None,
 ) -> list[ZeroRecord]:
-    """Scan |Z(1/2 + it)| for t in [t_min, t_max] and refine candidates.
+    """Bracket zeros on the line by sign changes over [t_min, t_max] and refine them.
 
     ``cfg`` (default ``ScanConfig()``) holds every scan setting. Grid
-    local minima below max(10 sqrt(tol), 0.5) are refined; failed
-    refinements are skipped with a logged warning unless
-    ``cfg.strict_refine`` is set. Records are deduplicated within step/2
-    and restricted to ordinates strictly inside (t_min, t_max).
+    nodes where zeta is exactly 0 are dropped; every remaining cell whose
+    ends give Re[zeta_b conj(zeta_a)] < 0 is refined from the end with
+    the smaller |Z|. A refinement that fails or leaves its cell is
+    skipped with a logged warning unless ``cfg.strict_refine`` is set.
+    Cells do not overlap, so no zero is returned twice; two zeros in one
+    cell are not seen.
     """
     cfg = _scan_config(cfg)
     _check_t_range(t_min, t_max)
@@ -266,109 +262,29 @@ def scan_critical_line(
         params = _refine_params(complex(0.5, t_max), cfg.tol)
 
     grid, values = _line_values(t_min, t_max, cfg.step, params)
-    moduli = [abs(value) for value in values]
-
-    gate = max(10.0 * math.sqrt(cfg.tol), _GATE_FLOOR)
-    candidates: list[float] = []
-    for i, m in enumerate(moduli):
-        if m >= gate:
-            continue
-        left_ok = i == 0 or moduli[i - 1] >= m
-        right_ok = i == len(moduli) - 1 or moduli[i + 1] >= m
-        if left_ok and right_ok:
-            candidates.append(grid[i])
+    nodes = [(t, value) for t, value in zip(grid, values) if value != 0]
 
     records: list[ZeroRecord] = []
     skipped = 0
-    for t in candidates:
+    for (ta, za), (tb, zb) in zip(nodes, nodes[1:]):
+        if (zb * za.conjugate()).real >= 0:
+            continue
+        t = ta if abs(za) <= abs(zb) else tb
         try:
             rec = refine_zero(complex(0.5, t), cfg.tol, cfg.max_iter, params)
+            if not ta < rec.t < tb:
+                raise RefinementError(f"refined to t = {rec.t:.6f}, outside its bracket [{ta:.6f}, {tb:.6f}]")
         except RefinementError as exc:
             if cfg.strict_refine:
                 raise
             skipped += 1
             logger.warning("refinement skipped near t = %.6f: %s", t, exc)
             continue
-        if t_min < rec.t < t_max:
-            records.append(rec)
+        records.append(rec)
 
-    records.sort(key=lambda r: r.t)
-    deduped: list[ZeroRecord] = []
-    for rec in records:
-        if deduped and rec.t - deduped[-1].t < cfg.step / 2:
-            continue
-        deduped.append(rec)
     if skipped:
         logger.warning("scan of [%s, %s]: %d candidate(s) failed to refine", t_min, t_max, skipped)
-    return deduped
-
-
-# ---------------------------------------------------------------------------
-# sign changes of Hardy's Z on the critical line
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _stirling_coeff(k: int) -> float:
-    # B_{2k} / (2k (2k-1)) rounded once from the exact rational
-    return float(_full_table()[2 * k] / (2 * k * (2 * k - 1)))
-
-
-def siegel_theta(t: float) -> float:
-    """The Riemann-Siegel theta(t) = Im log Gamma(1/4 + it/2) - (t/2) log pi.
-
-    Uses the Stirling series
-
-        log Gamma(z) = (z - 1/2) log z - z + log(2 pi)/2
-                     + sum_k B_2k / (2k (2k-1) z^(2k-1))
-
-    at |z| >= 10; a smaller z is first shifted up with
-    log Gamma(z) = log Gamma(z + 1) - log z.
-    """
-    if not isinstance(t, (int, float)) or not math.isfinite(t):
-        raise ParameterError(f"t must be a finite real number, got {t!r}")
-    z = complex(0.25, t / 2)
-    shifted = 0.0  # Im of the logs the recurrence subtracts
-    while abs(z) < _THETA_SHIFT:
-        shifted += cmath.phase(z)
-        z += 1
-    inv_z = 1 / z
-    inv_z2 = inv_z * inv_z
-    series = 0.0j
-    for k in range(1, _STIRLING_TERMS + 1):
-        series += _stirling_coeff(k) * inv_z
-        inv_z *= inv_z2
-    # Im[(z - 1/2) log z - z] for z = x + iy
-    head = (z.real - 0.5) * cmath.phase(z) + z.imag * math.log(abs(z)) - z.imag
-    return head + series.imag - shifted - t / 2 * math.log(math.pi)
-
-
-def hardy_sign_changes(
-    t_min: float,
-    t_max: float,
-    cfg: ScanConfig | None = None,
-    params: EvalParams | None = None,
-) -> int:
-    """Sign changes of Hardy's Z(t) = e^{i theta(t)} zeta(1/2 + it) over [t_min, t_max].
-
-    Z is sampled on the grid of ``scan_critical_line`` (``cfg.step``,
-    default ``ScanConfig()``), with the same walked Dirichlet sums. Z is
-    real, so each strict sign change between neighbouring nodes brackets
-    a zero of odd order on the line. Two zeros inside one grid cell show
-    no change; a caller that holds a count of all zeros can recount at a
-    finer step.
-    """
-    cfg = _scan_config(cfg)
-    _check_t_range(t_min, t_max)
-    if params is None:
-        params = _refine_params(complex(0.5, t_max), cfg.tol)
-    grid, values = _line_values(t_min, t_max, cfg.step, params)
-    hardy = []
-    for t, value in zip(grid, values):
-        theta = siegel_theta(t)
-        hardy.append(math.cos(theta) * value.real - math.sin(theta) * value.imag)
-    signs = [z > 0 for z in hardy if z != 0]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
+    return records
 
 
 # ---------------------------------------------------------------------------

@@ -140,7 +140,7 @@ def test_audit_range_over_the_first_window() -> None:
     assert report.complete
     assert report.abort_reason is None
     assert len(report.zero_checks) == 1
-    assert report.line_counts == (1, 1)
+    assert report.strip_zeros == 1
     assert len(report.verdict_lines) == 8
     assert all(" PASS " in line for line in report.verdict_lines)
     assert [line.split()[0] for line in report.verdict_lines] == [
@@ -152,7 +152,7 @@ def test_audit_range_over_the_first_window() -> None:
 
 def test_audit_range_asks_each_question_once(record_call_stacks) -> None:
     calls = record_call_stacks(
-        ("audit_range", "scan_critical_line", "refine_zero", "rectangle_winding", "hardy_sign_changes",
+        ("audit_range", "scan_critical_line", "refine_zero", "rectangle_winding",
          "audit_zero", "q_variation", "consistency_identity", "zeta_gb", "q_gb", "dirichlet_partial_sum")
     )
     report = audit.audit_range(0.0, 30.0)
@@ -168,15 +168,16 @@ def test_audit_range_asks_each_question_once(record_call_stacks) -> None:
     assert passes_under("q_variation") == len(CONTROL_POINTS)
     assert passes_under("consistency_identity") == 0
     assert calls.count(("audit_range", "zeta_gb")) == len(CONTROL_POINTS)
-    # one rectangle over the strip counts the window's zeros
+    # one rectangle over the strip counts the window's zeros, and one scan finds them all
     assert calls.count(("audit_range", "rectangle_winding")) == 1
+    assert calls.count(("audit_range", "scan_critical_line")) == 1
 
 
 def test_audit_range_with_no_zeros_is_vacuously_complete() -> None:
     report = audit_range(1.0, 3.0)
     assert report.complete
     assert report.zero_checks == ()
-    assert report.line_counts == (0, 0)
+    assert report.strip_zeros == 0
     assert any("vacuous" in line for line in report.verdict_lines)
     assert not any(" FAIL " in line for line in report.verdict_lines)
 
@@ -205,34 +206,59 @@ def test_an_off_line_pair_fails_verdict_three(monkeypatch) -> None:
     monkeypatch.setattr("zetagb.audit.rectangle_winding", lambda *args: (count(*args)[0] + 2, 0.0))
     report = audit_range(14.0, 22.0)
     assert report.complete
-    assert report.line_counts == (4, 2)
+    assert report.strip_zeros == 4
+    assert len(report.zero_checks) == 2
     assert _verdict(report, "III").split()[1] == "FAIL"
     assert "holds 4 zeros" in _verdict(report, "III")
-    assert "changes sign 2 times" in _verdict(report, "III")
+    assert "the scan found 2 on the line" in _verdict(report, "III")
     assert sum(" FAIL " in line for line in report.verdict_lines) == 1
 
 
 def test_a_short_sign_count_fails_after_the_recounts(monkeypatch) -> None:
+    # a scan that drops its last zero is rescanned at half the step down to
+    # step / 16, and III then fails on the short list
     steps: list[float] = []
-    count = audit.hardy_sign_changes
+    scan = audit.scan_critical_line
 
     def short(t_min, t_max, cfg, params):
         steps.append(cfg.step)
-        return count(t_min, t_max, cfg, params) - 1
+        return scan(t_min, t_max, cfg, params)[:-1]
 
-    monkeypatch.setattr("zetagb.audit.hardy_sign_changes", short)
+    monkeypatch.setattr("zetagb.audit.scan_critical_line", short)
     report = audit_range(14.0, 22.0)
     assert steps == [0.25, 0.125, 0.0625, 0.03125, 0.015625]
-    assert report.line_counts == (2, 1)
+    assert report.strip_zeros == 2
+    assert len(report.zero_checks) == 1
     assert "holds 2 zeros" in _verdict(report, "III")
-    assert "changes sign 1 times" in _verdict(report, "III")
+    assert "the scan found 1 on the line" in _verdict(report, "III")
     assert _verdict(report, "III").split()[1] == "FAIL"
 
 
 def test_a_coarse_grid_recounts_at_half_the_step() -> None:
     # the zeros at 415.0188 and 415.4552 share one cell of the 0.5 grid
     report = audit_range(415.0, 417.0, ScanConfig(step=0.5))
-    assert report.line_counts == (2, 2)
+    assert report.strip_zeros == 2
+    assert [round(rec.t, 4) for rec, _ in report.zero_checks] == [415.0188, 415.4552]
+    assert _verdict(report, "III").split()[1] == "PASS"
+
+
+def test_a_zero_lost_to_its_neighbour_bracket_is_found_by_the_rescan() -> None:
+    # at step 0.5 Newton leaves the cell [333.5, 334.0] for 334.2114, so the
+    # first scan finds one zero of two; the 0.25 grid finds both
+    report = audit_range(333.0, 335.0, ScanConfig(step=0.5))
+    assert report.complete
+    assert report.strip_zeros == 2
+    assert len(report.zero_checks) == 2
+    assert _verdict(report, "III").split()[1] == "PASS"
+    assert "holds 2 zeros; the scan found 2 on the line" in _verdict(report, "III")
+
+
+def test_every_zero_near_the_cap_is_audited() -> None:
+    # the modulus gate of the earlier scan missed 498.5808 here
+    report = audit_range(493.0, 499.0)
+    assert report.strip_zeros == 5
+    assert len(report.zero_checks) == 5
+    assert round(report.zero_checks[-1][0].t, 4) == 498.5808
     assert _verdict(report, "III").split()[1] == "PASS"
 
 
@@ -262,8 +288,8 @@ def test_report_json_is_deterministic_and_round_trips() -> None:
     second = report_to_json(audit_range(14.0, 15.0))
     assert first == second
     payload = json.loads(first)
-    assert payload["schema_version"] == "2"
-    assert payload["line_counts"] == {"strip": 1, "sign_changes": 1}
+    assert payload["schema_version"] == "3"
+    assert payload["strip_zeros"] == 1
     assert payload["complete"] is True
     assert len(payload["verdicts"]) == 8
     assert payload["params"]["N"] >= 2

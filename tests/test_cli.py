@@ -180,6 +180,15 @@ def test_scan_commands_take_no_eps(capsys, command: str) -> None:
     assert "--eps" in err
 
 
+@pytest.mark.parametrize("command", ("zeros", "audit"))
+def test_scan_commands_refuse_t_above_the_cap(capsys, command: str) -> None:
+    # explicit params skip auto_params, whose own cap check would refuse t = 601
+    code, out, err = invoke(capsys, command, "--t-min", "600", "--t-max", "601", "--N", "1300", "--nu", "4")
+    assert code == 2
+    assert out == ""
+    assert "exceeds the supported range 500.0" in err
+
+
 def test_audit_labels_explicit_params_with_the_default_eps(capsys) -> None:
     code, out, _ = invoke(capsys, "audit", "--t-min", "14", "--t-max", "15", "--N", "40", "--nu", "6")
     assert code == 0

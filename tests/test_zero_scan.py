@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import logging
 import math
-import random
 
 import mpmath
 import pytest
@@ -23,13 +22,11 @@ from zetagb.zero_scan import (
     Rectangle,
     ScanConfig,
     ZeroRecord,
-    hardy_sign_changes,
     read_records_csv,
     read_records_jsonl,
     rectangle_winding,
     refine_zero,
     scan_critical_line,
-    siegel_theta,
     write_records_csv,
     write_records_jsonl,
 )
@@ -199,53 +196,60 @@ def test_scan_validation() -> None:
 
 
 # ---------------------------------------------------------------------------
-# theta and the sign changes of Hardy's Z
+# sign-change brackets over the supported range
 # ---------------------------------------------------------------------------
 
 
-def test_siegel_theta_matches_mpmath() -> None:
-    rng = random.Random(20260918)
-    # 0, 0.5 and 3 take the shift to |z| >= 10; the seeded points cover [0, 500]
-    for t in [0.0, 0.5, 3.0] + [rng.uniform(0.0, 500.0) for _ in range(64)]:
-        want = float(mpmath.siegeltheta(t))
-        assert abs(siegel_theta(t) - want) <= 1e-12 * max(1.0, abs(want)), t
+def test_theta_moves_less_than_a_quarter_turn_per_cell() -> None:
+    # Re[zeta_b conj(zeta_a)] = Z_a Z_b cos(theta_b - theta_a) has the sign of
+    # Z_a Z_b only while |theta_b - theta_a| < pi/2, on the widest grid allowed
+    theta = [float(mpmath.siegeltheta(k * 0.25)) for k in range(2001)]
+    worst = max(abs(b - a) for a, b in zip(theta, theta[2:]))
+    assert 1.0 < worst < 1.13 < math.pi / 2
 
 
-def test_siegel_theta_is_odd_and_validated() -> None:
-    assert siegel_theta(0.0) == 0.0
-    assert siegel_theta(-30.0) == -siegel_theta(30.0)
-    for bad in (math.nan, math.inf, "1"):
-        with pytest.raises(ParameterError):
-            siegel_theta(bad)  # type: ignore[arg-type]
+@pytest.fixture(scope="module")
+def zeros_below_499() -> list[ZeroRecord]:
+    return scan_critical_line(0, 499)
 
 
 @pytest.mark.parametrize(("t_max", "zeros"), ((100, 29), (200, 79), (300, 138), (400, 202), (499, 269)))
-def test_sign_changes_count_every_zero_below_t(t_max: float, zeros: int) -> None:
+def test_sign_changes_count_every_zero_below_t(zeros_below_499, t_max: float, zeros: int) -> None:
     assert int(mpmath.nzeros(t_max)) == zeros
-    assert hardy_sign_changes(0, t_max) == zeros
+    assert sum(rec.t < t_max for rec in zeros_below_499) == zeros
+
+
+def test_each_zero_lies_strictly_inside_its_own_cell(zeros_below_499) -> None:
+    step = ScanConfig().step
+    cells = [math.floor(rec.t / step) for rec in zeros_below_499]
+    assert all(a < b for a, b in zip(cells, cells[1:]))
+    assert all(rec.t / step != cell for rec, cell in zip(zeros_below_499, cells))
 
 
 def test_sign_changes_miss_two_zeros_in_one_cell() -> None:
     # 415.0188 and 415.4552 lie in one cell of the 0.5 grid from 415
-    assert hardy_sign_changes(415.0, 417.0, ScanConfig(step=0.5)) == 0
-    assert hardy_sign_changes(415.0, 417.0, ScanConfig(step=0.25)) == 2
+    assert scan_critical_line(415.0, 417.0, ScanConfig(step=0.5)) == []
+    finer = scan_critical_line(415.0, 417.0, ScanConfig(step=0.25))
+    assert [round(rec.t, 4) for rec in finer] == [415.0188, 415.4552]
 
 
-def test_sign_changes_walk_the_scan_grid(record_call_stacks) -> None:
-    calls = record_call_stacks(("hardy_sign_changes", "zeta_gb", "dirichlet_partial_sum"))
-    assert zero_scan.hardy_sign_changes(0, 30) == 3
-    # one zeta_gb per node of the scan's grid, t = 0, 0.25, ..., 30, no own pass
-    assert calls.count(("hardy_sign_changes", "zeta_gb")) == 121
-    assert not any(stack[-1] == "dirichlet_partial_sum" for stack in calls)
+def test_a_refinement_that_leaves_its_bracket_is_skipped(caplog) -> None:
+    # at step 0.5 Newton from the node 334.0 runs from the cell [333.5, 334.0]
+    # to 334.2114, the zero of the next cell; the zero near 333.6 is not found
+    with caplog.at_level(logging.WARNING, logger="zetagb.zero_scan"):
+        records = scan_critical_line(333.0, 335.0, ScanConfig(step=0.5))
+    assert [round(rec.t, 4) for rec in records] == [334.2114]
+    assert "outside its bracket [333.500000, 334.000000]" in caplog.text
+    assert "1 candidate(s) failed to refine" in caplog.text
+    with pytest.raises(RefinementError, match="outside its bracket"):
+        scan_critical_line(333.0, 335.0, ScanConfig(step=0.5, strict_refine=True))
 
 
-def test_sign_change_validation() -> None:
-    with pytest.raises(ParameterError):
-        hardy_sign_changes(-1.0, 5.0)
-    with pytest.raises(ParameterError):
-        hardy_sign_changes(0.0, 5.0, ScanConfig(step=0.6))
-    with pytest.raises(ParameterError, match="ScanConfig"):
-        hardy_sign_changes(0.0, 5.0, {"step": 0.5})  # type: ignore[arg-type]
+def test_scan_stays_inside_the_supported_range() -> None:
+    with pytest.raises(ParameterError, match="supported range"):
+        scan_critical_line(600.0, 601.0, params=EvalParams(1300, 4))
+    # t_max on the cap itself is inside
+    assert [round(rec.t, 4) for rec in scan_critical_line(498.0, 500.0)] == [498.5808]
 
 
 def test_scan_config_defaults() -> None:
