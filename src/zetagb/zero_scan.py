@@ -6,22 +6,28 @@ with Z real, so Re[zeta_b conj(zeta_a)] = Z_a Z_b cos(theta_b - theta_a)
 has the sign of Z_a Z_b while |theta_b - theta_a| < pi/2, and a negative
 value brackets a zero of odd order on the line without computing theta.
 On a 0.5 grid |theta(t + 0.5) - theta(t)| stays below 1.13 for
-0 <= t <= 500. Each bracket is refined by complex Newton (the analytic
-derivative comes from the same evaluation as the value) from its end
-with the smaller |Z|, and the refined zero must lie strictly inside its
-bracket. Two zeros in one cell show no sign change; a caller that holds
-a count of all zeros rescans at a finer step. Rectangle counts use the
-argument principle with adaptive boundary sampling that keeps every
-phase increment below pi/2.
+0 <= t <= 500. On a bracket [a, b] the real function
+h(t) = Re[zeta(1/2 + it) conj(zeta_a)] / |zeta_a| runs from h_a = |zeta_a| > 0
+to h_b < 0, and complex Newton (the analytic derivative comes from the
+same evaluation as the value) starts at its regula-falsi point
+a + (b - a) h_a / (h_a - h_b), strictly inside the bracket. If Newton
+leaves the bracket or the strip, Illinois regula falsi (Dowell and
+Jarratt, BIT 11, 1971) narrows the sign change of h, one exact
+evaluation a step, and Newton polishes its last point, so xi is still
+measured; a bracket that still yields no zero inside raises a
+RefinementError naming it. Two zeros in one cell show no sign change; a
+caller that holds a count of all zeros rescans at a finer step.
+Rectangle counts use the argument principle with adaptive boundary
+sampling that keeps every phase increment below pi/2.
 
 The scan grid and each rectangle side's base nodes are uniformly spaced
 on a line, so their Dirichlet sums come from one ``dirichlet_line`` walk
 (one complex multiply per term and node) and each node is still one
 ``zeta_gb`` call. The walk moves those values by rounding only, at most
 about 2e-14 of sum |n^{-s}|. Grid values only pick brackets and Newton
-seeds, so the refined zeros keep their bits unless a sign test or a
-modulus comparison sits within that rounding. Newton steps, phase-walk
-splits and an off-grid t_max make the exact per-point pass.
+seeds, so the refined zeros move by rounding only, within the Newton
+tolerance. Newton and Illinois steps, phase-walk splits and an off-grid
+t_max make the exact per-point pass.
 """
 
 from __future__ import annotations
@@ -60,6 +66,7 @@ _TOL_FLOOR = 1e-10       # refinement tolerances below this are unreliable
 _BOUNDARY_MODULUS = 1e-6  # contour samples below this indicate a boundary zero
 _MAX_SPLIT_DEPTH = 12    # adaptive phase-walk refinement levels
 _PHASE_LIMIT = math.pi / 2
+_LEFT_STRIP = "iteration left the critical strip"
 
 
 @dataclass(frozen=True)
@@ -199,7 +206,7 @@ def refine_zero(
         z = z - step
         iterations += 1
         if not 0.0 < z.real < 1.0:
-            raise RefinementError(f"iteration left the critical strip at {z!r} from seed {s0!r}")
+            raise RefinementError(f"{_LEFT_STRIP} at {z!r} from seed {s0!r}")
         fz, deriv = f(z)
         if abs(step) < _STEP_FLOOR and abs(fz) > tol:
             raise RefinementError(
@@ -240,6 +247,51 @@ def _line_values(
     return grid, values
 
 
+def _refine_bracket(
+    ta: float, tb: float, seed: float, za: complex, hb: float, cfg: ScanConfig, params: EvalParams
+) -> ZeroRecord:
+    # the zero in (ta, tb), where h(t) = Re[zeta(1/2 + it) conj(za)] / |za|
+    # falls from |za| to hb < 0: Newton from the regula-falsi seed, then
+    # Illinois on h and a Newton polish if Newton leaves the bracket or the strip
+    ha = abs(za)
+    try:
+        rec = refine_zero(complex(0.5, seed), cfg.tol, cfg.max_iter, params)
+        if ta < rec.t < tb:
+            return rec
+    except RefinementError as exc:
+        if not str(exc).startswith(_LEFT_STRIP):
+            raise
+
+    # narrow until |h| <= sqrt(tol), from where a Newton step, which squares
+    # the error, reaches tol and measures xi
+    a, fa, b, fb, side = ta, ha, tb, hb, 0
+    t = seed
+    for _ in range(cfg.max_iter):
+        c = a + (b - a) * fa / (fa - fb)
+        if not a < c < b:
+            break
+        t, fc = c, (zeta_gb(complex(0.5, c), params).value * za.conjugate()).real / ha
+        if abs(fc) <= math.sqrt(cfg.tol):
+            break
+        # an end kept twice in a row has its h halved (Illinois)
+        if fc > 0:
+            a, fa = c, fc
+            fb = fb / 2 if side > 0 else fb
+            side = 1
+        else:
+            b, fb = c, fc
+            fa = fa / 2 if side < 0 else fa
+            side = -1
+    where = f"no zero found inside its bracket [{ta:.6f}, {tb:.6f}]"
+    try:
+        rec = refine_zero(complex(0.5, t), cfg.tol, cfg.max_iter, params)
+    except RefinementError as exc:
+        raise RefinementError(f"{where}: {exc}") from None
+    if not ta < rec.t < tb:
+        raise RefinementError(f"{where}: the polish refined to t = {rec.t:.6f}")
+    return rec
+
+
 def scan_critical_line(
     t_min: float,
     t_max: float,
@@ -250,11 +302,15 @@ def scan_critical_line(
 
     ``cfg`` (default ``ScanConfig()``) holds every scan setting. Grid
     nodes where zeta is exactly 0 are dropped; every remaining cell whose
-    ends give Re[zeta_b conj(zeta_a)] < 0 is refined from the end with
-    the smaller |Z|. A refinement that fails or leaves its cell is
-    skipped with a logged warning unless ``cfg.strict_refine`` is set.
-    Cells do not overlap, so no zero is returned twice; two zeros in one
-    cell are not seen.
+    ends give Re[zeta_b conj(zeta_a)] < 0 is a bracket. Newton starts at
+    the bracket's regula-falsi point on h(t) = Re[zeta(1/2 + it)
+    conj(zeta_a)] / |zeta_a|; if it leaves the bracket or the strip,
+    Illinois regula falsi on h (at most ``cfg.max_iter`` exact steps)
+    narrows the bracket and Newton polishes the result. A bracket that
+    still yields no zero inside raises a RefinementError naming it. A
+    refinement that fails is skipped with a logged warning unless
+    ``cfg.strict_refine`` is set. Cells do not overlap, so no zero is
+    returned twice; two zeros in one cell are not seen.
     """
     cfg = _scan_config(cfg)
     _check_t_range(t_min, t_max)
@@ -267,20 +323,19 @@ def scan_critical_line(
     records: list[ZeroRecord] = []
     skipped = 0
     for (ta, za), (tb, zb) in zip(nodes, nodes[1:]):
-        if (zb * za.conjugate()).real >= 0:
+        cross = (zb * za.conjugate()).real
+        if cross >= 0:
             continue
-        t = ta if abs(za) <= abs(zb) else tb
+        ha = abs(za)
+        hb = cross / ha
+        seed = ta + (tb - ta) * ha / (ha - hb)
         try:
-            rec = refine_zero(complex(0.5, t), cfg.tol, cfg.max_iter, params)
-            if not ta < rec.t < tb:
-                raise RefinementError(f"refined to t = {rec.t:.6f}, outside its bracket [{ta:.6f}, {tb:.6f}]")
+            records.append(_refine_bracket(ta, tb, seed, za, hb, cfg, params))
         except RefinementError as exc:
             if cfg.strict_refine:
                 raise
             skipped += 1
-            logger.warning("refinement skipped near t = %.6f: %s", t, exc)
-            continue
-        records.append(rec)
+            logger.warning("refinement skipped near t = %.6f: %s", seed, exc)
 
     if skipped:
         logger.warning("scan of [%s, %s]: %d candidate(s) failed to refine", t_min, t_max, skipped)

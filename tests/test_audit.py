@@ -242,13 +242,17 @@ def test_a_coarse_grid_recounts_at_half_the_step() -> None:
     assert _verdict(report, "III").split()[1] == "PASS"
 
 
-def test_a_zero_lost_to_its_neighbour_bracket_is_found_by_the_rescan() -> None:
-    # at step 0.5 Newton leaves the cell [333.5, 334.0] for 334.2114, so the
-    # first scan finds one zero of two; the 0.25 grid finds both
+def test_a_coarse_bracket_is_audited_in_one_scan(record_call_stacks) -> None:
+    # at step 0.5 the grid-node seed lost 333.6454 to its neighbour 334.2114,
+    # which took a second scan and a third audit_zero; the regula-falsi seed
+    # keeps both zeros in the first scan
+    calls = record_call_stacks(("scan_critical_line", "audit_zero"))
     report = audit_range(333.0, 335.0, ScanConfig(step=0.5))
+    assert sum(stack[-1] == "scan_critical_line" for stack in calls) == 1
+    assert sum(stack[-1] == "audit_zero" for stack in calls) == 2
     assert report.complete
     assert report.strip_zeros == 2
-    assert len(report.zero_checks) == 2
+    assert [round(rec.t, 4) for rec, _ in report.zero_checks] == [333.6454, 334.2114]
     assert _verdict(report, "III").split()[1] == "PASS"
     assert "holds 2 zeros; the scan found 2 on the line" in _verdict(report, "III")
 

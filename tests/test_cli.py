@@ -157,7 +157,7 @@ def test_each_run_logs_to_its_own_stderr() -> None:
             assert run(["zeros", "--t-min", "14", "--t-max", "15", "--max-iter", "1"]) == 0
         lines = err.getvalue().splitlines()
         assert len(lines) == 2
-        assert lines[0].startswith("refinement skipped near t = 14.25")
+        assert lines[0].startswith("refinement skipped near t = 14.133759")
         assert "1 candidate(s) failed to refine" in lines[1]
 
 

@@ -64,7 +64,8 @@ CASES: dict[str, tuple[str, ...]] = {
     "count_eps_json": (*_COUNT[:-1], "30", "--eps", "1e-11", "--format", "json"),
     # two zeros 0.44 apart share one cell of a 0.5 grid
     "audit_coarse_step": ("audit", "--t-min", "415", "--t-max", "417", "--step", "0.5"),
-    # Newton from the node 334.0 leaves its cell [333.5, 334.0] for the zero at 334.2114
+    # Newton from the node 334.0 left its cell [333.5, 334.0] for the zero at 334.2114;
+    # from the regula-falsi seed both zeros come back
     "zeros_coarse_bracket": ("zeros", "--t-min", "333", "--t-max", "335", "--step", "0.5"),
 }
 

@@ -233,16 +233,80 @@ def test_sign_changes_miss_two_zeros_in_one_cell() -> None:
     assert [round(rec.t, 4) for rec in finer] == [415.0188, 415.4552]
 
 
-def test_a_refinement_that_leaves_its_bracket_is_skipped(caplog) -> None:
-    # at step 0.5 Newton from the node 334.0 runs from the cell [333.5, 334.0]
-    # to 334.2114, the zero of the next cell; the zero near 333.6 is not found
+def test_a_coarse_bracket_keeps_its_zero(caplog) -> None:
+    # at step 0.5 Newton from the node 334.0 ran from the cell [333.5, 334.0]
+    # to 334.2114, the zero of the next cell; the regula-falsi seed keeps it
+    with caplog.at_level(logging.WARNING, logger="zetagb.zero_scan"):
+        records = scan_critical_line(333.0, 335.0, ScanConfig(step=0.5))
+    assert [round(rec.t, 4) for rec in records] == [333.6454, 334.2114]
+    assert caplog.text == ""
+    strict = scan_critical_line(333.0, 335.0, ScanConfig(step=0.5, strict_refine=True))
+    assert strict == records
+
+
+def _newton_within(monkeypatch, reach: float) -> None:
+    # Newton seeds inside [333.5, 334.0] farther than ``reach`` from its zero
+    # start from the node 334.0 instead, as the grid-node seed did, and so
+    # run to 334.2114, the zero of the next cell
+    refine = zero_scan.refine_zero
+
+    def from_334(s0, *args):
+        if 333.5 < s0.imag < 334.0 and abs(s0.imag - 333.6454) > reach:
+            s0 = complex(0.5, 334.0)
+        return refine(s0, *args)
+
+    monkeypatch.setattr(zero_scan, "refine_zero", from_334)
+
+
+def test_the_fallback_recovers_a_zero_that_newton_leaves(monkeypatch, caplog) -> None:
+    # the regula-falsi seed 333.84 is 0.2 from the zero: Illinois must narrow
+    # the bracket to within 1e-3 of it before the Newton polish
+    _newton_within(monkeypatch, 1e-3)
+    with caplog.at_level(logging.WARNING, logger="zetagb.zero_scan"):
+        records = scan_critical_line(333.0, 335.0, ScanConfig(step=0.5))
+    assert [round(rec.t, 4) for rec in records] == [333.6454, 334.2114]
+    assert 333.5 < records[0].t < 334.0
+    # the Newton polish measures xi rather than keeping the regula-falsi point
+    assert records[0].refine_iterations >= 1
+    assert abs(records[0].xi) <= 1e-9
+    assert caplog.text == ""
+
+
+def test_a_bracket_the_fallback_cannot_resolve_is_named(monkeypatch, caplog) -> None:
+    _newton_within(monkeypatch, 0.0)
+    with pytest.raises(RefinementError, match=r"no zero found inside its bracket \[333.500000, 334.000000\]"):
+        scan_critical_line(333.0, 335.0, ScanConfig(step=0.5, strict_refine=True))
     with caplog.at_level(logging.WARNING, logger="zetagb.zero_scan"):
         records = scan_critical_line(333.0, 335.0, ScanConfig(step=0.5))
     assert [round(rec.t, 4) for rec in records] == [334.2114]
-    assert "outside its bracket [333.500000, 334.000000]" in caplog.text
+    assert "no zero found inside its bracket [333.500000, 334.000000]" in caplog.text
     assert "1 candidate(s) failed to refine" in caplog.text
-    with pytest.raises(RefinementError, match="outside its bracket"):
-        scan_critical_line(333.0, 335.0, ScanConfig(step=0.5, strict_refine=True))
+
+
+def test_regula_falsi_seeds_take_under_three_newton_steps(zeros_below_499) -> None:
+    # 3.75 a zero from the grid node with the smaller |Z|
+    iterations = [rec.refine_iterations for rec in zeros_below_499]
+    assert sum(iterations) / len(iterations) <= 2.8
+
+
+def test_a_refined_zero_costs_under_five_exact_passes(record_call_stacks) -> None:
+    calls = record_call_stacks(("scan_critical_line", "dirichlet_partial_sum"))
+    records = zero_scan.scan_critical_line(0, 100)
+    assert len(records) == 29
+    # the grid walks its sums; every exact pass is a Newton point or Q
+    # (5.55 a zero from the grid-node seed)
+    passes = sum(stack[-1] == "dirichlet_partial_sum" for stack in calls)
+    assert passes / len(records) <= 4.5
+
+
+def test_the_coarse_grid_keeps_every_bracket(zeros_below_499, caplog) -> None:
+    with caplog.at_level(logging.WARNING, logger="zetagb.zero_scan"):
+        coarse = scan_critical_line(0, 499, ScanConfig(step=0.5))
+    assert len(coarse) == 267
+    assert caplog.text == ""
+    # the two zeros it misses share one cell of the 0.5 grid
+    missed = {round(rec.t, 4) for rec in zeros_below_499} - {round(rec.t, 4) for rec in coarse}
+    assert missed == {415.0188, 415.4552}
 
 
 def test_scan_stays_inside_the_supported_range() -> None:
