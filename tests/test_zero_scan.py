@@ -290,13 +290,12 @@ def test_regula_falsi_seeds_take_under_three_newton_steps(zeros_below_499) -> No
 
 
 def test_a_refined_zero_costs_under_five_exact_passes(record_call_stacks) -> None:
-    calls = record_call_stacks(("scan_critical_line", "dirichlet_partial_sum"))
+    calls = record_call_stacks(("dirichlet_partial_sum",))
     records = zero_scan.scan_critical_line(0, 100)
     assert len(records) == 29
     # the grid walks its sums; every exact pass is a Newton point or Q
     # (5.55 a zero from the grid-node seed)
-    passes = sum(stack[-1] == "dirichlet_partial_sum" for stack in calls)
-    assert passes / len(records) <= 4.5
+    assert len(calls) / len(records) <= 4.5
 
 
 def test_the_coarse_grid_keeps_every_bracket(zeros_below_499, caplog) -> None:
