@@ -224,7 +224,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
     rect = Rectangle(args.sigma_min, args.sigma_max, args.t_min, args.t_max)
     params = _explicit_params(args)
     if params is None:
-        params = auto_params(complex(rect.sigma_max, max(abs(rect.t_min), abs(rect.t_max))), min(args.eps, 1e-9))
+        # the truncation bound is largest at the left corner farthest from the real axis
+        params = auto_params(complex(rect.sigma_min, max(abs(rect.t_min), abs(rect.t_max))), min(args.eps, 1e-9))
     count, residual = rectangle_winding(rect, params)
     fields = {
         "sigma_min": rect.sigma_min, "sigma_max": rect.sigma_max,

@@ -378,8 +378,8 @@ def rectangle_winding(rect: Rectangle, params: EvalParams | None = None) -> tupl
     if not isinstance(rect, Rectangle):
         raise ParameterError(f"rect must be a Rectangle, got {type(rect).__name__}")
     if params is None:
-        worst = complex(rect.sigma_max, max(abs(rect.t_min), abs(rect.t_max)))
-        params = auto_params(worst, 1e-9)
+        # the truncation bound is largest at the left corner farthest from the real axis
+        params = auto_params(complex(rect.sigma_min, max(abs(rect.t_min), abs(rect.t_max))), 1e-9)
 
     def f(z: complex, head: complex | None = None) -> complex:
         value = zeta_gb(z, params, partial_sum=head).value
