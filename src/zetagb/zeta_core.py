@@ -31,7 +31,11 @@ multiply per term after one exp per term for n^{-s_0} and for n^{-d}
 1988). Node 0 keeps the bits of the exact pass; each later node's terms
 carry k more roundings, so node k drifts by O(k u) sum |n^{-s_k}| at
 worst (measured 2.1e-14 of that sum over 2,000-node lines). ``zeta_gb``
-accepts such a node's sum in place of its own pass.
+accepts such a node's sum in place of its own pass. The scanner walks at
+a sample cutoff near |t|/3, from the schedule of ``auto_params`` started
+lower, and keeps a node's value only where |value| exceeds 2^10 times its
+truncation and rounding bounds; elsewhere it makes the exact pass (see
+``zero_scan``).
 """
 
 from __future__ import annotations
@@ -328,7 +332,18 @@ def auto_params(s: complex, eps: float) -> EvalParams:
     if eps < _EPS_FLOOR:
         raise PrecisionError(f"eps = {eps} is below the binary64 floor {_EPS_FLOOR}")
 
-    base = max(16, math.ceil(2.0 * (abs(s.imag) + 1.0)))
+    params, best = _schedule(s, eps, max(16, math.ceil(2.0 * (abs(s.imag) + 1.0))))
+    if params is None:
+        raise PrecisionError(
+            f"no schedule entry certifies eps = {eps} at s = {s!r}; best bound {best:.3e}",
+            best_bound=best,
+        )
+    return params
+
+
+def _schedule(s: complex, eps: float, base: int) -> tuple[EvalParams | None, float]:
+    # the first (N, nu) from cutoff ``base`` whose bound at s meets eps, or
+    # None, and the best bound seen
     best = math.inf
     for doubling in range(_AUTO_DOUBLINGS + 1):
         cutoff = base << doubling
@@ -339,8 +354,5 @@ def auto_params(s: complex, eps: float) -> EvalParams:
             if bound < best:
                 best = bound
             if bound <= eps:
-                return EvalParams(cutoff_n=cutoff, tail_order=nu, target_eps=float(eps))
-    raise PrecisionError(
-        f"no schedule entry certifies eps = {eps} at s = {s!r}; best bound {best:.3e}",
-        best_bound=best,
-    )
+                return EvalParams(cutoff_n=cutoff, tail_order=nu, target_eps=float(eps)), best
+    return None, best
