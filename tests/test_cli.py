@@ -11,9 +11,10 @@ import math
 
 import pytest
 
+from zetagb import cli
 from zetagb.cli import run
 from zetagb.errors import SingularQError
-from zetagb.zeta_core import DEFAULT_TARGET_EPS, EvalParams, zeta_gb
+from zetagb.zeta_core import DEFAULT_TARGET_EPS, EvalParams, remainder_bound, zeta_gb
 
 FIRST_ORDINATE = 14.13472514172102
 
@@ -221,6 +222,20 @@ def test_count_with_a_zero_on_the_contour_exits_4(capsys) -> None:
                           "--t-min", "0.1", "--t-max", str(FIRST_ORDINATE))
     assert code == 4
     assert "nudge" in err
+
+
+@pytest.mark.parametrize(("eps", "target"), (((), 1e-9), (("--eps", "1e-11"), 1e-11)))
+def test_count_params_meet_eps_at_the_worst_corner(capsys, monkeypatch, eps, target) -> None:
+    chosen = []
+    winding = cli.rectangle_winding
+    monkeypatch.setattr(cli, "rectangle_winding", lambda rect, params: chosen.append(params) or winding(rect, params))
+    code, out, _ = invoke(capsys, "count", "--sigma-min", "0.01", "--sigma-max", "0.99",
+                          "--t-min", "493", "--t-max", "499", *eps)
+    assert (code, out) == (0, "5\n")
+    (params,) = chosen
+    # the truncation bound is largest at sigma_min: chosen at sigma_max,
+    # (N=1000, nu=3) bounded 4.2e-7 there
+    assert remainder_bound(complex(0.01, 499.0), params.cutoff_n, params.tail_order) <= target
 
 
 def test_count_bad_rectangle_exits_2(capsys) -> None:

@@ -12,7 +12,9 @@ an unmodified reference checkout, never to make a refactor pass. The recorder re
     PYTHONPATH=src python tests/test_golden.py
 
 It prints one line per case, ending in ``changed`` or ``new`` where the
-recorded bytes differ from the files it overwrites.
+recorded bytes differ from the files it overwrites. Under a changed case
+it prints up to three differing lines of each changed file, the old line
+after ``-`` and the new one after ``+``.
 
 A change that is meant to move numbers (a refactor must not) is
 recorded in three steps: commit the ``src/`` change, run the recorder,
@@ -23,7 +25,9 @@ moved, by how much, and that counts and verdicts did not.
 from __future__ import annotations
 
 import contextlib
+import difflib
 import io
+import itertools
 import subprocess
 import sys
 from pathlib import Path
@@ -98,6 +102,22 @@ def _src_changes() -> str:
     return status.stdout if status.returncode == 0 else f"git status failed: {status.stderr}"
 
 
+def _diff_lines(path: Path, old: bytes, new: bytes, limit: int = 3) -> list[str]:
+    # the first ``limit`` differing lines, a replaced line as its -/+ pair
+    a = old.decode(errors="replace").splitlines()
+    b = new.decode(errors="replace").splitlines()
+    pairs = []
+    for tag, i1, i2, j1, j2 in difflib.SequenceMatcher(None, a, b, autojunk=False).get_opcodes():
+        if tag != "equal":
+            pairs += itertools.zip_longest(a[i1:i2], b[j1:j2])
+    return [
+        f"  {path.name}: {sign}{line}"
+        for pair in pairs[:limit]
+        for sign, line in zip("-+", pair)
+        if line is not None
+    ]
+
+
 def _record() -> None:
     changes = _src_changes()
     if changes:
@@ -110,15 +130,18 @@ def _record() -> None:
             GOLDEN_DIR / f"{name}.err": err,
             GOLDEN_DIR / f"{name}.code": f"{code}\n".encode(),
         }
+        diffs: list[str] = []
         if not all(path.exists() for path in recorded):
             status = ", new"
         elif any(path.read_bytes() != data for path, data in recorded.items()):
             status = ", changed"
+            for path, data in recorded.items():
+                diffs += _diff_lines(path, path.read_bytes(), data)
         else:
             status = ""
         for path, data in recorded.items():
             path.write_bytes(data)
-        print(f"{name}: exit {code}{status}", file=sys.stderr)
+        print(f"{name}: exit {code}{status}", *diffs, sep="\n", file=sys.stderr)
 
 
 def test_recorder_names_the_changed_cases(monkeypatch, tmp_path, capsys) -> None:
@@ -133,7 +156,14 @@ def test_recorder_names_the_changed_cases(monkeypatch, tmp_path, capsys) -> None
     monkeypatch.setattr(module, "CASES", {name: CASES[name] for name in names})
     monkeypatch.setattr(module, "_src_changes", lambda: "")
     _record()
-    assert capsys.readouterr().err.splitlines() == ["eval_json: exit 0, new", "params_json: exit 0, changed"]
+    recorded = (tmp_path / "params_json.out").read_text().splitlines()
+    assert capsys.readouterr().err.splitlines() == [
+        "eval_json: exit 0, new",
+        "params_json: exit 0, changed",
+        # the stale line pairs with the first recorded line; two more are new
+        "  params_json.out: -stale",
+        *(f"  params_json.out: +{line}" for line in recorded[:3]),
+    ]
     _record()
     assert capsys.readouterr().err.splitlines() == ["eval_json: exit 0", "params_json: exit 0"]
     golden = Path(__file__).with_name("golden")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
+import random
 
 import mpmath
 import pytest
@@ -30,7 +31,8 @@ from zetagb.zero_scan import (
     write_records_csv,
     write_records_jsonl,
 )
-from zetagb.zeta_core import DEFAULT_TARGET_EPS, EvalParams
+from zetagb.zeta_core import (DEFAULT_TARGET_EPS, EvalParams, auto_params, dirichlet_line,
+                              remainder_bound, zeta_gb)
 
 ORACLE_ORDINATES = (14.13472514172102, 21.02203963877902, 25.010857580131244)
 
@@ -178,7 +180,7 @@ def test_winding_walks_each_side_once(record_call_stacks, rect: Rectangle, zeros
     base_nodes = sum(max(4, math.ceil(side / 0.25)) + 1 for side in sides)
     evaluations = calls.count(("zeta_gb",))
     # base nodes take their Dirichlet sums from the side's walk; only the
-    # phase-walk splits make their own pass
+    # phase-walk splits and uncertified samples make their own pass
     assert calls.count(("zeta_gb", "dirichlet_partial_sum")) == evaluations - base_nodes
 
 
@@ -313,6 +315,130 @@ def test_scan_stays_inside_the_supported_range() -> None:
         scan_critical_line(600.0, 601.0, params=EvalParams(1300, 4))
     # t_max on the cap itself is inside
     assert [round(rec.t, 4) for rec in scan_critical_line(498.0, 500.0)] == [498.5808]
+
+
+# ---------------------------------------------------------------------------
+# certified samples: walks at a cheaper cutoff, the full pass where they fail
+# ---------------------------------------------------------------------------
+
+AUDIT_WINDOWS = tuple(250.0 + 24.9 * k for k in range(10))
+
+
+@pytest.fixture(scope="module")
+def sampled_walks() -> list[tuple[list[complex], EvalParams, EvalParams, list[complex]]]:
+    # (nodes, params, sample params, returned values) of every walk made by
+    # the 0..499 grid at step 0.25 and by the strip rectangles of ten 4-wide
+    # audit windows in [250, 499], splits included
+    walks = []
+    walk = zero_scan._walk
+
+    def record(nodes, params, sample, floor=0.0):
+        values = walk(nodes, params, sample, floor)
+        walks.append((nodes, params, sample, values))
+        return values
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(zero_scan, "_walk", record)
+        zero_scan._line_values(0.0, 499.0, 0.25, zero_scan._refine_params(complex(0.5, 499.0), 1e-9))
+        for lo in AUDIT_WINDOWS:
+            rectangle_winding(Rectangle(0.01, 0.99, lo, lo + 4.0), auto_params(complex(0.5, lo + 4.0), 1e-9))
+    return walks
+
+
+def _samples(nodes: list[complex], sample: EvalParams):
+    # each node's sampled result and rounding allowance, recomputed as the walk made them
+    heads = [None] if len(nodes) == 1 else dirichlet_line(nodes[0], nodes[-1], len(nodes) - 1, sample.cutoff_n)
+    for z, head, rounding in zip(nodes, heads, zero_scan._rounding(nodes, sample.cutoff_n)):
+        yield z, zeta_gb(z, sample, partial_sum=head), rounding
+
+
+def test_each_sample_lies_within_its_certificate(sampled_walks) -> None:
+    nodes_checked = 0
+    for nodes, params, sample, values in sampled_walks:
+        assert zero_scan._cost(sample) < zero_scan._cost(params)
+        for (z, sampled, rounding), value in zip(_samples(nodes, sample), values):
+            full = zeta_gb(z, params)
+            # the returned value is the sample, or the full pass where it is not certified
+            certified = abs(sampled.value) > 2.0**10 * (sampled.remainder_bound + rounding)
+            assert value == (sampled.value if certified else full.value)
+            # both truncation bounds, the sample's rounding and the full pass's own
+            allowance = (sampled.remainder_bound + full.remainder_bound + rounding
+                         + zero_scan._rounding([z], params.cutoff_n)[0])
+            assert abs(sampled.value - full.value) <= allowance
+            nodes_checked += 1
+    assert nodes_checked >= 1997 + 10 * 44
+
+
+def test_samples_agree_with_mpmath(sampled_walks) -> None:
+    rng = random.Random(20261018)
+    picks = [(nodes, sample, rng.randrange(len(nodes)))
+             for nodes, _, sample, _ in rng.sample(sampled_walks, 40)]
+    with mpmath.workdps(20):
+        for nodes, sample, k in picks:
+            z, sampled, rounding = list(_samples(nodes, sample))[k]
+            exact = complex(mpmath.zeta(mpmath.mpc(z.real, z.imag)))
+            assert abs(sampled.value - exact) <= sampled.remainder_bound + rounding
+
+
+def test_a_node_on_a_zero_takes_the_full_pass(monkeypatch) -> None:
+    # t_min sits 2.7e-10 above the first zero: its sample is not certified
+    t_min, t_max = 14.134725142, 60.0
+    params = zero_scan._refine_params(complex(0.5, t_max), ScanConfig.tol)
+    sample = zero_scan._sample_params(complex(0.5, t_max), params)
+    assert sample != params
+    evaluate = zero_scan.zeta_gb
+    calls = []
+
+    def record(s, p=None, **kwargs):
+        calls.append((s, p))
+        return evaluate(s, p, **kwargs)
+
+    monkeypatch.setattr(zero_scan, "zeta_gb", record)
+    sampled = scan_critical_line(t_min, t_max)
+    assert [p for s, p in calls if s == complex(0.5, t_min)] == [sample, params]
+    assert len([p for s, p in calls if s == complex(0.5, t_max)]) == 1
+    monkeypatch.setattr(zero_scan, "_sample_params", lambda corner, params: params)
+    full = scan_critical_line(t_min, t_max)
+    assert len(sampled) == len(full) == 12
+    for a, b in zip(sampled, full):
+        assert abs(a.t - b.t) <= 1e-12
+        assert abs(a.xi - b.xi) <= 1e-12
+
+
+@pytest.mark.parametrize("sigma_max", (0.5, 0.99))
+def test_a_side_through_a_zero_still_aborts_the_walk(sigma_max: float) -> None:
+    # a corner (sigma_max 0.5) or the middle node of the top side sits on the zero
+    t0 = scan_critical_line(415.0, 415.2)[0].t
+    rect = Rectangle(0.01, sigma_max, 414.0, t0)
+    params = auto_params(complex(0.01, t0), 1e-9)
+    assert zero_scan._sample_params(complex(0.01, t0), params) != params
+    with pytest.raises(BoundaryError, match="nudge"):
+        rectangle_winding(rect)
+
+
+def test_the_sampler_never_costs_more_than_params() -> None:
+    explicit = (EvalParams(16, 2), EvalParams(40, 6), EvalParams(1300, 4))
+    for t in (0.0, 1.0, 5.0, 14.0, 30.0, 60.0, 100.0, 250.0, 499.0, 500.0):
+        for sigma in (-1.0, 0.01, 0.5, 0.99):
+            corner = complex(sigma, t)
+            for params in (auto_params(corner, 1e-9), auto_params(corner, 1e-12)) + explicit:
+                sample = zero_scan._sample_params(corner, params)
+                assert zero_scan._cost(sample) <= zero_scan._cost(params)
+                if sample != params:
+                    assert remainder_bound(corner, sample.cutoff_n, sample.tail_order) <= 1e-8
+    # no schedule entry applies beyond the supported range: explicit params stay
+    assert zero_scan._sample_params(complex(0.5, 600.0), explicit[2]) == explicit[2]
+
+
+def test_winding_params_meet_their_target_at_the_worst_corner(monkeypatch) -> None:
+    chosen = []
+    pick = zero_scan.auto_params
+    monkeypatch.setattr(zero_scan, "auto_params", lambda s, eps: chosen.append(pick(s, eps)) or chosen[-1])
+    count, _ = rectangle_winding(Rectangle(0.01, 0.99, 493.0, 499.0))
+    assert count == 5
+    (params,) = chosen
+    # chosen at sigma_max they bounded 4.2e-7 at sigma = 0.01
+    assert remainder_bound(complex(0.01, 499.0), params.cutoff_n, params.tail_order) <= 1e-9
 
 
 def test_scan_config_defaults() -> None:
