@@ -416,6 +416,31 @@ def test_a_side_through_a_zero_still_aborts_the_walk(sigma_max: float) -> None:
         rectangle_winding(rect)
 
 
+def test_only_full_accuracy_values_raise_a_boundary_error(monkeypatch) -> None:
+    # the bottom side's middle node sits 1e-7 above the second zero, where
+    # |zeta| = 1.1e-7: its sample is certified but below 2e-6, so the node
+    # is evaluated again at params, and that value raises
+    t_min = scan_critical_line(20.5, 21.5)[0].t + 1e-7
+    worst = complex(0.01, 100.0)
+    params = auto_params(worst, 1e-9)
+    sample = zero_scan._sample_params(worst, params)
+    evaluate = zero_scan.zeta_gb
+    calls = []
+
+    def record(s, p=None, **kwargs):
+        result = evaluate(s, p, **kwargs)
+        calls.append((s, p, result))
+        return result
+
+    monkeypatch.setattr(zero_scan, "zeta_gb", record)
+    with pytest.raises(BoundaryError, match="nudge"):
+        rectangle_winding(Rectangle(0.01, 0.99, t_min, 100.0))
+    (p1, sampled), (p2, full) = [(p, result) for s, p, result in calls if s == complex(0.5, t_min)]
+    assert (p1, p2) == (sample, params)
+    assert 2.0**10 * sampled.remainder_bound < abs(sampled.value) < 2e-6
+    assert abs(full.value) < 1e-6
+
+
 def test_the_sampler_never_costs_more_than_params() -> None:
     explicit = (EvalParams(16, 2), EvalParams(40, 6), EvalParams(1300, 4))
     for t in (0.0, 1.0, 5.0, 14.0, 30.0, 60.0, 100.0, 250.0, 499.0, 500.0):
