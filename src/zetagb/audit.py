@@ -327,7 +327,10 @@ def audit_range(
     While the scan finds fewer zeros than the strip rectangle counts
     (two zeros in one grid cell show no sign change), the window is
     scanned again at half the step, down to step / 16, and the new
-    records are audited. Fatal numeric failures in any sub-step abort the
+    records are audited. Without ``params`` the scan, the audit and the
+    controls use ``auto_params`` at 1/2 + i t_max with eps 1e-9, and the
+    strip rectangle picks its own at (0.01, t_max), where its truncation
+    bound is largest. Fatal numeric failures in any sub-step abort the
     audit; the partial report comes back with ``complete=False`` and the
     abort reason.
     """
@@ -335,6 +338,7 @@ def audit_range(
     cfg = _scan_config(scan_cfg)
     if not isinstance(seed, int):
         raise ParameterError(f"seed must be an integer, got {seed!r}")
+    winding_params = params
     if params is None:
         params = auto_params(complex(0.5, max(float(t_max), 5.0)), 1e-9)
 
@@ -358,7 +362,7 @@ def audit_range(
         )
         window_lo = max(float(t_min), 0.1)
         if t_max - window_lo > 0.2:
-            strip_zeros, _ = rectangle_winding(Rectangle(*_STRIP, window_lo, float(t_max)), params)
+            strip_zeros, _ = rectangle_winding(Rectangle(*_STRIP, window_lo, float(t_max)), winding_params)
             for _ in range(_RECOUNT_HALVINGS):
                 if len(checks) >= strip_zeros:
                     break

@@ -20,8 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ParameterError, SingularQError
-from .zeta_core import (DEFAULT_TARGET_EPS, EvalParams, _as_complex, _rpow, auto_params,
-                        dirichlet_partial_sum, em_tail)
+from .zeta_core import DEFAULT_TARGET_EPS, EvalParams, _as_complex, _head, _rpow, auto_params, em_tail
 
 __all__ = ["QValue", "q_gb", "zero_residual", "consistency_identity"]
 
@@ -41,7 +40,7 @@ class QValue:
 def _reciprocal_q(s: complex, params: EvalParams) -> complex:
     r, _ = em_tail(s, params)
     n_pow = _rpow(params.cutoff_n, 1 - s)
-    return dirichlet_partial_sum(s, params.cutoff_n) / (s * n_pow) + r / n_pow
+    return _head(s, params.cutoff_n) / (s * n_pow) + r / n_pow
 
 
 def _defined(s: object) -> complex:

@@ -37,7 +37,9 @@ only such full-accuracy values decide a BoundaryError, since a certified
 sample must also exceed 2e-6. Phase-walk splits and an off-grid t_max are
 one-node walks. Grid values only pick brackets and Newton seeds, so the
 refined zeros move by rounding only, within the Newton tolerance. Newton
-and Illinois steps and Q make the exact per-point pass at params.
+and Illinois steps make the exact per-point pass at params; Q at the
+refined zero reads the head of Newton's last pass from the evaluator's
+memo (see ``zeta_core``), with the same bits as a pass of its own.
 """
 
 from __future__ import annotations

@@ -6,6 +6,15 @@ import sys
 
 import pytest
 
+from zetagb import zeta_core
+
+
+@pytest.fixture(autouse=True)
+def cold_head_memo():
+    """Start every test with no Dirichlet head in memory, so that a count
+    of exact passes does not depend on the tests run before it."""
+    zeta_core._forget_heads()
+
 
 @pytest.fixture
 def record_call_stacks(monkeypatch):

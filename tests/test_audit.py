@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetagb import audit
+from zetagb import audit, zero_scan
 from zetagb.audit import (
     CONTROL_POINTS,
     DEFAULT_SAMPLE_SEED,
@@ -26,7 +26,7 @@ from zetagb.audit import (
 from zetagb.errors import InconclusiveError, ParameterError
 from zetagb.qfunction import q_gb
 from zetagb.zero_scan import ScanConfig, ZeroRecord, refine_zero
-from zetagb.zeta_core import EvalParams
+from zetagb.zeta_core import EvalParams, remainder_bound
 
 FIRST_ORDINATE = 14.13472514172102
 
@@ -163,14 +163,47 @@ def test_audit_range_asks_each_question_once(record_call_stacks) -> None:
 
     # one Q per zero (reflection covers the conjugate), one Q per control point
     # in q_variation, one Z per control point in audit_range itself, and the
-    # identity checks those values without a pass of its own
-    assert passes_under("audit_zero") == 3
+    # identity checks those values without a pass of its own. Each zero's Q
+    # reads the head of Newton's last pass, and each control Z the head of
+    # its Q, so neither sums it again.
+    assert passes_under("audit_zero") == 0
     assert passes_under("q_variation") == len(CONTROL_POINTS)
     assert passes_under("consistency_identity") == 0
     assert calls.count(("audit_range", "zeta_gb")) == len(CONTROL_POINTS)
+    assert calls.count(("audit_range", "zeta_gb", "dirichlet_partial_sum")) == 0
     # one rectangle over the strip counts the window's zeros, and one scan finds them all
     assert calls.count(("audit_range", "rectangle_winding")) == 1
     assert calls.count(("audit_range", "scan_critical_line")) == 1
+
+
+def test_audit_zero_reads_the_heads_of_the_scan(record_call_stacks) -> None:
+    calls = record_call_stacks(("audit_zero", "dirichlet_partial_sum"))
+    report = audit_range(0.0, 100.0)
+    assert len(report.zero_checks) == 29
+    assert calls.count(("audit_zero",)) == 29
+    assert not any(stack[-1] == "dirichlet_partial_sum" and "audit_zero" in stack for stack in calls)
+
+
+def test_the_strip_winding_meets_its_target_at_its_worst_corner(monkeypatch) -> None:
+    # without explicit params, the winding's params bound the truncation by
+    # 1e-9 on the strip's left side, not only on the critical line
+    winding_params = []
+    walk = zero_scan._walk
+
+    def record(nodes, params, sample, floor=0.0):
+        if floor > 0:  # only the winding sets a floor
+            winding_params.append(params)
+        return walk(nodes, params, sample, floor)
+
+    monkeypatch.setattr(zero_scan, "_walk", record)
+    audit_range(495.0, 499.0)
+    (params,) = set(winding_params)
+    assert remainder_bound(complex(0.01, 499.0), params.cutoff_n, params.tail_order) <= 1e-9
+    # explicit params are the winding's params too
+    winding_params.clear()
+    explicit = EvalParams(1000, 4)
+    audit_range(495.0, 499.0, params=explicit)
+    assert set(winding_params) == {explicit}
 
 
 def test_audit_range_with_no_zeros_is_vacuously_complete() -> None:

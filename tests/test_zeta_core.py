@@ -6,6 +6,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import struct
 import sys
 import threading
 from array import array
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 import oracles
 from zetagb import zeta_core
 from zetagb.errors import ParameterError, PoleError, PrecisionError
+from zetagb.qfunction import q_gb
 from zetagb.zeta_core import (
     DEFAULT_TARGET_EPS,
     EvalParams,
@@ -235,6 +237,69 @@ def test_given_partial_sum_needs_params_and_no_derivative() -> None:
         zeta_gb(s, eps=1e-10, partial_sum=head)
     with pytest.raises(ParameterError, match="partial_sum"):
         zeta_gb(s, EvalParams(40, 6), derivative=True, partial_sum=head)
+
+
+# ---------------------------------------------------------------------------
+# the head memo
+# ---------------------------------------------------------------------------
+
+
+def _bits(z: complex) -> bytes:
+    # unlike ==, tells -0.0 from 0.0
+    return struct.pack("<dd", z.real, z.imag)
+
+
+def test_warm_heads_keep_the_bits_of_a_fresh_pass(monkeypatch: pytest.MonkeyPatch) -> None:
+    rng = random.Random(20159)
+    cases = [
+        (complex(rng.uniform(-1.0, 2.0), rng.uniform(0.0, 500.0)), EvalParams(rng.randint(2, 1000), 4))
+        for _ in range(200)
+    ]
+    cold = [(zeta_gb(s, p).value, q_gb(s, p).value) for s, p in cases]
+    fresh = [dirichlet_partial_sum(s, p.cutoff_n) for s, p in cases]
+
+    def no_pass(*args, **kwargs):
+        raise AssertionError("a warm head made a pass")
+
+    monkeypatch.setattr(zeta_core, "dirichlet_partial_sum", no_pass)
+    warm = [(zeta_gb(s, p).value, q_gb(s, p).value) for s, p in cases]
+    for (s, p), head, before, after in zip(cases, fresh, cold, warm):
+        assert _bits(zeta_core._head(s, p.cutoff_n)) == _bits(head)
+        assert list(map(_bits, before)) == list(map(_bits, after))
+
+
+def test_signed_zero_keys_hold_the_same_bits() -> None:
+    for a, b in ((2 + 0j, complex(2.0, -0.0)), (complex(-0.0, 14.0), complex(0.0, 14.0))):
+        assert a == b and hash(a) == hash(b)  # one key in the memo
+        for n in (2, 3, 40, 1000):
+            heads = [dirichlet_partial_sum(z, n) for z in (a, b)]
+            heads += [dirichlet_partial_sum(z, n, derivative=True)[0] for z in (a, b)]
+            assert len(set(map(_bits, heads))) == 1, (a, b, n)
+
+
+def test_q_after_a_derivative_pass_reuses_its_head(record_call_stacks) -> None:
+    calls = record_call_stacks(("dirichlet_partial_sum",))
+    s, params = 0.5 + 14.134725j, EvalParams(40, 6)
+    # a plain evaluation reads the memo but adds nothing to it
+    zeta_gb(s, params)
+    assert not zeta_core._HEADS
+    zeta_gb(s, params, derivative=True)
+    q_gb(s, params)
+    zeta_gb(s, params)
+    assert len(calls) == 2
+    # a derivative request always makes its own pass
+    zeta_gb(s, params, derivative=True)
+    assert len(calls) == 3
+
+
+def test_the_memo_keeps_its_bound() -> None:
+    bound = zeta_core._HEAD_MEMO_SIZE
+    keys = [(complex(0.5, k / 8), 3) for k in range(3 * bound)]
+    for s, n in keys:
+        zeta_core._head(s, n)
+        assert len(zeta_core._HEADS) <= bound
+    # the oldest go first
+    assert list(zeta_core._HEADS) == list(zeta_core._HEAD_KEYS) == keys[-bound:]
 
 
 # ---------------------------------------------------------------------------
