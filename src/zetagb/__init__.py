@@ -32,7 +32,7 @@ from .errors import (
     SingularQError,
     ZetaGBError,
 )
-from .qfunction import QValue, consistency_identity, q_gb, zero_residual
+from .qfunction import consistency_identity, q_gb
 from .zero_scan import (
     Rectangle,
     ScanConfig,
@@ -67,7 +67,7 @@ __all__ = [
     "DEFAULT_TARGET_EPS", "EvalParams", "EvalResult",
     "dirichlet_partial_sum", "dirichlet_line", "em_tail", "zeta_gb",
     "auto_params", "remainder_bound",
-    "QValue", "q_gb", "zero_residual", "consistency_identity",
+    "q_gb", "consistency_identity",
     "ZeroRecord", "Rectangle", "ScanConfig",
     "refine_zero", "scan_critical_line", "rectangle_winding",
     "write_records_csv", "read_records_csv", "write_records_jsonl", "read_records_jsonl",

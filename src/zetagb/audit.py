@@ -29,7 +29,9 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
+from functools import lru_cache
 
 from .errors import (
     InconclusiveError,
@@ -125,7 +127,7 @@ class AuditReport:
     verdict_lines: tuple[str, ...]
 
 
-def factorization_check(s_h: complex, q_at_sh: complex, samples: list[complex]) -> float:
+def factorization_check(s_h: complex, q_at_sh: complex, samples: Sequence[complex]) -> float:
     """Max over samples of |[s(s-1) + Q] - (s - s_H)(s - (1 - s_H))|.
 
     The difference is Q - s_H (1 - s_H) for every s, so the maximum
@@ -144,13 +146,18 @@ def factorization_check(s_h: complex, q_at_sh: complex, samples: list[complex]) 
     return worst
 
 
-def draw_samples(n: int = 100, seed: int = DEFAULT_SAMPLE_SEED) -> list[complex]:
-    """Deterministic sample points from the audit box."""
+@lru_cache(maxsize=16)
+def draw_samples(n: int = 100, seed: int = DEFAULT_SAMPLE_SEED) -> tuple[complex, ...]:
+    """Deterministic sample points from the audit box.
+
+    Cached by (n, seed): every zero of an audit shares one box, and the
+    tuple keeps any caller from changing it for the others.
+    """
     if not isinstance(n, int) or n < 1:
         raise ParameterError(f"sample count must be a positive integer, got {n!r}")
     rng = random.Random(seed)
     lo_s, hi_s, lo_t, hi_t = SAMPLE_BOX
-    return [complex(rng.uniform(lo_s, hi_s), rng.uniform(lo_t, hi_t)) for _ in range(n)]
+    return tuple(complex(rng.uniform(lo_s, hi_s), rng.uniform(lo_t, hi_t)) for _ in range(n))
 
 
 def _check_params(params: EvalParams | None, rec: ZeroRecord) -> EvalParams:
@@ -166,13 +173,9 @@ def _check_params(params: EvalParams | None, rec: ZeroRecord) -> EvalParams:
 
 
 def audit_zero(
-    rec: ZeroRecord,
-    params: EvalParams | None = None,
-    *,
-    seed: int = DEFAULT_SAMPLE_SEED,
-    n_samples: int = 100,
+    rec: ZeroRecord, params: EvalParams | None = None, *, seed: int = DEFAULT_SAMPLE_SEED
 ) -> PropositionChecks:
-    """Measure every proposition at rec.s.
+    """Measure every proposition at rec.s, the factorization over 100 samples.
 
     Reflection makes Q(conj s) = conj Q(s) bit for bit, so the residual
     at the conjugate zero is the residual at rec.s: the two conjugate
@@ -182,7 +185,7 @@ def audit_zero(
         raise ParameterError(f"rec must be a ZeroRecord, got {type(rec).__name__}")
     params = _check_params(params, rec)
     s = rec.s
-    q_s = q_gb(s, params).value
+    q_s = q_gb(s, params)
 
     residual = abs(s * (s - 1) + q_s)
     q_abs = abs(q_s)
@@ -191,8 +194,7 @@ def audit_zero(
     xi_abs = abs(s.real - 0.5)
     conj_rel = abs(s.conjugate() - (1 - s))
     division_rest = abs(q_s - s * (1 - s))
-    samples = draw_samples(n_samples, seed)
-    max_dev = factorization_check(s, q_s, samples)
+    max_dev = factorization_check(s, q_s, draw_samples(100, seed))
 
     return PropositionChecks(
         zero_residual_abs=residual,
@@ -209,7 +211,7 @@ def q_variation(points: list[complex], params: EvalParams) -> QVariation:
     """Q at each point and the largest pairwise |Q_i - Q_j|."""
     if len(points) < 2:
         raise ParameterError("q_variation needs at least two points")
-    values = [(p, q_gb(p, params).value) for p in (_as_complex(p) for p in points)]
+    values = [(p, q_gb(p, params)) for p in (_as_complex(p) for p in points)]
     max_delta = max(
         abs(values[i][1] - values[j][1])
         for i in range(len(values))

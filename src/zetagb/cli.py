@@ -30,6 +30,7 @@ from .serialize import csv_text, dumps
 from .zero_scan import (
     Rectangle,
     ScanConfig,
+    _worst_corner,
     rectangle_winding,
     record_fields,
     scan_critical_line,
@@ -224,8 +225,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     rect = Rectangle(args.sigma_min, args.sigma_max, args.t_min, args.t_max)
     params = _explicit_params(args)
     if params is None:
-        # the truncation bound is largest at the left corner farthest from the real axis
-        params = auto_params(complex(rect.sigma_min, max(abs(rect.t_min), abs(rect.t_max))), min(args.eps, 1e-9))
+        params = auto_params(_worst_corner(rect), min(args.eps, 1e-9))
     count, residual = rectangle_winding(rect, params)
     fields = {
         "sigma_min": rect.sigma_min, "sigma_max": rect.sigma_max,

@@ -4,8 +4,10 @@ Q is defined through its reciprocal,
 
     1/Q(s) = (1/(s N^{1-s})) * sum_{n=1}^{N-1} n^{-s}  +  r(N, s) / N^{1-s},
 
-with r(N, s) the abbreviated Euler-Maclaurin tail. Dividing the full
-evaluator by s N^{1-s} shows the algebraic identity
+with r(N, s) the abbreviated Euler-Maclaurin tail (``em_tail``).
+``q_gb(s, params)`` returns Q(s) itself at the caller's (N, nu); it
+refuses s = 0 and 1 and raises SingularQError where |1/Q| underflows.
+Dividing the full evaluator by s N^{1-s} shows the algebraic identity
 
     Z(s) = s N^{1-s} * ( 1/(s(s-1)) + 1/Q(s) ),
 
@@ -17,30 +19,19 @@ residual, on Z and Q values already evaluated, is exposed as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import ParameterError, SingularQError
-from .zeta_core import DEFAULT_TARGET_EPS, EvalParams, _as_complex, _head, _rpow, auto_params, em_tail
+from .zeta_core import EvalParams, _as_complex, _head, _rpow, em_tail
 
-__all__ = ["QValue", "q_gb", "zero_residual", "consistency_identity"]
+__all__ = ["q_gb", "consistency_identity"]
 
 # |1/Q| below this would overflow the reciprocal; treated as Q = infinity.
 _SINGULAR_FLOOR = 1e-300
 
 
-@dataclass(frozen=True)
-class QValue:
-    """Q at a point together with |1/Q| for near-singularity diagnosis."""
-
-    value: complex
-    inverse_magnitude: float
-    params_used: EvalParams
-
-
 def _reciprocal_q(s: complex, params: EvalParams) -> complex:
-    r, _ = em_tail(s, params)
     n_pow = _rpow(params.cutoff_n, 1 - s)
-    return _head(s, params.cutoff_n) / (s * n_pow) + r / n_pow
+    return _head(s, params.cutoff_n) / (s * n_pow) + em_tail(s, params) / n_pow
 
 
 def _defined(s: object) -> complex:
@@ -50,29 +41,16 @@ def _defined(s: object) -> complex:
     return z
 
 
-def _resolve(s: object, params: EvalParams | None, eps: float) -> tuple[complex, EvalParams]:
-    z = _defined(s)
-    if params is None:
-        params = auto_params(z, eps)
-    return z, params
+def q_gb(s: complex, params: EvalParams) -> complex:
+    """Q(s) = 1 / rhs under ``params``, with the reciprocal as defined above.
 
-
-def q_gb(s: complex, params: EvalParams | None = None, *, eps: float = DEFAULT_TARGET_EPS) -> QValue:
-    """Evaluate Q(s) = 1 / rhs with the reciprocal as defined above."""
-    s, params = _resolve(s, params, eps)
+    The zero condition s(s-1) + Q(s) = 0 holds at the zeros of zeta.
+    """
+    s = _defined(s)
     rhs = _reciprocal_q(s, params)
-    inverse_magnitude = abs(rhs)
-    if inverse_magnitude < _SINGULAR_FLOOR:
-        raise SingularQError(
-            f"|1/Q| = {inverse_magnitude:.3e} at s = {s!r}; Q is effectively infinite"
-        )
-    return QValue(value=1.0 / rhs, inverse_magnitude=inverse_magnitude, params_used=params)
-
-
-def zero_residual(s: complex, params: EvalParams | None = None, *, eps: float = DEFAULT_TARGET_EPS) -> complex:
-    """s(s-1) + Q(s); vanishes (numerically) exactly at the zeros."""
-    s, params = _resolve(s, params, eps)
-    return s * (s - 1) + q_gb(s, params).value
+    if abs(rhs) < _SINGULAR_FLOOR:
+        raise SingularQError(f"|1/Q| = {abs(rhs):.3e} at s = {s!r}; Q is effectively infinite")
+    return 1.0 / rhs
 
 
 def consistency_identity(s: complex, z: complex, q: complex, params: EvalParams) -> float:

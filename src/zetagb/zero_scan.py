@@ -165,7 +165,7 @@ class ScanConfig:
 
 
 def _refine_params(s0: complex, tol: float) -> EvalParams:
-    return auto_params(s0, max(1e-13, tol / 10.0))
+    return auto_params(s0, tol / 10.0)
 
 
 def _scan_config(cfg: ScanConfig | None) -> ScanConfig:
@@ -238,7 +238,7 @@ def refine_zero(
         s=z,
         xi=z.real - 0.5,
         z_modulus=abs(fz),
-        q_value=q_gb(z, params).value,
+        q_value=q_gb(z, params),
         refine_iterations=iterations,
         params_used=params,
     )
@@ -435,6 +435,11 @@ def _phase_walk(
     return _phase_walk(za, mid, fa, fm, f, depth + 1) + _phase_walk(mid, zb, fm, fb, f, depth + 1)
 
 
+def _worst_corner(rect: Rectangle) -> complex:
+    # the truncation bound is largest at the left corner farthest from the real axis
+    return complex(rect.sigma_min, max(abs(rect.t_min), abs(rect.t_max)))
+
+
 def rectangle_winding(rect: Rectangle, params: EvalParams | None = None) -> tuple[int, float]:
     """Winding number of Z along the rectangle boundary and its residual.
 
@@ -444,8 +449,7 @@ def rectangle_winding(rect: Rectangle, params: EvalParams | None = None) -> tupl
     """
     if not isinstance(rect, Rectangle):
         raise ParameterError(f"rect must be a Rectangle, got {type(rect).__name__}")
-    # the truncation bound is largest at the left corner farthest from the real axis
-    worst = complex(rect.sigma_min, max(abs(rect.t_min), abs(rect.t_max)))
+    worst = _worst_corner(rect)
     if params is None:
         params = auto_params(worst, 1e-9)
     sample = _sample_params(worst, params)

@@ -119,7 +119,8 @@ class EvalParams:
         _check_cutoff(self.cutoff_n)
         if not isinstance(self.tail_order, int) or self.tail_order < 1:
             raise ParameterError(f"tail_order must be an integer >= 1, got {self.tail_order!r}")
-        if 2 * self.tail_order > MAX_INDEX:
+        # the bound's first omitted term reads B_{2 nu + 2}
+        if 2 * self.tail_order + 2 > MAX_INDEX:
             raise ParameterError(
                 f"tail_order {self.tail_order} needs Bernoulli indices beyond the cap {MAX_INDEX}"
             )
@@ -300,19 +301,19 @@ def _em_series(
     return total, slope
 
 
-def em_tail(s: complex, params: EvalParams) -> tuple[complex, float]:
-    """Abbreviated tail r(N, s) and its certified bound divided by |s|.
+def em_tail(s: complex, params: EvalParams) -> complex:
+    """Abbreviated tail r(N, s), so that Z(s) = head + N^{1-s}/(s-1) + s r(N, s).
 
     The product in the mu = 1 term is empty, so that term is
-    (B_2/2) * N^{-s-1}. The second return value scales the full-sum
-    bound by 1/|s| so that |s| * bound matches the evaluator's bound.
+    (B_2/2) * N^{-s-1}. Its truncation bound is the evaluator's
+    ``remainder_bound`` divided by |s|.
     """
     s = _as_complex(s)
     if s == 0:
         raise ParameterError("the abbreviated tail divides by s; s = 0 is excluded")
-    n, nu = params.cutoff_n, params.tail_order
-    r, _ = _em_series(s, n, nu, _rpow(n, -s) / (2 * s), 1.0 + 0.0j, 0.0j)
-    return r, remainder_bound(s, n, nu) / abs(s)
+    n = params.cutoff_n
+    r, _ = _em_series(s, n, params.tail_order, _rpow(n, -s) / (2 * s), 1.0 + 0.0j, 0.0j)
+    return r
 
 
 def zeta_gb(

@@ -106,7 +106,7 @@ def test_audit_zero_flags_an_off_line_record() -> None:
     params = EvalParams(64, 8)
     s = complex(0.6, FIRST_ORDINATE)
     fake = ZeroRecord(t=FIRST_ORDINATE, s=s, xi=0.1, z_modulus=1e-11,
-                      q_value=q_gb(s, params).value, refine_iterations=3,
+                      q_value=q_gb(s, params), refine_iterations=3,
                       params_used=params)
     checks = audit_zero(fake)
     assert checks.xi_abs == pytest.approx(0.1, abs=1e-12)

@@ -78,6 +78,13 @@ def test_explicit_params_must_come_in_pairs(capsys) -> None:
     assert "--N and --nu" in err
 
 
+def test_tail_order_beyond_the_bernoulli_table_exits_2(capsys) -> None:
+    # the bound after nu = 30 terms reads B_62; the table stops at B_60
+    code, out, err = invoke(capsys, "eval", "--re", "2", "--N", "16", "--nu", "30")
+    assert (code, out) == (2, "")
+    assert err.startswith("parameter error: tail_order 30")
+
+
 def test_explicit_cutoff_above_the_schedule_exits_2(capsys) -> None:
     code, _, err = invoke(capsys, "eval", "--re", "0.5", "--im", "14", "--N", "64129", "--nu", "4")
     assert code == 2
@@ -222,6 +229,15 @@ def test_count_with_a_zero_on_the_contour_exits_4(capsys) -> None:
                           "--t-min", "0.1", "--t-max", str(FIRST_ORDINATE))
     assert code == 4
     assert "nudge" in err
+
+
+def test_count_with_a_zero_just_off_the_contour_exits_4(capsys) -> None:
+    # the first zero sits 3e-6 below the bottom side: every sample there
+    # exceeds 1e-6, yet the phase step near it stays above pi/2
+    code, _, err = invoke(capsys, "count", "--sigma-min", "0.41", "--sigma-max", "0.61",
+                          "--t-min", "14.13472814172102", "--t-max", "15")
+    assert code == 4
+    assert "after 12 splits" in err
 
 
 @pytest.mark.parametrize(("eps", "target"), (((), 1e-9), (("--eps", "1e-11"), 1e-11)))

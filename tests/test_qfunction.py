@@ -9,8 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from zetagb.errors import ParameterError
-from zetagb.qfunction import consistency_identity, q_gb, zero_residual
+from zetagb import qfunction
+from zetagb.errors import ParameterError, SingularQError
+from zetagb.qfunction import consistency_identity, q_gb
 from zetagb.zeta_core import EvalParams, auto_params, zeta_gb
 
 # frozen from the trisection oracle in tests/oracles.py
@@ -19,8 +20,8 @@ FIRST_ORDINATE = 14.13472514172102
 
 def test_frozen_values_at_small_cutoff() -> None:
     params = EvalParams(8, 6)
-    q2 = q_gb(2, params).value
-    q3 = q_gb(3, params).value
+    q2 = q_gb(2, params)
+    q3 = q_gb(3, params)
     assert q2.imag == 0.0
     assert q3.imag == 0.0
     assert q2.real == pytest.approx(0.1644808189071065, rel=1e-13)
@@ -29,36 +30,29 @@ def test_frozen_values_at_small_cutoff() -> None:
 
 def test_q_depends_on_s() -> None:
     params = EvalParams(8, 6)
-    delta = abs(q_gb(2, params).value - q_gb(3, params).value)
+    delta = abs(q_gb(2, params) - q_gb(3, params))
     assert delta > 0.1
 
 
 def test_q_at_first_zero_matches_quarter_plus_t_squared() -> None:
     s = complex(0.5, FIRST_ORDINATE)
-    q = q_gb(s, eps=1e-10).value
+    q = q_gb(s, auto_params(s, 1e-10))
     assert abs(q - (0.25 + FIRST_ORDINATE**2)) <= 1e-4
     assert abs(q.imag) <= 1e-6 * abs(q)
-
-
-def test_zero_residual_vanishes_only_near_zeros() -> None:
-    at_zero = zero_residual(complex(0.5, FIRST_ORDINATE), eps=1e-10)
-    assert abs(at_zero) <= 1e-4
-    away = zero_residual(2, EvalParams(16, 4))
-    assert abs(away) > 1.0
 
 
 def test_consistency_identity_is_pure_rounding() -> None:
     params = EvalParams(32, 6)
     for s in (2 + 0j, 3 + 4j, 0.25 + 5j, 0.75 + 20j, -1.5 + 40j):
         z = zeta_gb(s, params).value
-        residual = consistency_identity(s, z, q_gb(s, params).value, params)
+        residual = consistency_identity(s, z, q_gb(s, params), params)
         assert residual <= 1e-12 * max(1.0, abs(z))
 
 
 def test_identity_holds_under_auto_params_too() -> None:
     s = 0.6 + 21j
     params = auto_params(s, 1e-8)
-    z, q = zeta_gb(s, params).value, q_gb(s, params).value
+    z, q = zeta_gb(s, params).value, q_gb(s, params)
     assert consistency_identity(s, z, q, params) <= 1e-9
 
 
@@ -83,26 +77,21 @@ def _with_audit_scale_examples(test):
 def test_conjugate_reflection(sigma: float, t: float, cutoff: int) -> None:
     # the audit takes Z and Q at conj(s) to be the conjugates, bit for bit
     params = EvalParams(cutoff, 6)
-    for fn in (q_gb, zeta_gb):
-        upper = fn(complex(sigma, t), params).value
-        lower = fn(complex(sigma, -t), params).value
-        assert lower == upper.conjugate()
+    upper, lower = complex(sigma, t), complex(sigma, -t)
+    assert q_gb(lower, params) == q_gb(upper, params).conjugate()
+    assert zeta_gb(lower, params).value == zeta_gb(upper, params).value.conjugate()
 
 
 def test_undefined_points_are_rejected() -> None:
-    for fn in (q_gb, zero_residual):
-        with pytest.raises(ParameterError):
-            fn(0)
-        with pytest.raises(ParameterError):
-            fn(1)
     for s in (0, 1):
+        with pytest.raises(ParameterError):
+            q_gb(s, EvalParams(16, 4))
         with pytest.raises(ParameterError):
             consistency_identity(s, 1 + 0j, 1 + 0j, EvalParams(16, 4))
 
 
-def test_value_carries_its_params() -> None:
-    params = EvalParams(16, 3)
-    out = q_gb(0.5 + 10j, params)
-    assert out.params_used is params
-    assert out.inverse_magnitude > 0
-    assert out.inverse_magnitude == pytest.approx(1.0 / abs(out.value), rel=1e-12)
+def test_underflowing_reciprocal_is_singular(monkeypatch) -> None:
+    # |1/Q| below 1e-300 would overflow Q itself
+    monkeypatch.setattr(qfunction, "_reciprocal_q", lambda s, params: 1e-301 + 0j)
+    with pytest.raises(SingularQError, match="effectively infinite"):
+        q_gb(0.5 + 10j, EvalParams(16, 3))

@@ -17,7 +17,7 @@ import pytest
 
 import oracles
 from zetagb import zero_scan
-from zetagb.errors import BoundaryError, ParameterError, RefinementError
+from zetagb.errors import BoundaryError, InconclusiveError, ParameterError, RefinementError
 from zetagb.zero_scan import (
     RECORD_FIELDS,
     Rectangle,
@@ -502,6 +502,17 @@ def test_boundary_zero_aborts_the_walk() -> None:
     # top-right corner sits on the first zero
     with pytest.raises(BoundaryError, match="nudge"):
         rectangle_winding(Rectangle(0.01, 0.5, 0.1, ORACLE_ORDINATES[0]))
+
+
+def test_a_winding_far_from_an_integer_is_inconclusive(monkeypatch) -> None:
+    # a third of a turn added to the first step leaves the total a third
+    # away from the one zero inside (a quarter would sit on the threshold)
+    walk = zero_scan._phase_walk
+    extra = [math.tau / 3]
+    monkeypatch.setattr(zero_scan, "_phase_walk", lambda *args: walk(*args) + (extra.pop() if extra else 0.0))
+    with pytest.raises(InconclusiveError, match="away from an integer") as caught:
+        rectangle_winding(Rectangle(0.1, 0.9, 13.5, 14.5))
+    assert caught.value.residual == pytest.approx(1 / 3, abs=1e-6)
 
 
 def test_rectangle_validation() -> None:

@@ -255,14 +255,14 @@ def test_warm_heads_keep_the_bits_of_a_fresh_pass(monkeypatch: pytest.MonkeyPatc
         (complex(rng.uniform(-1.0, 2.0), rng.uniform(0.0, 500.0)), EvalParams(rng.randint(2, 1000), 4))
         for _ in range(200)
     ]
-    cold = [(zeta_gb(s, p).value, q_gb(s, p).value) for s, p in cases]
+    cold = [(zeta_gb(s, p).value, q_gb(s, p)) for s, p in cases]
     fresh = [dirichlet_partial_sum(s, p.cutoff_n) for s, p in cases]
 
     def no_pass(*args, **kwargs):
         raise AssertionError("a warm head made a pass")
 
     monkeypatch.setattr(zeta_core, "dirichlet_partial_sum", no_pass)
-    warm = [(zeta_gb(s, p).value, q_gb(s, p).value) for s, p in cases]
+    warm = [(zeta_gb(s, p).value, q_gb(s, p)) for s, p in cases]
     for (s, p), head, before, after in zip(cases, fresh, cold, warm):
         assert _bits(zeta_core._head(s, p.cutoff_n)) == _bits(head)
         assert list(map(_bits, before)) == list(map(_bits, after))
@@ -440,7 +440,7 @@ def test_bound_rejects_too_negative_real_part() -> None:
 def test_tail_reassembles_the_evaluator() -> None:
     for s in (2 + 0j, 0.5 + 14.1j, -0.5 + 3j):
         params = EvalParams(32, 6)
-        r, scaled_bound = em_tail(s, params)
+        r = em_tail(s, params)
         n = params.cutoff_n
         rebuilt = (
             dirichlet_partial_sum(s, n)
@@ -449,15 +449,14 @@ def test_tail_reassembles_the_evaluator() -> None:
         )
         direct = zeta_gb(s, params)
         assert abs(rebuilt - direct.value) <= 1e-13 * max(1.0, abs(direct.value))
-        assert abs(s) * scaled_bound == pytest.approx(direct.remainder_bound, rel=1e-12)
 
 
 def test_tail_rejects_origin_and_short_tables() -> None:
     with pytest.raises(ParameterError):
         em_tail(0 + 0j, EvalParams(16, 2))
-    # the bound needs B_62, beyond the table cap
-    with pytest.raises(ParameterError):
-        em_tail(2 + 0j, EvalParams(16, 30))
+    # the bound after nu = 30 terms needs B_62, beyond the table cap
+    with pytest.raises(ParameterError, match="tail_order"):
+        EvalParams(16, 30)
 
 
 # ---------------------------------------------------------------------------
@@ -496,8 +495,10 @@ def test_eval_params_validation() -> None:
         EvalParams(1, 2)
     with pytest.raises(ParameterError):
         EvalParams(16, 0)
-    with pytest.raises(ParameterError):
-        EvalParams(16, 31)  # Bernoulli indices beyond the table cap
+    assert EvalParams(16, 29).tail_order == 29  # its bound reads B_60, the last entry
+    for nu in (30, 31):  # Bernoulli indices beyond the table cap
+        with pytest.raises(ParameterError, match="tail_order"):
+            EvalParams(16, nu)
     with pytest.raises(ParameterError):
         EvalParams(16, 2, target_eps=0.0)
     with pytest.raises(ParameterError):
