@@ -164,17 +164,18 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     auto = params is None
     result = zeta_gb(s, params, eps=args.eps)
     params = result.params_used
+    bound = result.remainder_bound
     fields = {
         "re": s.real, "im": s.imag,
         "value_re": result.value.real, "value_im": result.value.imag,
         "abs_value": abs(result.value),
-        "remainder_bound": result.remainder_bound,
+        "remainder_bound": bound,
         "N": params.cutoff_n, "nu": params.tail_order,
         "auto_params": auto,
     }
     text = (
         f"Z({s.real:g}{s.imag:+g}i) = {result.value.real:.15g} {result.value.imag:+.15g}i\n"
-        f"remainder bound {result.remainder_bound:.3e}  "
+        f"remainder bound {bound:.3e}  "
         f"(N={params.cutoff_n}, nu={params.tail_order}, "
         f"{'auto' if auto else 'explicit'} parameters)\n"
     )

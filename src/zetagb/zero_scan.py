@@ -31,7 +31,13 @@ certified: it counts when |value| exceeds 2^10 times its truncation bound
 plus a first-order rounding bound (N - 1 additions and a phase error of
 2 |s| ln N in any pass, k + 2 more roundings at walk node k, all in units
 of u sum n^{-sigma}). Its error is then below |zeta|/1024, so by Rouche's
-theorem it has the sign and the winding of the exact value. A node that
+theorem it has the sign and the winding of the exact value. On a
+vertical walk (the scan grid, a rectangle's left and right sides) each
+factor |s + k| of the truncation bound grows with |t|, so the bound at
+the end farther from the real axis is at least every node's: a node
+certified against it is certified, and only the others read their own
+bound, so every decision is the per-node one. Horizontal sides read each
+node's bound, which is not monotone in sigma near t = 0. A node that
 fails the certificate makes the exact pass at params; on a rectangle side
 only such full-accuracy values decide a BoundaryError, since a certified
 sample must also exceed 2e-6. Phase-walk splits and an off-grid t_max are
@@ -55,7 +61,7 @@ from dataclasses import dataclass
 from .errors import BoundaryError, InconclusiveError, ParameterError, RefinementError
 from .serialize import csv_text, dumps
 from .zeta_core import (_IM_CAP, EvalParams, _as_complex, _schedule, auto_params, dirichlet_line,
-                        zeta_gb)
+                        remainder_bound, zeta_gb)
 from .qfunction import q_gb
 
 __all__ = [
@@ -283,18 +289,26 @@ def _walk(
     # zeta at nodes evenly spaced on a line (or at one node), the Dirichlet
     # sums from one walk at the sample cutoff. A sample counts where |value|
     # exceeds floor and _SAMPLE_MARGIN times its truncation bound plus its
-    # rounding; elsewhere the node makes the exact pass at params.
+    # rounding; elsewhere the node makes the exact pass at params. On a
+    # vertical line the bound at the end farther from the real axis is at
+    # least every node's, so a node it certifies needs no bound of its own.
     heads: list[complex | None] = [None]
     if len(nodes) > 1:
         heads = dirichlet_line(nodes[0], nodes[-1], len(nodes) - 1, sample.cutoff_n)
     if sample == params:
         return [zeta_gb(z, params, partial_sum=head).value for z, head in zip(nodes, heads)]
+    line_bound = math.inf
+    start, stop = nodes[0], nodes[-1]
+    if len(nodes) > 1 and start.real == stop.real:
+        far = max(start, stop, key=lambda z: abs(z.imag))
+        line_bound = remainder_bound(far, sample.cutoff_n, sample.tail_order)
     values = []
     for z, head, rounding in zip(nodes, heads, _rounding(nodes, sample.cutoff_n)):
         result = zeta_gb(z, sample, partial_sum=head)
         value = result.value
-        if not abs(value) > max(floor, _SAMPLE_MARGIN * (result.remainder_bound + rounding)):
-            value = zeta_gb(z, params).value
+        if not abs(value) > max(floor, _SAMPLE_MARGIN * (line_bound + rounding)):
+            if not abs(value) > max(floor, _SAMPLE_MARGIN * (result.remainder_bound + rounding)):
+                value = zeta_gb(z, params).value
         values.append(value)
     return values
 

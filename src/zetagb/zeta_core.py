@@ -22,7 +22,10 @@ evaluates (H. M. Edwards, *Riemann's Zeta Function*, 6.4),
           + sum_{mu=1}^{nu} B_{2mu}/(2mu)! * (P_mu' - ln N P_mu) * N^{-s-2mu+1},
 
 with A = N^{1-s}/(s-1) and P_mu = s(s+1)...(s+2mu-2). Each derivative
-term reuses the n^{-s} or tail term of the same pass.
+term reuses the n^{-s} or tail term of the same pass. Only that request
+carries the tail's slope P_mu'. The truncation bound is computed when
+``EvalResult.remainder_bound`` is first read, with the same bits, so
+Newton steps and walked samples, which never read it, do not pay for it.
 
 At uniformly spaced nodes s_k = s_0 + k d on a line, ``dirichlet_line``
 walks the sum instead: n^{-s_{k+1}} = n^{-s_k} n^{-d}, one complex
@@ -34,8 +37,9 @@ worst (measured 2.1e-14 of that sum over 2,000-node lines). ``zeta_gb``
 accepts such a node's sum in place of its own pass. The scanner walks at
 a sample cutoff near |t|/3, from the schedule of ``auto_params`` started
 lower, and keeps a node's value only where |value| exceeds 2^10 times its
-truncation and rounding bounds; elsewhere it makes the exact pass (see
-``zero_scan``).
+truncation and rounding bounds (on a vertical line, one bound at its end
+farther from the real axis serves every node first); elsewhere it makes
+the exact pass (see ``zero_scan``).
 
 The derivative request and Q (``qfunction``) keep the heads
 sum_{n<N} n^{-s} of their exact passes in a memo of the 2,048 most
@@ -131,16 +135,30 @@ class EvalParams:
 
 @dataclass(frozen=True)
 class EvalResult:
-    """Evaluated value plus the certified truncation bound that produced it.
+    """Evaluated value at ``s`` plus the certified truncation bound of its params.
 
-    ``derivative`` is the exact derivative of the evaluated sum, or None
-    unless it was asked for.
+    ``remainder_bound`` is computed on its first read, as
+    ``remainder_bound(s, N, nu)`` with the same bits, and kept, so a
+    caller that never reads it does not pay for it. ``derivative`` is the
+    exact derivative of the evaluated sum, or None unless it was asked for.
     """
 
     value: complex
-    remainder_bound: float
+    s: complex
     params_used: EvalParams
     derivative: complex | None = None
+
+    @property
+    def remainder_bound(self) -> float:
+        # kept after the first read without functools.cached_property, which
+        # takes a lock on Python 3.11; two threads reading at once both
+        # compute the same bits
+        bound = self.__dict__.get("_bound")
+        if bound is None:
+            params = self.params_used
+            bound = remainder_bound(self.s, params.cutoff_n, params.tail_order)
+            object.__setattr__(self, "_bound", bound)
+        return bound
 
 
 def _rpow(base: float, exponent: complex) -> complex:
@@ -254,6 +272,16 @@ def _coeff(mu: int) -> float:
     return float(_full_table()[2 * mu] / math.factorial(2 * mu))
 
 
+def _tail_denominator(s: complex, tail_order: int) -> float:
+    # Re(s) + 2 nu + 1, refused unless positive
+    denom = s.real + 2 * tail_order + 1
+    if denom <= 0:
+        raise ParameterError(
+            f"tail order {tail_order} too small for Re(s) = {s.real}; need Re(s) + 2*nu + 1 > 0"
+        )
+    return denom
+
+
 def remainder_bound(s: complex, cutoff_n: int, tail_order: int) -> float:
     """Certified bound on the dropped tail after ``tail_order`` terms.
 
@@ -262,11 +290,7 @@ def remainder_bound(s: complex, cutoff_n: int, tail_order: int) -> float:
     """
     s = _as_complex(s)
     nu = tail_order
-    denom = s.real + 2 * nu + 1
-    if denom <= 0:
-        raise ParameterError(
-            f"tail order {nu} too small for Re(s) = {s.real}; need Re(s) + 2*nu + 1 > 0"
-        )
+    denom = _tail_denominator(s, nu)
     prod = 1.0
     for k in range(2 * nu + 1):
         prod *= abs(s + k)
@@ -275,28 +299,31 @@ def remainder_bound(s: complex, cutoff_n: int, tail_order: int) -> float:
 
 
 def _em_series(
-    s: complex, cutoff_n: int, tail_order: int, head: complex, prod: complex, dprod: complex
-) -> tuple[complex, complex]:
-    # head + sum_mu c_mu * prod * (s+1)...(s+2mu-2) * N^{-s-2mu+1}, and the
-    # derivative of the sum over mu (head excluded): prod' = dprod rides along
-    # by the product rule. The evaluator passes head = N^{-s}/2, prod = s,
+    s: complex, cutoff_n: int, tail_order: int, head: complex, prod: complex, dprod: complex | None = None
+) -> tuple[complex, complex | None]:
+    # head + sum_mu c_mu * prod * (s+1)...(s+2mu-2) * N^{-s-2mu+1}, and, when
+    # dprod = prod' is given, the derivative of the sum over mu (head
+    # excluded), carried along by the product rule; None otherwise. The
+    # evaluator passes head = N^{-s}/2, prod = s and, for a derivative,
     # dprod = 1 (safe at s = 0); the abbreviated tail r(N, s) passes
-    # head = N^{-s}/(2s), prod = 1, dprod = 0.
+    # head = N^{-s}/(2s), prod = 1. The total has the same bits either way.
     n = cutoff_n
     log_n = math.log(n)
     total = head
-    slope = 0.0j
+    slope = None if dprod is None else 0.0j
     npow = _rpow(n, -s - 1)
     inv_n2 = 1.0 / (n * n)
     for mu in range(1, tail_order + 1):
         if mu > 1:
             a, b = s + 2 * mu - 3, s + 2 * mu - 2
-            dprod = dprod * (a * b) + prod * (a + b)
+            if dprod is not None:
+                dprod = dprod * (a * b) + prod * (a + b)
             prod *= a * b
         c = _coeff(mu)
         term = c * prod * npow
         total += term
-        slope += c * dprod * npow - log_n * term
+        if dprod is not None:
+            slope += c * dprod * npow - log_n * term
         npow *= inv_n2
     return total, slope
 
@@ -312,7 +339,7 @@ def em_tail(s: complex, params: EvalParams) -> complex:
     if s == 0:
         raise ParameterError("the abbreviated tail divides by s; s = 0 is excluded")
     n = params.cutoff_n
-    r, _ = _em_series(s, n, params.tail_order, _rpow(n, -s) / (2 * s), 1.0 + 0.0j, 0.0j)
+    r, _ = _em_series(s, n, params.tail_order, _rpow(n, -s) / (2 * s), 1.0 + 0.0j)
     return r
 
 
@@ -352,7 +379,7 @@ def zeta_gb(
     n, nu = params.cutoff_n, params.tail_order
     pole_term = _rpow(n, 1 - s) / (s - 1)
     half = _rpow(n, -s) / 2
-    tail, tail_slope = _em_series(s, n, nu, half, s, 1.0 + 0.0j)
+    tail, tail_slope = _em_series(s, n, nu, half, s, 1.0 + 0.0j if derivative else None)
     slope = None
     if derivative:
         head, head_slope = dirichlet_partial_sum(s, n, derivative=True)
@@ -366,9 +393,9 @@ def zeta_gb(
     value = head + pole_term + tail
     if not cmath.isfinite(value):
         raise ParameterError(f"evaluation overflowed at s = {s!r} with cutoff {n}")
-    return EvalResult(
-        value=value, remainder_bound=remainder_bound(s, n, nu), params_used=params, derivative=slope
-    )
+    # the bound is computed on its first read, but its order is refused here
+    _tail_denominator(s, nu)
+    return EvalResult(value=value, s=s, params_used=params, derivative=slope)
 
 
 def auto_params(s: complex, eps: float) -> EvalParams:

@@ -370,6 +370,45 @@ def test_each_sample_lies_within_its_certificate(sampled_walks) -> None:
     assert nodes_checked >= 1997 + 10 * 44
 
 
+def test_a_vertical_walk_is_bounded_at_its_far_end(sampled_walks, monkeypatch) -> None:
+    # the walk tests every node of a vertical line against the bound at its
+    # end farther from the real axis first; that bound is at least each
+    # node's, also on a line that crosses the axis
+    crossing = [complex(0.5, -3.0 + 0.25 * k) for k in range(21)]
+    walks = [(nodes, sample) for nodes, _, sample, _ in sampled_walks if len(nodes) > 1]
+    vertical = [(nodes, sample) for nodes, sample in walks if nodes[0].real == nodes[-1].real]
+    assert len(vertical) >= 21 and len(vertical) < len(walks)
+    for nodes, sample in vertical + [(crossing, EvalParams(16, 4))]:
+        n, nu = sample.cutoff_n, sample.tail_order
+        line_bound = remainder_bound(max(nodes[0], nodes[-1], key=lambda z: abs(z.imag)), n, nu)
+        assert all(remainder_bound(z, n, nu) <= line_bound for z in nodes)
+    # on the crossing line the walk's first bound is the far end's, and every
+    # node still takes the decision of its own bound
+    params, sample = EvalParams(40, 10), EvalParams(16, 4)
+    bounded = []
+    bound = zero_scan.remainder_bound
+    monkeypatch.setattr(zero_scan, "remainder_bound", lambda s, *args: bounded.append(s) or bound(s, *args))
+    values = zero_scan._walk(crossing, params, sample)
+    assert bounded[0] == complex(0.5, -3.0)
+    for (z, sampled, rounding), value in zip(_samples(crossing, sample), values):
+        certified = abs(sampled.value) > 2.0**10 * (sampled.remainder_bound + rounding)
+        assert value == (sampled.value if certified else zeta_gb(z, params).value)
+
+
+def test_walks_read_few_truncation_bounds(record_call_stacks) -> None:
+    params = zero_scan._refine_params(complex(0.5, 14.1), ScanConfig.tol)
+    calls = record_call_stacks(("remainder_bound",))
+    # params and sample params take a few schedule bounds, each vertical
+    # walk one, and only nodes that line bound cannot certify their own
+    # (511 calls when every node read its own bound)
+    assert len(zero_scan.scan_critical_line(0, 100)) == 29
+    assert len(calls) <= 20
+    # Newton never reads a bound
+    calls.clear()
+    refine_zero(complex(0.5, 14.1), params=params)
+    assert calls == []
+
+
 def test_samples_agree_with_mpmath(sampled_walks) -> None:
     rng = random.Random(20261018)
     picks = [(nodes, sample, rng.randrange(len(nodes)))

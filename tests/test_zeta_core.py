@@ -224,6 +224,8 @@ def test_given_partial_sum_keeps_value_and_bound_bitwise() -> None:
         given = zeta_gb(s, params, partial_sum=dirichlet_partial_sum(s, params.cutoff_n))
         assert _same_bits(given.value, plain.value)
         assert given.remainder_bound == plain.remainder_bound
+        # the bound is read from the function, bit for bit
+        assert _bits(plain.remainder_bound) == _bits(remainder_bound(s, params.cutoff_n, params.tail_order))
         assert given.params_used == params
         assert given.derivative is None
 
@@ -332,6 +334,7 @@ def test_derivative_keeps_the_value_bitwise() -> None:
         both = zeta_gb(s, params, derivative=True)
         assert _same_bits(both.value, plain.value)
         assert both.remainder_bound == plain.remainder_bound
+        assert _bits(both.remainder_bound) == _bits(remainder_bound(s, params.cutoff_n, params.tail_order))
         assert plain.derivative is None
     assert zeta_gb(2).derivative is None
 
@@ -435,6 +438,31 @@ def test_bound_decreases_with_cutoff() -> None:
 def test_bound_rejects_too_negative_real_part() -> None:
     with pytest.raises(ParameterError):
         remainder_bound(-10 + 0j, 16, 2)
+
+
+def test_the_bound_is_computed_on_its_first_read(record_call_stacks) -> None:
+    s, params = 0.5 + 100j, EvalParams(212, 9)
+    calls = record_call_stacks(("remainder_bound",))
+    result = zeta_gb(s, params)
+    assert calls == []
+    first = result.remainder_bound
+    again = result.remainder_bound
+    assert len(calls) == 1
+    assert _bits(again) == _bits(first) == _bits(remainder_bound(s, 212, 9))
+    # the kept bound is no field: it shows in neither repr nor equality
+    assert "_bound" not in repr(result) and result == zeta_gb(s, params)
+
+
+def test_evaluation_refuses_a_too_small_tail_order_unread() -> None:
+    # the bound is computed on read, but the evaluation itself still refuses
+    # the order, with the bound's message and without reading the bound
+    with pytest.raises(ParameterError) as bound_error:
+        remainder_bound(-10 + 0j, 16, 2)
+    with pytest.raises(ParameterError) as eval_error:
+        zeta_gb(-10, EvalParams(16, 2))
+    assert str(eval_error.value) == str(bound_error.value)
+    assert str(eval_error.value).startswith("tail order 2 too small for Re(s) = -10.0")
+    assert zeta_gb(-4.9, EvalParams(16, 2)).remainder_bound > 0
 
 
 def test_tail_reassembles_the_evaluator() -> None:
