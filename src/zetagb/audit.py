@@ -44,7 +44,7 @@ from .qfunction import consistency_identity, q_gb
 from .serialize import dumps
 from .zero_scan import (Rectangle, ScanConfig, ZeroRecord, _check_t_range, _scan_config,
                         record_fields, rectangle_winding, scan_critical_line)
-from .zeta_core import EvalParams, _as_complex, auto_params, zeta_gb
+from .zeta_core import EvalParams, _as_complex, auto_params, remainder_bound, zeta_gb
 
 __all__ = [
     "DEFAULT_SAMPLE_SEED",
@@ -163,11 +163,15 @@ def draw_samples(n: int = 100, seed: int = DEFAULT_SAMPLE_SEED) -> tuple[complex
 def _check_params(params: EvalParams | None, rec: ZeroRecord) -> EvalParams:
     if params is None:
         return rec.params_used
+    # a larger N may go with a smaller nu, so the bounds at the zero decide
     used = rec.params_used
-    if params.cutoff_n < used.cutoff_n or params.tail_order < used.tail_order:
+    bound = remainder_bound(rec.s, params.cutoff_n, params.tail_order)
+    used_bound = remainder_bound(rec.s, used.cutoff_n, used.tail_order)
+    if bound > used_bound:
         raise ParameterError(
-            f"audit params (N={params.cutoff_n}, nu={params.tail_order}) are less accurate "
-            f"than the record's (N={used.cutoff_n}, nu={used.tail_order})"
+            f"audit params (N={params.cutoff_n}, nu={params.tail_order}) bound the truncation "
+            f"at the zero by {bound:.3e}, above the {used_bound:.3e} of the record's "
+            f"(N={used.cutoff_n}, nu={used.tail_order})"
         )
     return params
 

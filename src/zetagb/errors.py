@@ -34,7 +34,8 @@ class PrecisionError(ZetaGBError):
     """The requested accuracy cannot be certified in binary64.
 
     ``best_bound`` carries the smallest remainder bound the parameter
-    schedule reached before giving up (None when no candidate was tried).
+    schedule can reach, at its largest cutoff (None when no candidate
+    was tried).
     """
 
     def __init__(self, message: str, best_bound: float | None = None):

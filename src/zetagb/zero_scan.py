@@ -23,12 +23,12 @@ sampling that keeps every phase increment below pi/2.
 The scan grid and each rectangle side's base nodes are uniformly spaced
 on a line, so their Dirichlet sums come from one ``dirichlet_line`` walk
 (one complex multiply per term and node). Those values only decide signs
-and phases, so the walk runs at a sample cutoff: the first schedule entry
-from N = max(16, ceil(|t|/3)) whose truncation bound at the walk's worst
-corner (sigma_min, max |t|) is at most 1e-8, unless the caller's params
-cost less (N + 12 nu) or no entry applies (beyond t = 500). Each sample is
-certified: it counts when |value| exceeds 2^10 times its truncation bound
-plus a first-order rounding bound (N - 1 additions and a phase error of
+and phases, so the walk runs at a sample cutoff: the cheapest schedule
+entry (by N + 3 nu, see ``zeta_core``) whose truncation bound at the
+walk's worst corner (sigma_min, max |t|) is at most 1e-8, or the caller's
+params where no entry applies (beyond t = 500). Each sample is certified:
+it counts when |value| exceeds 2^10 times its truncation bound plus a
+first-order rounding bound (N - 1 additions and a phase error of
 2 |s| ln N in any pass, k + 2 more roundings at walk node k, all in units
 of u sum n^{-sigma}). Its error is then below |zeta|/1024, so by Rouche's
 theorem it has the sign and the winding of the exact value. On a
@@ -43,9 +43,13 @@ only such full-accuracy values decide a BoundaryError, since a certified
 sample must also exceed 2e-6. Phase-walk splits and an off-grid t_max are
 one-node walks. Grid values only pick brackets and Newton seeds, so the
 refined zeros move by rounding only, within the Newton tolerance. Newton
-and Illinois steps make the exact per-point pass at params; Q at the
-refined zero reads the head of Newton's last pass from the evaluator's
-memo (see ``zeta_core``), with the same bits as a pass of its own.
+and Illinois steps make the exact per-point pass at params. Once |Z| <=
+tol, one polish step at the same params squares the error again and is
+kept while |Z| still meets tol, so a refined zero's |Z| sits far below
+tol (at most 4.8e-13 over 0 < t < 499) rather than wherever the last
+step happened to land. Q at the refined zero reads the head of Newton's
+pass there from the evaluator's memo (see ``zeta_core``), with the same
+bits as a pass of its own.
 """
 
 from __future__ import annotations
@@ -88,7 +92,6 @@ _PHASE_LIMIT = math.pi / 2
 _LEFT_STRIP = "iteration left the critical strip"
 _SAMPLE_EPS = 1e-8       # truncation bound of the sampled walks at their worst corner
 _SAMPLE_MARGIN = 2.0 ** 10  # a sample counts when |value| exceeds this many error bounds
-_TAIL_COST = 12          # a tail order costs about 12 walked terms (1.5 us vs 0.13 us, Python 3.11)
 _UNIT_ROUNDOFF = 2.0 ** -53
 
 
@@ -198,11 +201,14 @@ def refine_zero(
 ) -> ZeroRecord:
     """Newton-refine a zero seed inside the critical strip.
 
-    Stops when |Z| <= tol; a step below 1e-12 that still leaves |Z|
+    Iterates until |Z| <= tol; a step below 1e-12 that still leaves |Z|
     above tol counts as a stall. Iterates leaving the strip raise
-    RefinementError. The refined location is kept as measured (xi is
-    never projected onto the line); seeds in the lower half plane
-    produce the conjugate record.
+    RefinementError. Then one polish step at the same params, counted in
+    ``refine_iterations``, squares the error again; its point is kept if
+    |Z| still meets tol, so |Z| at a zero does not depend on where the
+    last step below tol happened to land. The refined location is kept
+    as measured (xi is never projected onto the line); seeds in the
+    lower half plane produce the conjugate record.
     """
     s0 = _as_complex(s0, "s0")
     if not 0.0 < s0.real < 1.0:
@@ -235,6 +241,14 @@ def refine_zero(
             raise RefinementError(
                 f"stalled at {z!r}: step {abs(step):.3e} below floor with |Z| = {abs(fz):.3e}"
             )
+    # the polish: one more step, which squares the error, kept if |Z| still meets tol
+    if deriv != 0 and cmath.isfinite(deriv):
+        polished = z - fz / deriv
+        if 0.0 < polished.real < 1.0:
+            iterations += 1
+            fp, _ = f(polished)
+            if abs(fp) <= tol:
+                z, fz = polished, fp
     if z.imag < 0:
         z = z.conjugate()  # |Z| is unchanged: Z(conj s) = conj Z(s)
     if z.imag == 0:
@@ -252,21 +266,11 @@ def refine_zero(
 
 def _sample_params(corner: complex, params: EvalParams) -> EvalParams:
     # the (N, nu) of sign and phase samples on a walk whose truncation bound
-    # is largest at ``corner``: the first schedule entry from
-    # N = max(16, ceil(|t|/3)) bounding it by _SAMPLE_EPS, or params where
-    # they are cheaper or no entry applies. auto_params starts no lower
-    # either; from N = 2 the search took up to 32 bounds at t <= 15 and kept
-    # params all the same.
+    # is largest at ``corner``: the cheapest bounding it by _SAMPLE_EPS, or
+    # params beyond the supported range or where no schedule entry applies
     if abs(corner.imag) > _IM_CAP:
         return params
-    sample, _ = _schedule(corner, _SAMPLE_EPS, max(16, math.ceil(abs(corner.imag) / 3)))
-    if sample is None or _cost(sample) >= _cost(params):
-        return params
-    return sample
-
-
-def _cost(params: EvalParams) -> int:
-    return params.cutoff_n + _TAIL_COST * params.tail_order
+    return _schedule(corner, _SAMPLE_EPS) or params
 
 
 def _rounding(nodes: list[complex], cutoff_n: int) -> list[float]:

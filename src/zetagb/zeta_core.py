@@ -11,12 +11,19 @@ and certifies the truncation error with the first-omitted-term rule
     |R| <= |B_{2nu+2}/(2nu+2)!| * |s(s+1)...(s+2nu)|
            * N^{-Re(s)-2nu-1} * |s+2nu+1| / (Re(s)+2nu+1).
 
+``auto_params`` picks the (N, nu) of least cost N + 3 nu whose bound meets
+eps: a tail order costs about three Dirichlet terms. The bound is
+A_nu N^{-(Re s + 2 nu + 1)}, so each nu has its least N in closed form,
+and as nu grows that N falls towards |t|/(2 pi), the cutoff H. M. Edwards
+gives (*Riemann's Zeta Function*, 6.4); at t = 499 and eps = 1e-10 the
+choice is (136, 20), not the (1000, 4) that N = 2 (|t| + 1) needs.
+
 Everything is plain binary64; powers go through exp(-s ln n) with the
 real logarithm, so no branch ambiguity arises. The Dirichlet sum reads
 ln n from one table, computed once and shared, with the same bits.
 
 On request the evaluator also returns the exact derivative of the sum it
-evaluates (H. M. Edwards, *Riemann's Zeta Function*, 6.4),
+evaluates (Edwards, 6.4),
 
     Z'(s) = -sum_{n=2}^{N-1} ln n n^{-s}  -  A (ln N + 1/(s-1))  -  ln N N^{-s}/2
           + sum_{mu=1}^{nu} B_{2mu}/(2mu)! * (P_mu' - ln N P_mu) * N^{-s-2mu+1},
@@ -35,18 +42,18 @@ multiply per term after one exp per term for n^{-s_0} and for n^{-d}
 carry k more roundings, so node k drifts by O(k u) sum |n^{-s_k}| at
 worst (measured 2.1e-14 of that sum over 2,000-node lines). ``zeta_gb``
 accepts such a node's sum in place of its own pass. The scanner walks at
-a sample cutoff near |t|/3, from the schedule of ``auto_params`` started
-lower, and keeps a node's value only where |value| exceeds 2^10 times its
-truncation and rounding bounds (on a vertical line, one bound at its end
-farther from the real axis serves every node first); elsewhere it makes
-the exact pass (see ``zero_scan``).
+a sample cutoff, the cheapest schedule entry that bounds the walk's worst
+corner by 1e-8, and keeps a node's value only where |value| exceeds 2^10
+times its truncation and rounding bounds (on a vertical line, one bound
+at its end farther from the real axis serves every node first); elsewhere
+it makes the exact pass (see ``zero_scan``).
 
 The derivative request and Q (``qfunction``) keep the heads
 sum_{n<N} n^{-s} of their exact passes in a memo of the 2,048 most
 recent, keyed by (s, N) under complex equality and evicted oldest first;
-Q and the plain evaluator read it. So Newton's last pass, Q at the
-refined zero and its audit share one pass, and so do Q and Z at a
-control point. The head depends on s and N alone, not on nu or eps, and
+Q and the plain evaluator read it. So Newton's pass at the refined zero,
+Q there and its audit share one pass, and so do Q and Z at a control
+point. The head depends on s and N alone, not on nu or eps, and
 a stored head is the total of the pass that made it: a plain pass and a
 derivative pass add the same terms in the same order, so a hit returns
 the bits a fresh pass would. Keys with a signed zero, such as 2+0j and
@@ -83,16 +90,22 @@ __all__ = [
 
 DEFAULT_TARGET_EPS = 1e-8
 
-# auto_params search space: cutoffs double up to 2^6 times, tail orders
-# sweep this band. Wider nu stops paying off before the factorial blow-up.
-_AUTO_DOUBLINGS = 6
+# auto_params sweeps tail orders over this band. Wider nu stops paying off
+# before the factorial blow-up.
 _AUTO_NU_RANGE = range(2, 26)
 _EPS_FLOOR = 1e-13
 _IM_CAP = 500.0
-# the largest cutoff auto_params can pick; larger ones only grow the log table
-_MAX_CUTOFF = math.ceil(2.0 * (_IM_CAP + 1.0)) << _AUTO_DOUBLINGS
-# exact Dirichlet heads kept by _head; auditing 0..499 needs about 3.7 per
-# zero between a zero's refinement and its audit, 1,000 in all
+# one tail order costs about as much as three Dirichlet terms: 0.58 us against
+# 0.18 us a term on a plain pass, 1.03 us against 0.30-0.39 us on a derivative
+# pass (Python 3.11.7)
+_TAIL_TERMS = 3
+# the largest cutoff, explicit or scheduled; larger ones only grow the log
+# table. It is 64 times 2 (|t| + 1) at the cap.
+_MAX_CUTOFF = 64_128
+_SHADE = 1.0 - 1e-12
+# exact Dirichlet heads kept by _head; auditing 0..499 needs about 4.7 per
+# zero (the polish step included) between a zero's refinement and its
+# audit, about 1,270 in all
 _HEAD_MEMO_SIZE = 2048
 
 
@@ -399,11 +412,12 @@ def zeta_gb(
 
 
 def auto_params(s: complex, eps: float) -> EvalParams:
-    """Pick the first (N, nu) on the schedule whose certified bound meets ``eps``.
+    """Pick the cheapest (N, nu) whose certified bound meets ``eps``.
 
-    The cutoff starts at max(16, ceil(2 (|Im s| + 1))) and doubles up to
-    2^6 times; for each cutoff the tail order sweeps 2..25. Accuracy
-    requests below 1e-13 are refused: binary64 rounding already eats that.
+    Cost is N + 3 nu: one tail order costs about three Dirichlet terms.
+    The tail order ranges over 2..25 and the cutoff over 2..64,128 (see
+    ``_schedule``). Accuracy requests below 1e-13 are refused: binary64
+    rounding already eats that.
     """
     s = _as_complex(s)
     if abs(s.imag) > _IM_CAP:
@@ -413,8 +427,10 @@ def auto_params(s: complex, eps: float) -> EvalParams:
     if eps < _EPS_FLOOR:
         raise PrecisionError(f"eps = {eps} is below the binary64 floor {_EPS_FLOOR}")
 
-    params, best = _schedule(s, eps, max(16, math.ceil(2.0 * (abs(s.imag) + 1.0))))
+    params = _schedule(s, eps)
     if params is None:
+        best = min((remainder_bound(s, _MAX_CUTOFF, nu) for nu in _AUTO_NU_RANGE
+                    if s.real + 2 * nu + 1 > 0), default=math.inf)
         raise PrecisionError(
             f"no schedule entry certifies eps = {eps} at s = {s!r}; best bound {best:.3e}",
             best_bound=best,
@@ -422,18 +438,51 @@ def auto_params(s: complex, eps: float) -> EvalParams:
     return params
 
 
-def _schedule(s: complex, eps: float, base: int) -> tuple[EvalParams | None, float]:
-    # the first (N, nu) from cutoff ``base`` whose bound at s meets eps, or
-    # None, and the best bound seen
-    best = math.inf
-    for doubling in range(_AUTO_DOUBLINGS + 1):
-        cutoff = base << doubling
-        for nu in _AUTO_NU_RANGE:
-            if s.real + 2 * nu + 1 <= 0:
-                continue
-            bound = remainder_bound(s, cutoff, nu)
-            if bound < best:
-                best = bound
-            if bound <= eps:
-                return EvalParams(cutoff_n=cutoff, tail_order=nu, target_eps=float(eps)), best
-    return None, best
+@lru_cache(maxsize=None)
+def _abs_coeffs() -> tuple[float, ...]:
+    # |B_{2mu}/(2mu)!| for mu = 0..MAX_INDEX/2, the bound's leading factor
+    return tuple(abs(_coeff(mu)) for mu in range(MAX_INDEX // 2 + 1))
+
+
+def _schedule(s: complex, eps: float) -> EvalParams | None:
+    # the (N, nu) of least cost N + 3 nu, nu in 2..25 and N <= _MAX_CUTOFF,
+    # whose bound at s meets eps, or None. The bound is A_nu N^-d with
+    # d = Re s + 2 nu + 1 and A_nu = |c_{nu+1}| prod_{k<=2nu+1} |s + k| / d,
+    # so each nu has its least N in closed form, from a running product.
+    # Cost falls while a longer tail shortens N by more than 3 and rises
+    # after (the tests check this against a full search), so the sweep
+    # stops at the first rise. Only the winner is checked against
+    # remainder_bound itself, N raised until it meets eps; the closed form
+    # is shaded by 1e-12 so that it never starts above the least N.
+    sigma, t = s.real, s.imag
+    coeffs = _abs_coeffs()
+    hypot = math.hypot
+    prod = hypot(sigma, t) * hypot(sigma + 1.0, t) * hypot(sigma + 2.0, t) * hypot(sigma + 3.0, t)
+    best_cost = math.inf
+    best = None
+    for nu in _AUTO_NU_RANGE:
+        a = sigma + 2 * nu
+        d = a + 1.0
+        prod *= hypot(a, t) * hypot(d, t)
+        if d <= 0.0:
+            continue
+        try:
+            x = (coeffs[nu + 1] * prod / (d * eps)) ** (1.0 / d)
+        except OverflowError:
+            continue
+        if x > _MAX_CUTOFF:
+            continue
+        cutoff = max(2, math.ceil(x * _SHADE))
+        cost = cutoff + _TAIL_TERMS * nu
+        if cost > best_cost:
+            break
+        if cost < best_cost:
+            best_cost, best = cost, (cutoff, nu)
+    if best is None:
+        return None
+    least, nu = best
+    # the closed form and the bound round apart by a few ulps
+    for cutoff in range(least, min(least + 4, _MAX_CUTOFF + 1)):
+        if remainder_bound(s, cutoff, nu) <= eps:
+            return EvalParams(cutoff_n=cutoff, tail_order=nu, target_eps=float(eps))
+    return None

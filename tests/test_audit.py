@@ -116,10 +116,27 @@ def test_audit_zero_flags_an_off_line_record() -> None:
 
 def test_audit_zero_rejects_weaker_params(first_zero) -> None:
     used = first_zero.params_used
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="bound the truncation"):
         audit_zero(first_zero, EvalParams(used.cutoff_n // 2, used.tail_order))
     with pytest.raises(ParameterError):
         audit_zero("not a record")  # type: ignore[arg-type]
+
+
+def test_audit_zero_compares_bounds_not_n_and_nu(first_zero) -> None:
+    # the record's cheap params have the larger tail order, yet the longer
+    # Dirichlet sum of (1000, 4) bounds the truncation at the zero far lower
+    used = first_zero.params_used
+    explicit = EvalParams(1000, 4)
+    assert explicit.tail_order < used.tail_order
+    s = first_zero.s
+    assert remainder_bound(s, 1000, 4) < remainder_bound(s, used.cutoff_n, used.tail_order)
+    assert audit_zero(first_zero, explicit).xi_abs == abs(first_zero.xi)
+    # a looser set, one order short of the record's at its cutoff, is refused
+    looser = EvalParams(used.cutoff_n, used.tail_order - 1)
+    assert remainder_bound(s, looser.cutoff_n, looser.tail_order) > remainder_bound(
+        s, used.cutoff_n, used.tail_order)
+    with pytest.raises(ParameterError, match="bound the truncation"):
+        audit_zero(first_zero, looser)
 
 
 def test_q_variation_across_controls() -> None:
@@ -297,6 +314,16 @@ def test_every_zero_near_the_cap_is_audited() -> None:
     assert len(report.zero_checks) == 5
     assert round(report.zero_checks[-1][0].t, 4) == 498.5808
     assert _verdict(report, "III").split()[1] == "PASS"
+
+
+def test_the_supported_range_passes_all_eight_verdicts() -> None:
+    # without the polish step IV-VI failed from t = 250 on (2.9e-3 against
+    # 1e-4), flipping with where Newton's last step below tol landed
+    report = audit_range(0.0, 499.0)
+    assert report.complete
+    assert report.strip_zeros == len(report.zero_checks) == 269
+    assert [line.split()[1] for line in report.verdict_lines] == ["PASS"] * 8
+    assert max(c.zero_residual_abs for _, c in report.zero_checks) <= 1e-5
 
 
 def test_audit_range_aborts_to_a_partial_report() -> None:

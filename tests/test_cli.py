@@ -36,7 +36,7 @@ def test_eval_json(capsys) -> None:
     payload = json.loads(out)
     assert payload["value_re"] == pytest.approx(math.pi**2 / 6, abs=1e-8)
     assert payload["auto_params"] is True
-    assert payload["N"] == 16
+    assert payload["N"] == 9
 
 
 def test_eval_accuracy_request_is_certified(capsys) -> None:
@@ -109,7 +109,7 @@ def test_eval_writes_to_file(capsys, tmp_path) -> None:
                           "--out", str(target))
     assert code == 0
     assert out == ""
-    assert json.loads(target.read_text())["N"] == 16
+    assert json.loads(target.read_text())["N"] == 9
 
 
 def test_params_reports_the_schedule_choice(capsys) -> None:
@@ -117,7 +117,7 @@ def test_params_reports_the_schedule_choice(capsys) -> None:
                           "--format", "json")
     assert code == 0
     payload = json.loads(out)
-    assert (payload["N"], payload["nu"]) == (202, 3)
+    assert (payload["N"], payload["nu"]) == (40, 9)
     assert payload["certified_bound"] <= 1e-8
 
 

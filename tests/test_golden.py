@@ -50,6 +50,8 @@ CASES: dict[str, tuple[str, ...]] = {
     "eval_cancelling_json": ("eval", "--re", "-0.9", "--im", "400", "--eps", "1e-10", "--format", "json"),
     "eval_explicit_csv": ("eval", "--re", "0.3", "--im", "7", "--N", "40", "--nu", "6", "--format", "csv"),
     **{f"params_{fmt}": (*_PARAMS, "--format", fmt) for fmt in _FORMATS},
+    # the schedule's choice at the most cancelling corner of the supported range
+    "params_cancelling_json": ("params", "--re", "-1", "--im", "499", "--eps", "1e-12", "--format", "json"),
     **{f"zeros_{fmt}": (*_ZEROS, "--format", fmt) for fmt in _FORMATS},
     "zeros_jsonl": (*_ZEROS, "--format", "json", "--jsonl"),
     **{f"count_{fmt}": (*_COUNT, "--format", fmt) for fmt in _FORMATS},

@@ -133,7 +133,8 @@ def test_partial_sum_is_bitwise_under_concurrent_growth(monkeypatch: pytest.Monk
 
 
 def test_bound_and_schedule_leave_the_log_table_alone(monkeypatch: pytest.MonkeyPatch) -> None:
-    # a refused request walks the whole schedule, up to cutoff 64 * 1000
+    # a refused request sweeps every tail order and reports its best bound
+    # at the largest cutoff, 64,128
     _fresh_log_table(monkeypatch)
     with pytest.raises(PrecisionError):
         auto_params(-40 + 499j, 1e-13)
@@ -142,7 +143,7 @@ def test_bound_and_schedule_leave_the_log_table_alone(monkeypatch: pytest.Monkey
 
 
 def test_cutoff_is_capped_before_the_table_grows() -> None:
-    # the cap is the largest cutoff auto_params can pick: 2 * (500 + 1) << 6
+    # the cap is the largest cutoff auto_params can pick, 64 times 2 (|t| + 1) at t = 500
     assert EvalParams(64_128, 4).cutoff_n == 64_128
     size = len(zeta_core._LOGS)
     with pytest.raises(ParameterError, match="64128"):
@@ -493,11 +494,54 @@ def test_tail_rejects_origin_and_short_tables() -> None:
 
 
 def test_auto_params_examples() -> None:
-    assert auto_params(2 + 0j, 1e-10) == EvalParams(16, 2, 1e-10)
-    assert auto_params(2 + 0j, 1e-12) == EvalParams(16, 3, 1e-12)
+    # the cheapest (N, nu) by N + 3 nu; the first fit from N = 2 (|t| + 1)
+    # took (16, 2), (16, 3) and (202, 3)
+    assert auto_params(2 + 0j, 1e-10) == EvalParams(9, 3, 1e-10)
+    assert auto_params(2 + 0j, 1e-12) == EvalParams(10, 4, 1e-12)
     picked = auto_params(0.5 + 100j, 1e-8)
-    assert (picked.cutoff_n, picked.tail_order) == (202, 3)
+    assert (picked.cutoff_n, picked.tail_order) == (40, 9)
     assert remainder_bound(0.5 + 100j, picked.cutoff_n, picked.tail_order) <= 1e-8
+    # the bound vanishes where a factor |s + k| does: the least cutoff serves
+    assert auto_params(-1 + 0j, 1e-8) == EvalParams(2, 2, 1e-8)
+
+
+def test_auto_params_picks_the_cheapest_certified_pair() -> None:
+    # every pair (N, nu) with N in 2..2000 and nu in 2..25 that costs less
+    # than the choice leaves the bound above eps
+    for sigma in (-1.0, 0.5, 2.0):
+        for t in (0.0, 14.0, 100.0, 250.0, 499.0):
+            for eps in (1e-8, 1e-10, 1e-12):
+                s = complex(sigma, t)
+                picked = auto_params(s, eps)
+                assert picked.cutoff_n <= 2000
+                assert remainder_bound(s, picked.cutoff_n, picked.tail_order) <= eps
+                cost = picked.cutoff_n + 3 * picked.tail_order
+                for nu in range(2, 26):
+                    for n in range(2, min(2001, cost - 3 * nu)):
+                        assert remainder_bound(s, n, nu) > eps, (s, eps, n, nu)
+
+
+def _first_fit(s: complex, eps: float) -> tuple[int, int] | None:
+    # the schedule the cost rule replaced: N from max(16, ceil(2 (|t| + 1)))
+    # doubling up to 2^6 times, nu sweeping 2..25 at each N, the first fit
+    base = max(16, math.ceil(2.0 * (abs(s.imag) + 1.0)))
+    for doubling in range(7):
+        for nu in range(2, 26):
+            if s.real + 2 * nu + 1 > 0 and remainder_bound(s, base << doubling, nu) <= eps:
+                return base << doubling, nu
+    return None
+
+
+def test_no_request_the_first_fit_accepted_is_refused() -> None:
+    # points of the benchmark's evaluation box: sigma in [-1, 2], t in [0, 500]
+    rng = random.Random(20160)
+    for _ in range(300):
+        s = complex(rng.uniform(-1.0, 2.0), rng.uniform(0.0, 500.0))
+        eps = rng.choice((1e-8, 1e-10, 1e-12))
+        old = _first_fit(s, eps)
+        if old is not None:
+            picked = auto_params(s, eps)  # a refusal raises PrecisionError
+            assert picked.cutoff_n + 3 * picked.tail_order <= old[0] + 3 * old[1]
 
 
 def test_auto_params_certifies_its_choice() -> None:
