@@ -242,6 +242,116 @@ def test_given_partial_sum_needs_params_and_no_derivative() -> None:
         zeta_gb(s, EvalParams(40, 6), derivative=True, partial_sum=head)
 
 
+# Every node value of four walked lines, recorded as hex before the node
+# kernel replaced the per-node evaluation: the two vertical lines walk the
+# scan grid and a strip rectangle's left side, the horizontal one that
+# rectangle's bottom side, and the single node is a one-node walk (a
+# phase-walk split or an off-grid t_max) at the corner of the supported box.
+_WALK_PINS = (
+    ([complex(0.5, 30 + 0.25 * k) for k in range(41)], EvalParams(20, 7), """
+    -0x1.ee269b78abd76p-4 -0x1.2ad9932d264bap-1
+    -0x1.78b341fe1bcd8p-4 -0x1.bdcdd8e4fb565p-3
+    0x1.baeec3ae45c08p-5 0x1.4603770a57509p-4
+    0x1.1b54d04857b6ep-2 0x1.161c76258541ep-2
+    0x1.0c72413c686f7p-1 0x1.5d8846bc347c3p-2
+    0x1.7c7fc943ed0e6p-1 0x1.2d627e1903233p-2
+    0x1.c5f0078c37386p-1 0x1.430e03b6ca9a3p-3
+    0x1.d8d0e9d49f4cdp-1 -0x1.8860b2f7227bcp-6
+    0x1.b039ed28e085dp-1 -0x1.92d58f2435854p-3
+    0x1.53975ee463ecap-1 -0x1.39db98efff551p-2
+    0x1.aba9e0ebd37d4p-2 -0x1.3cf68464d917dp-2
+    0x1.49b66e671d14cp-3 -0x1.729805bd813ecp-3
+    -0x1.73a52f572ee31p-5 0x1.445dc2ec04f75p-4
+    -0x1.25e08c564383ep-3 0x1.c6e2dad8992f1p-2
+    -0x1.7042091afb7d2p-4 0x1.ba477a8961292p-1
+    0x1.14f820cfa4fd7p-3 0x1.45814666f20f7p+0
+    0x1.0b97ba33b3d05p-1 0x1.98723a8f436eep+0
+    0x1.0884c17f0846ep+0 0x1.c5765cbf5cce7p+0
+    0x1.9a6724f317e64p+0 0x1.c104002692e3fp+0
+    0x1.138ef2c646573p+1 0x1.86ed4460b3586p+0
+    0x1.4cd80519457fep+1 0x1.1b982f7ee381cp+0
+    0x1.700f594c856bfp+1 0x1.177d3cf4b4a94p-1
+    0x1.7756bea8c616cp+1 -0x1.554155309f609p-4
+    0x1.611b411deedbfp+1 -0x1.619566b5302efp-1
+    0x1.30879bce69789p+1 -0x1.3015a64ed5accp+0
+    0x1.da416c2fc17b7p+0 -0x1.80d857883b0fcp+0
+    0x1.4328d3a6593d3p+0 -0x1.983b4e173fc93p+0
+    0x1.67a90f56ab51bp-1 -0x1.74fd9146cb84ap+0
+    0x1.0b34282b01ba0p-2 -0x1.1fd487a808902p+0
+    0x1.050da9b54f908p-8 -0x1.53ee823856eb6p-1
+    -0x1.28757d33f3beap-5 -0x1.50586922855c7p-3
+    0x1.0fadcad595aadp-3 0x1.2016410777a8fp-2
+    0x1.db653605c2ab3p-2 0x1.2f08295d33eb0p-1
+    0x1.c3fb39047c1fep-1 0x1.6db3d4495f946p-1
+    0x1.4c31ca46c0e9ap+0 0x1.444a0d3bbc778p-1
+    0x1.9f10b46436696p+0 0x1.7fa2fa7240f56p-2
+    0x1.c9759efa18886p+0 -0x1.51d2477652910p-10
+    0x1.c2e8e80f7e719p+0 -0x1.a50836359b372p-2
+    0x1.8d49d46b4eb77p+0 -0x1.886ad7d593f14p-1
+    0x1.34529d8fa5398p+0 -0x1.fbd3b523bfa98p-1
+    0x1.9609fcf3c04f0p-1 -0x1.0a90f910012cfp+0
+"""),
+    ([complex(0.01, 300) + 4j * (k / 16) for k in range(17)], EvalParams(91, 15), """
+    -0x1.86d0f063be334p+1 0x1.aa15a31ef9b83p+2
+    0x1.195bcccbf242fp+2 0x1.b7b09ceb4e6c3p+2
+    0x1.189cde3e84115p+3 0x1.276a10d554317p+0
+    0x1.b2cda2a90de18p+2 -0x1.6041081969b6ep+2
+    0x1.1c03603b6096cp-1 -0x1.f02a6153c43d9p+2
+    -0x1.262b3a4622cfep+2 -0x1.11fcd7912649bp+2
+    -0x1.2e316cdbf9f03p+2 0x1.6709705c897abp+0
+    -0x1.01f06137b25aep-1 0x1.13069225af1fep+2
+    0x1.d745cbb8aac0dp+1 0x1.289691f3c66fap+1
+    0x1.ec75f0dab49c7p+1 -0x1.07adad6f86023p+1
+    -0x1.44f54a8f8dd60p-5 -0x1.0ea8d451ba80bp+2
+    -0x1.07a580fb3d246p+2 -0x1.b7f604a43afeep+0
+    -0x1.0ca38f3e52627p+2 0x1.c45b6630d6dcbp+1
+    0x1.a6580119a973bp-2 0x1.b8a63985948fbp+2
+    0x1.8b6cfa2833a5ap+2 0x1.47bd51acef5dfp+2
+    0x1.0c9b172d5a055p+3 -0x1.4f18e0ffb3a6dp-1
+    0x1.5121a2c8a1852p+2 -0x1.7bbecc803e5a6p+2
+"""),
+    ([complex(0.01, 300) + 0.98 * (k / 4) for k in range(5)], EvalParams(91, 15), """
+    -0x1.86d0f063be334p+1 0x1.aa15a31ef9b83p+2
+    -0x1.243bce8188a78p-1 0x1.23bbd853aba32p+1
+    0x1.e8ea23c163deep-2 0x1.373ef2cbbc182p-1
+    0x1.d28f0f1258546p-1 -0x1.698e82b4379e0p-8
+    0x1.14f45bbacda86p+0 -0x1.aaf3a7aeea0adp-3
+"""),
+    ([complex(-1, 499)], EvalParams(138, 22), """
+    0x1.2cd2b8990cc39p+9 0x1.57684ee3579abp+9
+"""),
+)
+
+
+def _walked(nodes: list[complex], params: EvalParams) -> list[complex]:
+    # the values a walk finishes from its Dirichlet sums: one line walk, or
+    # the exact pass for a single node
+    if len(nodes) > 1:
+        heads = dirichlet_line(nodes[0], nodes[-1], len(nodes) - 1, params.cutoff_n)
+    else:
+        heads = [dirichlet_partial_sum(nodes[0], params.cutoff_n)]
+    return [zeta_gb(z, params, partial_sum=head).value for z, head in zip(nodes, heads)]
+
+
+@pytest.mark.parametrize(("nodes", "params", "pins"), _WALK_PINS, ids=("grid", "left", "bottom", "single"))
+def test_walked_values_keep_their_bits(nodes: list[complex], params: EvalParams, pins: str) -> None:
+    want = [complex(*map(float.fromhex, line.split())) for line in pins.strip().splitlines()]
+    assert len(want) == len(nodes)
+    assert list(map(_bits, _walked(nodes, params))) == list(map(_bits, want))
+
+
+def test_walked_values_keep_their_errors() -> None:
+    # a node that overflows, and a tail order too small at the line's
+    # smallest Re s, keep the evaluator's messages
+    with pytest.raises(ParameterError, match=r"^evaluation overflowed at s = \(0\.5\+1e\+200j\) with cutoff 16$"):
+        _walked([complex(0.5, 1e200)], EvalParams(16, 4))
+    line = [complex(-10.0 + k, 5.0) for k in range(7)]
+    with pytest.raises(ParameterError) as refused:
+        _walked(line, EvalParams(16, 2))
+    assert str(refused.value) == str(pytest.raises(ParameterError, remainder_bound, line[0], 16, 2).value)
+    assert str(refused.value).startswith("tail order 2 too small for Re(s) = -10.0")
+
+
 # ---------------------------------------------------------------------------
 # the head memo
 # ---------------------------------------------------------------------------
