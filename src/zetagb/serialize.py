@@ -3,16 +3,17 @@
 Floats are written with 17 significant digits, which round-trips every
 finite binary64 value exactly. The JSON writer mirrors the layout of
 ``json.dumps(..., indent=n)`` but routes floats through the same
-formatter, so parse -> rewrite is byte-identical. CSV cells use the
-same formatter.
+formatter, so parse -> rewrite is byte-identical. Strings and keys go
+through the encoder ``json.dumps`` uses for a str, with the same output.
+CSV cells use the same formatter.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 import math
+from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable
 
 __all__ = ["fmt_float", "dumps", "csv_text"]
@@ -34,7 +35,7 @@ def _emit(obj: Any, indent: int | None, level: int, out: list[str]) -> None:
     elif obj is False:
         out.append("false")
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        out.append(encode_basestring_ascii(obj))
     elif isinstance(obj, int):
         out.append(str(obj))
     elif isinstance(obj, float):
@@ -50,7 +51,7 @@ def _emit(obj: Any, indent: int | None, level: int, out: list[str]) -> None:
                 raise TypeError(f"JSON object keys must be strings, got {key!r}")
             if i:
                 out.append(sep)
-            out.append(json.dumps(key) + ": ")
+            out.append(encode_basestring_ascii(key) + ": ")
             _emit(value, indent, level + 1, out)
         out.append(end + "}")
     elif isinstance(obj, (list, tuple)):

@@ -22,34 +22,36 @@ sampling that keeps every phase increment below pi/2.
 
 The scan grid and each rectangle side's base nodes are uniformly spaced
 on a line, so their Dirichlet sums come from one ``dirichlet_line`` walk
-(one complex multiply per term and node). Those values only decide signs
-and phases, so the walk runs at a sample cutoff: the cheapest schedule
-entry (by N + 3 nu, see ``zeta_core``) whose truncation bound at the
-walk's worst corner (sigma_min, max |t|) is at most 1e-8, or the caller's
-params where no entry applies (beyond t = 500). Each sample is certified:
-it counts when |value| exceeds 2^10 times its truncation bound plus a
-first-order rounding bound (N - 1 additions and a phase error of
-2 |s| ln N in any pass, k + 2 more roundings at walk node k, all in units
-of u sum n^{-sigma}). Its error is then below |zeta|/1024, so by Rouche's
-theorem it has the sign and the winding of the exact value. On a
-vertical walk (the scan grid, a rectangle's left and right sides) each
-factor |s + k| of the truncation bound grows with |t|, so the bound at
-the end farther from the real axis is at least every node's: a node
-certified against it is certified, and only the others read their own
-bound, so every decision is the per-node one. Horizontal sides read each
-node's bound, which is not monotone in sigma near t = 0. A node that
-fails the certificate makes the exact pass at params; on a rectangle side
-only such full-accuracy values decide a BoundaryError, since a certified
-sample must also exceed 2e-6. Phase-walk splits and an off-grid t_max are
-one-node walks. Grid values only pick brackets and Newton seeds, so the
-refined zeros move by rounding only, within the Newton tolerance. Newton
-and Illinois steps make the exact per-point pass at params. Once |Z| <=
-tol, one polish step at the same params squares the error again and is
-kept while |Z| still meets tol, so a refined zero's |Z| sits far below
-tol (at most 4.8e-13 over 0 < t < 499) rather than wherever the last
-step happened to land. Q at the refined zero reads the head of Newton's
-pass there from the evaluator's memo (see ``zeta_core``), with the same
-bits as a pass of its own.
+(one complex multiply per term and node), and one call of the
+evaluator's node kernel adds every node's pole term and tail. Those
+values only decide signs and phases, so the walk runs at a sample
+cutoff: the cheapest schedule entry (by N + 3 nu, see ``zeta_core``)
+whose truncation bound at the walk's worst corner (sigma_min, max |t|)
+is at most 1e-8, or the caller's params where no entry applies (beyond
+t = 500). Each sample is certified: it counts when |value| exceeds 2^10
+times its truncation bound plus a first-order rounding bound (N - 1
+additions and a phase error of 2 |s| ln N in any pass, k + 2 more
+roundings at walk node k, all in units of u sum n^{-sigma}). Its error
+is then below |zeta|/1024, so by Rouche's theorem it has the sign and
+the winding of the exact value. On a vertical walk (the scan grid, a
+rectangle's left and right sides) each factor |s + k| of the truncation
+bound grows with |t|, so the bound at the end farther from the real axis
+is at least every node's: a node certified against it is certified, and
+only the others read their own bound, so every decision is the per-node
+one. Horizontal sides read each node's bound, which is not monotone in
+sigma near t = 0. A node that fails the certificate makes the exact pass
+at params; on a rectangle side only such full-accuracy values decide a
+BoundaryError, since a certified sample must also exceed 2e-6.
+Phase-walk splits and an off-grid t_max are one-node walks, which read
+their exact head. Grid values only pick brackets and Newton seeds, so
+the refined zeros move by rounding only, within the Newton tolerance.
+Newton and Illinois steps make the exact per-point pass at params. Once
+|Z| <= tol, one polish step at the same params squares the error again
+and is kept while |Z| still meets tol, so a refined zero's |Z| sits far
+below tol (at most 4.8e-13 over 0 < t < 499) rather than wherever the
+last step happened to land. Q at the refined zero reads the head of
+Newton's pass there from the evaluator's memo (see ``zeta_core``), with
+the same bits as a pass of its own.
 """
 
 from __future__ import annotations
@@ -64,8 +66,8 @@ from dataclasses import dataclass
 
 from .errors import BoundaryError, InconclusiveError, ParameterError, RefinementError
 from .serialize import csv_text, dumps
-from .zeta_core import (_IM_CAP, EvalParams, _as_complex, _schedule, auto_params, dirichlet_line,
-                        remainder_bound, zeta_gb)
+from .zeta_core import (_IM_CAP, EvalParams, _as_complex, _head, _schedule, _zeta_nodes, auto_params,
+                        dirichlet_line, remainder_bound, zeta_gb)
 from .qfunction import q_gb
 
 __all__ = [
@@ -290,30 +292,30 @@ def _rounding(nodes: list[complex], cutoff_n: int) -> list[float]:
 def _walk(
     nodes: list[complex], params: EvalParams, sample: EvalParams, floor: float = 0.0
 ) -> list[complex]:
-    # zeta at nodes evenly spaced on a line (or at one node), the Dirichlet
-    # sums from one walk at the sample cutoff. A sample counts where |value|
-    # exceeds floor and _SAMPLE_MARGIN times its truncation bound plus its
-    # rounding; elsewhere the node makes the exact pass at params. On a
-    # vertical line the bound at the end farther from the real axis is at
-    # least every node's, so a node it certifies needs no bound of its own.
-    heads: list[complex | None] = [None]
+    # zeta at nodes evenly spaced on a line (or at one node), finished in
+    # one kernel call from the Dirichlet sums of one walk at the sample
+    # cutoff (a single node reads its exact head). A sample counts where
+    # |value| exceeds floor and _SAMPLE_MARGIN times its truncation bound
+    # plus its rounding; elsewhere the node makes the exact pass at params.
+    # On a vertical line the bound at the end farther from the real axis is
+    # at least every node's, so a node it certifies needs no bound of its own.
+    n, nu = sample.cutoff_n, sample.tail_order
     if len(nodes) > 1:
-        heads = dirichlet_line(nodes[0], nodes[-1], len(nodes) - 1, sample.cutoff_n)
+        heads = dirichlet_line(nodes[0], nodes[-1], len(nodes) - 1, n)
+    else:
+        heads = [_head(nodes[0], n, keep=False)]
+    values, _ = _zeta_nodes(nodes, heads, sample)
     if sample == params:
-        return [zeta_gb(z, params, partial_sum=head).value for z, head in zip(nodes, heads)]
+        return values
     line_bound = math.inf
     start, stop = nodes[0], nodes[-1]
     if len(nodes) > 1 and start.real == stop.real:
         far = max(start, stop, key=lambda z: abs(z.imag))
-        line_bound = remainder_bound(far, sample.cutoff_n, sample.tail_order)
-    values = []
-    for z, head, rounding in zip(nodes, heads, _rounding(nodes, sample.cutoff_n)):
-        result = zeta_gb(z, sample, partial_sum=head)
-        value = result.value
+        line_bound = remainder_bound(far, n, nu)
+    for k, (z, value, rounding) in enumerate(zip(nodes, values, _rounding(nodes, n))):
         if not abs(value) > max(floor, _SAMPLE_MARGIN * (line_bound + rounding)):
-            if not abs(value) > max(floor, _SAMPLE_MARGIN * (result.remainder_bound + rounding)):
-                value = zeta_gb(z, params).value
-        values.append(value)
+            if not abs(value) > max(floor, _SAMPLE_MARGIN * (remainder_bound(z, n, nu) + rounding)):
+                values[k] = zeta_gb(z, params).value
     return values
 
 

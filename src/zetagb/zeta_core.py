@@ -32,7 +32,8 @@ with A = N^{1-s}/(s-1) and P_mu = s(s+1)...(s+2mu-2). Each derivative
 term reuses the n^{-s} or tail term of the same pass. Only that request
 carries the tail's slope P_mu'. The truncation bound is computed when
 ``EvalResult.remainder_bound`` is first read, with the same bits, so
-Newton steps and walked samples, which never read it, do not pay for it.
+Newton steps, which never read it, do not pay for it; params the
+schedule picked at s carry the bound it computed there to certify them.
 
 At uniformly spaced nodes s_k = s_0 + k d on a line, ``dirichlet_line``
 walks the sum instead: n^{-s_{k+1}} = n^{-s_k} n^{-d}, one complex
@@ -40,8 +41,10 @@ multiply per term after one exp per term for n^{-s_0} and for n^{-d}
 (the multi-point idea of A. M. Odlyzko and A. Schonhage, Trans. AMS 309,
 1988). Node 0 keeps the bits of the exact pass; each later node's terms
 carry k more roundings, so node k drifts by O(k u) sum |n^{-s_k}| at
-worst (measured 2.1e-14 of that sum over 2,000-node lines). ``zeta_gb``
-accepts such a node's sum in place of its own pass. The scanner walks at
+worst (measured 2.1e-14 of that sum over 2,000-node lines). One private
+node kernel, ``_zeta_nodes``, finishes every node of such a line in one
+call: head + pole term + N^{-s}/2 + tail, in the operations and order of
+``zeta_gb``, which is the same kernel at one node. The scanner walks at
 a sample cutoff, the cheapest schedule entry that bounds the walk's worst
 corner by 1e-8, and keeps a node's value only where |value| exceeds 2^10
 times its truncation and rounding bounds (on a vertical line, one bound
@@ -151,8 +154,9 @@ class EvalResult:
     """Evaluated value at ``s`` plus the certified truncation bound of its params.
 
     ``remainder_bound`` is computed on its first read, as
-    ``remainder_bound(s, N, nu)`` with the same bits, and kept, so a
-    caller that never reads it does not pay for it. ``derivative`` is the
+    ``remainder_bound(s, N, nu)`` with the same bits (or taken from
+    ``auto_params``, which computed it at s to pick the params), and kept,
+    so a caller that never reads it does not pay for it. ``derivative`` is the
     exact derivative of the evaluated sum, or None unless it was asked for.
     """
 
@@ -169,7 +173,11 @@ class EvalResult:
         bound = self.__dict__.get("_bound")
         if bound is None:
             params = self.params_used
-            bound = remainder_bound(self.s, params.cutoff_n, params.tail_order)
+            picked = params.__dict__.get("_picked_at")
+            if picked is not None and picked[0] == self.s:
+                bound = picked[1]
+            else:
+                bound = remainder_bound(self.s, params.cutoff_n, params.tail_order)
             object.__setattr__(self, "_bound", bound)
         return bound
 
@@ -280,17 +288,19 @@ def dirichlet_line(start: complex, stop: complex, segments: int, cutoff_n: int) 
 
 
 @lru_cache(maxsize=None)
-def _coeff(mu: int) -> float:
-    # B_{2mu}/(2mu)! rounded once from the exact rational
-    return float(_full_table()[2 * mu] / math.factorial(2 * mu))
+def _coeffs() -> tuple[float, ...]:
+    # B_{2mu}/(2mu)! for mu = 0..MAX_INDEX/2, each rounded once from the
+    # exact rational; built on first use, so importing builds no table
+    table = _full_table()
+    return tuple(float(table[2 * mu] / math.factorial(2 * mu)) for mu in range(MAX_INDEX // 2 + 1))
 
 
-def _tail_denominator(s: complex, tail_order: int) -> float:
-    # Re(s) + 2 nu + 1, refused unless positive
-    denom = s.real + 2 * tail_order + 1
+def _tail_denominator(sigma: float, tail_order: int) -> float:
+    # Re(s) + 2 nu + 1 at Re(s) = sigma, refused unless positive
+    denom = sigma + 2 * tail_order + 1
     if denom <= 0:
         raise ParameterError(
-            f"tail order {tail_order} too small for Re(s) = {s.real}; need Re(s) + 2*nu + 1 > 0"
+            f"tail order {tail_order} too small for Re(s) = {sigma}; need Re(s) + 2*nu + 1 > 0"
         )
     return denom
 
@@ -303,12 +313,12 @@ def remainder_bound(s: complex, cutoff_n: int, tail_order: int) -> float:
     """
     s = _as_complex(s)
     nu = tail_order
-    denom = _tail_denominator(s, nu)
+    denom = _tail_denominator(s.real, nu)
     prod = 1.0
     for k in range(2 * nu + 1):
         prod *= abs(s + k)
     scale = math.exp(-denom * math.log(cutoff_n))
-    return abs(_coeff(nu + 1)) * prod * scale * abs(s + 2 * nu + 1) / denom
+    return abs(_coeffs()[nu + 1]) * prod * scale * abs(s + 2 * nu + 1) / denom
 
 
 def _em_series(
@@ -320,24 +330,34 @@ def _em_series(
     # evaluator passes head = N^{-s}/2, prod = s and, for a derivative,
     # dprod = 1 (safe at s = 0); the abbreviated tail r(N, s) passes
     # head = N^{-s}/(2s), prod = 1. The total has the same bits either way.
+    # The mu = 1 term has an empty product; each later order mu multiplies
+    # prod by (u - 3)(u - 2) with u = s + 2 mu, and N^{-s-2mu+1} by N^-2.
     n = cutoff_n
-    log_n = math.log(n)
-    total = head
-    slope = None if dprod is None else 0.0j
+    coeffs = _coeffs()
     npow = _rpow(n, -s - 1)
     inv_n2 = 1.0 / (n * n)
-    for mu in range(1, tail_order + 1):
-        if mu > 1:
-            a, b = s + 2 * mu - 3, s + 2 * mu - 2
-            if dprod is not None:
-                dprod = dprod * (a * b) + prod * (a + b)
-            prod *= a * b
-        c = _coeff(mu)
+    orders = zip(coeffs[2:tail_order + 1], range(4, 2 * tail_order + 1, 2))
+    term = coeffs[1] * prod * npow
+    total = head + term
+    if dprod is None:
+        for c, two_mu in orders:
+            u = s + two_mu
+            prod *= (u - 3) * (u - 2)
+            npow *= inv_n2
+            total += c * prod * npow
+        return total, None
+    log_n = math.log(n)
+    slope = 0.0j + (coeffs[1] * dprod * npow - log_n * term)
+    for c, two_mu in orders:
+        u = s + two_mu
+        a, b = u - 3, u - 2
+        ab = a * b
+        dprod = dprod * ab + prod * (a + b)
+        prod *= ab
+        npow *= inv_n2
         term = c * prod * npow
         total += term
-        if dprod is not None:
-            slope += c * dprod * npow - log_n * term
-        npow *= inv_n2
+        slope += c * dprod * npow - log_n * term
     return total, slope
 
 
@@ -356,13 +376,39 @@ def em_tail(s: complex, params: EvalParams) -> complex:
     return r
 
 
+def _zeta_nodes(
+    nodes: list[complex], heads: list[complex], params: EvalParams, head_slopes: list[complex] | None = None
+) -> tuple[list[complex], list[complex] | None]:
+    # zeta at each node of a line (or at one node) from its Dirichlet head
+    # at params.cutoff_n: head + N^{1-s}/(s-1) + N^{-s}/2 + the tail. With
+    # head_slopes (each head's derivative), also each node's derivative;
+    # None otherwise. The truncation bound is left to the caller, but its
+    # order is refused here, at the line's smallest Re s, an end of the line.
+    n, nu = params.cutoff_n, params.tail_order
+    log_n = math.log(n)
+    dprod = None if head_slopes is None else 1.0 + 0.0j
+    values = []
+    slopes = None if head_slopes is None else []
+    for k, (s, head) in enumerate(zip(nodes, heads)):
+        pole_term = cmath.exp((1 - s) * log_n) / (s - 1)
+        half = cmath.exp(-s * log_n) / 2
+        tail, tail_slope = _em_series(s, n, nu, half, s, dprod)
+        value = head + pole_term + tail
+        if not cmath.isfinite(value):
+            raise ParameterError(f"evaluation overflowed at s = {s!r} with cutoff {n}")
+        values.append(value)
+        if slopes is not None:
+            slopes.append(head_slopes[k] - pole_term * (log_n + 1 / (s - 1)) - log_n * half + tail_slope)
+    _tail_denominator(min(nodes[0].real, nodes[-1].real), nu)
+    return values, slopes
+
+
 def zeta_gb(
     s: complex,
     params: EvalParams | None = None,
     *,
     eps: float = DEFAULT_TARGET_EPS,
     derivative: bool = False,
-    partial_sum: complex | None = None,
 ) -> EvalResult:
     """Evaluate the Gram-Backlund extension at ``s``.
 
@@ -374,40 +420,19 @@ def zeta_gb(
     With ``derivative`` set, ``EvalResult.derivative`` holds the exact
     derivative of the evaluated sum (see the module docstring), taken in
     the same Dirichlet pass; ``value`` keeps the same bits either way.
-
-    A ``partial_sum`` given for ``s`` and ``params.cutoff_n`` (say, one node
-    of ``dirichlet_line``) replaces the Dirichlet pass; the pole term, tail,
-    bound and overflow check are the same. It needs explicit ``params``
-    and carries no derivative.
     """
     s = _as_complex(s)
-    if partial_sum is not None:
-        if params is None or derivative:
-            raise ParameterError("partial_sum needs explicit params and excludes derivative")
-        partial_sum = _as_complex(partial_sum, "partial_sum")
     if s == 1:
         raise PoleError("s = 1 is the simple pole of the extension")
     if params is None:
         params = auto_params(s, eps)
-    n, nu = params.cutoff_n, params.tail_order
-    pole_term = _rpow(n, 1 - s) / (s - 1)
-    half = _rpow(n, -s) / 2
-    tail, tail_slope = _em_series(s, n, nu, half, s, 1.0 + 0.0j if derivative else None)
-    slope = None
-    if derivative:
-        head, head_slope = dirichlet_partial_sum(s, n, derivative=True)
-        _remember(s, n, head)
-        log_n = math.log(n)
-        slope = head_slope - pole_term * (log_n + 1 / (s - 1)) - log_n * half + tail_slope
-    elif partial_sum is None:
-        head = _head(s, n, keep=False)
-    else:
-        head = partial_sum
-    value = head + pole_term + tail
-    if not cmath.isfinite(value):
-        raise ParameterError(f"evaluation overflowed at s = {s!r} with cutoff {n}")
-    # the bound is computed on its first read, but its order is refused here
-    _tail_denominator(s, nu)
+    n = params.cutoff_n
+    if not derivative:
+        (value,), _ = _zeta_nodes([s], [_head(s, n, keep=False)], params)
+        return EvalResult(value=value, s=s, params_used=params)
+    head, head_slope = dirichlet_partial_sum(s, n, derivative=True)
+    _remember(s, n, head)
+    (value,), (slope,) = _zeta_nodes([s], [head], params, [head_slope])
     return EvalResult(value=value, s=s, params_used=params, derivative=slope)
 
 
@@ -438,12 +463,6 @@ def auto_params(s: complex, eps: float) -> EvalParams:
     return params
 
 
-@lru_cache(maxsize=None)
-def _abs_coeffs() -> tuple[float, ...]:
-    # |B_{2mu}/(2mu)!| for mu = 0..MAX_INDEX/2, the bound's leading factor
-    return tuple(abs(_coeff(mu)) for mu in range(MAX_INDEX // 2 + 1))
-
-
 def _schedule(s: complex, eps: float) -> EvalParams | None:
     # the (N, nu) of least cost N + 3 nu, nu in 2..25 and N <= _MAX_CUTOFF,
     # whose bound at s meets eps, or None. The bound is A_nu N^-d with
@@ -453,9 +472,11 @@ def _schedule(s: complex, eps: float) -> EvalParams | None:
     # after (the tests check this against a full search), so the sweep
     # stops at the first rise. Only the winner is checked against
     # remainder_bound itself, N raised until it meets eps; the closed form
-    # is shaded by 1e-12 so that it never starts above the least N.
+    # is shaded by 1e-12 so that it never starts above the least N. The
+    # params carry the bound they meet at s, so that a result evaluated at
+    # s need not compute it again.
     sigma, t = s.real, s.imag
-    coeffs = _abs_coeffs()
+    coeffs = _coeffs()
     hypot = math.hypot
     prod = hypot(sigma, t) * hypot(sigma + 1.0, t) * hypot(sigma + 2.0, t) * hypot(sigma + 3.0, t)
     best_cost = math.inf
@@ -467,7 +488,7 @@ def _schedule(s: complex, eps: float) -> EvalParams | None:
         if d <= 0.0:
             continue
         try:
-            x = (coeffs[nu + 1] * prod / (d * eps)) ** (1.0 / d)
+            x = (abs(coeffs[nu + 1]) * prod / (d * eps)) ** (1.0 / d)
         except OverflowError:
             continue
         if x > _MAX_CUTOFF:
@@ -483,6 +504,10 @@ def _schedule(s: complex, eps: float) -> EvalParams | None:
     least, nu = best
     # the closed form and the bound round apart by a few ulps
     for cutoff in range(least, min(least + 4, _MAX_CUTOFF + 1)):
-        if remainder_bound(s, cutoff, nu) <= eps:
-            return EvalParams(cutoff_n=cutoff, tail_order=nu, target_eps=float(eps))
+        bound = remainder_bound(s, cutoff, nu)
+        if bound <= eps:
+            params = EvalParams(cutoff_n=cutoff, tail_order=nu, target_eps=float(eps))
+            # no field, so neither equality nor repr sees it
+            object.__setattr__(params, "_picked_at", (s, bound))
+            return params
     return None

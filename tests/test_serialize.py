@@ -39,6 +39,14 @@ def test_dumps_matches_stdlib_layout_without_floats() -> None:
     assert dumps([]) == "[]"
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.characters(min_codepoint=0, max_codepoint=0x10FFFF)))
+def test_strings_and_keys_encode_as_the_stdlib_does(text: str) -> None:
+    # non-ASCII, control characters and lone surrogates included
+    assert dumps(text) == json.dumps(text)
+    assert dumps({text: [text]}, indent=2) == json.dumps({text: [text]}, indent=2)
+
+
 def test_dumps_parse_rewrite_is_byte_identical() -> None:
     payload = {
         "value": 1.6449340668482264,

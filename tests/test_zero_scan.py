@@ -32,7 +32,7 @@ from zetagb.zero_scan import (
     write_records_jsonl,
 )
 from zetagb.zeta_core import (DEFAULT_TARGET_EPS, EvalParams, auto_params, dirichlet_line,
-                              remainder_bound, zeta_gb)
+                              dirichlet_partial_sum, remainder_bound, zeta_gb)
 
 ORACLE_ORDINATES = (14.13472514172102, 21.02203963877902, 25.010857580131244)
 
@@ -155,14 +155,31 @@ def test_scan_strict_mode_raises_instead() -> None:
         scan_critical_line(14.0, 15.0, ScanConfig(max_iter=1, strict_refine=True))
 
 
-def test_scan_walks_the_grid_once(record_call_stacks) -> None:
+@pytest.fixture
+def kernel_calls(monkeypatch) -> list[tuple[list[complex], EvalParams, list[complex]]]:
+    """(nodes, params, values) of every node-kernel call a walk makes."""
+    calls = []
+    kernel = zero_scan._zeta_nodes
+
+    def record(nodes, heads, params):
+        values, slopes = kernel(nodes, heads, params)
+        calls.append((nodes, params, list(values)))
+        return values, slopes
+
+    monkeypatch.setattr(zero_scan, "_zeta_nodes", record)
+    return calls
+
+
+def test_scan_walks_the_grid_once(record_call_stacks, kernel_calls) -> None:
     calls = record_call_stacks(
         ("scan_critical_line", "refine_zero", "q_gb", "zeta_gb", "dirichlet_partial_sum")
     )
     zero_scan.scan_critical_line(0, 30)
-    # one zeta_gb per grid node, t = 0, 0.25, ..., 30; the grid's Dirichlet sums
-    # come from one line walk, so only refinement and Q make their own pass
-    assert calls.count(("scan_critical_line", "zeta_gb")) == 121
+    # one kernel call finishes every grid node, t = 0, 0.25, ..., 30, once,
+    # from one line walk's Dirichlet sums; no node falls back to zeta_gb, so
+    # only refinement and Q make their own pass
+    assert [len(nodes) for nodes, _, _ in kernel_calls] == [121]
+    assert calls.count(("scan_critical_line", "zeta_gb")) == 0
     passes = [stack for stack in calls if stack[-1] == "dirichlet_partial_sum"]
     assert passes
     assert all({"refine_zero", "q_gb"} & set(stack) for stack in passes)
@@ -173,16 +190,21 @@ def test_scan_walks_the_grid_once(record_call_stacks) -> None:
 @pytest.mark.parametrize(
     ("rect", "zeros"), ((Rectangle(0.01, 0.99, 0.1, 30.0), 3), (Rectangle(0.45, 0.55, 13.5, 14.2), 1))
 )
-def test_winding_walks_each_side_once(record_call_stacks, rect: Rectangle, zeros: int) -> None:
+def test_winding_walks_each_side_once(record_call_stacks, kernel_calls, rect: Rectangle, zeros: int) -> None:
     calls = record_call_stacks(("zeta_gb", "dirichlet_partial_sum"))
     count, _ = rectangle_winding(rect)
     assert count == zeros
     sides = (rect.sigma_max - rect.sigma_min, rect.t_max - rect.t_min) * 2
-    base_nodes = sum(max(4, math.ceil(side / 0.25)) + 1 for side in sides)
-    evaluations = calls.count(("zeta_gb",))
-    # base nodes take their Dirichlet sums from the side's walk; only the
-    # phase-walk splits and uncertified samples make their own pass
-    assert calls.count(("zeta_gb", "dirichlet_partial_sum")) == evaluations - base_nodes
+    # each side is one walk, whose kernel call finishes each of its base
+    # nodes once from the side's Dirichlet sums
+    assert [len(nodes) for nodes, _, _ in kernel_calls if len(nodes) > 1] == [
+        max(4, math.ceil(side / 0.25)) + 1 for side in sides]
+    # only the phase-walk splits (one-node walks) and uncertified samples
+    # (zeta_gb at params) make their own pass, one each
+    splits = sum(len(nodes) == 1 for nodes, _, _ in kernel_calls)
+    assert splits == (zeros == 1) * 2
+    assert calls.count(("dirichlet_partial_sum",)) == splits
+    assert calls.count(("zeta_gb", "dirichlet_partial_sum")) == calls.count(("zeta_gb",))
 
 
 def test_scan_validation() -> None:
@@ -364,10 +386,14 @@ def sampled_walks() -> list[tuple[list[complex], EvalParams, EvalParams, list[co
 
 
 def _samples(nodes: list[complex], sample: EvalParams):
-    # each node's sampled result and rounding allowance, recomputed as the walk made them
-    heads = [None] if len(nodes) == 1 else dirichlet_line(nodes[0], nodes[-1], len(nodes) - 1, sample.cutoff_n)
-    for z, head, rounding in zip(nodes, heads, zero_scan._rounding(nodes, sample.cutoff_n)):
-        yield z, zeta_gb(z, sample, partial_sum=head), rounding
+    # each node's sampled value, truncation bound and rounding allowance,
+    # recomputed as the walk made them
+    n, nu = sample.cutoff_n, sample.tail_order
+    heads = ([dirichlet_partial_sum(nodes[0], n)] if len(nodes) == 1
+             else dirichlet_line(nodes[0], nodes[-1], len(nodes) - 1, n))
+    values, _ = zeta_core._zeta_nodes(nodes, heads, sample)
+    for z, value, rounding in zip(nodes, values, zero_scan._rounding(nodes, n)):
+        yield z, value, remainder_bound(z, n, nu), rounding
 
 
 def test_each_sample_lies_within_its_certificate(sampled_walks) -> None:
@@ -377,15 +403,15 @@ def test_each_sample_lies_within_its_certificate(sampled_walks) -> None:
         # corner by 1e-8; the rectangles' params, picked at sigma = 1/2, may
         # cost a few terms less there or share its (N, nu)
         assert sample != params
-        for (z, sampled, rounding), value in zip(_samples(nodes, sample), values):
+        for (z, sampled, bound, rounding), value in zip(_samples(nodes, sample), values):
             full = zeta_gb(z, params)
             # the returned value is the sample, or the full pass where it is not certified
-            certified = abs(sampled.value) > 2.0**10 * (sampled.remainder_bound + rounding)
-            assert value == (sampled.value if certified else full.value)
+            certified = abs(sampled) > 2.0**10 * (bound + rounding)
+            assert value == (sampled if certified else full.value)
             # both truncation bounds, the sample's rounding and the full pass's own
-            allowance = (sampled.remainder_bound + full.remainder_bound + rounding
+            allowance = (bound + full.remainder_bound + rounding
                          + zero_scan._rounding([z], params.cutoff_n)[0])
-            assert abs(sampled.value - full.value) <= allowance
+            assert abs(sampled - full.value) <= allowance
             nodes_checked += 1
     assert nodes_checked >= 1997 + 10 * 44
 
@@ -410,9 +436,9 @@ def test_a_vertical_walk_is_bounded_at_its_far_end(sampled_walks, monkeypatch) -
     monkeypatch.setattr(zero_scan, "remainder_bound", lambda s, *args: bounded.append(s) or bound(s, *args))
     values = zero_scan._walk(crossing, params, sample)
     assert bounded[0] == complex(0.5, -3.0)
-    for (z, sampled, rounding), value in zip(_samples(crossing, sample), values):
-        certified = abs(sampled.value) > 2.0**10 * (sampled.remainder_bound + rounding)
-        assert value == (sampled.value if certified else zeta_gb(z, params).value)
+    for (z, sampled, bound, rounding), value in zip(_samples(crossing, sample), values):
+        certified = abs(sampled) > 2.0**10 * (bound + rounding)
+        assert value == (sampled if certified else zeta_gb(z, params).value)
 
 
 def test_walks_read_few_truncation_bounds(record_call_stacks) -> None:
@@ -435,12 +461,12 @@ def test_samples_agree_with_mpmath(sampled_walks) -> None:
              for nodes, _, sample, _ in rng.sample(sampled_walks, 40)]
     with mpmath.workdps(20):
         for nodes, sample, k in picks:
-            z, sampled, rounding = list(_samples(nodes, sample))[k]
+            z, sampled, bound, rounding = list(_samples(nodes, sample))[k]
             exact = complex(mpmath.zeta(mpmath.mpc(z.real, z.imag)))
-            assert abs(sampled.value - exact) <= sampled.remainder_bound + rounding
+            assert abs(sampled - exact) <= bound + rounding
 
 
-def test_a_node_on_a_zero_takes_the_full_pass(monkeypatch) -> None:
+def test_a_node_on_a_zero_takes_the_full_pass(monkeypatch, kernel_calls) -> None:
     # t_min sits 2.7e-10 above the first zero: its sample is not certified
     t_min, t_max = 14.134725142, 60.0
     params = zero_scan._refine_params(complex(0.5, t_max), ScanConfig.tol)
@@ -455,8 +481,13 @@ def test_a_node_on_a_zero_takes_the_full_pass(monkeypatch) -> None:
 
     monkeypatch.setattr(zero_scan, "zeta_gb", record)
     sampled = scan_critical_line(t_min, t_max)
-    assert [p for s, p in calls if s == complex(0.5, t_min)] == [sample, params]
-    assert len([p for s, p in calls if s == complex(0.5, t_max)]) == 1
+    # each node is sampled once, by its walk; only t_min makes one exact
+    # pass at params, and the off-grid t_max is a one-node walk
+    low, high = complex(0.5, t_min), complex(0.5, t_max)
+    assert [p for nodes, p, _ in kernel_calls if low in nodes] == [sample]
+    assert [p for s, p in calls if s == low] == [params]
+    assert [(len(nodes), p) for nodes, p, _ in kernel_calls if high in nodes] == [(1, sample)]
+    assert [p for s, p in calls if s == high] == []
     monkeypatch.setattr(zero_scan, "_sample_params", lambda corner, params: params)
     full = scan_critical_line(t_min, t_max)
     assert len(sampled) == len(full) == 12
@@ -476,7 +507,7 @@ def test_a_side_through_a_zero_still_aborts_the_walk(sigma_max: float) -> None:
         rectangle_winding(rect)
 
 
-def test_only_full_accuracy_values_raise_a_boundary_error(monkeypatch) -> None:
+def test_only_full_accuracy_values_raise_a_boundary_error(monkeypatch, kernel_calls) -> None:
     # the bottom side's middle node sits 1e-7 above the second zero, where
     # |zeta| = 1.1e-7: its sample is certified but below 2e-6, so the node
     # is evaluated again at params, and that value raises
@@ -493,11 +524,14 @@ def test_only_full_accuracy_values_raise_a_boundary_error(monkeypatch) -> None:
         return result
 
     monkeypatch.setattr(zero_scan, "zeta_gb", record)
+    kernel_calls.clear()
     with pytest.raises(BoundaryError, match="nudge"):
         rectangle_winding(Rectangle(0.01, 0.99, t_min, 100.0))
-    (p1, sampled), (p2, full) = [(p, result) for s, p, result in calls if s == complex(0.5, t_min)]
+    node = complex(0.5, t_min)
+    ((p1, sampled),) = [(p, values[nodes.index(node)]) for nodes, p, values in kernel_calls if node in nodes]
+    ((p2, full),) = [(p, result) for s, p, result in calls if s == node]
     assert (p1, p2) == (sample, params)
-    assert 2.0**10 * sampled.remainder_bound < abs(sampled.value) < 2e-6
+    assert 2.0**10 * remainder_bound(node, sample.cutoff_n, sample.tail_order) < abs(sampled) < 2e-6
     assert abs(full.value) < 1e-6
 
 

@@ -6,7 +6,9 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import os
 import struct
+import subprocess
 import sys
 import threading
 from array import array
@@ -216,30 +218,33 @@ def test_line_segments_must_be_a_positive_integer() -> None:
         dirichlet_line(float("nan"), 0.5 + 15j, 4, 40)
 
 
-def test_given_partial_sum_keeps_value_and_bound_bitwise() -> None:
+def test_the_node_kernel_keeps_the_bits_of_each_pass() -> None:
+    # given each node's exact head, the kernel returns zeta_gb's value, and
+    # with the heads' slopes its derivative, bit for bit
     rng = random.Random(20158)
     for _ in range(100):
         s = complex(rng.uniform(-1.0, 2.0), rng.uniform(0.0, 500.0))
         params = auto_params(s, rng.choice((1e-8, 1e-10, 1e-12)))
-        plain = zeta_gb(s, params)
-        given = zeta_gb(s, params, partial_sum=dirichlet_partial_sum(s, params.cutoff_n))
-        assert _same_bits(given.value, plain.value)
-        assert given.remainder_bound == plain.remainder_bound
+        n = params.cutoff_n
+        nodes = [s + k * complex(rng.uniform(-0.1, 0.1), rng.uniform(-0.5, 0.5)) for k in range(3)]
+        values, slopes = zeta_core._zeta_nodes(nodes, [dirichlet_partial_sum(z, n) for z in nodes], params)
+        assert slopes is None
+        assert [_bits(v) for v in values] == [_bits(zeta_gb(z, params).value) for z in nodes]
+        head, head_slope = dirichlet_partial_sum(s, n, derivative=True)
+        (value,), (slope,) = zeta_core._zeta_nodes([s], [head], params, [head_slope])
+        both = zeta_gb(s, params, derivative=True)
+        assert _bits(value) == _bits(both.value) and _bits(slope) == _bits(both.derivative)
         # the bound is read from the function, bit for bit
-        assert _bits(plain.remainder_bound) == _bits(remainder_bound(s, params.cutoff_n, params.tail_order))
-        assert given.params_used == params
-        assert given.derivative is None
+        plain = zeta_gb(s, params)
+        assert _bits(plain.remainder_bound) == _bits(remainder_bound(s, n, params.tail_order))
 
 
-def test_given_partial_sum_needs_params_and_no_derivative() -> None:
-    s = 0.5 + 14j
-    head = dirichlet_partial_sum(s, 40)
-    with pytest.raises(ParameterError, match="partial_sum"):
-        zeta_gb(s, partial_sum=head)
-    with pytest.raises(ParameterError, match="partial_sum"):
-        zeta_gb(s, eps=1e-10, partial_sum=head)
-    with pytest.raises(ParameterError, match="partial_sum"):
-        zeta_gb(s, EvalParams(40, 6), derivative=True, partial_sum=head)
+def test_zeta_gb_takes_no_partial_sum() -> None:
+    # walked sums go to the node kernel; the evaluator always makes or
+    # reads its own head
+    s, params = 0.5 + 14j, EvalParams(40, 6)
+    with pytest.raises(TypeError, match="partial_sum"):
+        zeta_gb(s, params, partial_sum=dirichlet_partial_sum(s, 40))  # type: ignore[call-arg]
 
 
 # Every node value of four walked lines, recorded as hex before the node
@@ -324,13 +329,15 @@ _WALK_PINS = (
 
 
 def _walked(nodes: list[complex], params: EvalParams) -> list[complex]:
-    # the values a walk finishes from its Dirichlet sums: one line walk, or
-    # the exact pass for a single node
+    # the values the node kernel finishes from a walk's Dirichlet sums: one
+    # line walk, or the exact pass for a single node
     if len(nodes) > 1:
         heads = dirichlet_line(nodes[0], nodes[-1], len(nodes) - 1, params.cutoff_n)
     else:
         heads = [dirichlet_partial_sum(nodes[0], params.cutoff_n)]
-    return [zeta_gb(z, params, partial_sum=head).value for z, head in zip(nodes, heads)]
+    values, slopes = zeta_core._zeta_nodes(nodes, heads, params)
+    assert slopes is None
+    return values
 
 
 @pytest.mark.parametrize(("nodes", "params", "pins"), _WALK_PINS, ids=("grid", "left", "bottom", "single"))
@@ -343,8 +350,9 @@ def test_walked_values_keep_their_bits(nodes: list[complex], params: EvalParams,
 def test_walked_values_keep_their_errors() -> None:
     # a node that overflows, and a tail order too small at the line's
     # smallest Re s, keep the evaluator's messages
-    with pytest.raises(ParameterError, match=r"^evaluation overflowed at s = \(0\.5\+1e\+200j\) with cutoff 16$"):
+    with pytest.raises(ParameterError) as overflowed:
         _walked([complex(0.5, 1e200)], EvalParams(16, 4))
+    assert str(overflowed.value) == "evaluation overflowed at s = (0.5+1e+200j) with cutoff 16"
     line = [complex(-10.0 + k, 5.0) for k in range(7)]
     with pytest.raises(ParameterError) as refused:
         _walked(line, EvalParams(16, 2))
@@ -562,6 +570,37 @@ def test_the_bound_is_computed_on_its_first_read(record_call_stacks) -> None:
     assert _bits(again) == _bits(first) == _bits(remainder_bound(s, 212, 9))
     # the kept bound is no field: it shows in neither repr nor equality
     assert "_bound" not in repr(result) and result == zeta_gb(s, params)
+
+
+def test_a_scheduled_result_reads_the_schedules_bound(record_call_stacks) -> None:
+    # the schedule computes the winner's bound at s to certify it; the
+    # result at s keeps those bits instead of computing them again
+    rng = random.Random(20161)
+    calls = record_call_stacks(("remainder_bound",))
+    for _ in range(50):
+        s = complex(rng.uniform(-1.0, 2.0), rng.uniform(0.0, 500.0))
+        calls.clear()
+        result = zeta_gb(s, eps=1e-10)
+        bound = result.remainder_bound
+        assert len(calls) == 1
+        params = result.params_used
+        assert _bits(bound) == _bits(remainder_bound(s, params.cutoff_n, params.tail_order))
+        # the same params at another point compute that point's own bound
+        other = s + 0.25j
+        assert _bits(zeta_gb(other, params).remainder_bound) == _bits(
+            remainder_bound(other, params.cutoff_n, params.tail_order))
+    # the carried bound is no field: equality and repr ignore it
+    picked = auto_params(0.5 + 14j, 1e-10)
+    plain = EvalParams(picked.cutoff_n, picked.tail_order, 1e-10)
+    assert picked == plain and hash(picked) == hash(plain) and repr(picked) == repr(plain)
+
+
+def test_the_coefficient_table_is_built_on_first_use() -> None:
+    code = ("import zetagb, zetagb.zeta_core as z; before = z._coeffs.cache_info().currsize; "
+            "z.zeta_gb(0.5 + 14j); print(before, z._coeffs.cache_info().currsize)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert out.stdout.split() == ["0", "1"]
 
 
 def test_evaluation_refuses_a_too_small_tail_order_unread() -> None:
