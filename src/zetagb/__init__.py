@@ -15,7 +15,6 @@ from .audit import (
     QVariation,
     audit_range,
     audit_zero,
-    draw_samples,
     factorization_check,
     q_variation,
     render_text,
@@ -72,6 +71,6 @@ __all__ = [
     "refine_zero", "scan_critical_line", "rectangle_winding",
     "write_records_csv", "read_records_csv", "write_records_jsonl", "read_records_jsonl",
     "PropositionChecks", "QVariation", "AuditReport",
-    "factorization_check", "draw_samples", "audit_zero", "q_variation", "audit_range",
+    "factorization_check", "audit_zero", "q_variation", "audit_range",
     "report_to_json", "render_text",
 ]

@@ -6,11 +6,14 @@ For each refined zero s_H the audit measures, at working precision:
     Z(conj s) = conj Z(s) bit for bit, makes its conjugate the same check,
   * how real Q is, and how close to 1/4 + t^2,
   * the measured line offset xi = Re s_H - 1/2,
-  * the conjugate relation |conj(s_H) - (1 - s_H)| = 2 |xi|,
-  * the polynomial division rest |Q(s_H) - s_H (1 - s_H)|,
-  * agreement of [s(s-1) + Q] with (s - s_H)(s - (1 - s_H)) over a
-    pseudo-random sample box, whose maximal deviation must reproduce
-    the division rest exactly (the difference is constant in s).
+  * agreement of [s(s-1) + Q] with (s - s_H)(s - (1 - s_H)) over 100
+    fixed points of a sample box, whose maximal deviation must reproduce
+    the residual (the difference is constant in s).
+
+Two propositions are identities of these measurements and are read from
+them, not measured again: the division rest |Q(s_H) - s_H (1 - s_H)| is
+the residual |s_H (s_H - 1) + Q(s_H)| bit for bit, and the conjugate
+relation |conj(s_H) - (1 - s_H)| is 2 |xi|.
 
 ``audit_range`` bundles the per-zero checks with consistency controls,
 a Q non-constancy probe, and a count of the window's zeros into an
@@ -31,7 +34,6 @@ import math
 import random
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
-from functools import lru_cache
 
 from .errors import (
     InconclusiveError,
@@ -47,15 +49,14 @@ from .zero_scan import (Rectangle, ScanConfig, ZeroRecord, _check_t_range, _scan
 from .zeta_core import EvalParams, _as_complex, auto_params, remainder_bound, zeta_gb
 
 __all__ = [
-    "DEFAULT_SAMPLE_SEED",
     "SAMPLE_BOX",
+    "SAMPLE_POINTS",
     "CONTROL_POINTS",
     "TOLERANCES",
     "PropositionChecks",
     "QVariation",
     "AuditReport",
     "factorization_check",
-    "draw_samples",
     "audit_zero",
     "q_variation",
     "audit_range",
@@ -63,9 +64,14 @@ __all__ = [
     "render_text",
 ]
 
-SCHEMA_VERSION = "3"
-DEFAULT_SAMPLE_SEED = 271828
+SCHEMA_VERSION = "4"
 SAMPLE_BOX = (-2.0, 3.0, -50.0, 50.0)  # sigma_min, sigma_max, t_min, t_max
+_rng = random.Random(271828)
+# the factorization points every zero shares
+SAMPLE_POINTS = tuple(
+    complex(_rng.uniform(*SAMPLE_BOX[:2]), _rng.uniform(*SAMPLE_BOX[2:])) for _ in range(100)
+)
+del _rng
 CONTROL_POINTS = (2 + 0j, 3 + 0j, 0.75 + 5j, 0.25 + 5j)
 _STRIP = (0.01, 0.99)  # sigma range of the counting rectangle
 # a scan short of the strip's count is repeated at half the step, down to step / 16
@@ -76,9 +82,7 @@ TOLERANCES = {
     "zero_residual": 1e-4,
     "q_imag_rel": 1e-6,
     "q_vs_quarter_plus_t2": 1e-4,
-    "division_rest": 1e-4,
     "factorization_agree": 1e-10,  # relative to 1 + |Q|
-    "conj_relation": 2e-6,
     "consistency_rel": 1e-9,       # relative to max(1, |Z|)
 }
 
@@ -93,8 +97,6 @@ class PropositionChecks:
     q_imag_rel: float
     q_vs_quarter_plus_t2: float
     xi_abs: float
-    conj_relation_abs: float
-    division_rest_abs: float
     factorization_max_dev: float
 
     def __post_init__(self) -> None:
@@ -118,7 +120,6 @@ class AuditReport:
     t_min: float
     t_max: float
     params_used: EvalParams
-    sample_seed: int
     tolerances_used: dict[str, float]
     zero_checks: tuple[tuple[ZeroRecord, PropositionChecks], ...]
     q_variation: QVariation | None
@@ -130,8 +131,8 @@ class AuditReport:
 def factorization_check(s_h: complex, q_at_sh: complex, samples: Sequence[complex]) -> float:
     """Max over samples of |[s(s-1) + Q] - (s - s_H)(s - (1 - s_H))|.
 
-    The difference is Q - s_H (1 - s_H) for every s, so the maximum
-    equals the division rest up to rounding.
+    The difference is s_H (s_H - 1) + Q for every s, so the maximum
+    equals the zero-condition residual up to rounding.
     """
     s_h = _as_complex(s_h, "s_h")
     q_at_sh = _as_complex(q_at_sh, "q_at_sh")
@@ -144,20 +145,6 @@ def factorization_check(s_h: complex, q_at_sh: complex, samples: Sequence[comple
         if dev > worst:
             worst = dev
     return worst
-
-
-@lru_cache(maxsize=16)
-def draw_samples(n: int = 100, seed: int = DEFAULT_SAMPLE_SEED) -> tuple[complex, ...]:
-    """Deterministic sample points from the audit box.
-
-    Cached by (n, seed): every zero of an audit shares one box, and the
-    tuple keeps any caller from changing it for the others.
-    """
-    if not isinstance(n, int) or n < 1:
-        raise ParameterError(f"sample count must be a positive integer, got {n!r}")
-    rng = random.Random(seed)
-    lo_s, hi_s, lo_t, hi_t = SAMPLE_BOX
-    return tuple(complex(rng.uniform(lo_s, hi_s), rng.uniform(lo_t, hi_t)) for _ in range(n))
 
 
 def _check_params(params: EvalParams | None, rec: ZeroRecord) -> EvalParams:
@@ -176,10 +163,8 @@ def _check_params(params: EvalParams | None, rec: ZeroRecord) -> EvalParams:
     return params
 
 
-def audit_zero(
-    rec: ZeroRecord, params: EvalParams | None = None, *, seed: int = DEFAULT_SAMPLE_SEED
-) -> PropositionChecks:
-    """Measure every proposition at rec.s, the factorization over 100 samples.
+def audit_zero(rec: ZeroRecord, params: EvalParams | None = None) -> PropositionChecks:
+    """Measure each fact at rec.s, the factorization over ``SAMPLE_POINTS``.
 
     Reflection makes Q(conj s) = conj Q(s) bit for bit, so the residual
     at the conjugate zero is the residual at rec.s: the two conjugate
@@ -196,17 +181,13 @@ def audit_zero(
     q_imag_rel = abs(q_s.imag) / q_abs if q_abs > 0 else 0.0
     q_vs = abs(q_s - (0.25 + rec.t * rec.t))
     xi_abs = abs(s.real - 0.5)
-    conj_rel = abs(s.conjugate() - (1 - s))
-    division_rest = abs(q_s - s * (1 - s))
-    max_dev = factorization_check(s, q_s, draw_samples(100, seed))
+    max_dev = factorization_check(s, q_s, SAMPLE_POINTS)
 
     return PropositionChecks(
         zero_residual_abs=residual,
         q_imag_rel=q_imag_rel,
         q_vs_quarter_plus_t2=q_vs,
         xi_abs=xi_abs,
-        conj_relation_abs=conj_rel,
-        division_rest_abs=division_rest,
         factorization_max_dev=max_dev,
     )
 
@@ -299,23 +280,24 @@ def _verdicts(
                   f"|Q - (1/4 + t^2)| {worst_quarter:.3e} vs {tol['q_vs_quarter_plus_t2']:.1e}")
         )
 
-    # VI: polynomial division rest
-    summary(lambda c: c.division_rest_abs, tol["division_rest"], "division rest |Q - s(1-s)|", 5)
+    # VI: polynomial division rest, IV's residual: Q - s(1-s) = s(s-1) + Q bit for bit
+    summary(lambda c: c.zero_residual_abs, tol["zero_residual"],
+            "division rest |Q - s(1-s)| = |s(s-1) + Q| (IV)", 5)
 
     # VII: factorization max deviation reproduces the rest
     if not vacuous(6, "factorization"):
         worst = 0.0
         for rec, c in checks:
             scale = 1.0 + abs(rec.q_value)
-            worst = max(worst, abs(c.factorization_max_dev - c.division_rest_abs) / scale)
+            worst = max(worst, abs(c.factorization_max_dev - c.zero_residual_abs) / scale)
         status = "PASS" if worst <= tol["factorization_agree"] else "FAIL"
         lines.append(
             _line(6, status, f"factorization deviation vs division rest: "
                              f"max relative gap {worst:.3e} vs {tol['factorization_agree']:.1e}")
         )
 
-    # VIII: conjugate relation conj(s) = 1 - s, measured
-    summary(lambda c: c.conj_relation_abs, tol["conj_relation"], "|conj(s) - (1 - s)|", 7)
+    # VIII: conjugate relation conj(s) = 1 - s, I's offset: |conj(s) - (1 - s)| = 2|xi|
+    summary(lambda c: 2 * c.xi_abs, 2 * tol["xi"], "|conj(s) - (1 - s)| = 2|xi| (I)", 7)
 
     return tuple(lines)
 
@@ -325,8 +307,6 @@ def audit_range(
     t_max: float,
     scan_cfg: ScanConfig | None = None,
     params: EvalParams | None = None,
-    *,
-    seed: int = DEFAULT_SAMPLE_SEED,
 ) -> AuditReport:
     """Scan [t_min, t_max], audit every zero, and assemble the verdicts.
 
@@ -342,15 +322,13 @@ def audit_range(
     """
     _check_t_range(t_min, t_max)
     cfg = _scan_config(scan_cfg)
-    if not isinstance(seed, int):
-        raise ParameterError(f"seed must be an integer, got {seed!r}")
     winding_params = params
     if params is None:
         params = auto_params(complex(0.5, max(float(t_max), 5.0)), 1e-9)
 
     def scan_and_audit(cfg: ScanConfig) -> tuple[tuple[ZeroRecord, PropositionChecks], ...]:
         records = scan_critical_line(float(t_min), float(t_max), cfg, params)
-        return tuple((rec, audit_zero(rec, params, seed=seed)) for rec in records)
+        return tuple((rec, audit_zero(rec, params)) for rec in records)
 
     abort: str | None = None
     checks: tuple[tuple[ZeroRecord, PropositionChecks], ...] = ()
@@ -384,7 +362,6 @@ def audit_range(
         t_min=float(t_min),
         t_max=float(t_max),
         params_used=params,
-        sample_seed=seed,
         tolerances_used=dict(TOLERANCES),
         zero_checks=checks,
         q_variation=qvar,
@@ -421,7 +398,6 @@ def _report_payload(report: AuditReport) -> dict:
             "nu": report.params_used.tail_order,
             "target_eps": report.params_used.target_eps,
         },
-        "sample_seed": report.sample_seed,
         "tolerances": report.tolerances_used,
         "zeros": zeros,
         "q_variation": qvar,
@@ -443,8 +419,7 @@ def render_text(report: AuditReport) -> str:
     """Human summary: header, one row per zero, the eight verdicts."""
     lines = [
         f"audit of t in [{report.t_min:g}, {report.t_max:g}]  "
-        f"(N={report.params_used.cutoff_n}, nu={report.params_used.tail_order}, "
-        f"seed={report.sample_seed})",
+        f"(N={report.params_used.cutoff_n}, nu={report.params_used.tail_order})",
         f"zeros found: {len(report.zero_checks)}",
     ]
     for rec, c in report.zero_checks:

@@ -16,7 +16,7 @@ import logging
 import sys
 
 from . import errors
-from .audit import DEFAULT_SAMPLE_SEED, audit_range, render_text, report_to_json
+from .audit import audit_range, render_text, report_to_json
 from .bernoulli import build_table
 from .errors import (
     InconclusiveError,
@@ -102,10 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max", type=float, required=True)
     _add_common(p)
 
-    p = commands.add_parser("audit", help="audit the zero-condition propositions over a range")
+    p = commands.add_parser("audit", help="audit each zero of a range and print the eight verdicts I-VIII")
     _add_scan(p)
-    p.add_argument("--seed", type=int, default=DEFAULT_SAMPLE_SEED,
-                   help="seed for the factorization sample box")
     _add_common(p, eps=False, formats=False)
 
     p = commands.add_parser("bernoulli", help="dump the exact Bernoulli table")
@@ -238,7 +236,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    report = audit_range(args.t_min, args.t_max, _scan_config(args), _explicit_params(args), seed=args.seed)
+    report = audit_range(args.t_min, args.t_max, _scan_config(args), _explicit_params(args))
     _deliver(report_to_json(report), args.out)
     sys.stderr.write(render_text(report))
     if report.complete:

@@ -269,6 +269,14 @@ def test_audit_json_to_stdout_summary_to_stderr(capsys) -> None:
     assert "verdicts:" in err
 
 
+def test_audit_takes_no_seed(capsys) -> None:
+    # the factorization points are fixed, so there is no seed to choose
+    code, out, err = invoke(capsys, "audit", "--t-min", "14", "--t-max", "15", "--seed", "7")
+    assert code == 2
+    assert out == ""
+    assert "--seed" in err
+
+
 def test_audit_report_to_file(capsys, tmp_path) -> None:
     target = tmp_path / "report.json"
     code, out, err = invoke(capsys, "audit", "--t-min", "14", "--t-max", "15",

@@ -65,7 +65,7 @@ CASES: dict[str, tuple[str, ...]] = {
     # non-default scan settings and --eps on count, so a dropped option shows
     "zeros_step_tol_csv": ("zeros", "--t-min", "0", "--t-max", "40", "--step", "0.2", "--tol", "1e-8", "--format", "csv"),
     "zeros_max_iter_1": ("zeros", "--t-min", "14", "--t-max", "15", "--max-iter", "1"),
-    "audit_step_tol_seed": ("audit", "--t-min", "14", "--t-max", "22", "--step", "0.2", "--tol", "1e-8", "--seed", "7"),
+    "audit_step_tol": ("audit", "--t-min", "14", "--t-max", "22", "--step", "0.2", "--tol", "1e-8"),
     "audit_max_iter_strict": ("audit", "--t-min", "14", "--t-max", "15", "--max-iter", "1", "--strict-refine"),
     "count_eps_json": (*_COUNT[:-1], "30", "--eps", "1e-11", "--format", "json"),
     # two zeros 0.44 apart share one cell of a 0.5 grid
