@@ -24,7 +24,7 @@ from zetagb.audit import (
 )
 from zetagb.errors import InconclusiveError, ParameterError
 from zetagb.qfunction import q_gb
-from zetagb.zero_scan import ScanConfig, ZeroRecord, refine_zero, scan_critical_line
+from zetagb.zero_scan import ScanConfig, ZeroRecord, refine_zero
 from zetagb.zeta_core import EvalParams, remainder_bound
 
 FIRST_ORDINATE = 14.13472514172102
@@ -368,7 +368,7 @@ def test_derived_verdicts_follow_their_source(monkeypatch) -> None:
     status = {numeral: _verdict(report, numeral).split()[1] for numeral in ("I", "IV", "VI", "VII", "VIII")}
     assert status == {"I": "PASS", "IV": "FAIL", "VI": "FAIL", "VII": "PASS", "VIII": "PASS"}
     worst = max(c.zero_residual_abs for _, c in report.zero_checks)
-    assert worst == pytest.approx(8.2e-2, rel=0.05)
+    assert worst == pytest.approx(8.3e-2, rel=0.05)
     assert f"max {worst:.3e}" in _verdict(report, "IV")
     assert f"max {worst:.3e}" in _verdict(report, "VI")
     # a zero moved 2e-6 off the line: I and VIII fail together
@@ -407,8 +407,9 @@ def test_report_json_is_deterministic_and_round_trips() -> None:
     payload = json.loads(first)
     assert payload["schema_version"] == "4"
     assert "sample_seed" not in payload
-    assert sorted(payload["tolerances"]) == sorted(TOLERANCES)
-    assert len(payload["tolerances"]) == 6
+    assert sorted(payload["tolerances"]) == [
+        "consistency_rel", "factorization_agree", "q_imag_rel", "q_vs_quarter_plus_t2", "xi", "zero_residual",
+    ]
     assert sorted(payload["zeros"][0]["checks"]) == [
         "factorization_max_dev", "q_imag_rel", "q_vs_quarter_plus_t2", "xi_abs", "zero_residual_abs",
     ]
