@@ -46,7 +46,7 @@ from .qfunction import consistency_identity, q_gb
 from .serialize import dumps
 from .zero_scan import (Rectangle, ScanConfig, ZeroRecord, _check_t_range, _scan_config,
                         record_fields, rectangle_winding, scan_critical_line)
-from .zeta_core import EvalParams, _as_complex, auto_params, remainder_bound, zeta_gb
+from .zeta_core import EvalParams, _as_complex, auto_params, zeta_gb
 
 __all__ = [
     "SAMPLE_BOX",
@@ -64,7 +64,7 @@ __all__ = [
     "render_text",
 ]
 
-SCHEMA_VERSION = "4"
+SCHEMA_VERSION = "5"
 SAMPLE_BOX = (-2.0, 3.0, -50.0, 50.0)  # sigma_min, sigma_max, t_min, t_max
 _rng = random.Random(271828)
 # the factorization points every zero shares
@@ -147,34 +147,18 @@ def factorization_check(s_h: complex, q_at_sh: complex, samples: Sequence[comple
     return worst
 
 
-def _check_params(params: EvalParams | None, rec: ZeroRecord) -> EvalParams:
-    if params is None:
-        return rec.params_used
-    # a larger N may go with a smaller nu, so the bounds at the zero decide
-    used = rec.params_used
-    bound = remainder_bound(rec.s, params.cutoff_n, params.tail_order)
-    used_bound = remainder_bound(rec.s, used.cutoff_n, used.tail_order)
-    if bound > used_bound:
-        raise ParameterError(
-            f"audit params (N={params.cutoff_n}, nu={params.tail_order}) bound the truncation "
-            f"at the zero by {bound:.3e}, above the {used_bound:.3e} of the record's "
-            f"(N={used.cutoff_n}, nu={used.tail_order})"
-        )
-    return params
-
-
-def audit_zero(rec: ZeroRecord, params: EvalParams | None = None) -> PropositionChecks:
+def audit_zero(rec: ZeroRecord) -> PropositionChecks:
     """Measure each fact at rec.s, the factorization over ``SAMPLE_POINTS``.
 
-    Reflection makes Q(conj s) = conj Q(s) bit for bit, so the residual
-    at the conjugate zero is the residual at rec.s: the two conjugate
-    points are one check, and Q is evaluated once.
+    Q is evaluated at ``rec.params_used``, the params that refined the
+    zero. Reflection makes Q(conj s) = conj Q(s) bit for bit, so the
+    residual at the conjugate zero is the residual at rec.s: the two
+    conjugate points are one check, and Q is evaluated once.
     """
     if not isinstance(rec, ZeroRecord):
         raise ParameterError(f"rec must be a ZeroRecord, got {type(rec).__name__}")
-    params = _check_params(params, rec)
     s = rec.s
-    q_s = q_gb(s, params)
+    q_s = q_gb(s, rec.params_used)
 
     residual = abs(s * (s - 1) + q_s)
     q_abs = abs(q_s)
@@ -328,7 +312,7 @@ def audit_range(
 
     def scan_and_audit(cfg: ScanConfig) -> tuple[tuple[ZeroRecord, PropositionChecks], ...]:
         records = scan_critical_line(float(t_min), float(t_max), cfg, params)
-        return tuple((rec, audit_zero(rec, params)) for rec in records)
+        return tuple((rec, audit_zero(rec)) for rec in records)
 
     abort: str | None = None
     checks: tuple[tuple[ZeroRecord, PropositionChecks], ...] = ()
@@ -396,7 +380,6 @@ def _report_payload(report: AuditReport) -> dict:
         "params": {
             "N": report.params_used.cutoff_n,
             "nu": report.params_used.tail_order,
-            "target_eps": report.params_used.target_eps,
         },
         "tolerances": report.tolerances_used,
         "zeros": zeros,

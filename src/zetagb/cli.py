@@ -52,7 +52,8 @@ _EXIT_CODES = (
 )
 
 
-def _add_common(sub: argparse.ArgumentParser, *, eps: bool = True, formats: bool = True) -> None:
+def _add_common(sub: argparse.ArgumentParser, *, eps: bool = True,
+                formats: tuple[str, ...] = ("text", "json", "csv")) -> None:
     if eps:
         sub.add_argument("--eps", type=float, default=DEFAULT_TARGET_EPS,
                          help=f"target accuracy (default {DEFAULT_TARGET_EPS:g})")
@@ -60,7 +61,7 @@ def _add_common(sub: argparse.ArgumentParser, *, eps: bool = True, formats: bool
     sub.add_argument("--nu", type=int, default=None, help="explicit tail order")
     sub.add_argument("--out", default=None, help="write output to this path instead of stdout")
     if formats:
-        sub.add_argument("--format", choices=("text", "json", "csv"), default="text")
+        sub.add_argument("--format", choices=formats, default="text")
 
 
 def _add_scan(sub: argparse.ArgumentParser) -> None:
@@ -92,8 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("zeros", help="scan the critical line and refine zeros")
     _add_scan(p)
-    p.add_argument("--jsonl", action="store_true", help="with --format json, emit JSON lines")
-    _add_common(p, eps=False)
+    _add_common(p, eps=False, formats=("text", "json", "jsonl", "csv"))
 
     p = commands.add_parser("count", help="count zeros in a rectangle by the argument principle")
     p.add_argument("--sigma-min", type=float, required=True)
@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = commands.add_parser("audit", help="audit each zero of a range and print the eight verdicts I-VIII")
     _add_scan(p)
-    _add_common(p, eps=False, formats=False)
+    _add_common(p, eps=False, formats=())
 
     p = commands.add_parser("bernoulli", help="dump the exact Bernoulli table")
     p.add_argument("--max-index", type=int, required=True)
@@ -115,13 +115,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _explicit_params(args: argparse.Namespace) -> EvalParams | None:
-    """The parameters ``--N``/``--nu`` pin (None without them), labelled with ``--eps``."""
+    """The parameters ``--N``/``--nu`` pin, or None without them."""
     if args.cutoff_n is None and args.nu is None:
         return None
     if args.cutoff_n is None or args.nu is None:
         raise ParameterError("--N and --nu must be given together")
-    eps = getattr(args, "eps", DEFAULT_TARGET_EPS)  # zeros and audit take no --eps
-    return EvalParams(cutoff_n=args.cutoff_n, tail_order=args.nu, target_eps=eps)
+    return EvalParams(args.cutoff_n, args.nu)
 
 
 def _scan_config(args: argparse.Namespace) -> ScanConfig:
@@ -190,11 +189,11 @@ def _cmd_params(args: argparse.Namespace) -> int:
     fields = {
         "re": s.real, "im": s.imag,
         "N": params.cutoff_n, "nu": params.tail_order,
-        "target_eps": params.target_eps, "certified_bound": bound,
+        "target_eps": args.eps, "certified_bound": bound,
     }
     text = (
         f"N = {params.cutoff_n}\nnu = {params.tail_order}\n"
-        f"certified bound = {bound:.6e} (target {params.target_eps:g})\n"
+        f"certified bound = {bound:.6e} (target {args.eps:g})\n"
     )
     _deliver(_render(fields, args.format, text), args.out)
     return 0
@@ -202,7 +201,7 @@ def _cmd_params(args: argparse.Namespace) -> int:
 
 def _cmd_zeros(args: argparse.Namespace) -> int:
     records = scan_critical_line(args.t_min, args.t_max, _scan_config(args), _explicit_params(args))
-    if args.format == "json" and args.jsonl:
+    if args.format == "jsonl":
         text = write_records_jsonl(records)
     elif args.format == "json":
         text = dumps([record_fields(rec) for rec in records], indent=2) + "\n"

@@ -99,15 +99,25 @@ _UNIT_ROUNDOFF = 2.0 ** -53
 
 @dataclass(frozen=True)
 class ZeroRecord:
-    """One refined zero, canonicalized to the upper half plane."""
+    """One refined zero s, canonicalized to the upper half plane.
 
-    t: float
+    Its ordinate ``t`` = Im s and its line offset ``xi`` = Re s - 1/2 are
+    read from s, so they cannot disagree with it.
+    """
+
     s: complex
-    xi: float
     z_modulus: float
     q_value: complex
     refine_iterations: int
     params_used: EvalParams
+
+    @property
+    def t(self) -> float:
+        return self.s.imag
+
+    @property
+    def xi(self) -> float:
+        return self.s.real - 0.5
 
     def __post_init__(self) -> None:
         if not self.t > 0:
@@ -256,9 +266,7 @@ def refine_zero(
     if z.imag == 0:
         raise RefinementError(f"refinement landed on the real axis at {z!r}")
     return ZeroRecord(
-        t=z.imag,
         s=z,
-        xi=z.real - 0.5,
         z_modulus=abs(fz),
         q_value=q_gb(z, params),
         refine_iterations=iterations,
@@ -305,8 +313,6 @@ def _walk(
     else:
         heads = [_head(nodes[0], n, keep=False)]
     values, _ = _zeta_nodes(nodes, heads, sample)
-    if sample == params:
-        return values
     line_bound = math.inf
     start, stop = nodes[0], nodes[-1]
     if len(nodes) > 1 and start.real == stop.real:
@@ -541,15 +547,16 @@ def _record_from_row(row: dict[str, str | None], line: int) -> ZeroRecord:
             detail = f"{name} is missing" if raw is None else f"cannot read {name} = {raw!r}"
             raise ParameterError(f"malformed record on line {line}: {detail}") from None
 
-    t = field("t")
+    s = complex(field("re_s"), field("t"))
+    # xi is written as re_s - 0.5 and read from s, so other bits mean an altered row
+    if field("xi").hex() != (s.real - 0.5).hex():
+        raise ParameterError(f"malformed record on line {line}: xi = {row['xi']} is not re_s - 0.5")
     return ZeroRecord(
-        t=t,
-        s=complex(field("re_s"), t),
-        xi=field("xi"),
+        s=s,
         z_modulus=field("z_modulus"),
         q_value=complex(field("q_re"), field("q_im")),
         refine_iterations=field("iterations", int),
-        params_used=EvalParams(cutoff_n=field("N", int), tail_order=field("nu", int)),
+        params_used=EvalParams(field("N", int), field("nu", int)),
     )
 
 

@@ -129,11 +129,14 @@ def _as_complex(s: object, name: str = "s") -> complex:
 
 @dataclass(frozen=True)
 class EvalParams:
-    """Evaluation knobs: Dirichlet cutoff N, tail order nu, target accuracy."""
+    """Evaluation knobs: Dirichlet cutoff N and tail order nu.
+
+    The accuracy they reach depends on s, so it is a property of an
+    evaluation (``EvalResult.remainder_bound``), not of the params.
+    """
 
     cutoff_n: int
     tail_order: int
-    target_eps: float = DEFAULT_TARGET_EPS
 
     def __post_init__(self) -> None:
         _check_cutoff(self.cutoff_n)
@@ -144,9 +147,6 @@ class EvalParams:
             raise ParameterError(
                 f"tail_order {self.tail_order} needs Bernoulli indices beyond the cap {MAX_INDEX}"
             )
-        eps = self.target_eps
-        if not isinstance(eps, (int, float)) or not math.isfinite(eps) or eps <= 0:
-            raise ParameterError(f"target_eps must be a finite positive number, got {eps!r}")
 
 
 @dataclass(frozen=True)
@@ -506,7 +506,7 @@ def _schedule(s: complex, eps: float) -> EvalParams | None:
     for cutoff in range(least, min(least + 4, _MAX_CUTOFF + 1)):
         bound = remainder_bound(s, cutoff, nu)
         if bound <= eps:
-            params = EvalParams(cutoff_n=cutoff, tail_order=nu, target_eps=float(eps))
+            params = EvalParams(cutoff, nu)
             # no field, so neither equality nor repr sees it
             object.__setattr__(params, "_picked_at", (s, bound))
             return params

@@ -14,7 +14,7 @@ import pytest
 from zetagb import cli
 from zetagb.cli import run
 from zetagb.errors import SingularQError
-from zetagb.zeta_core import DEFAULT_TARGET_EPS, EvalParams, remainder_bound, zeta_gb
+from zetagb.zeta_core import EvalParams, remainder_bound, zeta_gb
 
 FIRST_ORDINATE = 14.13472514172102
 
@@ -143,12 +143,16 @@ def test_zeros_csv_and_json_carry_identical_numbers(capsys) -> None:
 
 
 def test_zeros_jsonl(capsys) -> None:
-    code, out, _ = invoke(capsys, "zeros", "--t-min", "14", "--t-max", "15",
-                          "--format", "json", "--jsonl")
+    code, out, _ = invoke(capsys, "zeros", "--t-min", "14", "--t-max", "15", "--format", "jsonl")
     assert code == 0
     lines = [line for line in out.splitlines() if line]
     assert len(lines) == 1
     assert abs(json.loads(lines[0])["t"] - FIRST_ORDINATE) <= 1e-8
+    # JSON lines have one spelling; the old flag is refused, not ignored
+    code, out, err = invoke(capsys, "zeros", "--t-min", "14", "--t-max", "15", "--format", "csv", "--jsonl")
+    assert code == 2
+    assert out == ""
+    assert "--jsonl" in err
 
 
 def test_zeros_text_summary(capsys) -> None:
@@ -197,10 +201,10 @@ def test_scan_commands_refuse_t_above_the_cap(capsys, command: str) -> None:
     assert "exceeds the supported range 500.0" in err
 
 
-def test_audit_labels_explicit_params_with_the_default_eps(capsys) -> None:
+def test_audit_reports_explicit_params_without_a_target(capsys) -> None:
     code, out, _ = invoke(capsys, "audit", "--t-min", "14", "--t-max", "15", "--N", "40", "--nu", "6")
     assert code == 0
-    assert json.loads(out)["params"] == {"N": 40, "nu": 6, "target_eps": DEFAULT_TARGET_EPS}
+    assert json.loads(out)["params"] == {"N": 40, "nu": 6}
 
 
 # ---------------------------------------------------------------------------

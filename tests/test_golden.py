@@ -53,7 +53,7 @@ CASES: dict[str, tuple[str, ...]] = {
     # the schedule's choice at the most cancelling corner of the supported range
     "params_cancelling_json": ("params", "--re", "-1", "--im", "499", "--eps", "1e-12", "--format", "json"),
     **{f"zeros_{fmt}": (*_ZEROS, "--format", fmt) for fmt in _FORMATS},
-    "zeros_jsonl": (*_ZEROS, "--format", "json", "--jsonl"),
+    "zeros_jsonl": (*_ZEROS, "--format", "jsonl"),
     **{f"count_{fmt}": (*_COUNT, "--format", fmt) for fmt in _FORMATS},
     "audit_0_50": ("audit", "--t-min", "0", "--t-max", "50"),
     "audit_250_256": ("audit", "--t-min", "250", "--t-max", "256"),

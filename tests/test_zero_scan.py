@@ -31,8 +31,8 @@ from zetagb.zero_scan import (
     write_records_csv,
     write_records_jsonl,
 )
-from zetagb.zeta_core import (DEFAULT_TARGET_EPS, EvalParams, auto_params, dirichlet_line,
-                              dirichlet_partial_sum, remainder_bound, zeta_gb)
+from zetagb.zeta_core import (EvalParams, auto_params, dirichlet_line, dirichlet_partial_sum,
+                              remainder_bound, zeta_gb)
 
 ORACLE_ORDINATES = (14.13472514172102, 21.02203963877902, 25.010857580131244)
 
@@ -402,7 +402,6 @@ def test_each_sample_lies_within_its_certificate(sampled_walks) -> None:
         # every walk samples at its own cutoff, the cheapest bounding its worst
         # corner by 1e-8; the rectangles' params, picked at sigma = 1/2, may
         # cost a few terms less there or share its (N, nu)
-        assert sample != params
         for (z, sampled, bound, rounding), value in zip(_samples(nodes, sample), values):
             full = zeta_gb(z, params)
             # the returned value is the sample, or the full pass where it is not certified
@@ -439,6 +438,18 @@ def test_a_vertical_walk_is_bounded_at_its_far_end(sampled_walks, monkeypatch) -
     for (z, sampled, bound, rounding), value in zip(_samples(crossing, sample), values):
         certified = abs(sampled) > 2.0**10 * (bound + rounding)
         assert value == (sampled if certified else zeta_gb(z, params).value)
+
+
+def test_a_walk_at_params_still_certifies_its_nodes(monkeypatch) -> None:
+    # sampling at the params themselves is no licence to keep a walked value:
+    # node 1 sits on the first zero, where the walk's |zeta| of 4.0e-11 is
+    # below its certificate, so it makes the exact pass
+    rec = refine_zero(complex(0.5, 14.1))
+    params = rec.params_used
+    monkeypatch.setattr(zero_scan, "_sample_params", lambda corner, p: p)
+    grid, values = zero_scan._line_values(rec.t - 0.25, rec.t + 0.75, 0.25, params)
+    assert len(grid) == 5 and grid[1] == rec.t
+    assert values[1] == zeta_gb(complex(0.5, rec.t), params).value
 
 
 def test_walks_read_few_truncation_bounds(record_call_stacks) -> None:
@@ -575,11 +586,12 @@ def test_scan_config_defaults() -> None:
 def test_zero_record_validation() -> None:
     params = EvalParams(16, 2)
     with pytest.raises(ParameterError):
-        ZeroRecord(t=-1.0, s=complex(0.5, -1.0), xi=0.0, z_modulus=0.0,
-                   q_value=0j, refine_iterations=0, params_used=params)
+        ZeroRecord(s=complex(0.5, -1.0), z_modulus=0.0, q_value=0j, refine_iterations=0, params_used=params)
     with pytest.raises(ParameterError):
-        ZeroRecord(t=14.0, s=complex(1.5, 14.0), xi=1.0, z_modulus=0.0,
-                   q_value=0j, refine_iterations=0, params_used=params)
+        ZeroRecord(s=complex(1.5, 14.0), z_modulus=0.0, q_value=0j, refine_iterations=0, params_used=params)
+    # t and xi are read from s
+    rec = ZeroRecord(s=complex(0.75, 14.0), z_modulus=0.0, q_value=0j, refine_iterations=0, params_used=params)
+    assert (rec.t, rec.xi) == (14.0, 0.25)
 
 
 # ---------------------------------------------------------------------------
@@ -643,17 +655,7 @@ def test_csv_round_trip_is_byte_identical(two_records) -> None:
     assert text.splitlines()[0] == ",".join(RECORD_FIELDS)
     back = read_records_csv(text)
     assert write_records_csv(back) == text
-    for orig, rec in zip(two_records, back):
-        assert rec.t == orig.t
-        assert rec.s == orig.s
-        assert rec.xi == orig.xi
-        assert rec.z_modulus == orig.z_modulus
-        assert rec.q_value == orig.q_value
-        assert rec.refine_iterations == orig.refine_iterations
-        assert rec.params_used.cutoff_n == orig.params_used.cutoff_n
-        assert rec.params_used.tail_order == orig.params_used.tail_order
-        # target accuracy is not part of the schema; readers get the default
-        assert rec.params_used.target_eps == DEFAULT_TARGET_EPS
+    assert back == two_records
 
 
 def test_jsonl_round_trip_is_byte_identical(two_records) -> None:
@@ -661,7 +663,7 @@ def test_jsonl_round_trip_is_byte_identical(two_records) -> None:
     assert len(text.splitlines()) == len(two_records)
     back = read_records_jsonl(text)
     assert write_records_jsonl(back) == text
-    assert [r.t for r in back] == [r.t for r in two_records]
+    assert back == two_records
 
 
 def test_jsonl_reader_skips_blank_lines(two_records) -> None:
@@ -688,6 +690,14 @@ def test_malformed_records_raise_parameter_error(two_records) -> None:
     # a readable row that breaks a record invariant keeps the record's own error
     with pytest.raises(ParameterError, match="upper half plane"):
         read_records_csv(header + "\n" + ",".join(["-1"] + cells[1:]))
+
+
+def test_a_row_whose_xi_is_not_re_s_minus_a_half_is_refused(two_records) -> None:
+    header, first, _ = write_records_csv(two_records).split("\n", 2)
+    cells = first.split(",")
+    text = header + "\n" + first + "\n" + ",".join(cells[:2] + ["0.25"] + cells[3:])
+    with pytest.raises(ParameterError, match=r"line 3: xi = 0\.25 is not re_s - 0\.5"):
+        read_records_csv(text)
 
 
 def test_scan_matches_the_trisection_oracle() -> None:

@@ -591,7 +591,7 @@ def test_a_scheduled_result_reads_the_schedules_bound(record_call_stacks) -> Non
             remainder_bound(other, params.cutoff_n, params.tail_order))
     # the carried bound is no field: equality and repr ignore it
     picked = auto_params(0.5 + 14j, 1e-10)
-    plain = EvalParams(picked.cutoff_n, picked.tail_order, 1e-10)
+    plain = EvalParams(picked.cutoff_n, picked.tail_order)
     assert picked == plain and hash(picked) == hash(plain) and repr(picked) == repr(plain)
 
 
@@ -645,13 +645,13 @@ def test_tail_rejects_origin_and_short_tables() -> None:
 def test_auto_params_examples() -> None:
     # the cheapest (N, nu) by N + 3 nu; the first fit from N = 2 (|t| + 1)
     # took (16, 2), (16, 3) and (202, 3)
-    assert auto_params(2 + 0j, 1e-10) == EvalParams(9, 3, 1e-10)
-    assert auto_params(2 + 0j, 1e-12) == EvalParams(10, 4, 1e-12)
+    assert auto_params(2 + 0j, 1e-10) == EvalParams(9, 3)
+    assert auto_params(2 + 0j, 1e-12) == EvalParams(10, 4)
     picked = auto_params(0.5 + 100j, 1e-8)
     assert (picked.cutoff_n, picked.tail_order) == (40, 9)
     assert remainder_bound(0.5 + 100j, picked.cutoff_n, picked.tail_order) <= 1e-8
     # the bound vanishes where a factor |s + k| does: the least cutoff serves
-    assert auto_params(-1 + 0j, 1e-8) == EvalParams(2, 2, 1e-8)
+    assert auto_params(-1 + 0j, 1e-8) == EvalParams(2, 2)
 
 
 def test_auto_params_picks_the_cheapest_certified_pair() -> None:
@@ -720,13 +720,9 @@ def test_eval_params_validation() -> None:
     for nu in (30, 31):  # Bernoulli indices beyond the table cap
         with pytest.raises(ParameterError, match="tail_order"):
             EvalParams(16, nu)
-    with pytest.raises(ParameterError):
-        EvalParams(16, 2, target_eps=0.0)
-    with pytest.raises(ParameterError):
-        EvalParams(16, 2, target_eps=float("nan"))
 
 
 def test_default_eps_is_used_when_params_omitted() -> None:
     result = zeta_gb(2)
-    assert result.params_used.target_eps == DEFAULT_TARGET_EPS
+    assert result.params_used == auto_params(2, DEFAULT_TARGET_EPS)
     assert result.remainder_bound <= DEFAULT_TARGET_EPS
