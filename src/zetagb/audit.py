@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 from .errors import (
     InconclusiveError,
@@ -361,7 +361,8 @@ def audit_range(
 
 
 def _report_payload(report: AuditReport) -> dict:
-    zeros = [{**record_fields(rec), "checks": asdict(c)} for rec, c in report.zero_checks]
+    # the checks hold floats only, so a shallow copy equals the deep one of asdict
+    zeros = [{**record_fields(rec), "checks": dict(vars(c))} for rec, c in report.zero_checks]
     qvar = None
     if report.q_variation is not None:
         qvar = {

@@ -28,7 +28,10 @@ def fmt_float(x: float) -> str:
 
 
 def _emit(obj: Any, indent: int | None, level: int, out: list[str]) -> None:
-    if obj is None:
+    # floats, most of a payload, first; bools are ints, not floats
+    if isinstance(obj, float):
+        out.append(fmt_float(obj))
+    elif obj is None:
         out.append("null")
     elif obj is True:
         out.append("true")
@@ -38,8 +41,6 @@ def _emit(obj: Any, indent: int | None, level: int, out: list[str]) -> None:
         out.append(encode_basestring_ascii(obj))
     elif isinstance(obj, int):
         out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(fmt_float(obj))
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")

@@ -49,9 +49,10 @@ Newton and Illinois steps make the exact per-point pass at params. Once
 |Z| <= tol, one polish step at the same params squares the error again
 and is kept while |Z| still meets tol, so a refined zero's |Z| sits far
 below tol (at most 4.8e-13 over 0 < t < 499) rather than wherever the
-last step happened to land. Q at the refined zero reads the head of
-Newton's pass there from the evaluator's memo (see ``zeta_core``), with
-the same bits as a pass of its own.
+last step happened to land. The polish reads no slope, so it makes one
+value-only exact pass, whose head Q at the refined zero reads from the
+evaluator's memo (see ``zeta_core``), with the same bits as a pass of its
+own.
 """
 
 from __future__ import annotations
@@ -66,8 +67,8 @@ from dataclasses import dataclass
 
 from .errors import BoundaryError, InconclusiveError, ParameterError, RefinementError
 from .serialize import csv_text, dumps
-from .zeta_core import (_IM_CAP, EvalParams, _as_complex, _head, _schedule, _zeta_nodes, auto_params,
-                        dirichlet_line, remainder_bound, zeta_gb)
+from .zeta_core import (_IM_CAP, EvalParams, _as_complex, _head, _schedule, _tail_denominator, _value,
+                        _zeta_nodes, auto_params, dirichlet_line, remainder_bound, zeta_gb)
 from .qfunction import q_gb
 
 __all__ = [
@@ -258,7 +259,7 @@ def refine_zero(
         polished = z - fz / deriv
         if 0.0 < polished.real < 1.0:
             iterations += 1
-            fp, _ = f(polished)
+            fp = _value(polished, params)
             if abs(fp) <= tol:
                 z, fz = polished, fp
     if z.imag < 0:
@@ -308,13 +309,14 @@ def _walk(
     # On a vertical line the bound at the end farther from the real axis is
     # at least every node's, so a node it certifies needs no bound of its own.
     n, nu = sample.cutoff_n, sample.tail_order
+    start, stop = nodes[0], nodes[-1]
+    _tail_denominator(min(start.real, stop.real), nu)
     if len(nodes) > 1:
-        heads = dirichlet_line(nodes[0], nodes[-1], len(nodes) - 1, n)
+        heads = dirichlet_line(start, stop, len(nodes) - 1, n)
     else:
         heads = [_head(nodes[0], n, keep=False)]
     values, _ = _zeta_nodes(nodes, heads, sample)
     line_bound = math.inf
-    start, stop = nodes[0], nodes[-1]
     if len(nodes) > 1 and start.real == stop.real:
         far = max(start, stop, key=lambda z: abs(z.imag))
         line_bound = remainder_bound(far, n, nu)

@@ -44,26 +44,29 @@ carry k more roundings, so node k drifts by O(k u) sum |n^{-s_k}| at
 worst (measured 2.1e-14 of that sum over 2,000-node lines). One private
 node kernel, ``_zeta_nodes``, finishes every node of such a line in one
 call: head + pole term + N^{-s}/2 + tail, in the operations and order of
-``zeta_gb``, which is the same kernel at one node. The scanner walks at
+``zeta_gb``, which is the same kernel at one node; what depends on N and
+nu alone it takes once per call, and callers refuse a too small tail order
+before their Dirichlet pass, which can overflow first. The scanner walks at
 a sample cutoff, the cheapest schedule entry that bounds the walk's worst
 corner by 1e-8, and keeps a node's value only where |value| exceeds 2^10
 times its truncation and rounding bounds (on a vertical line, one bound
 at its end farther from the real axis serves every node first); elsewhere
 it makes the exact pass (see ``zero_scan``).
 
-The derivative request and Q (``qfunction``) keep the heads
-sum_{n<N} n^{-s} of their exact passes in a memo of the 2,048 most
-recent, keyed by (s, N) under complex equality and evicted oldest first;
-Q and the plain evaluator read it. So Newton's pass at the refined zero,
-Q there and its audit share one pass, and so do Q and Z at a control
-point. The head depends on s and N alone, not on nu or eps, and
-a stored head is the total of the pass that made it: a plain pass and a
-derivative pass add the same terms in the same order, so a hit returns
-the bits a fresh pass would. Keys with a signed zero, such as 2+0j and
-2-0j, hold the same bits too: the total starts at 1+0j and exp(+-0 + iy)
-is one value. A derivative request always makes its own pass, a plain
-evaluation adds nothing to the memo, and ``dirichlet_partial_sum``
-itself is never cached. The memo holds about 0.3 MB.
+The derivative request, Q (``qfunction``) and the value-only pass of
+Newton's polish (``_value``) keep the heads sum_{n<N} n^{-s} of their
+exact passes in a memo of the 2,048 most recent, keyed by (s, N) under
+complex equality and evicted oldest first; Q and the plain evaluator read
+it. So the polish's pass at the refined zero, Q there and its audit share
+one pass, and so do Q and Z at a control point. The head depends on s
+and N alone, not on nu or eps, and a stored head is the total of the
+pass that made it: a plain pass and a derivative pass add the same terms
+in the same order, so a hit returns the bits a fresh pass would. Keys
+with a signed zero, such as 2+0j and 2-0j, hold the same bits too: the
+total starts at 1+0j and exp(+-0 + iy) is one value. A derivative
+request always makes its own pass, ``zeta_gb``'s plain evaluation adds
+nothing to the memo, and ``dirichlet_partial_sum`` itself is never
+cached. The memo holds about 0.3 MB.
 """
 
 from __future__ import annotations
@@ -98,9 +101,10 @@ DEFAULT_TARGET_EPS = 1e-8
 _AUTO_NU_RANGE = range(2, 26)
 _EPS_FLOOR = 1e-13
 _IM_CAP = 500.0
-# one tail order costs about as much as three Dirichlet terms: 0.58 us against
-# 0.18 us a term on a plain pass, 1.03 us against 0.30-0.39 us on a derivative
-# pass (Python 3.11.7)
+# the price of one tail order in Dirichlet terms. Measured: 0.38 us against
+# 0.15 us a term on a plain pass, 0.69 us against 0.25 us on a derivative
+# pass, median ratios 2.4 and 2.7 (8 runs at s = 1/2 + 300.25i, Python
+# 3.11.7, 2 CPUs). It stays 3, since another price moves the (N, nu) choices.
 _TAIL_TERMS = 3
 # the largest cutoff, explicit or scheduled; larger ones only grow the log
 # table. It is 64 times 2 (|t| + 1) at the cap.
@@ -321,9 +325,14 @@ def remainder_bound(s: complex, cutoff_n: int, tail_order: int) -> float:
     return abs(_coeffs()[nu + 1]) * prod * scale * abs(s + 2 * nu + 1) / denom
 
 
-def _em_series(
-    s: complex, cutoff_n: int, tail_order: int, head: complex, prod: complex, dprod: complex | None = None
-) -> tuple[complex, complex | None]:
+@lru_cache(maxsize=None)
+def _tail_orders(tail_order: int) -> tuple[float, tuple[tuple[float, int], ...]]:
+    # B_2/2!, and (B_{2mu}/(2mu)!, 2mu) for mu = 2..nu, built once per nu
+    return _coeffs()[1], tuple((c, 2 * mu) for mu, c in enumerate(_coeffs()[2:tail_order + 1], 2))
+
+
+def _em_series(s: complex, log_n: float, inv_n2: float, orders: tuple, head: complex, prod: complex,
+               dprod: complex | None = None) -> tuple[complex, complex | None]:
     # head + sum_mu c_mu * prod * (s+1)...(s+2mu-2) * N^{-s-2mu+1}, and, when
     # dprod = prod' is given, the derivative of the sum over mu (head
     # excluded), carried along by the product rule; None otherwise. The
@@ -332,12 +341,9 @@ def _em_series(
     # head = N^{-s}/(2s), prod = 1. The total has the same bits either way.
     # The mu = 1 term has an empty product; each later order mu multiplies
     # prod by (u - 3)(u - 2) with u = s + 2 mu, and N^{-s-2mu+1} by N^-2.
-    n = cutoff_n
-    coeffs = _coeffs()
-    npow = _rpow(n, -s - 1)
-    inv_n2 = 1.0 / (n * n)
-    orders = zip(coeffs[2:tail_order + 1], range(4, 2 * tail_order + 1, 2))
-    term = coeffs[1] * prod * npow
+    c1, orders = orders
+    npow = cmath.exp((-s - 1) * log_n)
+    term = c1 * prod * npow
     total = head + term
     if dprod is None:
         for c, two_mu in orders:
@@ -346,8 +352,7 @@ def _em_series(
             npow *= inv_n2
             total += c * prod * npow
         return total, None
-    log_n = math.log(n)
-    slope = 0.0j + (coeffs[1] * dprod * npow - log_n * term)
+    slope = 0.0j + (c1 * dprod * npow - log_n * term)
     for c, two_mu in orders:
         u = s + two_mu
         a, b = u - 3, u - 2
@@ -372,7 +377,8 @@ def em_tail(s: complex, params: EvalParams) -> complex:
     if s == 0:
         raise ParameterError("the abbreviated tail divides by s; s = 0 is excluded")
     n = params.cutoff_n
-    r, _ = _em_series(s, n, params.tail_order, _rpow(n, -s) / (2 * s), 1.0 + 0.0j)
+    r, _ = _em_series(s, math.log(n), 1.0 / (n * n), _tail_orders(params.tail_order),
+                      _rpow(n, -s) / (2 * s), 1.0 + 0.0j)
     return r
 
 
@@ -386,13 +392,15 @@ def _zeta_nodes(
     # order is refused here, at the line's smallest Re s, an end of the line.
     n, nu = params.cutoff_n, params.tail_order
     log_n = math.log(n)
+    inv_n2 = 1.0 / (n * n)
+    orders = _tail_orders(nu)
     dprod = None if head_slopes is None else 1.0 + 0.0j
     values = []
     slopes = None if head_slopes is None else []
     for k, (s, head) in enumerate(zip(nodes, heads)):
         pole_term = cmath.exp((1 - s) * log_n) / (s - 1)
         half = cmath.exp(-s * log_n) / 2
-        tail, tail_slope = _em_series(s, n, nu, half, s, dprod)
+        tail, tail_slope = _em_series(s, log_n, inv_n2, orders, half, s, dprod)
         value = head + pole_term + tail
         if not cmath.isfinite(value):
             raise ParameterError(f"evaluation overflowed at s = {s!r} with cutoff {n}")
@@ -401,6 +409,12 @@ def _zeta_nodes(
             slopes.append(head_slopes[k] - pole_term * (log_n + 1 / (s - 1)) - log_n * half + tail_slope)
     _tail_denominator(min(nodes[0].real, nodes[-1].real), nu)
     return values, slopes
+
+
+def _value(s: complex, params: EvalParams, keep: bool = True) -> complex:
+    # zeta_gb(s, params).value, checks aside, its head kept in the memo with ``keep``
+    (value,), _ = _zeta_nodes([s], [_head(s, params.cutoff_n, keep)], params)
+    return value
 
 
 def zeta_gb(
@@ -426,10 +440,10 @@ def zeta_gb(
         raise PoleError("s = 1 is the simple pole of the extension")
     if params is None:
         params = auto_params(s, eps)
-    n = params.cutoff_n
+    _tail_denominator(s.real, params.tail_order)
     if not derivative:
-        (value,), _ = _zeta_nodes([s], [_head(s, n, keep=False)], params)
-        return EvalResult(value=value, s=s, params_used=params)
+        return EvalResult(value=_value(s, params, keep=False), s=s, params_used=params)
+    n = params.cutoff_n
     head, head_slope = dirichlet_partial_sum(s, n, derivative=True)
     _remember(s, n, head)
     (value,), (slope,) = _zeta_nodes([s], [head], params, [head_slope])
@@ -463,6 +477,12 @@ def auto_params(s: complex, eps: float) -> EvalParams:
     return params
 
 
+@lru_cache(maxsize=None)
+def _schedule_rows() -> tuple[tuple[int, int, float, int], ...]:
+    # (nu, 2 nu, |c_{nu+1}|, _TAIL_TERMS nu) for each nu the schedule sweeps
+    return tuple((nu, 2 * nu, abs(_coeffs()[nu + 1]), _TAIL_TERMS * nu) for nu in _AUTO_NU_RANGE)
+
+
 def _schedule(s: complex, eps: float) -> EvalParams | None:
     # the (N, nu) of least cost N + 3 nu, nu in 2..25 and N <= _MAX_CUTOFF,
     # whose bound at s meets eps, or None. The bound is A_nu N^-d with
@@ -476,25 +496,24 @@ def _schedule(s: complex, eps: float) -> EvalParams | None:
     # params carry the bound they meet at s, so that a result evaluated at
     # s need not compute it again.
     sigma, t = s.real, s.imag
-    coeffs = _coeffs()
-    hypot = math.hypot
+    hypot, ceil, cap, shade = math.hypot, math.ceil, _MAX_CUTOFF, _SHADE
     prod = hypot(sigma, t) * hypot(sigma + 1.0, t) * hypot(sigma + 2.0, t) * hypot(sigma + 3.0, t)
     best_cost = math.inf
     best = None
-    for nu in _AUTO_NU_RANGE:
-        a = sigma + 2 * nu
+    for nu, two_nu, c, tail_cost in _schedule_rows():
+        a = sigma + two_nu
         d = a + 1.0
         prod *= hypot(a, t) * hypot(d, t)
         if d <= 0.0:
             continue
         try:
-            x = (abs(coeffs[nu + 1]) * prod / (d * eps)) ** (1.0 / d)
+            x = (c * prod / (d * eps)) ** (1.0 / d)
         except OverflowError:
             continue
-        if x > _MAX_CUTOFF:
+        if x > cap:
             continue
-        cutoff = max(2, math.ceil(x * _SHADE))
-        cost = cutoff + _TAIL_TERMS * nu
+        cutoff = max(2, ceil(x * shade))
+        cost = cutoff + tail_cost
         if cost > best_cost:
             break
         if cost < best_cost:

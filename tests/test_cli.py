@@ -91,6 +91,25 @@ def test_explicit_cutoff_above_the_schedule_exits_2(capsys) -> None:
     assert "cutoff_n must be an integer in [2, 64128]" in err
 
 
+@pytest.mark.parametrize("argv", (
+    ("eval", "--re", "-400", "--im", "0"),
+    ("count", "--sigma-min", "-400", "--sigma-max", "-399", "--t-min", "10", "--t-max", "11"),
+), ids=("eval", "count"))
+def test_a_tail_order_too_small_exits_2_before_any_pass(capsys, argv) -> None:
+    # n^400 overflows the Dirichlet pass or walk, so the order is refused first
+    code, out, err = invoke(capsys, *argv, "--N", "16", "--nu", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("parameter error: tail order 2 too small for Re(s) = -400.0")
+
+
+def test_a_valid_tail_order_keeps_the_pass_finite(capsys) -> None:
+    code, out, _ = invoke(capsys, "eval", "--re", "-58", "--im", "3", "--N", "64128", "--nu", "29",
+                          "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert math.isfinite(payload["value_re"]) and math.isfinite(payload["value_im"])
+
+
 def test_eval_pole_exits_2(capsys) -> None:
     code, _, err = invoke(capsys, "eval", "--re", "1")
     assert code == 2

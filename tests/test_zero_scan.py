@@ -66,25 +66,40 @@ def test_refine_canonicalizes_conjugate_seeds() -> None:
 
 def test_refine_evaluates_once_per_newton_point(monkeypatch) -> None:
     calls: list[tuple[complex, bool]] = []
-    evaluate = zero_scan.zeta_gb
+    passes: list[tuple[complex, bool]] = []
+    evaluate, summed = zero_scan.zeta_gb, zeta_core.dirichlet_partial_sum
     monkeypatch.setattr(
         zero_scan,
         "zeta_gb",
         lambda s, params, *, derivative=False: calls.append((s, derivative))
         or evaluate(s, params, derivative=derivative),
     )
-    # the seed, then per step the new iterate and the polish point, each
-    # evaluated once together with its derivative; |Z| at the kept point
-    # reuses its evaluation
+    monkeypatch.setattr(
+        zeta_core,
+        "dirichlet_partial_sum",
+        lambda s, cutoff_n, *, derivative=False: passes.append((s, derivative))
+        or summed(s, cutoff_n, derivative=derivative),
+    )
+    # the seed and each Newton step are evaluated once through zeta_gb,
+    # together with their derivative; the polish point, counted in
+    # refine_iterations, makes one value-only Dirichlet pass, and Q at the
+    # kept point reads its head, so Q makes no pass
     rec = refine_zero(complex(0.5, 14.1))
     assert rec.refine_iterations >= 2
-    assert len(calls) == 1 + rec.refine_iterations
+    assert len(calls) == rec.refine_iterations
     assert all(derivative for _, derivative in calls)
-    # a conjugated iterate is not evaluated again: reflection keeps |Z|
+    assert [s for s, derivative in passes if derivative] == [s for s, _ in calls]
+    assert [s for s, derivative in passes if not derivative] == [rec.s]
+    # a conjugated iterate is not evaluated again: reflection keeps |Z|; Q
+    # at the reflected point makes its own pass (on a cold memo: the first
+    # refinement kept the head there)
     calls.clear()
+    passes.clear()
+    zeta_core._forget_heads()
     rec = refine_zero(complex(0.5, -14.1))
-    assert len(calls) == 1 + rec.refine_iterations
+    assert len(calls) == rec.refine_iterations
     assert all(derivative for _, derivative in calls)
+    assert [s for s, derivative in passes if not derivative] == [rec.s.conjugate(), rec.s]
     assert rec.z_modulus == abs(evaluate(rec.s, rec.params_used).value)
 
 
@@ -174,15 +189,18 @@ def test_scan_walks_the_grid_once(record_call_stacks, kernel_calls) -> None:
     calls = record_call_stacks(
         ("scan_critical_line", "refine_zero", "q_gb", "zeta_gb", "dirichlet_partial_sum")
     )
-    zero_scan.scan_critical_line(0, 30)
+    records = zero_scan.scan_critical_line(0, 30)
     # one kernel call finishes every grid node, t = 0, 0.25, ..., 30, once,
     # from one line walk's Dirichlet sums; no node falls back to zeta_gb, so
-    # only refinement and Q make their own pass
+    # only refinement and Q make their own pass. Each zero's value-only
+    # polish pass goes through a zeta_core helper, not the node kernel as
+    # zero_scan binds it, so that kernel still sees walk calls only.
     assert [len(nodes) for nodes, _, _ in kernel_calls] == [121]
     assert calls.count(("scan_critical_line", "zeta_gb")) == 0
     passes = [stack for stack in calls if stack[-1] == "dirichlet_partial_sum"]
     assert passes
     assert all({"refine_zero", "q_gb"} & set(stack) for stack in passes)
+    assert calls.count(("scan_critical_line", "refine_zero", "dirichlet_partial_sum")) == len(records) == 3
 
 
 # the first has no phase-walk split, the second two (the first zero sits

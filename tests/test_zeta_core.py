@@ -22,6 +22,7 @@ import oracles
 from zetagb import zeta_core
 from zetagb.errors import ParameterError, PoleError, PrecisionError
 from zetagb.qfunction import q_gb
+from zetagb.zero_scan import refine_zero
 from zetagb.zeta_core import (
     DEFAULT_TARGET_EPS,
     EvalParams,
@@ -358,6 +359,89 @@ def test_walked_values_keep_their_errors() -> None:
         _walked(line, EvalParams(16, 2))
     assert str(refused.value) == str(pytest.raises(ParameterError, remainder_bound, line[0], 16, 2).value)
     assert str(refused.value).startswith("tail order 2 too small for Re(s) = -10.0")
+
+
+# (N, nu) the schedule picks, then the value and bound of zeta_gb with
+# auto_params, at 12 seeded points of [-1, 2] x [0, 500] and eps 1e-8,
+# 1e-10 and 1e-12 in turn; recorded as float.hex, so that a change that
+# claims the same bits can show them
+_EVAL_PINS = """
+    112 18 0x1.0a8b00f93f261p+2 -0x1.bd60c293675f2p+2 0x1.12ec9131c9e01p-27
+    118 20 0x1.0a8b00f920464p+2 -0x1.bd60c2949060dp+2 0x1.9f9aa20fac5f3p-34
+    117 24 0x1.0a8b00f91ebb2p+2 -0x1.bd60c2948cfcdp+2 0x1.128039f5922dep-40
+    34 10 0x1.5fb5adc7f6e3ep+5 -0x1.d9216923b48e0p+0 0x1.f65d0f258181ap-28
+    38 11 0x1.5fb5adc7add35p+5 -0x1.d9216921d7658p+0 0x1.43bccd5a4b702p-34
+    38 13 0x1.5fb5adc7ae853p+5 -0x1.d9216921cb5d0p+0 0x1.898e5a225368ap-41
+    87 15 -0x1.7feaf465f9f10p-2 0x1.1595ddfaaf211p+5 0x1.2cdbdf804d1d7p-27
+    88 18 -0x1.7feaf46241fc8p-2 0x1.1595ddfa83332p+5 0x1.9203c8b13eefcp-34
+    92 20 -0x1.7feaf4621a5fep-2 0x1.1595ddfa83a51p+5 0x1.0402c7d4b5653p-40
+    60 10 0x1.386ddafe9aa05p-1 0x1.0883cfec7a691p-2 0x1.3ceee77e411b8p-27
+    64 12 0x1.386ddaf2f301fp-1 0x1.0883cfe5b83f8p-2 0x1.895c645c860c6p-34
+    67 14 0x1.386ddaf2d1db4p-1 0x1.0883cfe5a2984p-2 0x1.09923d0ca9f63p-40
+    35 9 -0x1.ac8ab0b1d3ddap+1 0x1.78efe1ac48a70p+0 0x1.28a5283a72a05p-27
+    36 11 -0x1.ac8ab0ad555b4p+1 0x1.78efe1b0899e5p+0 0x1.2569c1dcd5924p-34
+    36 13 -0x1.ac8ab0ad5ffd8p+1 0x1.78efe1b080ff4p+0 0x1.0cfc482cc71fbp-40
+    110 16 0x1.7c565d1067ef0p+0 -0x1.1d21988d4ebc0p+0 0x1.47174b355295bp-27
+    118 18 0x1.7c565d148a869p+0 -0x1.1d219890606e8p+0 0x1.82cf9070c60d7p-34
+    121 21 0x1.7c565d14958e9p+0 -0x1.1d2198905a4c0p+0 0x1.092eef970be0ep-40
+    59 10 0x1.52608252ecd29p+0 0x1.2c022e637ad84p-2 0x1.2bca77e1c6dcbp-27
+    63 12 0x1.5260824d32e3bp+0 0x1.2c022e5f5b13dp-2 0x1.92a21af7c1921p-34
+    63 15 0x1.5260824d215dbp+0 0x1.2c022e5f64724p-2 0x1.09e993402d687p-40
+    117 14 0x1.448b256c920bbp-1 -0x1.6eb18c7996f86p-2 0x1.423e5791dcc1ap-27
+    123 17 0x1.448b256950c69p-1 -0x1.6eb18c6979fe9p-2 0x1.6c9bd16494632p-34
+    127 20 0x1.448b25693b222p-1 -0x1.6eb18c69856d3p-2 0x1.f6b0416f5f065p-41
+    87 15 0x1.e052651fd4cb4p-1 -0x1.08b7f5f79e405p-2 0x1.4ac11b6316778p-27
+    93 17 0x1.e052651a4297fp-1 -0x1.08b7f60da9112p-2 0x1.9a9f3babc4354p-34
+    98 19 0x1.e052651a46e42p-1 -0x1.08b7f60d6943bp-2 0x1.0cb1ffec9ac09p-40
+    106 16 0x1.10cb558b65585p+1 -0x1.00d6407d3a7f8p-1 0x1.493b7127fca6bp-27
+    106 20 0x1.10cb558dfec1fp+1 -0x1.00d6407be8d83p-1 0x1.af4bd47c34a6bp-34
+    115 21 0x1.10cb558e055abp+1 -0x1.00d6407bfde6cp-1 0x1.02f458c979ccep-40
+    67 12 0x1.3194b7423044fp-3 0x1.12865b84d7bd5p+1 0x1.4651dc7ad3aa3p-27
+    67 15 0x1.3194b7763057fp-3 0x1.12865b84cb797p+1 0x1.7bdc49baff6dbp-34
+    70 17 0x1.3194b77691884p-3 0x1.12865b84c442fp+1 0x1.d838e28d8110dp-41
+    8 4 0x1.283cbc3a35975p+0 0x1.ce9b63f553f34p-3 0x1.51fbb0e400e32p-27
+    13 4 0x1.283cbc4900c33p+0 0x1.ce9b630a2e7bcp-3 0x1.24b1ebfe88978p-34
+    14 5 0x1.283cbc490b282p+0 0x1.ce9b630bf7282p-3 0x1.7c94a766d9249p-41
+"""
+# value and slope at 0.5 + 14.1i, eps 1e-10
+_DERIVATIVE_PIN = (
+    "0x1.33ea1344b2404p-8",
+    "-0x1.bb52a96ec3dc8p-6",
+    "0x1.8cd190ab2f12ep-1",
+    "0x1.2aadfea15bbdbp-3",
+)
+# the refined first zero, then em_tail and Q there
+_ZERO_PIN = (
+    "0x1.ffffffff207f5p-2",
+    "0x1.c44fab19b190bp+3",
+    "0x1.47cbece2a938fp-7",
+    "0x1.da270e7ae9dcfp-11",
+    "0x1.9014b67ee39f9p+7",
+    "0x1.8b753b63c3efbp-30",
+)
+
+
+def test_evaluations_keep_their_bits() -> None:
+    rng = random.Random(20160)
+    points = [complex(rng.uniform(-1.0, 2.0), rng.uniform(0.0, 500.0)) for _ in range(12)]
+    cases = [(s, eps) for s in points for eps in (1e-8, 1e-10, 1e-12)]
+    rows = _EVAL_PINS.strip().splitlines()
+    assert len(rows) == len(cases)
+    for (s, eps), row in zip(cases, rows):
+        params = zeta_core._schedule(s, eps)
+        result = zeta_gb(s, eps=eps)
+        assert result.params_used == params
+        assert params._picked_at == (s, result.remainder_bound)
+        got = (str(params.cutoff_n), str(params.tail_order), result.value.real.hex(),
+               result.value.imag.hex(), result.remainder_bound.hex())
+        assert got == tuple(row.split()), s
+    result = zeta_gb(0.5 + 14.1j, eps=1e-10, derivative=True)
+    assert tuple(x.hex() for x in (result.value.real, result.value.imag, result.derivative.real,
+                                   result.derivative.imag)) == _DERIVATIVE_PIN
+    rec = refine_zero(0.5 + 14.1j)
+    tail, q = em_tail(rec.s, rec.params_used), q_gb(rec.s, rec.params_used)
+    assert q == rec.q_value
+    assert tuple(x.hex() for x in (rec.s.real, rec.s.imag, tail.real, tail.imag, q.real, q.imag)) == _ZERO_PIN
 
 
 # ---------------------------------------------------------------------------
