@@ -135,9 +135,12 @@ def _exit_status(exc_type: type[ZetaGBError]) -> tuple[int, str]:
 def _deliver(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ParameterError(f"cannot write --out {out!r}: {exc.strerror or exc}") from None
 
 
 def _render(fields: dict | list[dict], fmt: str, text: str) -> str:

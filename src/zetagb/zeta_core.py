@@ -20,7 +20,15 @@ choice is (136, 20), not the (1000, 4) that N = 2 (|t| + 1) needs.
 
 Everything is plain binary64; powers go through exp(-s ln n) with the
 real logarithm, so no branch ambiguity arises. The Dirichlet sum reads
-ln n from one table, computed once and shared, with the same bits.
+ln n from one table, computed once and shared, with the same bits. The
+tail is summed in nested (Horner) form, with one exp for all its orders,
+
+    N^{-s}/2 + s N^{-s-1} [c_1 + q_1 (c_2 + q_2 (... + q_{nu-1} c_nu))],
+    c_mu = B_{2mu}/(2mu)!,  q_mu = (s+2mu-1)(s+2mu)/N^2,
+
+one complex product and one complex multiply-add an order instead of
+carrying the rising product and the power of N separately (Higham,
+*Accuracy and Stability of Numerical Algorithms*, 5.1).
 
 On request the evaluator also returns the exact derivative of the sum it
 evaluates (Edwards, 6.4),
@@ -30,7 +38,9 @@ evaluates (Edwards, 6.4),
 
 with A = N^{1-s}/(s-1) and P_mu = s(s+1)...(s+2mu-2). Each derivative
 term reuses the n^{-s} or tail term of the same pass. Only that request
-carries the tail's slope P_mu'. The truncation bound is computed when
+carries the tail's slope, the derivative of the nested bracket, which
+runs along the same loop as Horner's derivative does and leaves the
+value's operations as they are. The truncation bound is computed when
 ``EvalResult.remainder_bound`` is first read, with the same bits, so
 Newton steps, which never read it, do not pay for it; params the
 schedule picked at s carry the bound it computed there to certify them.
@@ -101,18 +111,20 @@ DEFAULT_TARGET_EPS = 1e-8
 _AUTO_NU_RANGE = range(2, 26)
 _EPS_FLOOR = 1e-13
 _IM_CAP = 500.0
-# the price of one tail order in Dirichlet terms. Measured: 0.38 us against
-# 0.15 us a term on a plain pass, 0.69 us against 0.25 us on a derivative
-# pass, median ratios 2.4 and 2.7 (8 runs at s = 1/2 + 300.25i, Python
-# 3.11.7, 2 CPUs). It stays 3, since another price moves the (N, nu) choices.
+# the price of one tail order in Dirichlet terms. Measured with the nested
+# tail at s = 1/2 + 300.25i (Python 3.11.7, 2 CPUs, medians of 8 runs, five
+# times over): 1.4 to 1.8 terms on a plain pass and 1.6 to 1.9 on a
+# derivative pass (2.4 and 2.7 with the expanded tail). It stays 3: another
+# price moves the (N, nu) choices, so the retune waits for rounding-aware
+# bounds (ROADMAP item 3), which move them anyway.
 _TAIL_TERMS = 3
 # the largest cutoff, explicit or scheduled; larger ones only grow the log
 # table. It is 64 times 2 (|t| + 1) at the cap.
 _MAX_CUTOFF = 64_128
 _SHADE = 1.0 - 1e-12
-# exact Dirichlet heads kept by _head; auditing 0..499 needs about 4.7 per
+# exact Dirichlet heads kept by _head; auditing 0..499 needs about 3.7 per
 # zero (the polish step included) between a zero's refinement and its
-# audit, about 1,270 in all
+# audit, about 1,000 in all
 _HEAD_MEMO_SIZE = 2048
 
 
@@ -326,44 +338,41 @@ def remainder_bound(s: complex, cutoff_n: int, tail_order: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def _tail_orders(tail_order: int) -> tuple[float, tuple[tuple[float, int], ...]]:
-    # B_2/2!, and (B_{2mu}/(2mu)!, 2mu) for mu = 2..nu, built once per nu
-    return _coeffs()[1], tuple((c, 2 * mu) for mu, c in enumerate(_coeffs()[2:tail_order + 1], 2))
+def _tail_orders(tail_order: int) -> tuple[float, tuple[tuple[float, float, float], ...]]:
+    # B_{2nu}/(2nu)!, and (B_{2mu}/(2mu)!, 2mu - 1, 2mu) for mu = nu-1 down to
+    # 1, the order in which the nested series reads them; built once per nu
+    c = _coeffs()
+    return c[tail_order], tuple((c[mu], 2.0 * mu - 1.0, 2.0 * mu) for mu in range(tail_order - 1, 0, -1))
 
 
 def _em_series(s: complex, log_n: float, inv_n2: float, orders: tuple, head: complex, prod: complex,
                dprod: complex | None = None) -> tuple[complex, complex | None]:
-    # head + sum_mu c_mu * prod * (s+1)...(s+2mu-2) * N^{-s-2mu+1}, and, when
-    # dprod = prod' is given, the derivative of the sum over mu (head
-    # excluded), carried along by the product rule; None otherwise. The
-    # evaluator passes head = N^{-s}/2, prod = s and, for a derivative,
-    # dprod = 1 (safe at s = 0); the abbreviated tail r(N, s) passes
-    # head = N^{-s}/(2s), prod = 1. The total has the same bits either way.
-    # The mu = 1 term has an empty product; each later order mu multiplies
-    # prod by (u - 3)(u - 2) with u = s + 2 mu, and N^{-s-2mu+1} by N^-2.
-    c1, orders = orders
+    # head + sum_mu c_mu * prod * (s+1)...(s+2mu-2) * N^{-s-2mu+1} in nested
+    # (Horner) form, head + prod N^{-s-1} [c_1 + q_1 (c_2 + q_2 (... c_nu))]
+    # with q_mu = (s+2mu-1)(s+2mu)/N^2, one complex product and one complex
+    # multiply-add an order (Higham, Accuracy and Stability of Numerical
+    # Algorithms, 5.1). When dprod = prod' is given, also the derivative of
+    # the sum over mu (head excluded): the bracket's derivative runs along
+    # the same loop as Horner's derivative, dacc = q' acc + q dacc with
+    # q'_mu = (2s+4mu-1)/N^2; None otherwise. The evaluator passes
+    # head = N^{-s}/2, prod = s and, for a derivative, dprod = 1 (safe at
+    # s = 0); the abbreviated tail r(N, s) passes head = N^{-s}/(2s),
+    # prod = 1. The total has the same bits either way: both paths make the
+    # value's operations in the same order.
+    acc, orders = orders
     npow = cmath.exp((-s - 1) * log_n)
-    term = c1 * prod * npow
-    total = head + term
     if dprod is None:
-        for c, two_mu in orders:
-            u = s + two_mu
-            prod *= (u - 3) * (u - 2)
-            npow *= inv_n2
-            total += c * prod * npow
-        return total, None
-    slope = 0.0j + (c1 * dprod * npow - log_n * term)
-    for c, two_mu in orders:
-        u = s + two_mu
-        a, b = u - 3, u - 2
-        ab = a * b
-        dprod = dprod * ab + prod * (a + b)
-        prod *= ab
-        npow *= inv_n2
-        term = c * prod * npow
-        total += term
-        slope += c * dprod * npow - log_n * term
-    return total, slope
+        for c, a, b in orders:
+            acc = c + (s + a) * (s + b) * inv_n2 * acc
+        return head + prod * npow * acc, None
+    dacc = 0.0j
+    for c, a, b in orders:
+        u, v = s + a, s + b
+        q = u * v * inv_n2
+        dacc = (u + v) * inv_n2 * acc + q * dacc
+        acc = c + q * acc
+    tail = prod * npow * acc
+    return head + tail, (dprod * acc + prod * dacc) * npow - log_n * tail
 
 
 def em_tail(s: complex, params: EvalParams) -> complex:

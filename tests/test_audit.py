@@ -358,7 +358,7 @@ def test_derived_verdicts_follow_their_source(monkeypatch) -> None:
 
 
 def test_audit_range_aborts_to_a_partial_report() -> None:
-    cfg = ScanConfig(max_iter=1, strict_refine=True)
+    cfg = ScanConfig(step=0.5, max_iter=1, strict_refine=True)
     report = audit_range(14.0, 15.0, cfg)
     assert not report.complete
     assert "RefinementError" in (report.abort_reason or "")

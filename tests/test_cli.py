@@ -185,15 +185,15 @@ def test_each_run_logs_to_its_own_stderr() -> None:
     for _ in range(2):
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            assert run(["zeros", "--t-min", "14", "--t-max", "15", "--max-iter", "1"]) == 0
+            assert run(["zeros", "--t-min", "14", "--t-max", "15", "--step", "0.5", "--max-iter", "1"]) == 0
         lines = err.getvalue().splitlines()
         assert len(lines) == 2
-        assert lines[0].startswith("refinement skipped near t = 14.133759")
+        assert lines[0].startswith("refinement skipped near t = 14.129487")
         assert "1 candidate(s) failed to refine" in lines[1]
 
 
 def test_zeros_strict_refine_exits_5(capsys) -> None:
-    code, _, err = invoke(capsys, "zeros", "--t-min", "14", "--t-max", "15",
+    code, _, err = invoke(capsys, "zeros", "--t-min", "14", "--t-max", "15", "--step", "0.5",
                           "--max-iter", "1", "--strict-refine")
     assert code == 5
     assert "refinement error" in err
@@ -321,7 +321,7 @@ def test_singular_q_exits_3(capsys, monkeypatch, command: str) -> None:
 
 
 def test_audit_strict_refinement_failure_exits_5(capsys) -> None:
-    code, out, _ = invoke(capsys, "audit", "--t-min", "14", "--t-max", "15",
+    code, out, _ = invoke(capsys, "audit", "--t-min", "14", "--t-max", "15", "--step", "0.5",
                           "--max-iter", "1", "--strict-refine")
     assert code == 5
     payload = json.loads(out)
@@ -358,3 +358,28 @@ def test_unknown_arguments_exit_2(capsys) -> None:
     assert code == 2
     code, _, _ = invoke(capsys)
     assert code == 2
+
+
+_OUT_COMMANDS = {
+    "eval": ("eval", "--re", "0.5"),
+    "params": ("params", "--re", "0.5", "--im", "14"),
+    "zeros": ("zeros", "--t-min", "14", "--t-max", "15"),
+    "count": ("count", "--sigma-min", "0.01", "--sigma-max", "0.99", "--t-min", "10", "--t-max", "15"),
+    "audit": ("audit", "--t-min", "14", "--t-max", "15"),
+    "bernoulli": ("bernoulli", "--max-index", "4"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_OUT_COMMANDS))
+def test_an_unwritable_out_path_exits_2(capsys, tmp_path, command: str) -> None:
+    # a missing directory and a directory in place of the file, each named in the message
+    for target in (tmp_path / "missing" / "x", tmp_path):
+        code, out, err = invoke(capsys, *_OUT_COMMANDS[command], "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("parameter error: cannot write --out")
+        assert repr(str(target)) in err
+        assert "Traceback" not in err
+    written = tmp_path / "written"
+    assert invoke(capsys, *_OUT_COMMANDS[command], "--out", str(written))[0] == 0
+    assert written.read_text()

@@ -158,16 +158,18 @@ def test_scan_is_deterministic() -> None:
     assert len(a) == 1
 
 
+# One Newton step from the seed that a 0.5 grid gives leaves |Z| near 9e-6, far above
+# tol; on the default grid the interpolated seed needs only one step and converges.
 def test_scan_skips_failed_refinements_by_default(caplog) -> None:
     with caplog.at_level(logging.WARNING, logger="zetagb.zero_scan"):
-        records = scan_critical_line(14.0, 15.0, ScanConfig(max_iter=1))
+        records = scan_critical_line(14.0, 15.0, ScanConfig(step=0.5, max_iter=1))
     assert records == []
     assert "failed to refine" in caplog.text
 
 
 def test_scan_strict_mode_raises_instead() -> None:
     with pytest.raises(RefinementError):
-        scan_critical_line(14.0, 15.0, ScanConfig(max_iter=1, strict_refine=True))
+        scan_critical_line(14.0, 15.0, ScanConfig(step=0.5, max_iter=1, strict_refine=True))
 
 
 @pytest.fixture
@@ -278,7 +280,7 @@ def test_sign_changes_miss_two_zeros_in_one_cell() -> None:
 
 def test_a_coarse_bracket_keeps_its_zero(caplog) -> None:
     # at step 0.5 Newton from the node 334.0 ran from the cell [333.5, 334.0]
-    # to 334.2114, the zero of the next cell; the regula-falsi seed keeps it
+    # to 334.2114, the zero of the next cell; the interpolated seed keeps it
     with caplog.at_level(logging.WARNING, logger="zetagb.zero_scan"):
         records = scan_critical_line(333.0, 335.0, ScanConfig(step=0.5))
     assert [round(rec.t, 4) for rec in records] == [333.6454, 334.2114]
@@ -302,14 +304,14 @@ def _newton_within(monkeypatch, reach: float) -> None:
 
 
 def test_the_fallback_recovers_a_zero_that_newton_leaves(monkeypatch, caplog) -> None:
-    # the regula-falsi seed 333.84 is 0.2 from the zero: Illinois must narrow
+    # the interpolated seed 333.74 is 0.1 from the zero: Illinois must narrow
     # the bracket to within 1e-3 of it before the Newton polish
     _newton_within(monkeypatch, 1e-3)
     with caplog.at_level(logging.WARNING, logger="zetagb.zero_scan"):
         records = scan_critical_line(333.0, 335.0, ScanConfig(step=0.5))
     assert [round(rec.t, 4) for rec in records] == [333.6454, 334.2114]
     assert 333.5 < records[0].t < 334.0
-    # the Newton polish measures xi rather than keeping the regula-falsi point
+    # the Newton polish measures xi rather than keeping the Illinois point
     assert records[0].refine_iterations >= 1
     assert abs(records[0].xi) <= 1e-9
     assert caplog.text == ""
@@ -326,11 +328,82 @@ def test_a_bracket_the_fallback_cannot_resolve_is_named(monkeypatch, caplog) -> 
     assert "1 candidate(s) failed to refine" in caplog.text
 
 
-def test_regula_falsi_seeds_take_under_three_newton_steps(zeros_below_499) -> None:
-    # 3.75 a zero from the grid node with the smaller |Z|; the polish step,
-    # one a zero, is not counted
-    iterations = [rec.refine_iterations - 1 for rec in zeros_below_499]
-    assert sum(iterations) / len(iterations) <= 2.8
+def test_interpolated_seeds_take_under_two_newton_steps(zeros_below_499) -> None:
+    # refine_iterations counts the polish step, one a zero: 4.75 a zero from
+    # the grid node with the smaller |Z|, 3.69 from the regula-falsi point,
+    # 2.71 from the 8-node interpolant
+    assert len(zeros_below_499) == 269
+    iterations = [rec.refine_iterations for rec in zeros_below_499]
+    assert sum(iterations) / len(iterations) <= 2.75
+    assert max(rec.z_modulus for rec in zeros_below_499) <= 4.8e-13
+
+
+@pytest.fixture
+def seeds(monkeypatch) -> list[tuple[list[float], float, float, float, float]]:
+    """(stencil ordinates, ta, tb, seed, regula-falsi point) of every bracket a scan seeds."""
+    calls = []
+    interpolate = zero_scan._interpolated_seed
+
+    def record(ts, hs, ta, tb, ha, hb):
+        seed = interpolate(ts, hs, ta, tb, ha, hb)
+        calls.append((list(ts), ta, tb, seed, ta + (tb - ta) * ha / (ha - hb)))
+        return seed
+
+    monkeypatch.setattr(zero_scan, "_interpolated_seed", record)
+    return calls
+
+
+@pytest.mark.parametrize(("t_min", "t_max", "stencil"), (
+    (14.0, 16.0, [14.0 + 0.25 * k for k in range(8)]),     # at the window's start
+    (12.5, 14.25, [12.5 + 0.25 * k for k in range(8)]),    # at its end
+    (13.0, 14.2, [13.0 + 0.25 * k for k in range(5)] + [14.2]),  # ending on an off-grid t_max
+    (14.0, 14.25, [14.0, 14.25]),                           # a grid of two nodes
+), ids=("start", "end", "off-grid", "two-nodes"))
+def test_the_seed_lies_strictly_inside_its_bracket(seeds, t_min: float, t_max: float,
+                                                   stencil: list[float]) -> None:
+    records = scan_critical_line(t_min, t_max)
+    assert [round(rec.t, 6) for rec in records] == [14.134725]
+    ((ts, ta, tb, seed, _),) = seeds
+    # the stencil is shifted to stay on the grid and keeps both bracket ends
+    assert ts == pytest.approx(stencil, abs=1e-12)
+    assert ta < seed < tb and ta < 14.134725 < tb
+    assert abs(seed - records[0].t) < 1e-3
+
+
+def test_two_nodes_seed_at_the_regula_falsi_point(seeds) -> None:
+    scan_critical_line(14.0, 14.25)
+    ((_, _, _, seed, falsi),) = seeds
+    assert seed == pytest.approx(falsi, rel=4e-16)
+    rng = random.Random(21003)
+    for _ in range(200):
+        ta = rng.uniform(0.0, 499.0)
+        tb = ta + rng.uniform(0.01, 0.5)
+        ha, hb = rng.uniform(1e-6, 10.0), -rng.uniform(1e-6, 10.0)
+        falsi = ta + (tb - ta) * ha / (ha - hb)
+        assert zero_scan._interpolated_seed([ta, tb], [ha, hb], ta, tb, ha, hb) == pytest.approx(falsi, rel=4e-16)
+
+
+def test_the_interpolated_seed_is_the_polynomials_root() -> None:
+    # a cubic through eight nodes is reproduced, so the seed is its root in the bracket
+    ts = [20.0 + 0.25 * k for k in range(8)]
+    root = 20.9
+    hs = [-(t - root) * ((t - 20.4) ** 2 + 0.3) for t in ts]
+    seed = zero_scan._interpolated_seed(ts, hs, ts[3], ts[4], hs[3], hs[4])
+    assert seed == pytest.approx(root, abs=1e-12)
+
+
+def test_the_seed_stays_inside_the_bracket_on_any_data() -> None:
+    # wild interior values may give the polynomial several roots or none
+    # near the Newton path; the bisection guard still keeps the seed inside
+    rng = random.Random(21004)
+    for _ in range(300):
+        count = rng.randint(2, 8)
+        ts = sorted(rng.uniform(0.0, 2.0) for _ in range(count))
+        k = rng.randrange(count - 1)
+        hs = [rng.uniform(-5.0, 5.0) for _ in ts]
+        hs[k], hs[k + 1] = rng.uniform(1e-9, 5.0), -rng.uniform(1e-9, 5.0)
+        seed = zero_scan._interpolated_seed(ts, hs, ts[k], ts[k + 1], hs[k], hs[k + 1])
+        assert ts[k] < seed < ts[k + 1]
 
 
 def test_the_polish_step_leaves_every_zero_far_below_tol(zeros_below_499) -> None:
