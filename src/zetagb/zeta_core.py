@@ -347,13 +347,14 @@ def _tail_orders(tail_order: int) -> tuple[float, tuple[tuple[float, float, floa
 
 def _em_series(s: complex, log_n: float, inv_n2: float, orders: tuple, head: complex, prod: complex,
                dprod: complex | None = None) -> tuple[complex, complex | None]:
-    # head + sum_mu c_mu * prod * (s+1)...(s+2mu-2) * N^{-s-2mu+1} in nested
-    # (Horner) form, head + prod N^{-s-1} [c_1 + q_1 (c_2 + q_2 (... c_nu))]
-    # with q_mu = (s+2mu-1)(s+2mu)/N^2, one complex product and one complex
-    # multiply-add an order (Higham, Accuracy and Stability of Numerical
-    # Algorithms, 5.1). When dprod = prod' is given, also the derivative of
-    # the sum over mu (head excluded): the bracket's derivative runs along
-    # the same loop as Horner's derivative, dacc = q' acc + q dacc with
+    # head + sum_mu c_mu * prod * (s+1)...(s+2mu-2) * N^{-s-2mu+1} in the
+    # nested form of the module docstring, head + prod N^{-s-1} [c_1 +
+    # q_1 (c_2 + q_2 (... c_nu))] with q_mu = (s+2mu-1)(s+2mu)/N^2. 1/N^2
+    # stays in the loop: a table of coefficients scaled per (N, nu) would be
+    # rebuilt whenever N changes, as it does from one evaluation to the next.
+    # When dprod = prod' is given, also the derivative of the sum over mu
+    # (head excluded): the bracket's derivative runs along the same loop as
+    # Horner's derivative, dacc = q' acc + q dacc with
     # q'_mu = (2s+4mu-1)/N^2; None otherwise. The evaluator passes
     # head = N^{-s}/2, prod = s and, for a derivative, dprod = 1 (safe at
     # s = 0); the abbreviated tail r(N, s) passes head = N^{-s}/(2s),
