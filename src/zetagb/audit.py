@@ -138,13 +138,12 @@ def factorization_check(s_h: complex, q_at_sh: complex, samples: Sequence[comple
     q_at_sh = _as_complex(q_at_sh, "q_at_sh")
     if not samples:
         raise ParameterError("sample list must not be empty")
-    worst = 0.0
-    for raw in samples:
-        s = _as_complex(raw, "sample")
-        dev = abs((s * (s - 1) + q_at_sh) - (s - s_h) * (s - (1 - s_h)))
-        if dev > worst:
-            worst = dev
-    return worst
+    # the fixed points are finite complex numbers by construction; only a
+    # caller's own samples are checked
+    if samples is not SAMPLE_POINTS:
+        samples = [_as_complex(raw, "sample") for raw in samples]
+    mirror = 1 - s_h
+    return max(abs((s * (s - 1) + q_at_sh) - (s - s_h) * (s - mirror)) for s in samples)
 
 
 def audit_zero(rec: ZeroRecord) -> PropositionChecks:

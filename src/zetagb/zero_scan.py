@@ -29,28 +29,42 @@ caller that holds a count of all zeros rescans at a finer step.
 Rectangle counts use the argument principle with adaptive boundary
 sampling that keeps every phase increment below pi/2.
 
-The scan grid and each rectangle side's base nodes are uniformly spaced
-on a line, so their Dirichlet sums come from one ``dirichlet_line`` walk
-(one complex multiply per term and node), and one call of the
-evaluator's node kernel adds every node's pole term and tail. Those
-values only decide signs and phases, so the walk runs at a sample
-cutoff: the cheapest schedule entry (by N + 3 nu, see ``zeta_core``)
-whose truncation bound at the walk's worst corner (sigma_min, max |t|)
-is at most 1e-8, or the caller's params where no entry applies (beyond
-t = 500). Each sample is certified: it counts when |value| exceeds 2^10
-times its truncation bound plus a first-order rounding bound (N - 1
-additions and a phase error of 2 |s| ln N in any pass, k + 2 more
-roundings at walk node k, all in units of u sum n^{-sigma}). Its error
-is then below |zeta|/1024, so by Rouche's theorem it has the sign and
-the winding of the exact value. On a vertical walk (the scan grid, a
-rectangle's left and right sides) each factor |s + k| of the truncation
-bound grows with |t|, so the bound at the end farther from the real axis
-is at least every node's: a node certified against it is certified, and
-only the others read their own bound, so every decision is the per-node
-one. Horizontal sides read each node's bound, which is not monotone in
-sigma near t = 0. A node that fails the certificate makes the exact pass
-at params; on a rectangle side only such full-accuracy values decide a
-BoundaryError, since a certified sample must also exceed 2e-6.
+The scan grid is uniformly spaced on a line, and a rectangle's base
+nodes on a closed path of four such sides, so their Dirichlet sums come
+from one walk (one complex multiply per term and node, see
+``zeta_core``): the rectangle's walk starts at its first corner and
+carries its terms around each corner into the next side, so each corner
+is one node, and the last phase increment closes on the first node's
+value. One call of the evaluator's node kernel adds every node's pole
+term and tail. Those values only decide signs and phases, so the walk
+runs at a sample cutoff: the cheapest schedule entry (by N + 3 nu, see
+``zeta_core``) whose truncation bound at the walk's worst corner
+(sigma_min, max |t|) is at most 1e-8, or the caller's params where no
+entry applies (beyond t = 500). Each sample is certified: it counts when
+|value| exceeds 2^10 times its truncation bound plus a first-order
+rounding bound (N - 1 additions and a phase error of 2 |s| ln N in any
+pass, with |s| read as |s_0| plus the walk's length, and k + 2 more
+roundings at walk node k, all in units of u sum n^{-sigma} at the
+walk's smallest sigma). Its error is then below |zeta|/1024, so by
+Rouche's theorem it has the sign and the winding of the exact value.
+Each side of a walk is certified against one truncation bound at least
+every node's. On a vertical side (the scan grid, a rectangle's left and
+right sides) each factor |s + k| grows with |t|, so that is the bound at
+the end farther from the real axis. On a horizontal side at height t,
+
+    d ln B / d sigma = sum_{k <= 2 nu + 1} (sigma + k) / |s + k|^2
+                       - ln N - 1/(sigma + 2 nu + 1)
+                    <= (nu + 1)/|t| - ln N,
+
+since (sigma + k)^2 + t^2 >= 2 |sigma + k| |t| and sigma + 2 nu + 1 > 0,
+so whenever nu + 1 < |t| ln N the bound falls as sigma grows and the
+end with the smaller sigma bounds the side; elsewhere (near t = 0) each
+node reads its own bound. A node that fails its side's bound reads its
+own, so every decision is the per-node one. A node that fails the
+certificate makes the exact pass at params; on a rectangle's boundary
+only such full-accuracy values decide a BoundaryError, since a certified
+sample must also exceed 2e-6. Without params, a rectangle picks them at
+its worst corner when the first node needs them.
 Phase-walk splits and an off-grid t_max are one-node walks, which read
 their exact head. Grid values only pick brackets and Newton seeds, so
 the refined zeros move by rounding only, within the Newton tolerance.
@@ -72,12 +86,14 @@ import io
 import json
 import logging
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import BoundaryError, InconclusiveError, ParameterError, RefinementError
 from .serialize import csv_text, dumps
-from .zeta_core import (_IM_CAP, EvalParams, _as_complex, _head, _schedule, _tail_denominator, _value,
-                        _zeta_nodes, auto_params, dirichlet_line, remainder_bound, zeta_gb)
+from .zeta_core import (_IM_CAP, EvalParams, _as_complex, _dirichlet_path, _head, _schedule, _tail_denominator,
+                        _value, _zeta_nodes, auto_params, remainder_bound, zeta_gb)
 from .qfunction import q_gb
 
 __all__ = [
@@ -287,7 +303,7 @@ def refine_zero(
     )
 
 
-def _sample_params(corner: complex, params: EvalParams) -> EvalParams:
+def _sample_params(corner: complex, params: EvalParams | None) -> EvalParams | None:
     # the (N, nu) of sign and phase samples on a walk whose truncation bound
     # is largest at ``corner``: the cheapest bounding it by _SAMPLE_EPS, or
     # params beyond the supported range or where no schedule entry applies
@@ -296,46 +312,72 @@ def _sample_params(corner: complex, params: EvalParams) -> EvalParams:
     return _schedule(corner, _SAMPLE_EPS) or params
 
 
-def _rounding(nodes: list[complex], cutoff_n: int) -> list[float]:
-    # a first-order bound on the rounding of each node's Dirichlet sum, in
-    # units of u sum_{n<N} n^-sigma: N - 1 additions and a phase error of
-    # 2 |s| ln N in any pass, and k + 2 more roundings per term at node k of
-    # a walk. 1 + integral_1^N x^-sigma dx bounds the sum for every real sigma.
-    start, stop = nodes[0], nodes[-1]
-    sigma = min(start.real, stop.real)
+def _rounding(path: list[complex], count: int, cutoff_n: int) -> list[float]:
+    # a first-order bound on the rounding of the Dirichlet sums at the first
+    # ``count`` nodes walked along ``path`` (its vertices in walk order, a
+    # closed path ending where it starts), in units of u sum_{n<N} n^-sigma:
+    # N - 1 additions and a phase error of 2 |s| ln N in any pass, where
+    # |s_0| plus the path's length bounds |s| and the steps' own errors
+    # carried along, and k + 2 more roundings per term at node k of the
+    # walk. At the path's smallest sigma, 1 + integral_1^N x^-sigma dx
+    # bounds the sum for every real sigma.
+    sigma = min(z.real for z in path)
     log_n = math.log(cutoff_n)
     a = (1.0 - sigma) * log_n
     unit = _UNIT_ROUNDOFF * (1.0 + (math.expm1(a) / (1.0 - sigma) if a else log_n))
-    units = cutoff_n + 1 + 2 * (abs(start) + abs(stop - start)) * log_n
-    return [(units + k) * unit for k in range(len(nodes))]
+    length = sum(abs(stop - start) for start, stop in zip(path, path[1:]))
+    units = cutoff_n + 1 + 2 * (abs(path[0]) + length) * log_n
+    return [(units + k) * unit for k in range(count)]
+
+
+def _side_bound(start: complex, stop: complex, cutoff_n: int, tail_order: int) -> float:
+    # a truncation bound at least every node's on the side from start to
+    # stop, or inf where its nodes read their own: the end farther from the
+    # real axis on a vertical side, the end with the smaller sigma on a
+    # horizontal side at height t where nu + 1 < |t| ln N (the module
+    # docstring has the proof)
+    if start.real == stop.real:
+        return remainder_bound(max(start, stop, key=lambda z: abs(z.imag)), cutoff_n, tail_order)
+    if start.imag == stop.imag and tail_order + 1 < abs(start.imag) * math.log(cutoff_n):
+        return remainder_bound(min(start, stop, key=lambda z: z.real), cutoff_n, tail_order)
+    return math.inf
 
 
 def _walk(
-    nodes: list[complex], params: EvalParams, sample: EvalParams, floor: float = 0.0
+    nodes: list[complex],
+    segments: list[int],
+    sample: EvalParams,
+    exact: Callable[[complex], complex],
+    floor: float = 0.0,
 ) -> list[complex]:
-    # zeta at nodes evenly spaced on a line (or at one node), finished in
-    # one kernel call from the Dirichlet sums of one walk at the sample
-    # cutoff (a single node reads its exact head). A sample counts where
-    # |value| exceeds floor and _SAMPLE_MARGIN times its truncation bound
-    # plus its rounding; elsewhere the node makes the exact pass at params.
-    # On a vertical line the bound at the end farther from the real axis is
-    # at least every node's, so a node it certifies needs no bound of its own.
+    # zeta at the nodes of a path of straight sides, finished in one kernel
+    # call from the Dirichlet sums of one walk at the sample cutoff, or at
+    # one node (no segments), which reads its exact head. Side j starts at
+    # node segments[0] + ... + segments[j-1] and reaches the next side's
+    # first node in segments[j] equal steps; when the counts add up to
+    # len(nodes), the path is closed and its last side returns to nodes[0].
+    # A sample counts where |value| exceeds floor and _SAMPLE_MARGIN times
+    # its truncation bound plus its rounding; elsewhere the node takes
+    # exact(z), the exact pass. A node is tested against its side's bound
+    # first and, only where that fails, against its own, so every decision
+    # is the per-node one.
     n, nu = sample.cutoff_n, sample.tail_order
-    start, stop = nodes[0], nodes[-1]
-    _tail_denominator(min(start.real, stop.real), nu)
-    if len(nodes) > 1:
-        heads = dirichlet_line(start, stop, len(nodes) - 1, n)
-    else:
-        heads = [_head(nodes[0], n, keep=False)]
+    firsts = list(accumulate(segments, initial=0))
+    closed = firsts[-1] == len(nodes)
+    vertices = [nodes[k] for k in firsts[:-1]] + ([] if closed else [nodes[-1]])
+    path = vertices + vertices[:1] if closed else vertices
+    _tail_denominator(min(z.real for z in vertices), nu)
+    heads = _dirichlet_path(vertices, segments, n) if segments else [_head(nodes[0], n, keep=False)]
     values, _ = _zeta_nodes(nodes, heads, sample)
-    line_bound = math.inf
-    if len(nodes) > 1 and start.real == stop.real:
-        far = max(start, stop, key=lambda z: abs(z.imag))
-        line_bound = remainder_bound(far, n, nu)
-    for k, (z, value, rounding) in enumerate(zip(nodes, values, _rounding(nodes, n))):
-        if not abs(value) > max(floor, _SAMPLE_MARGIN * (line_bound + rounding)):
+    bounds: list[float] = []
+    for start, stop, count in zip(path, path[1:], segments):
+        bounds += [_side_bound(start, stop, n, nu)] * count
+    if not closed:  # the last node ends the last side
+        bounds.append(bounds[-1] if bounds else math.inf)
+    for k, (z, value, bound, rounding) in enumerate(zip(nodes, values, bounds, _rounding(path, len(nodes), n))):
+        if not abs(value) > max(floor, _SAMPLE_MARGIN * (bound + rounding)):
             if not abs(value) > max(floor, _SAMPLE_MARGIN * (remainder_bound(z, n, nu) + rounding)):
-                values[k] = zeta_gb(z, params).value
+                values[k] = exact(z)
     return values
 
 
@@ -347,10 +389,14 @@ def _line_values(
     count = int(math.floor((t_max - t_min) / step + 1e-9))
     grid = [t_min + k * step for k in range(count + 1)]
     sample = _sample_params(complex(0.5, t_max), params)
-    values = _walk([complex(0.5, t) for t in grid], params, sample)
+
+    def exact(z: complex) -> complex:
+        return zeta_gb(z, params).value
+
+    values = _walk([complex(0.5, t) for t in grid], [len(grid) - 1] if len(grid) > 1 else [], sample, exact)
     if grid[-1] < t_max - 1e-12:
         grid.append(t_max)
-        values += _walk([complex(0.5, t_max)], params, sample)
+        values += _walk([complex(0.5, t_max)], [], sample, exact)
     return grid, values
 
 
@@ -524,19 +570,29 @@ def rectangle_winding(rect: Rectangle, params: EvalParams | None = None) -> tupl
 
     Returns (count, |winding - count|). The count equals zeros minus
     poles inside; keep s = 1 outside the rectangle. Samples with
-    |Z| < 1e-6 on the contour abort with BoundaryError.
+    |Z| < 1e-6 on the contour abort with BoundaryError. Without
+    ``params``, full-accuracy values use ``auto_params`` at the worst
+    corner with eps 1e-9, picked on first need.
     """
     if not isinstance(rect, Rectangle):
         raise ParameterError(f"rect must be a Rectangle, got {type(rect).__name__}")
     worst = _worst_corner(rect)
-    if params is None:
-        params = auto_params(worst, 1e-9)
-    sample = _sample_params(worst, params)
 
-    def walk(nodes: list[complex]) -> list[complex]:
+    def full() -> EvalParams:
+        nonlocal params
+        if params is None:
+            params = auto_params(worst, 1e-9)
+        return params
+
+    def exact(z: complex) -> complex:
+        return zeta_gb(z, full()).value
+
+    sample = _sample_params(worst, params) or full()
+
+    def walk(nodes: list[complex], segments: list[int]) -> list[complex]:
         # a sample above twice the boundary modulus stays above it at params,
         # so only full-accuracy values decide a BoundaryError
-        values = _walk(nodes, params, sample, 2 * _BOUNDARY_MODULUS)
+        values = _walk(nodes, segments, sample, exact, 2 * _BOUNDARY_MODULUS)
         for z, value in zip(nodes, values):
             if abs(value) < _BOUNDARY_MODULUS:
                 raise BoundaryError(
@@ -546,17 +602,21 @@ def rectangle_winding(rect: Rectangle, params: EvalParams | None = None) -> tupl
         return values
 
     def f(z: complex) -> complex:
-        return walk([z])[0]
+        return walk([z], [])[0]
 
+    # one closed walk: each side's base nodes from its first corner on, so
+    # every corner is one node, and the last increment closes on the first
     corners = rect.corners()
+    nodes: list[complex] = []
+    segments: list[int] = []
+    for za, zb in zip(corners, corners[1:] + corners[:1]):
+        count = max(4, math.ceil(abs(zb - za) / 0.25))
+        segments.append(count)
+        nodes += [za + (zb - za) * (k / count) for k in range(count)]
+    ends = list(zip(nodes, walk(nodes, segments)))
     total = 0.0
-    for idx in range(4):
-        za, zb = corners[idx], corners[(idx + 1) % 4]
-        segments = max(4, math.ceil(abs(zb - za) / 0.25))
-        nodes = [za + (zb - za) * (k / segments) for k in range(segments + 1)]
-        values = walk(nodes)
-        for k in range(segments):
-            total += _phase_walk(nodes[k], nodes[k + 1], values[k], values[k + 1], f, 0)
+    for (za, fa), (zb, fb) in zip(ends, ends[1:] + ends[:1]):
+        total += _phase_walk(za, zb, fa, fb, f, 0)
 
     winding = total / math.tau
     count = round(winding)

@@ -51,17 +51,21 @@ multiply per term after one exp per term for n^{-s_0} and for n^{-d}
 (the multi-point idea of A. M. Odlyzko and A. Schonhage, Trans. AMS 309,
 1988). Node 0 keeps the bits of the exact pass; each later node's terms
 carry k more roundings, so node k drifts by O(k u) sum |n^{-s_k}| at
-worst (measured 2.1e-14 of that sum over 2,000-node lines). One private
-node kernel, ``_zeta_nodes``, finishes every node of such a line in one
-call: head + pole term + N^{-s}/2 + tail, in the operations and order of
-``zeta_gb``, which is the same kernel at one node; what depends on N and
-nu alone it takes once per call, and callers refuse a too small tail order
-before their Dirichlet pass, which can overflow first. The scanner walks at
-a sample cutoff, the cheapest schedule entry that bounds the walk's worst
+worst (measured 2.1e-14 of that sum over 2,000-node lines). A path of
+such lines is one walk too: at a vertex the terms carry on with the next
+line's step ratios, so only the first node pays one exp per term, and a
+closed path ends one step short of its start, whose sum it already has.
+``dirichlet_line`` is that walk along one line. One private node kernel,
+``_zeta_nodes``, finishes every node of a walk in one call: head + pole
+term + N^{-s}/2 + tail, in the operations and order of ``zeta_gb``,
+which is the same kernel at one node; what depends on N and nu alone it
+takes once per call, and callers refuse a too small tail order before
+their Dirichlet pass, which can overflow first. The scanner walks at a
+sample cutoff, the cheapest schedule entry that bounds the walk's worst
 corner by 1e-8, and keeps a node's value only where |value| exceeds 2^10
-times its truncation and rounding bounds (on a vertical line, one bound
-at its end farther from the real axis serves every node first); elsewhere
-it makes the exact pass (see ``zero_scan``).
+times its truncation and rounding bounds (one bound per side of the walk
+serves every node of it first); elsewhere it makes the exact pass (see
+``zero_scan``).
 
 The derivative request, Q (``qfunction``) and the value-only pass of
 Newton's polish (``_value``) keep the heads sum_{n<N} n^{-s} of their
@@ -290,16 +294,30 @@ def dirichlet_line(start: complex, stop: complex, segments: int, cutoff_n: int) 
     stop = _as_complex(stop, "stop")
     if not isinstance(segments, int) or segments < 1:
         raise ParameterError(f"segments must be an integer >= 1, got {segments!r}")
+    return _dirichlet_path([start, stop], [segments], cutoff_n)
+
+
+def _dirichlet_path(vertices: list[complex], segments: list[int], cutoff_n: int) -> list[complex]:
+    # partial sums at the nodes of a walk from vertices[0] through the
+    # others, edge j cut into segments[j] equal steps: one exp per term at
+    # vertices[0] and one per term and edge for its step, then one complex
+    # multiply per term and node, the terms carried from each edge into the
+    # next, so a vertex is one node. With one count per vertex the path is
+    # closed: its last edge returns to vertices[0], whose sum is not walked
+    # again. Node k's terms carry about k roundings of the walk.
     logs = _log_table(cutoff_n)[2:cutoff_n]
-    minus_s = -start
-    minus_d = -(stop - start) / segments
+    minus_s = -vertices[0]
     terms = [cmath.exp(minus_s * log_n) for log_n in logs]
-    ratios = [cmath.exp(minus_d * log_n) for log_n in logs]
     # an explicit left fold: sum() may compensate and change the bits
     sums = [reduce(add, terms, 1.0 + 0.0j)]
-    for _ in range(segments):
-        terms = list(map(mul, terms, ratios))
-        sums.append(reduce(add, terms, 1.0 + 0.0j))
+    closed = len(segments) == len(vertices)
+    for j, count in enumerate(segments):
+        start, stop = vertices[j], vertices[(j + 1) % len(vertices)]
+        minus_d = -(stop - start) / count
+        ratios = [cmath.exp(minus_d * log_n) for log_n in logs]
+        for _ in range(count - 1 if closed and j == len(segments) - 1 else count):
+            terms = list(map(mul, terms, ratios))
+            sums.append(reduce(add, terms, 1.0 + 0.0j))
     return sums
 
 
@@ -399,7 +417,8 @@ def _zeta_nodes(
     # at params.cutoff_n: head + N^{1-s}/(s-1) + N^{-s}/2 + the tail. With
     # head_slopes (each head's derivative), also each node's derivative;
     # None otherwise. The truncation bound is left to the caller, but its
-    # order is refused here, at the line's smallest Re s, an end of the line.
+    # order is refused here, at the smaller Re s of the first and last
+    # nodes: an end of a line, and the rectangle's closed walk starts at its smallest.
     n, nu = params.cutoff_n, params.tail_order
     log_n = math.log(n)
     inv_n2 = 1.0 / (n * n)

@@ -4,6 +4,7 @@ the eight-line verdict report, and its deterministic JSON rendering."""
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -61,6 +62,17 @@ def test_factorization_rest_is_constant_in_s(sh_re, sh_im, q_re, q_im) -> None:
 def test_factorization_rejects_empty_samples() -> None:
     with pytest.raises(ParameterError):
         factorization_check(0.5 + 14j, 200 + 0j, [])
+
+
+def test_factorization_checks_a_callers_samples_only() -> None:
+    # the fixed points are not checked again, and give the bits of the same
+    # points passed as a caller's own, which are checked
+    s_h, q = complex(0.5, 333.3), complex(0.25 + 333.3**2, 1e-9)
+    assert factorization_check(s_h, q, SAMPLE_POINTS) == factorization_check(s_h, q, list(SAMPLE_POINTS))
+    with pytest.raises(ParameterError, match="sample must be a complex number, got 'x'"):
+        factorization_check(s_h, q, [*SAMPLE_POINTS[:3], "x"])
+    with pytest.raises(ParameterError, match="sample must have finite components"):
+        factorization_check(s_h, q, [complex(1.0, math.inf)])
 
 
 def test_sample_points_are_fixed_and_boxed() -> None:
@@ -181,18 +193,33 @@ def test_audit_zero_reads_the_heads_of_the_scan(record_call_stacks) -> None:
 
 def test_the_strip_winding_meets_its_target_at_its_worst_corner(monkeypatch) -> None:
     # without explicit params, the winding's params bound the truncation by
-    # 1e-9 on the strip's left side, not only on the critical line
+    # 1e-9 on the strip's left side, not only on the critical line. They
+    # serve only nodes whose sample is not certified, so no sample is
+    # certified here and every node of the winding takes the exact pass.
     winding_params = []
-    walk = zero_scan._walk
+    winding = audit.rectangle_winding
+    evaluate = zero_scan.zeta_gb
+    inside = []
 
-    def record(nodes, params, sample, floor=0.0):
-        if floor > 0:  # only the winding sets a floor
+    def count(*args):
+        inside.append(True)
+        try:
+            return winding(*args)
+        finally:
+            inside.pop()
+
+    def record(s, params, **kwargs):
+        if inside:
             winding_params.append(params)
-        return walk(nodes, params, sample, floor)
+        return evaluate(s, params, **kwargs)
 
-    monkeypatch.setattr(zero_scan, "_walk", record)
-    audit_range(495.0, 499.0)
+    monkeypatch.setattr(audit, "rectangle_winding", count)
+    monkeypatch.setattr(zero_scan, "zeta_gb", record)
+    monkeypatch.setattr(zero_scan, "_SAMPLE_MARGIN", math.inf)
+    report = audit_range(495.0, 499.0)
+    assert report.strip_zeros == len(report.zero_checks) == 3
     (params,) = set(winding_params)
+    assert len(winding_params) >= 40
     assert remainder_bound(complex(0.01, 499.0), params.cutoff_n, params.tail_order) <= 1e-9
     # explicit params are the winding's params too
     winding_params.clear()

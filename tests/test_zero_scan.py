@@ -8,6 +8,7 @@ the oracle itself is validated against mpmath in test_oracles.py.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import random
@@ -211,14 +212,21 @@ def test_scan_walks_the_grid_once(record_call_stacks, kernel_calls) -> None:
     ("rect", "zeros"), ((Rectangle(0.01, 0.99, 0.1, 30.0), 3), (Rectangle(0.45, 0.55, 13.5, 14.2), 1))
 )
 def test_winding_walks_each_side_once(record_call_stacks, kernel_calls, rect: Rectangle, zeros: int) -> None:
-    calls = record_call_stacks(("zeta_gb", "dirichlet_partial_sum"))
+    calls = record_call_stacks(("zeta_gb", "dirichlet_partial_sum", "_dirichlet_path"))
     count, _ = rectangle_winding(rect)
     assert count == zeros
     sides = (rect.sigma_max - rect.sigma_min, rect.t_max - rect.t_min) * 2
-    # each side is one walk, whose kernel call finishes each of its base
-    # nodes once from the side's Dirichlet sums
-    assert [len(nodes) for nodes, _, _ in kernel_calls if len(nodes) > 1] == [
-        max(4, math.ceil(side / 0.25)) + 1 for side in sides]
+    segments = [max(4, math.ceil(side / 0.25)) for side in sides]
+    # the boundary is one closed walk, whose one kernel call finishes each
+    # base node once: a side's nodes from its first corner up to the next
+    # corner, which is the next side's first node, so each corner is one node
+    assert calls.count(("_dirichlet_path",)) == 1
+    (walked,) = [nodes for nodes, _, _ in kernel_calls if len(nodes) > 1]
+    assert len(walked) == sum(segments)
+    assert len(set(walked)) == len(walked)
+    assert [walked.count(corner) for corner in rect.corners()] == [1, 1, 1, 1]
+    firsts = [0, *itertools.accumulate(segments)][:4]
+    assert [walked[k] for k in firsts] == list(rect.corners())
     # only the phase-walk splits (one-node walks) and uncertified samples
     # (zeta_gb at params) make their own pass, one each
     splits = sum(len(nodes) == 1 for nodes, _, _ in kernel_calls)
@@ -453,70 +461,95 @@ def test_scan_stays_inside_the_supported_range() -> None:
 # ---------------------------------------------------------------------------
 
 AUDIT_WINDOWS = tuple(250.0 + 24.9 * k for k in range(10))
+# the tall strip rectangle: its closed walk carries its terms about 4,000 steps
+TALL = Rectangle(0.01, 0.99, 0.1, 499.0)
 
 
 @pytest.fixture(scope="module")
-def sampled_walks() -> list[tuple[list[complex], EvalParams, EvalParams, list[complex]]]:
-    # (nodes, params, sample params, returned values) of every walk made by
-    # the 0..499 grid at step 0.25 and by the strip rectangles of ten 4-wide
-    # audit windows in [250, 499], splits included
+def sampled_walks() -> list[tuple[list[complex], list[int], EvalParams, EvalParams, list[complex]]]:
+    # (nodes, segments, params, sample params, returned values) of every walk
+    # made by the 0..499 grid at step 0.25, by the strip rectangles of ten
+    # 4-wide audit windows in [250, 499] and by the tall strip rectangle,
+    # splits included
     walks = []
     walk = zero_scan._walk
+    caller = {}
 
-    def record(nodes, params, sample, floor=0.0):
-        values = walk(nodes, params, sample, floor)
-        walks.append((nodes, params, sample, values))
+    def record(nodes, segments, sample, exact, floor=0.0):
+        values = walk(nodes, segments, sample, exact, floor)
+        walks.append((nodes, segments, caller["params"], sample, values))
         return values
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(zero_scan, "_walk", record)
-        zero_scan._line_values(0.0, 499.0, 0.25, zero_scan._refine_params(complex(0.5, 499.0), 1e-9))
-        for lo in AUDIT_WINDOWS:
-            rectangle_winding(Rectangle(0.01, 0.99, lo, lo + 4.0), auto_params(complex(0.5, lo + 4.0), 1e-9))
+        caller["params"] = zero_scan._refine_params(complex(0.5, 499.0), 1e-9)
+        zero_scan._line_values(0.0, 499.0, 0.25, caller["params"])
+        for rect in [Rectangle(0.01, 0.99, lo, lo + 4.0) for lo in AUDIT_WINDOWS] + [TALL]:
+            caller["params"] = auto_params(complex(0.5, rect.t_max), 1e-9)
+            rectangle_winding(rect, caller["params"])
     return walks
 
 
-def _samples(nodes: list[complex], sample: EvalParams):
+def _path(nodes: list[complex], segments: list[int]) -> list[complex]:
+    # the walk's vertices in order, a closed walk's ending where it starts
+    firsts = list(itertools.accumulate(segments, initial=0))
+    return [nodes[k % len(nodes)] for k in firsts]
+
+
+def _sides(nodes: list[complex], segments: list[int]):
+    # (start, stop, the side's nodes) of each straight side of a walk
+    path, firsts = _path(nodes, segments), list(itertools.accumulate(segments, initial=0))
+    for j, count in enumerate(segments):
+        yield path[j], path[j + 1], nodes[firsts[j]:firsts[j] + count + 1] + nodes[:1] * (firsts[j + 1] == len(nodes))
+
+
+def _samples(nodes: list[complex], segments: list[int], sample: EvalParams):
     # each node's sampled value, truncation bound and rounding allowance,
     # recomputed as the walk made them
     n, nu = sample.cutoff_n, sample.tail_order
-    heads = ([dirichlet_partial_sum(nodes[0], n)] if len(nodes) == 1
-             else dirichlet_line(nodes[0], nodes[-1], len(nodes) - 1, n))
+    path = _path(nodes, segments)
+    vertices = path[:-1] if sum(segments) == len(nodes) else path
+    heads = (zeta_core._dirichlet_path(vertices, segments, n) if segments
+             else [dirichlet_partial_sum(nodes[0], n)])
     values, _ = zeta_core._zeta_nodes(nodes, heads, sample)
-    for z, value, rounding in zip(nodes, values, zero_scan._rounding(nodes, n)):
+    for z, value, rounding in zip(nodes, values, zero_scan._rounding(path, len(nodes), n)):
         yield z, value, remainder_bound(z, n, nu), rounding
 
 
 def test_each_sample_lies_within_its_certificate(sampled_walks) -> None:
     nodes_checked = 0
-    for nodes, params, sample, values in sampled_walks:
+    for nodes, segments, params, sample, values in sampled_walks:
         # every walk samples at its own cutoff, the cheapest bounding its worst
         # corner by 1e-8; the rectangles' params, picked at sigma = 1/2, may
         # cost a few terms less there or share its (N, nu)
-        for (z, sampled, bound, rounding), value in zip(_samples(nodes, sample), values):
+        for (z, sampled, bound, rounding), value in zip(_samples(nodes, segments, sample), values):
             full = zeta_gb(z, params)
             # the returned value is the sample, or the full pass where it is not certified
             certified = abs(sampled) > 2.0**10 * (bound + rounding)
             assert value == (sampled if certified else full.value)
             # both truncation bounds, the sample's rounding and the full pass's own
             allowance = (bound + full.remainder_bound + rounding
-                         + zero_scan._rounding([z], params.cutoff_n)[0])
+                         + zero_scan._rounding([z], 1, params.cutoff_n)[0])
             assert abs(sampled - full.value) <= allowance
             nodes_checked += 1
-    assert nodes_checked >= 1997 + 10 * 44
+    # the grid, ten closed walks of 40 nodes and the tall one of 4,000
+    assert nodes_checked >= 1997 + 10 * 40 + 4000
+    tall = [nodes for nodes, segments, *_ in sampled_walks if sum(segments) == len(nodes) > 3000]
+    assert [len(nodes) for nodes in tall] == [2 * 4 + 2 * 1996]
 
 
 def test_a_vertical_walk_is_bounded_at_its_far_end(sampled_walks, monkeypatch) -> None:
-    # the walk tests every node of a vertical line against the bound at its
+    # the walk tests every node of a vertical side against the bound at its
     # end farther from the real axis first; that bound is at least each
     # node's, also on a line that crosses the axis
     crossing = [complex(0.5, -3.0 + 0.25 * k) for k in range(21)]
-    walks = [(nodes, sample) for nodes, _, sample, _ in sampled_walks if len(nodes) > 1]
-    vertical = [(nodes, sample) for nodes, sample in walks if nodes[0].real == nodes[-1].real]
-    assert len(vertical) >= 21 and len(vertical) < len(walks)
-    for nodes, sample in vertical + [(crossing, EvalParams(16, 4))]:
+    sides = [(side, sample) for nodes, segments, _, sample, _ in sampled_walks
+             for side in _sides(nodes, segments)]
+    vertical = [(side, sample) for side, sample in sides if side[0].real == side[1].real]
+    assert len(vertical) == 1 + 2 * 11 and len(sides) == 1 + 4 * 11
+    for (start, stop, nodes), sample in vertical + [((crossing[0], crossing[-1], crossing), EvalParams(16, 4))]:
         n, nu = sample.cutoff_n, sample.tail_order
-        line_bound = remainder_bound(max(nodes[0], nodes[-1], key=lambda z: abs(z.imag)), n, nu)
+        line_bound = remainder_bound(max(start, stop, key=lambda z: abs(z.imag)), n, nu)
         assert all(remainder_bound(z, n, nu) <= line_bound for z in nodes)
     # on the crossing line the walk's first bound is the far end's, and every
     # node still takes the decision of its own bound
@@ -524,11 +557,63 @@ def test_a_vertical_walk_is_bounded_at_its_far_end(sampled_walks, monkeypatch) -
     bounded = []
     bound = zero_scan.remainder_bound
     monkeypatch.setattr(zero_scan, "remainder_bound", lambda s, *args: bounded.append(s) or bound(s, *args))
-    values = zero_scan._walk(crossing, params, sample)
+    values = zero_scan._walk(crossing, [20], sample, lambda z: zeta_gb(z, params).value)
     assert bounded[0] == complex(0.5, -3.0)
-    for (z, sampled, bound, rounding), value in zip(_samples(crossing, sample), values):
+    for (z, sampled, bound, rounding), value in zip(_samples(crossing, [20], sample), values):
         certified = abs(sampled) > 2.0**10 * (bound + rounding)
         assert value == (sampled if certified else zeta_gb(z, params).value)
+
+
+def test_a_horizontal_side_is_bounded_at_its_smaller_sigma(sampled_walks) -> None:
+    # where nu + 1 < |t| ln N the bound falls as sigma grows along a side at
+    # height t, so its end with the smaller sigma bounds every node; near
+    # the real axis the rule does not apply and each node keeps its own
+    rng = random.Random(20261019)
+    checked = 0
+    for _ in range(400):
+        t = rng.choice((-1.0, 1.0)) * rng.uniform(0.05, 500.0)
+        sigma_a, sigma_b = rng.uniform(-1.0, 2.0), rng.uniform(-1.0, 2.0)
+        params = EvalParams(rng.randrange(2, 1200), rng.randrange(2, 26))
+        n, nu = params.cutoff_n, params.tail_order
+        if min(sigma_a, sigma_b) + 2 * nu + 1 <= 0 or sigma_a == sigma_b:
+            continue
+        start, stop = complex(sigma_a, t), complex(sigma_b, t)
+        side = zero_scan._side_bound(start, stop, n, nu)
+        if not nu + 1 < abs(t) * math.log(n):
+            assert side == math.inf
+            continue
+        assert side == remainder_bound(min(start, stop, key=lambda z: z.real), n, nu)
+        nodes = [start + (stop - start) * (k / 64) for k in range(64)] + [stop]
+        assert all(remainder_bound(z, n, nu) <= side for z in nodes)
+        checked += 1
+    assert checked >= 100
+    # the walked horizontal sides: the audit windows' take the side bound,
+    # the tall rectangle's bottom side at t = 0.1 reads each node's bound
+    horizontal = [(side, sample) for nodes, segments, _, sample, _ in sampled_walks
+                  for side in _sides(nodes, segments) if side[0].imag == side[1].imag]
+    assert len(horizontal) == 2 * 11
+    for (start, stop, nodes), sample in horizontal:
+        n, nu = sample.cutoff_n, sample.tail_order
+        side = zero_scan._side_bound(start, stop, n, nu)
+        assert (side == math.inf) == (start.imag == 0.1)
+        assert all(remainder_bound(z, n, nu) <= side for z in nodes)
+
+
+def test_the_rectangle_reads_one_bound_per_side(monkeypatch) -> None:
+    # the closed walk reads one truncation bound per side, at the far end of
+    # a vertical side and the sigma_min end of a horizontal one; a bottom
+    # side at t = 0.1, where that rule does not apply, reads one per node
+    bounded = []
+    bound = zero_scan.remainder_bound
+    monkeypatch.setattr(zero_scan, "remainder_bound", lambda s, *args: bounded.append(s) or bound(s, *args))
+    high, low = Rectangle(0.01, 0.99, 250.0, 254.0), Rectangle(0.01, 0.99, 0.1, 30.0)
+    rectangle_winding(high, EvalParams(200, 10))
+    c = high.corners()
+    assert bounded == [c[0], c[2], c[3], c[3]]
+    bounded.clear()
+    rectangle_winding(low, EvalParams(200, 10))
+    c = low.corners()
+    assert bounded == [c[2], c[3], c[3]] + [c[0] + (c[1] - c[0]) * (k / 4) for k in range(4)]
 
 
 def test_a_walk_at_params_still_certifies_its_nodes(monkeypatch) -> None:
@@ -559,11 +644,17 @@ def test_walks_read_few_truncation_bounds(record_call_stacks) -> None:
 
 def test_samples_agree_with_mpmath(sampled_walks) -> None:
     rng = random.Random(20261018)
-    picks = [(nodes, sample, rng.randrange(len(nodes)))
-             for nodes, _, sample, _ in rng.sample(sampled_walks, 40)]
+    nodes = [(walk, k) for walk in sampled_walks for k in range(len(walk[0]))]
+    picks = rng.sample(nodes, 40)
+    # the tall rectangle's walk holds about half the nodes, so it is drawn from
+    assert sum(len(walk[0]) == 4000 for walk, _ in picks) >= 10
+    samples = {}
     with mpmath.workdps(20):
-        for nodes, sample, k in picks:
-            z, sampled, bound, rounding = list(_samples(nodes, sample))[k]
+        for walk, k in picks:
+            nodes, segments, _, sample, _ = walk
+            if id(walk) not in samples:
+                samples[id(walk)] = list(_samples(nodes, segments, sample))
+            z, sampled, bound, rounding = samples[id(walk)][k]
             exact = complex(mpmath.zeta(mpmath.mpc(z.real, z.imag)))
             assert abs(sampled - exact) <= bound + rounding
 
@@ -662,11 +753,24 @@ def test_winding_params_meet_their_target_at_the_worst_corner(monkeypatch) -> No
     chosen = []
     pick = zero_scan.auto_params
     monkeypatch.setattr(zero_scan, "auto_params", lambda s, eps: chosen.append(pick(s, eps)) or chosen[-1])
-    count, _ = rectangle_winding(Rectangle(0.01, 0.99, 493.0, 499.0))
-    assert count == 5
+    rect = Rectangle(0.01, 0.99, 493.0, 499.0)
+    # the fallback params are picked on first need: every sample is certified here
+    assert rectangle_winding(rect)[0] == 5
+    assert chosen == []
+    # with no sample certified, every node takes the exact pass at them
+    exact = []
+    evaluate = zero_scan.zeta_gb
+    monkeypatch.setattr(zero_scan, "zeta_gb", lambda s, p: exact.append(p) or evaluate(s, p))
+    monkeypatch.setattr(zero_scan, "_SAMPLE_MARGIN", math.inf)
+    assert rectangle_winding(rect)[0] == 5
     (params,) = chosen
+    assert len(exact) >= 40 and set(exact) == {params}
     # chosen at sigma_max they bounded 4.2e-7 at sigma = 0.01
     assert remainder_bound(complex(0.01, 499.0), params.cutoff_n, params.tail_order) <= 1e-9
+    # beyond the supported range no sample cutoff applies, so the first need
+    # comes first and refuses the rectangle
+    with pytest.raises(ParameterError, match="supported range"):
+        rectangle_winding(Rectangle(0.01, 0.99, 600.0, 601.0))
 
 
 def test_scan_config_defaults() -> None:
