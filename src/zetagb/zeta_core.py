@@ -418,7 +418,8 @@ def _zeta_nodes(
     # head_slopes (each head's derivative), also each node's derivative;
     # None otherwise. The truncation bound is left to the caller, but its
     # order is refused here, at the smaller Re s of the first and last
-    # nodes: an end of a line, and the rectangle's closed walk starts at its smallest.
+    # nodes: an end of a line, and the smallest on the rectangle's closed
+    # walk, which starts at (sigma_min, t_min).
     n, nu = params.cutoff_n, params.tail_order
     log_n = math.log(n)
     inv_n2 = 1.0 / (n * n)

@@ -492,15 +492,16 @@ def sampled_walks() -> list[tuple[list[complex], list[int], EvalParams, EvalPara
 
 def _path(nodes: list[complex], segments: list[int]) -> list[complex]:
     # the walk's vertices in order, a closed walk's ending where it starts
-    firsts = list(itertools.accumulate(segments, initial=0))
-    return [nodes[k % len(nodes)] for k in firsts]
+    ring = nodes + nodes[:1]
+    return [ring[k] for k in itertools.accumulate(segments, initial=0)]
 
 
 def _sides(nodes: list[complex], segments: list[int]):
-    # (start, stop, the side's nodes) of each straight side of a walk
-    path, firsts = _path(nodes, segments), list(itertools.accumulate(segments, initial=0))
-    for j, count in enumerate(segments):
-        yield path[j], path[j + 1], nodes[firsts[j]:firsts[j] + count + 1] + nodes[:1] * (firsts[j + 1] == len(nodes))
+    # (start, stop, the side's nodes with both ends) of each straight side of a walk
+    ring = nodes + nodes[:1]
+    firsts = list(itertools.accumulate(segments, initial=0))
+    for a, b in zip(firsts, firsts[1:]):
+        yield ring[a], ring[b], ring[a:b + 1]
 
 
 def _samples(nodes: list[complex], segments: list[int], sample: EvalParams):
