@@ -12,7 +12,6 @@ from __future__ import annotations
 from .audit import (
     AuditReport,
     PropositionChecks,
-    QVariation,
     audit_range,
     audit_zero,
     factorization_check,
@@ -70,7 +69,7 @@ __all__ = [
     "ZeroRecord", "Rectangle", "ScanConfig",
     "refine_zero", "scan_critical_line", "rectangle_winding",
     "write_records_csv", "read_records_csv", "write_records_jsonl", "read_records_jsonl",
-    "PropositionChecks", "QVariation", "AuditReport",
+    "PropositionChecks", "AuditReport",
     "factorization_check", "audit_zero", "q_variation", "audit_range",
     "report_to_json", "render_text",
 ]

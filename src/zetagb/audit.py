@@ -1,23 +1,24 @@
 """Numerical audit of the zero-condition propositions.
 
-For each refined zero s_H the audit measures, at working precision:
+For each refined zero s_H = 1/2 + xi + it the audit measures only what
+needs Q, at working precision:
 
   * the zero-condition residual s(s-1) + Q(s) at s_H; reflection,
     Z(conj s) = conj Z(s) bit for bit, makes its conjugate the same check,
-  * how real Q is, and how close to 1/4 + t^2,
-  * the measured line offset xi = Re s_H - 1/2,
   * agreement of [s(s-1) + Q] with (s - s_H)(s - (1 - s_H)) over 100
     fixed points of a sample box, whose maximal deviation must reproduce
     the residual (the difference is constant in s).
 
-Two propositions are identities of these measurements and are read from
-them, not measured again: the division rest |Q(s_H) - s_H (1 - s_H)| is
-the residual |s_H (s_H - 1) + Q(s_H)| bit for bit, and the conjugate
-relation |conj(s_H) - (1 - s_H)| is 2 |xi|.
+The line offset xi is the record's own. The other propositions follow
+from these and are stated, not measured again: the division rest
+|Q(s_H) - s_H (1 - s_H)| is the residual |s_H (s_H - 1) + Q(s_H)| bit
+for bit, the conjugate relation |conj(s_H) - (1 - s_H)| is 2 |xi|, and
+the zero condition gives Q = 1/4 + t^2 - xi^2 - 2i xi t up to the
+residual, which bounds how far Q is from real and from 1/4 + t^2.
 
-``audit_range`` bundles the per-zero checks with consistency controls,
-a Q non-constancy probe, and a count of the window's zeros into an
-eight-line verdict report (I..VIII) with a stable JSON rendering.
+``audit_range`` bundles the per-zero checks with consistency controls
+and a count of the window's zeros into an eight-line verdict report
+(I..VIII) with a stable JSON rendering.
 Verdict III tests the counter-hypothesis, an off-line conjugate pair
 rho, 1 - conj(rho): the winding number of one rectangle over the strip
 counts every zero with multiplicity, and the scan finds the zeros of odd
@@ -54,7 +55,6 @@ __all__ = [
     "CONTROL_POINTS",
     "TOLERANCES",
     "PropositionChecks",
-    "QVariation",
     "AuditReport",
     "factorization_check",
     "audit_zero",
@@ -64,7 +64,7 @@ __all__ = [
     "render_text",
 ]
 
-SCHEMA_VERSION = "5"
+SCHEMA_VERSION = "6"
 SAMPLE_BOX = (-2.0, 3.0, -50.0, 50.0)  # sigma_min, sigma_max, t_min, t_max
 _rng = random.Random(271828)
 # the factorization points every zero shares
@@ -91,26 +91,15 @@ _ROMAN = ("I", "II", "III", "IV", "V", "VI", "VII", "VIII")
 
 @dataclass(frozen=True)
 class PropositionChecks:
-    """All measured deviations for one zero; every field is >= 0 and finite."""
+    """The measured deviations for one zero; every field is >= 0 and finite."""
 
     zero_residual_abs: float
-    q_imag_rel: float
-    q_vs_quarter_plus_t2: float
-    xi_abs: float
     factorization_max_dev: float
 
     def __post_init__(self) -> None:
         for name, value in self.__dict__.items():
             if not (isinstance(value, float) and math.isfinite(value) and value >= 0):
                 raise ParameterError(f"{name} must be a finite non-negative float, got {value!r}")
-
-
-@dataclass(frozen=True)
-class QVariation:
-    """Q sampled at several points under one parameter set."""
-
-    points: tuple[tuple[complex, complex], ...]  # (s, Q(s))
-    max_delta: float
 
 
 @dataclass(frozen=True)
@@ -122,7 +111,7 @@ class AuditReport:
     params_used: EvalParams
     tolerances_used: dict[str, float]
     zero_checks: tuple[tuple[ZeroRecord, PropositionChecks], ...]
-    q_variation: QVariation | None
+    q_variation: tuple[tuple[complex, complex], ...] | None  # (s, Q(s)) at the controls
     consistency_controls: tuple[tuple[complex, float, float], ...]  # (s, residual, |Z|)
     strip_zeros: int | None  # winding count of the strip rectangle over the window
     verdict_lines: tuple[str, ...]
@@ -147,45 +136,29 @@ def factorization_check(s_h: complex, q_at_sh: complex, samples: Sequence[comple
 
 
 def audit_zero(rec: ZeroRecord) -> PropositionChecks:
-    """Measure each fact at rec.s, the factorization over ``SAMPLE_POINTS``.
+    """Measure the zero-condition residual at rec.s and the factorization
+    over ``SAMPLE_POINTS``, the two facts that need Q.
 
     Q is evaluated at ``rec.params_used``, the params that refined the
     zero. Reflection makes Q(conj s) = conj Q(s) bit for bit, so the
     residual at the conjugate zero is the residual at rec.s: the two
-    conjugate points are one check, and Q is evaluated once.
+    conjugate points are one check, and Q is evaluated once. The line
+    offset is ``rec.xi``, and the verdicts read it from the record.
     """
     if not isinstance(rec, ZeroRecord):
         raise ParameterError(f"rec must be a ZeroRecord, got {type(rec).__name__}")
     s = rec.s
     q_s = q_gb(s, rec.params_used)
 
-    residual = abs(s * (s - 1) + q_s)
-    q_abs = abs(q_s)
-    q_imag_rel = abs(q_s.imag) / q_abs if q_abs > 0 else 0.0
-    q_vs = abs(q_s - (0.25 + rec.t * rec.t))
-    xi_abs = abs(s.real - 0.5)
-    max_dev = factorization_check(s, q_s, SAMPLE_POINTS)
-
     return PropositionChecks(
-        zero_residual_abs=residual,
-        q_imag_rel=q_imag_rel,
-        q_vs_quarter_plus_t2=q_vs,
-        xi_abs=xi_abs,
-        factorization_max_dev=max_dev,
+        zero_residual_abs=abs(s * (s - 1) + q_s),
+        factorization_max_dev=factorization_check(s, q_s, SAMPLE_POINTS),
     )
 
 
-def q_variation(points: list[complex], params: EvalParams) -> QVariation:
-    """Q at each point and the largest pairwise |Q_i - Q_j|."""
-    if len(points) < 2:
-        raise ParameterError("q_variation needs at least two points")
-    values = [(p, q_gb(p, params)) for p in (_as_complex(p) for p in points)]
-    max_delta = max(
-        abs(values[i][1] - values[j][1])
-        for i in range(len(values))
-        for j in range(i + 1, len(values))
-    )
-    return QVariation(points=tuple(values), max_delta=max_delta)
+def q_variation(points: Sequence[complex], params: EvalParams) -> tuple[tuple[complex, complex], ...]:
+    """Q at each point under one parameter set, as (s, Q(s)) pairs."""
+    return tuple((p, q_gb(p, params)) for p in (_as_complex(p) for p in points))
 
 
 # ---------------------------------------------------------------------------
@@ -220,12 +193,12 @@ def _verdicts(
     def summary(fn, tolerance: float, label: str, idx: int) -> None:
         if vacuous(idx, label):
             return
-        worst = max(fn(c) for _, c in checks)
+        worst = max(fn(rec, c) for rec, c in checks)
         status = "PASS" if worst <= tolerance else "FAIL"
         lines.append(_line(idx, status, f"{label}: max {worst:.3e} vs tolerance {tolerance:.1e}"))
 
     # I: every zero sits on the line within tolerance
-    summary(lambda c: c.xi_abs, tol["xi"], "measured |xi| at each zero", 0)
+    summary(lambda rec, c: abs(rec.xi), tol["xi"], "measured |xi| at each zero", 0)
 
     # II: consistency identity at the control points
     if controls:
@@ -250,21 +223,29 @@ def _verdicts(
         )
 
     # IV: zero-condition residual at each zero and its conjugate
-    summary(lambda c: c.zero_residual_abs, tol["zero_residual"], "|s(s-1) + Q|", 3)
+    summary(lambda rec, c: c.zero_residual_abs, tol["zero_residual"], "|s(s-1) + Q|", 3)
 
-    # V: Q is real and equals 1/4 + t^2 within tolerance
+    # V: Q is real and equals 1/4 + t^2, stated from I and IV. With res = IV's
+    # residual, Q = 1/4 + t^2 - xi^2 - 2i xi t + r with |r| = res, so
+    # |Q - (1/4 + t^2)| <= xi^2 + 2|xi|t + res and |Im Q| <= 2|xi|t + res,
+    # while |Q| >= 1/4 + t^2 less the first bound.
     if not vacuous(4, "Q realness"):
-        worst_imag = max(c.q_imag_rel for _, c in checks)
-        worst_quarter = max(c.q_vs_quarter_plus_t2 for _, c in checks)
+        worst_imag = worst_quarter = 0.0
+        for rec, c in checks:
+            xi, t = abs(rec.xi), rec.t
+            quarter = xi * xi + 2 * xi * t + c.zero_residual_abs
+            q_floor = 0.25 + t * t - quarter
+            imag = (2 * xi * t + c.zero_residual_abs) / q_floor if q_floor > 0 else math.inf
+            worst_imag, worst_quarter = max(worst_imag, imag), max(worst_quarter, quarter)
         ok = worst_imag <= tol["q_imag_rel"] and worst_quarter <= tol["q_vs_quarter_plus_t2"]
         lines.append(
             _line(4, "PASS" if ok else "FAIL",
-                  f"Q realness {worst_imag:.3e} vs {tol['q_imag_rel']:.1e}; "
-                  f"|Q - (1/4 + t^2)| {worst_quarter:.3e} vs {tol['q_vs_quarter_plus_t2']:.1e}")
+                  f"from I and IV: Q realness <= {worst_imag:.3e} vs {tol['q_imag_rel']:.1e}; "
+                  f"|Q - (1/4 + t^2)| <= {worst_quarter:.3e} vs {tol['q_vs_quarter_plus_t2']:.1e}")
         )
 
     # VI: polynomial division rest, IV's residual: Q - s(1-s) = s(s-1) + Q bit for bit
-    summary(lambda c: c.zero_residual_abs, tol["zero_residual"],
+    summary(lambda rec, c: c.zero_residual_abs, tol["zero_residual"],
             "division rest |Q - s(1-s)| = |s(s-1) + Q| (IV)", 5)
 
     # VII: factorization max deviation reproduces the rest
@@ -280,7 +261,7 @@ def _verdicts(
         )
 
     # VIII: conjugate relation conj(s) = 1 - s, I's offset: |conj(s) - (1 - s)| = 2|xi|
-    summary(lambda c: 2 * c.xi_abs, 2 * tol["xi"], "|conj(s) - (1 - s)| = 2|xi| (I)", 7)
+    summary(lambda rec, c: 2 * abs(rec.xi), 2 * tol["xi"], "|conj(s) - (1 - s)| = 2|xi| (I)", 7)
 
     return tuple(lines)
 
@@ -297,7 +278,8 @@ def audit_range(
     (two zeros in one grid cell show no sign change), the window is
     scanned again at half the step, down to step / 16, and the new
     records are audited. Without ``params`` the scan, the audit and the
-    controls use ``auto_params`` at 1/2 + i t_max with eps 1e-9, and the
+    controls use ``auto_params`` at 1/2 + i max(t_max, 5) with eps 1e-9,
+    so that the params cover the control points at t = 5, and the
     strip rectangle picks its own at (0.01, t_max), where its truncation
     bound is largest. Fatal numeric failures in any sub-step abort the
     audit; the partial report comes back with ``complete=False`` and the
@@ -315,17 +297,17 @@ def audit_range(
 
     abort: str | None = None
     checks: tuple[tuple[ZeroRecord, PropositionChecks], ...] = ()
-    qvar: QVariation | None = None
+    qvar: tuple[tuple[complex, complex], ...] | None = None
     controls: tuple[tuple[complex, float, float], ...] = ()
     strip_zeros: int | None = None
     try:
         checks = scan_and_audit(cfg)
-        qvar = q_variation(list(CONTROL_POINTS), params)
+        qvar = q_variation(CONTROL_POINTS, params)
         # one Z per control point, checked against the Q that q_variation holds
-        zs = [zeta_gb(c, params).value for c, _ in qvar.points]
+        zs = [zeta_gb(c, params).value for c, _ in qvar]
         controls = tuple(
             (c, consistency_identity(c, z, q, params), abs(z))
-            for (c, q), z in zip(qvar.points, zs)
+            for (c, q), z in zip(qvar, zs)
         )
         window_lo = max(float(t_min), 0.1)
         if t_max - window_lo > 0.2:
@@ -367,9 +349,8 @@ def _report_payload(report: AuditReport) -> dict:
         qvar = {
             "points": [
                 {"re": p.real, "im": p.imag, "q_re": q.real, "q_im": q.imag}
-                for p, q in report.q_variation.points
+                for p, q in report.q_variation
             ],
-            "max_delta": report.q_variation.max_delta,
         }
     return {
         "schema_version": SCHEMA_VERSION,
@@ -410,8 +391,6 @@ def render_text(report: AuditReport) -> str:
             f"  t = {rec.t:.9f}  xi = {rec.xi: .2e}  |Z| = {rec.z_modulus:.2e}  "
             f"residual = {c.zero_residual_abs:.2e}"
         )
-    if report.q_variation is not None:
-        lines.append(f"Q variation across controls: max delta {report.q_variation.max_delta:.6g}")
     if not report.complete:
         lines.append(f"INCOMPLETE: {report.abort_reason}")
     lines.append("verdicts:")

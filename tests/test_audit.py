@@ -29,6 +29,7 @@ from zetagb.zero_scan import ScanConfig, ZeroRecord, refine_zero
 from zetagb.zeta_core import EvalParams, remainder_bound
 
 FIRST_ORDINATE = 14.13472514172102
+UNIT_ROUNDOFF = 2.0 ** -53
 
 
 # ---------------------------------------------------------------------------
@@ -96,21 +97,21 @@ def first_zero() -> ZeroRecord:
 
 def test_audit_zero_passes_at_a_real_zero(first_zero) -> None:
     checks = audit_zero(first_zero)
-    assert checks.xi_abs <= TOLERANCES["xi"]
+    assert abs(first_zero.xi) <= TOLERANCES["xi"]
     assert checks.zero_residual_abs <= TOLERANCES["zero_residual"]
-    assert checks.q_imag_rel <= TOLERANCES["q_imag_rel"]
-    assert checks.q_vs_quarter_plus_t2 <= TOLERANCES["q_vs_quarter_plus_t2"]
-    s = first_zero.s
-    assert abs(q_gb(s, first_zero.params_used) - s * (1 - s)) <= TOLERANCES["zero_residual"]
+    s, t = first_zero.s, first_zero.t
+    q = q_gb(s, first_zero.params_used)
+    assert abs(q.imag) / abs(q) <= TOLERANCES["q_imag_rel"]
+    assert abs(q - (0.25 + t * t)) <= TOLERANCES["q_vs_quarter_plus_t2"]
+    assert abs(q - s * (1 - s)) <= TOLERANCES["zero_residual"]
     assert abs(s.conjugate() - (1 - s)) <= 2 * TOLERANCES["xi"]
     gap = abs(checks.factorization_max_dev - checks.zero_residual_abs)
     assert gap <= TOLERANCES["factorization_agree"] * (1.0 + abs(first_zero.q_value))
 
 
 def test_conj_relation_is_twice_xi(first_zero) -> None:
-    checks = audit_zero(first_zero)
     s = first_zero.s
-    assert abs(abs(s.conjugate() - (1 - s)) - 2.0 * checks.xi_abs) <= 1e-12
+    assert abs(abs(s.conjugate() - (1 - s)) - 2.0 * abs(first_zero.xi)) <= 1e-12
 
 
 def test_audit_zero_flags_an_off_line_record() -> None:
@@ -119,8 +120,8 @@ def test_audit_zero_flags_an_off_line_record() -> None:
     fake = ZeroRecord(s=s, z_modulus=1e-11, q_value=q_gb(s, params), refine_iterations=3,
                       params_used=params)
     checks = audit_zero(fake)
-    assert checks.xi_abs == pytest.approx(0.1, abs=1e-12)
-    assert abs(s.conjugate() - (1 - s)) == pytest.approx(2 * checks.xi_abs, abs=1e-12)
+    assert abs(fake.xi) == pytest.approx(0.1, abs=1e-12)
+    assert abs(s.conjugate() - (1 - s)) == pytest.approx(2 * abs(fake.xi), abs=1e-12)
     assert checks.zero_residual_abs > 1.0
 
 
@@ -130,11 +131,14 @@ def test_audit_zero_rejects_a_non_record() -> None:
 
 
 def test_q_variation_across_controls() -> None:
-    var = q_variation([2 + 0j, 3 + 0j], EvalParams(8, 6))
-    assert var.max_delta == pytest.approx(0.12523005928371228, rel=1e-12)
-    assert len(var.points) == 2
+    params = EvalParams(8, 6)
+    ((s2, q2), (s3, q3)) = q_variation([2 + 0j, 3 + 0j], params)
+    assert (s2, s3) == (2 + 0j, 3 + 0j)
+    assert (q2, q3) == (q_gb(2, params), q_gb(3, params))
+    # acceptance check 10 pins |Q(2) - Q(3)| = 0.12523005928371228
+    assert abs(q2 - q3) == pytest.approx(0.12523005928371228, rel=1e-12)
     with pytest.raises(ParameterError):
-        q_variation([2 + 0j], EvalParams(8, 6))
+        q_variation(["x"], params)
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +159,10 @@ def test_audit_range_over_the_first_window() -> None:
     ]
     assert report.tolerances_used == TOLERANCES
     assert len(report.consistency_controls) == len(CONTROL_POINTS)
+    assert [s for s, _ in report.q_variation] == list(CONTROL_POINTS)
+    rec, checks = report.zero_checks[0]
+    assert abs(rec.xi) <= TOLERANCES["xi"]
+    assert set(vars(checks)) == {"zero_residual_abs", "factorization_max_dev"}
 
 
 def test_audit_range_asks_each_question_once(record_call_stacks) -> None:
@@ -345,7 +353,34 @@ def test_six_and_eight_read_identities_of_four_and_one(supported_range_report) -
         s = rec.s
         q = q_gb(s, report.params_used)
         assert abs(q - s * (1 - s)) == abs(s * (s - 1) + q) == c.zero_residual_abs
-        assert abs(abs(s.conjugate() - (1 - s)) - 2 * c.xi_abs) <= 1.2e-16
+        assert abs(abs(s.conjugate() - (1 - s)) - 2 * abs(rec.xi)) <= 1.2e-16
+
+
+def _derived_v_bounds(rec, c) -> tuple[float, float]:
+    # Q = 1/4 + t^2 - xi^2 - 2i xi t up to IV's residual: the bounds on
+    # |Im Q|/|Q| and |Q - (1/4 + t^2)| that V states from I and IV
+    xi, t, res = abs(rec.xi), rec.t, c.zero_residual_abs
+    quarter = xi * xi + 2 * xi * t + res
+    return (2 * xi * t + res) / (0.25 + t * t - quarter), quarter
+
+
+def test_derived_v_dominates_the_measurement(supported_range_report) -> None:
+    # the measured realness and distance from 1/4 + t^2 never exceed what V
+    # states, up to one rounding of Q - (1/4 + t^2) (2.1e-3 of it at most)
+    report = supported_range_report
+    assert len(report.zero_checks) == 269
+    worst_imag = worst_quarter = 0.0
+    for rec, c in report.zero_checks:
+        q = q_gb(rec.s, rec.params_used)
+        scale = 0.25 + rec.t * rec.t
+        imag, quarter = _derived_v_bounds(rec, c)
+        assert abs(q.imag) / abs(q) <= imag + UNIT_ROUNDOFF
+        assert abs(q - scale) <= quarter + UNIT_ROUNDOFF * scale
+        worst_imag, worst_quarter = max(worst_imag, imag), max(worst_quarter, quarter)
+    assert worst_imag <= TOLERANCES["q_imag_rel"]
+    assert worst_quarter <= TOLERANCES["q_vs_quarter_plus_t2"]
+    assert f"Q realness <= {worst_imag:.3e}" in _verdict(report, "V")
+    assert f"|Q - (1/4 + t^2)| <= {worst_quarter:.3e}" in _verdict(report, "V")
 
 
 def _audit_with_moved_record(monkeypatch, t_min: float, t_max: float, near: float, move):
@@ -367,20 +402,24 @@ def _audit_with_moved_record(monkeypatch, t_min: float, t_max: float, near: floa
 
 
 def test_derived_verdicts_follow_their_source(monkeypatch) -> None:
-    # a zero near the cap moved by 1e-9 in t: IV and VI fail alike, VII still
-    # reproduces the (now large) rest
+    # a zero near the cap moved by 1e-9 in t: IV, V and VI fail alike, VII
+    # still reproduces the (now large) rest
     report = _audit_with_moved_record(monkeypatch, 493.0, 499.0, 498.58, lambda s: s + 1e-9j)
-    status = {numeral: _verdict(report, numeral).split()[1] for numeral in ("I", "IV", "VI", "VII", "VIII")}
-    assert status == {"I": "PASS", "IV": "FAIL", "VI": "FAIL", "VII": "PASS", "VIII": "PASS"}
+    status = {numeral: _verdict(report, numeral).split()[1] for numeral in ("I", "IV", "V", "VI", "VII", "VIII")}
+    assert status == {"I": "PASS", "IV": "FAIL", "V": "FAIL", "VI": "FAIL", "VII": "PASS", "VIII": "PASS"}
     worst = max(c.zero_residual_abs for _, c in report.zero_checks)
     assert worst == pytest.approx(8.3e-2, rel=0.05)
     assert f"max {worst:.3e}" in _verdict(report, "IV")
     assert f"max {worst:.3e}" in _verdict(report, "VI")
-    # a zero moved 2e-6 off the line: I and VIII fail together
+    # a zero moved 2e-6 off the line: I and VIII fail together, and with them
+    # IV (its residual 1.16e-3) and so V
     report = _audit_with_moved_record(monkeypatch, 14.0, 15.0, 14.13, lambda s: complex(0.5 + 2e-6, s.imag))
-    xi = report.zero_checks[0][1].xi_abs
+    rec, c = report.zero_checks[0]
+    xi = abs(rec.xi)
     assert xi == pytest.approx(2e-6, rel=1e-9)
+    assert c.zero_residual_abs == pytest.approx(1.16e-3, rel=0.01)
     assert _verdict(report, "I").split()[1] == _verdict(report, "VIII").split()[1] == "FAIL"
+    assert _verdict(report, "IV").split()[1] == _verdict(report, "V").split()[1] == "FAIL"
     assert f"max {2 * xi:.3e}" in _verdict(report, "VIII")
 
 
@@ -410,14 +449,13 @@ def test_report_json_is_deterministic_and_round_trips() -> None:
     second = report_to_json(audit_range(14.0, 15.0))
     assert first == second
     payload = json.loads(first)
-    assert payload["schema_version"] == "5"
+    assert payload["schema_version"] == "6"
     assert "sample_seed" not in payload
     assert sorted(payload["tolerances"]) == [
         "consistency_rel", "factorization_agree", "q_imag_rel", "q_vs_quarter_plus_t2", "xi", "zero_residual",
     ]
-    assert sorted(payload["zeros"][0]["checks"]) == [
-        "factorization_max_dev", "q_imag_rel", "q_vs_quarter_plus_t2", "xi_abs", "zero_residual_abs",
-    ]
+    assert sorted(payload["zeros"][0]["checks"]) == ["factorization_max_dev", "zero_residual_abs"]
+    assert sorted(payload["q_variation"]) == ["points"]
     assert payload["strip_zeros"] == 1
     assert payload["complete"] is True
     assert len(payload["verdicts"]) == 8
