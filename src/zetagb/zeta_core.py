@@ -62,7 +62,7 @@ which is the same kernel at one node; what depends on N and nu alone it
 takes once per call, and callers refuse a too small tail order before
 their Dirichlet pass, which can overflow first. The scanner walks at a
 sample cutoff, the cheapest schedule entry that bounds the walk's worst
-corner by 1e-8, and keeps a node's value only where |value| exceeds 2^10
+corner by 2^-15, and keeps a node's value only where |value| exceeds 2^10
 times its truncation and rounding bounds (one bound per side of the walk
 serves every node of it first); elsewhere it makes the exact pass (see
 ``zero_scan``).
