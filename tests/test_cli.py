@@ -188,7 +188,7 @@ def test_each_run_logs_to_its_own_stderr() -> None:
             assert run(["zeros", "--t-min", "14", "--t-max", "15", "--step", "0.5", "--max-iter", "1"]) == 0
         lines = err.getvalue().splitlines()
         assert len(lines) == 2
-        assert lines[0].startswith("refinement skipped near t = 14.129487")
+        assert lines[0].startswith("refinement skipped near t = 14.129486")
         assert "1 candidate(s) failed to refine" in lines[1]
 
 

@@ -521,8 +521,7 @@ def test_each_sample_lies_within_its_certificate(sampled_walks) -> None:
     nodes_checked = 0
     for nodes, segments, params, sample, values in sampled_walks:
         # every walk samples at its own cutoff, the cheapest bounding its worst
-        # corner by 1e-8; the rectangles' params, picked at sigma = 1/2, may
-        # cost a few terms less there or share its (N, nu)
+        # corner by the sample accuracy, not at its caller's params
         for (z, sampled, bound, rounding), value in zip(_samples(nodes, segments, sample), values):
             full = zeta_gb(z, params)
             # the returned value is the sample, or the full pass where it is not certified
@@ -736,18 +735,45 @@ def _cost(params: EvalParams) -> int:
 
 def test_the_sampler_never_costs_more_than_params() -> None:
     # the sample is the cheapest entry, by the schedule's cost N + 3 nu, that
-    # bounds the corner by 1e-8, so params meeting that bound cost no less
+    # bounds the corner by the sample accuracy, so params meeting that bound
+    # cost no less
+    eps = zero_scan._SAMPLE_EPS
     explicit = (EvalParams(16, 2), EvalParams(40, 6), EvalParams(1300, 4))
     for t in (0.0, 1.0, 5.0, 14.0, 30.0, 60.0, 100.0, 250.0, 499.0, 500.0):
         for sigma in (-1.0, 0.01, 0.5, 0.99):
             corner = complex(sigma, t)
             for params in (auto_params(corner, 1e-9), auto_params(corner, 1e-12)) + explicit:
                 sample = zero_scan._sample_params(corner, params)
-                assert remainder_bound(corner, sample.cutoff_n, sample.tail_order) <= 1e-8
-                if remainder_bound(corner, params.cutoff_n, params.tail_order) <= 1e-8:
+                assert remainder_bound(corner, sample.cutoff_n, sample.tail_order) <= eps
+                if remainder_bound(corner, params.cutoff_n, params.tail_order) <= eps:
                     assert _cost(sample) <= _cost(params)
     # no schedule entry applies beyond the supported range: explicit params stay
     assert zero_scan._sample_params(complex(0.5, 600.0), explicit[2]) == explicit[2]
+
+
+def test_the_sample_accuracy_leaves_the_exact_pass_to_nodes_near_a_zero(monkeypatch) -> None:
+    # a sample certifies where |zeta| exceeds 2^10 times the sample accuracy,
+    # 1/32: no base node of the tall strip rectangle (its sides' smallest
+    # |zeta| is 0.32) and no node of the 0..499 grid takes the exact pass, and
+    # under 2 % of the nodes walked by the zeros-desk windows [10k, 10k + 10] do
+    walk = zero_scan._walk
+    walks = []  # (nodes, exact passes, whether the walk has sides) of each walk
+
+    def counted(nodes, segments, sample, exact, floor=0.0):
+        calls = []
+        values = walk(nodes, segments, sample, lambda z: calls.append(z) or exact(z), floor)
+        walks.append((len(nodes), len(calls), bool(segments)))
+        return values
+
+    monkeypatch.setattr(zero_scan, "_walk", counted)
+    assert rectangle_winding(TALL)[0] == 269
+    assert len(scan_critical_line(0.0, 499.0)) == 269
+    assert [(nodes, exact) for nodes, exact, sided in walks if sided] == [(4000, 0), (1997, 0)]
+    walks.clear()
+    for k in range(10):
+        scan_critical_line(10.0 * k, 10.0 * k + 10.0)
+    walked, exact = sum(w[0] for w in walks), sum(w[1] for w in walks)
+    assert walked == 410 and exact < 0.02 * walked
 
 
 def test_winding_params_meet_their_target_at_the_worst_corner(monkeypatch) -> None:
