@@ -40,11 +40,13 @@ term and tail. Those values only decide signs and phases, so the walk
 runs at a sample cutoff: the cheapest schedule entry (by N + 3 nu, see
 ``zeta_core``) whose truncation bound at the walk's worst corner
 (sigma_min, max |t|) is at most 2^-15, or the caller's params where no
-entry applies (beyond t = 500). A sample certifies only where |zeta|
-exceeds 2^10 times that, 1/32, and a finer cutoff would buy accuracy no
-certificate reads: over 0 <= t <= 499 about 0.7 % of the line's grid
-nodes lie below 1/32, and no node of the strip rectangle's sides (their
-smallest |zeta| is 0.32). Each sample is certified: it counts when
+entry applies (beyond t = 500). 2^10 times that is 1/32, so a sample
+above 1/32 (plus its rounding term) certifies, and a finer cutoff buys
+accuracy that the certificate seldom reads: over 0 <= t <= 499, 21 of
+the line's 1,997 grid nodes lie below 1/32, and no node of the strip
+rectangle's sides does (their smallest |zeta| is 0.32). A node below
+it takes the exact pass, as nodes near a zero do. Each sample is
+certified: it counts when
 |value| exceeds 2^10 times its truncation bound plus a first-order
 rounding bound (N - 1 additions and a phase error of 2 |s| ln N in any
 pass, with |s| read as |s_0| plus the walk's length, and k + 2 more
