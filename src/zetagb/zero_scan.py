@@ -44,15 +44,14 @@ entry applies (beyond t = 500). 2^10 times that is 1/32, so a sample
 above 1/32 (plus its rounding term) certifies, and a finer cutoff buys
 accuracy that the certificate seldom reads: over 0 <= t <= 499, 21 of
 the line's 1,997 grid nodes lie below 1/32, and no node of the strip
-rectangle's sides does (their smallest |zeta| is 0.32). A node below
-it takes the exact pass, as nodes near a zero do. Each sample is
-certified: it counts when
-|value| exceeds 2^10 times its truncation bound plus a first-order
-rounding bound (N - 1 additions and a phase error of 2 |s| ln N in any
-pass, with |s| read as |s_0| plus the walk's length, and k + 2 more
-roundings at walk node k, all in units of u sum n^{-sigma} at the
-walk's smallest sigma). Its error is then below |zeta|/1024, so by
-Rouche's theorem it has the sign and the winding of the exact value.
+rectangle's sides does (their smallest |zeta| is 0.32). Each sample is
+certified: it counts when |value| exceeds 2^10 times its truncation
+bound plus a first-order rounding bound (N - 1 additions and a phase
+error of 2 |s| ln N in any pass, with |s| read as |s_0| plus the walk's
+length, and k + 2 more roundings at walk node k, all in units of
+u sum n^{-sigma} at the walk's smallest sigma). Its error is then below
+|zeta|/1024, so by Rouche's theorem it has the sign and the winding of
+the exact value.
 Each side of a walk is certified against one truncation bound at least
 every node's. On a vertical side (the scan grid, a rectangle's left and
 right sides) each factor |s + k| grows with |t|, so that is the bound at
