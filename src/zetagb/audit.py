@@ -1,39 +1,39 @@
 """Numerical audit of the zero-condition propositions.
 
-For each refined zero s_H = 1/2 + xi + it the audit measures only what
-needs Q, at working precision:
+At each refined zero s_H = 1/2 + xi + it the audit measures the one fact
+that needs Q, the zero-condition residual s(s-1) + Q(s) at s_H (IV), at
+working precision; reflection, Z(conj s) = conj Z(s) bit for bit, makes
+its conjugate the same check. The line offset xi (I) is the record's
+own. The other propositions are stated, not measured again:
 
-  * the zero-condition residual s(s-1) + Q(s) at s_H; reflection,
-    Z(conj s) = conj Z(s) bit for bit, makes its conjugate the same check,
-  * agreement of [s(s-1) + Q] with (s - s_H)(s - (1 - s_H)) over 100
-    fixed points of a sample box, whose maximal deviation must reproduce
-    the residual (the difference is constant in s).
+  * II: Z = s N^{1-s} (1/(s(s-1)) + 1/Q) holds up to rounding, since Q is
+    built from Z's own head and tail (``consistency_identity`` measures it),
+  * V: the zero condition gives Q = 1/4 + t^2 - xi^2 - 2i xi t up to the
+    residual, which bounds how far Q is from real and from 1/4 + t^2,
+  * VI: the division rest |Q(s_H) - s_H (1 - s_H)| is the residual bit for bit,
+  * VII: [s(s-1) + Q] - (s - s_H)(s - (1 - s_H)) is s_H (s_H - 1) + Q at
+    every s, so the factorization deviates by the residual,
+  * VIII: the conjugate relation |conj(s_H) - (1 - s_H)| is 2 |xi|.
 
-The line offset xi is the record's own. The other propositions follow
-from these and are stated, not measured again: the division rest
-|Q(s_H) - s_H (1 - s_H)| is the residual |s_H (s_H - 1) + Q(s_H)| bit
-for bit, the conjugate relation |conj(s_H) - (1 - s_H)| is 2 |xi|, and
-the zero condition gives Q = 1/4 + t^2 - xi^2 - 2i xi t up to the
-residual, which bounds how far Q is from real and from 1/4 + t^2.
+``factorization_check`` and ``q_variation`` measure VII's deviation and
+Q at a caller's points; the audit calls neither.
 
-``audit_range`` bundles the per-zero checks with consistency controls
-and a count of the window's zeros into an eight-line verdict report
-(I..VIII) with a stable JSON rendering.
-Verdict III tests the counter-hypothesis, an off-line conjugate pair
-rho, 1 - conj(rho): the winding number of one rectangle over the strip
-counts every zero with multiplicity, and the scan finds the zeros of odd
-order on the line, one per sign change of Hardy's Z on its grid. Outside
-sigma in [0.01, 0.99] there are no zeros for 2 <= t <= 500 (H. Kadiri's
-explicit zero-free region, Acta Arith. 117, 2005, and the functional
-equation), so equal counts mean every zero in the window is on the line,
-simple, and audited.
+``audit_range`` bundles the per-zero checks with a count of the window's
+zeros into an eight-line verdict report (I..VIII) with a stable JSON
+rendering. Verdict III tests the counter-hypothesis, an off-line
+conjugate pair rho, 1 - conj(rho): the winding number of one rectangle
+over the strip counts every zero with multiplicity, and the scan finds
+the zeros of odd order on the line, one per sign change of Hardy's Z on
+its grid. Outside sigma in [0.01, 0.99] there are no zeros for
+2 <= t <= 500 (H. Kadiri's explicit zero-free region, Acta Arith. 117,
+2005, and the functional equation), so equal counts mean every zero in
+the window is on the line, simple, and audited.
 """
 
 from __future__ import annotations
 
 import math
-import random
-from collections.abc import Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 from .errors import (
@@ -43,16 +43,13 @@ from .errors import (
     RefinementError,
     SingularQError,
 )
-from .qfunction import consistency_identity, q_gb
+from .qfunction import q_gb
 from .serialize import dumps
 from .zero_scan import (Rectangle, ScanConfig, ZeroRecord, _check_t_range, _scan_config,
                         record_fields, rectangle_winding, scan_critical_line)
-from .zeta_core import EvalParams, _as_complex, auto_params, zeta_gb
+from .zeta_core import EvalParams, _as_complex, auto_params
 
 __all__ = [
-    "SAMPLE_BOX",
-    "SAMPLE_POINTS",
-    "CONTROL_POINTS",
     "TOLERANCES",
     "PropositionChecks",
     "AuditReport",
@@ -64,15 +61,7 @@ __all__ = [
     "render_text",
 ]
 
-SCHEMA_VERSION = "6"
-SAMPLE_BOX = (-2.0, 3.0, -50.0, 50.0)  # sigma_min, sigma_max, t_min, t_max
-_rng = random.Random(271828)
-# the factorization points every zero shares
-SAMPLE_POINTS = tuple(
-    complex(_rng.uniform(*SAMPLE_BOX[:2]), _rng.uniform(*SAMPLE_BOX[2:])) for _ in range(100)
-)
-del _rng
-CONTROL_POINTS = (2 + 0j, 3 + 0j, 0.75 + 5j, 0.25 + 5j)
+SCHEMA_VERSION = "7"
 _STRIP = (0.01, 0.99)  # sigma range of the counting rectangle
 # a scan short of the strip's count is repeated at half the step, down to step / 16
 _RECOUNT_HALVINGS = 4
@@ -82,8 +71,6 @@ TOLERANCES = {
     "zero_residual": 1e-4,
     "q_imag_rel": 1e-6,
     "q_vs_quarter_plus_t2": 1e-4,
-    "factorization_agree": 1e-10,  # relative to 1 + |Q|
-    "consistency_rel": 1e-9,       # relative to max(1, |Z|)
 }
 
 _ROMAN = ("I", "II", "III", "IV", "V", "VI", "VII", "VIII")
@@ -94,7 +81,6 @@ class PropositionChecks:
     """The measured deviations for one zero; every field is >= 0 and finite."""
 
     zero_residual_abs: float
-    factorization_max_dev: float
 
     def __post_init__(self) -> None:
         for name, value in self.__dict__.items():
@@ -111,13 +97,11 @@ class AuditReport:
     params_used: EvalParams
     tolerances_used: dict[str, float]
     zero_checks: tuple[tuple[ZeroRecord, PropositionChecks], ...]
-    q_variation: tuple[tuple[complex, complex], ...] | None  # (s, Q(s)) at the controls
-    consistency_controls: tuple[tuple[complex, float, float], ...]  # (s, residual, |Z|)
     strip_zeros: int | None  # winding count of the strip rectangle over the window
     verdict_lines: tuple[str, ...]
 
 
-def factorization_check(s_h: complex, q_at_sh: complex, samples: Sequence[complex]) -> float:
+def factorization_check(s_h: complex, q_at_sh: complex, samples: Iterable[complex]) -> float:
     """Max over samples of |[s(s-1) + Q] - (s - s_H)(s - (1 - s_H))|.
 
     The difference is s_H (s_H - 1) + Q for every s, so the maximum
@@ -125,19 +109,15 @@ def factorization_check(s_h: complex, q_at_sh: complex, samples: Sequence[comple
     """
     s_h = _as_complex(s_h, "s_h")
     q_at_sh = _as_complex(q_at_sh, "q_at_sh")
+    samples = [_as_complex(raw, "sample") for raw in samples]
     if not samples:
         raise ParameterError("sample list must not be empty")
-    # the fixed points are finite complex numbers by construction; only a
-    # caller's own samples are checked
-    if samples is not SAMPLE_POINTS:
-        samples = [_as_complex(raw, "sample") for raw in samples]
     mirror = 1 - s_h
     return max(abs((s * (s - 1) + q_at_sh) - (s - s_h) * (s - mirror)) for s in samples)
 
 
 def audit_zero(rec: ZeroRecord) -> PropositionChecks:
-    """Measure the zero-condition residual at rec.s and the factorization
-    over ``SAMPLE_POINTS``, the two facts that need Q.
+    """Measure the zero-condition residual at rec.s, the one fact that needs Q.
 
     Q is evaluated at ``rec.params_used``, the params that refined the
     zero. Reflection makes Q(conj s) = conj Q(s) bit for bit, so the
@@ -148,15 +128,10 @@ def audit_zero(rec: ZeroRecord) -> PropositionChecks:
     if not isinstance(rec, ZeroRecord):
         raise ParameterError(f"rec must be a ZeroRecord, got {type(rec).__name__}")
     s = rec.s
-    q_s = q_gb(s, rec.params_used)
-
-    return PropositionChecks(
-        zero_residual_abs=abs(s * (s - 1) + q_s),
-        factorization_max_dev=factorization_check(s, q_s, SAMPLE_POINTS),
-    )
+    return PropositionChecks(zero_residual_abs=abs(s * (s - 1) + q_gb(s, rec.params_used)))
 
 
-def q_variation(points: Sequence[complex], params: EvalParams) -> tuple[tuple[complex, complex], ...]:
+def q_variation(points: Iterable[complex], params: EvalParams) -> tuple[tuple[complex, complex], ...]:
     """Q at each point under one parameter set, as (s, Q(s)) pairs."""
     return tuple((p, q_gb(p, params)) for p in (_as_complex(p) for p in points))
 
@@ -172,7 +147,7 @@ def _line(idx: int, status: str, text: str) -> str:
 
 def _verdicts(
     checks: tuple[tuple[ZeroRecord, PropositionChecks], ...],
-    controls: tuple[tuple[complex, float, float], ...],
+    scanned: bool,
     strip_zeros: int | None,
     aborted: str | None,
 ) -> tuple[str, ...]:
@@ -180,11 +155,11 @@ def _verdicts(
     lines: list[str] = []
 
     def vacuous(idx: int, label: str) -> bool:
-        # A per-zero verdict with no zero to judge: once the controls ran, the
-        # scan has finished, so "no zeros" is a measured fact and passes.
+        # A per-zero verdict with no zero to judge: once the scan has
+        # finished, "no zeros" is a measured fact and passes.
         if checks:
             return False
-        if aborted is not None and not controls:
+        if not scanned:
             lines.append(_line(idx, "SKIP", "audit aborted before this check"))
         else:
             lines.append(_line(idx, "PASS", f"vacuous, no zeros in range ({label})"))
@@ -200,16 +175,12 @@ def _verdicts(
     # I: every zero sits on the line within tolerance
     summary(lambda rec, c: abs(rec.xi), tol["xi"], "measured |xi| at each zero", 0)
 
-    # II: consistency identity at the control points
-    if controls:
-        worst_rel = max(res / max(1.0, zabs) for _, res, zabs in controls)
-        status = "PASS" if worst_rel <= tol["consistency_rel"] else "FAIL"
-        lines.append(
-            _line(1, status, f"consistency identity at {len(controls)} controls: "
-                             f"max relative residual {worst_rel:.3e} vs {tol['consistency_rel']:.1e}")
-        )
+    # II: the consistency identity holds by construction, up to rounding
+    if scanned:
+        lines.append(_line(1, "PASS", "consistency identity Z = s N^(1-s) (1/(s(s-1)) + 1/Q): "
+                                      "stated, Q is built from Z's head and tail"))
     else:
-        lines.append(_line(1, "SKIP", "audit aborted before the control evaluations"))
+        lines.append(_line(1, "SKIP", "audit aborted before this check"))
 
     # III: counter-hypothesis control, every zero in the strip is a simple zero on the line
     if strip_zeros is None:
@@ -248,17 +219,10 @@ def _verdicts(
     summary(lambda rec, c: c.zero_residual_abs, tol["zero_residual"],
             "division rest |Q - s(1-s)| = |s(s-1) + Q| (IV)", 5)
 
-    # VII: factorization max deviation reproduces the rest
-    if not vacuous(6, "factorization"):
-        worst = 0.0
-        for rec, c in checks:
-            scale = 1.0 + abs(rec.q_value)
-            worst = max(worst, abs(c.factorization_max_dev - c.zero_residual_abs) / scale)
-        status = "PASS" if worst <= tol["factorization_agree"] else "FAIL"
-        lines.append(
-            _line(6, status, f"factorization deviation vs division rest: "
-                             f"max relative gap {worst:.3e} vs {tol['factorization_agree']:.1e}")
-        )
+    # VII: factorization deviation, IV's residual: [s(s-1) + Q] - (s - s_H)(s - (1 - s_H))
+    # is s_H(s_H - 1) + Q at every s
+    summary(lambda rec, c: c.zero_residual_abs, tol["zero_residual"],
+            "factorization deviation = |s_H(s_H - 1) + Q| at every s (IV)", 6)
 
     # VIII: conjugate relation conj(s) = 1 - s, I's offset: |conj(s) - (1 - s)| = 2|xi|
     summary(lambda rec, c: 2 * abs(rec.xi), 2 * tol["xi"], "|conj(s) - (1 - s)| = 2|xi| (I)", 7)
@@ -277,11 +241,10 @@ def audit_range(
     While the scan finds fewer zeros than the strip rectangle counts
     (two zeros in one grid cell show no sign change), the window is
     scanned again at half the step, down to step / 16, and the new
-    records are audited. Without ``params`` the scan, the audit and the
-    controls use ``auto_params`` at 1/2 + i max(t_max, 5) with eps 1e-9,
-    so that the params cover the control points at t = 5, and the
-    strip rectangle picks its own at (0.01, t_max), where its truncation
-    bound is largest. Fatal numeric failures in any sub-step abort the
+    records are audited. Without ``params`` the scan and the audit use
+    ``auto_params`` at 1/2 + i t_max with eps 1e-9, and the strip
+    rectangle picks its own at (0.01, t_max), where its truncation bound
+    is largest. Fatal numeric failures in any sub-step abort the
     audit; the partial report comes back with ``complete=False`` and the
     abort reason.
     """
@@ -289,26 +252,19 @@ def audit_range(
     cfg = _scan_config(scan_cfg)
     winding_params = params
     if params is None:
-        params = auto_params(complex(0.5, max(float(t_max), 5.0)), 1e-9)
+        params = auto_params(complex(0.5, float(t_max)), 1e-9)
 
     def scan_and_audit(cfg: ScanConfig) -> tuple[tuple[ZeroRecord, PropositionChecks], ...]:
         records = scan_critical_line(float(t_min), float(t_max), cfg, params)
         return tuple((rec, audit_zero(rec)) for rec in records)
 
     abort: str | None = None
+    scanned = False
     checks: tuple[tuple[ZeroRecord, PropositionChecks], ...] = ()
-    qvar: tuple[tuple[complex, complex], ...] | None = None
-    controls: tuple[tuple[complex, float, float], ...] = ()
     strip_zeros: int | None = None
     try:
         checks = scan_and_audit(cfg)
-        qvar = q_variation(CONTROL_POINTS, params)
-        # one Z per control point, checked against the Q that q_variation holds
-        zs = [zeta_gb(c, params).value for c, _ in qvar]
-        controls = tuple(
-            (c, consistency_identity(c, z, q, params), abs(z))
-            for (c, q), z in zip(qvar, zs)
-        )
+        scanned = True
         window_lo = max(float(t_min), 0.1)
         if t_max - window_lo > 0.2:
             strip_zeros, _ = rectangle_winding(Rectangle(*_STRIP, window_lo, float(t_max)), winding_params)
@@ -320,7 +276,7 @@ def audit_range(
     except (PrecisionError, SingularQError, InconclusiveError, RefinementError) as exc:
         abort = f"{type(exc).__name__}: {exc}"
 
-    verdicts = _verdicts(checks, controls, strip_zeros, abort)
+    verdicts = _verdicts(checks, scanned, strip_zeros, abort)
     return AuditReport(
         complete=abort is None,
         abort_reason=abort,
@@ -329,8 +285,6 @@ def audit_range(
         params_used=params,
         tolerances_used=dict(TOLERANCES),
         zero_checks=checks,
-        q_variation=qvar,
-        consistency_controls=controls,
         strip_zeros=strip_zeros,
         verdict_lines=verdicts,
     )
@@ -344,14 +298,6 @@ def audit_range(
 def _report_payload(report: AuditReport) -> dict:
     # the checks hold floats only, so a shallow copy equals the deep one of asdict
     zeros = [{**record_fields(rec), "checks": dict(vars(c))} for rec, c in report.zero_checks]
-    qvar = None
-    if report.q_variation is not None:
-        qvar = {
-            "points": [
-                {"re": p.real, "im": p.imag, "q_re": q.real, "q_im": q.imag}
-                for p, q in report.q_variation
-            ],
-        }
     return {
         "schema_version": SCHEMA_VERSION,
         "complete": report.complete,
@@ -364,11 +310,6 @@ def _report_payload(report: AuditReport) -> dict:
         },
         "tolerances": report.tolerances_used,
         "zeros": zeros,
-        "q_variation": qvar,
-        "consistency_controls": [
-            {"re": p.real, "im": p.imag, "residual": res, "z_abs": zabs}
-            for p, res, zabs in report.consistency_controls
-        ],
         "strip_zeros": report.strip_zeros,
         "verdicts": list(report.verdict_lines),
     }

@@ -72,15 +72,14 @@ Newton's polish (``_value``) keep the heads sum_{n<N} n^{-s} of their
 exact passes in a memo of the 2,048 most recent, keyed by (s, N) under
 complex equality and evicted oldest first; Q and the plain evaluator read
 it. So the polish's pass at the refined zero, Q there and its audit share
-one pass, and so do Q and Z at a control point. The head depends on s
-and N alone, not on nu or eps, and a stored head is the total of the
-pass that made it: a plain pass and a derivative pass add the same terms
-in the same order, so a hit returns the bits a fresh pass would. Keys
-with a signed zero, such as 2+0j and 2-0j, hold the same bits too: the
-total starts at 1+0j and exp(+-0 + iy) is one value. A derivative
-request always makes its own pass, ``zeta_gb``'s plain evaluation adds
-nothing to the memo, and ``dirichlet_partial_sum`` itself is never
-cached. The memo holds about 0.3 MB.
+one pass. The head depends on s and N alone, not on nu or eps, and a
+stored head is the total of the pass that made it: a plain pass and a
+derivative pass add the same terms in the same order, so a hit returns
+the bits a fresh pass would. Keys with a signed zero, such as 2+0j and
+2-0j, hold the same bits too: the total starts at 1+0j and exp(+-0 + iy)
+is one value. A derivative request always makes its own pass, a plain
+``zeta_gb`` adds nothing to the memo, and ``dirichlet_partial_sum``
+itself is never cached. The memo holds about 0.3 MB.
 """
 
 from __future__ import annotations

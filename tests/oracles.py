@@ -12,8 +12,18 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 from fractions import Fraction
 from functools import lru_cache
+
+# 100 fixed sample points for the factorization checks, drawn as
+# (sigma, t) pairs from random.Random(271828) over the box
+SAMPLE_BOX = (-2.0, 3.0, -50.0, 50.0)  # sigma_min, sigma_max, t_min, t_max
+_rng = random.Random(271828)
+SAMPLE_POINTS = tuple(
+    complex(_rng.uniform(*SAMPLE_BOX[:2]), _rng.uniform(*SAMPLE_BOX[2:])) for _ in range(100)
+)
+del _rng
 
 
 def bernoulli_akiyama_tanigawa(n: int) -> Fraction:

@@ -18,7 +18,7 @@ import pytest
 
 import oracles
 from zetagb import zeta_core
-from zetagb.audit import SAMPLE_POINTS, audit_range, factorization_check, report_to_json
+from zetagb.audit import audit_range, factorization_check, report_to_json
 from zetagb.qfunction import consistency_identity, q_gb
 from zetagb.zero_scan import Rectangle, ScanConfig, refine_zero, rectangle_winding, scan_critical_line
 from zetagb.zeta_core import EvalParams, zeta_gb
@@ -139,7 +139,7 @@ def test_08_factorization_rest_reproduces_the_division_rest() -> None:
         s_h = complex(rng.uniform(0.0, 1.0), rng.uniform(0.0, 50.0))
         q = complex(rng.uniform(-50.0, 50.0), rng.uniform(-50.0, 50.0))
         rest = abs(q - s_h * (1 - s_h))
-        dev = factorization_check(s_h, q, SAMPLE_POINTS)
+        dev = factorization_check(s_h, q, oracles.SAMPLE_POINTS)
         worst = max(worst, abs(dev - rest) - 1e-10 * (1.0 + abs(q)))
         assert abs(dev - rest) <= 1e-10 * (1.0 + abs(q))
     _passed(8, f"1000 pairs, worst margin {worst:.2e}")

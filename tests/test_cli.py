@@ -293,7 +293,7 @@ def test_audit_json_to_stdout_summary_to_stderr(capsys) -> None:
 
 
 def test_audit_takes_no_seed(capsys) -> None:
-    # the factorization points are fixed, so there is no seed to choose
+    # the audit draws no sample points, so there is no seed to choose
     code, out, err = invoke(capsys, "audit", "--t-min", "14", "--t-max", "15", "--seed", "7")
     assert code == 2
     assert out == ""

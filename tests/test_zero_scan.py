@@ -431,12 +431,20 @@ def test_a_refined_zero_costs_under_two_hundred_dirichlet_terms(monkeypatch) -> 
         return partial_sum(s, cutoff_n, **kwargs)
 
     monkeypatch.setattr(zeta_core, "dirichlet_partial_sum", record)
+    # the grid walks its sums; every exact pass is a Newton point or the
+    # polish step, and Q reads the head of the last one. The README quotes
+    # these counts: 3 passes and 120 terms a zero at (41, 11) over 0..100,
+    # and 997 passes for 269 zeros over 0..499
+    zeta_core._forget_heads()
     records = zero_scan.scan_critical_line(0, 100)
     assert len(records) == 29
-    # the grid walks its sums; every exact pass is a Newton point, and Q
-    # reads the head of the last one. 4.34 passes a zero at the cheapest
-    # certified (41, 11) make 174 terms; 3.34 at N = 2 (|t| + 1) = 202 made 672
-    assert sum(n - 1 for n in cutoffs) / len(records) <= 200
+    assert len(cutoffs) == 87
+    assert set(cutoffs) == {41}
+    assert sum(n - 1 for n in cutoffs) == 120 * len(records) <= 200 * len(records)
+    cutoffs.clear()
+    zeta_core._forget_heads()
+    assert len(zero_scan.scan_critical_line(0, 499)) == 269
+    assert len(cutoffs) == 997
 
 
 def test_the_coarse_grid_keeps_every_bracket(zeros_below_499, caplog) -> None:
