@@ -68,7 +68,8 @@ def test_factorization_checks_every_sample() -> None:
     # any iterable of samples gives the same bits, and each sample is checked
     s_h, q = complex(0.5, 333.3), complex(0.25 + 333.3**2, 1e-9)
     dev = factorization_check(s_h, q, SAMPLE_POINTS)
-    assert dev == factorization_check(s_h, q, list(SAMPLE_POINTS)) == factorization_check(s_h, q, iter(SAMPLE_POINTS))
+    assert factorization_check(s_h, q, list(SAMPLE_POINTS)) == dev
+    assert factorization_check(s_h, q, iter(SAMPLE_POINTS)) == dev
     with pytest.raises(ParameterError, match="sample must be a complex number, got 'x'"):
         factorization_check(s_h, q, [*SAMPLE_POINTS[:3], "x"])
     with pytest.raises(ParameterError, match="sample must have finite components"):
@@ -107,9 +108,6 @@ def test_audit_zero_passes_at_a_real_zero(first_zero) -> None:
     assert abs(q - (0.25 + t * t)) <= TOLERANCES["q_vs_quarter_plus_t2"]
     assert abs(q - s * (1 - s)) <= TOLERANCES["zero_residual"]
     assert abs(s.conjugate() - (1 - s)) <= 2 * TOLERANCES["xi"]
-    # VII's factorization deviation is IV's residual up to rounding
-    gap = abs(factorization_check(s, q, SAMPLE_POINTS) - checks.zero_residual_abs)
-    assert gap <= 1e-10 * (1.0 + abs(first_zero.q_value))
 
 
 def test_conj_relation_is_twice_xi(first_zero) -> None:
