@@ -40,7 +40,7 @@ class BernoulliTable:
             )
 
     def __getitem__(self, index: int) -> Fraction:
-        if not isinstance(index, int) or not 0 <= index <= self.max_index:
+        if type(index) is not int or not 0 <= index <= self.max_index:
             raise ParameterError(f"index {index!r} outside table range 0..{self.max_index}")
         return self.values[index]
 
@@ -50,7 +50,7 @@ def build_table(max_index: int) -> BernoulliTable:
 
     ``max_index`` must be even, positive, and at most ``MAX_INDEX``.
     """
-    if not isinstance(max_index, int) or max_index < 2 or max_index % 2 != 0:
+    if type(max_index) is not int or max_index < 2 or max_index % 2 != 0:
         raise ParameterError(f"max_index must be a positive even integer, got {max_index!r}")
     if max_index > MAX_INDEX:
         raise ParameterError(f"max_index {max_index} exceeds the table cap {MAX_INDEX}")

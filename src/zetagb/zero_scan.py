@@ -1,86 +1,77 @@
 """Critical-line zero scanning, Newton refinement, and zero counts.
 
-The scanner samples Z(1/2 + it) on a uniform grid and brackets zeros by
-sign changes of Hardy's function: zeta(1/2 + it) = e^{-i theta(t)} Z(t)
-with Z real, so Re[zeta_b conj(zeta_a)] = Z_a Z_b cos(theta_b - theta_a)
-has the sign of Z_a Z_b while |theta_b - theta_a| < pi/2, and a negative
-value brackets a zero of odd order on the line without computing theta.
-On a 0.5 grid |theta(t + 0.5) - theta(t)| stays below 1.13 for
-0 <= t <= 500. On a bracket [a, b] the real function
-h(t) = Re[zeta(1/2 + it) conj(zeta_a)] / |zeta_a| runs from h_a = |zeta_a| > 0
-to h_b < 0. Complex Newton (the analytic derivative comes from the
-same evaluation as the value) starts at the root in the bracket of the
-polynomial that interpolates h through up to 8 consecutive grid nodes
-around it (nodes whose value is exactly 0 are not among them), in
-divided-difference form, so no uniform spacing is needed and an
-off-grid t_max node serves too; at a window's end the stencil shifts to
-stay on the grid. Newton on the polynomial runs from the regula-falsi
-point a + (b - a) h_a / (h_a - h_b) and is guarded by bisection: the
-polynomial also runs from h_a > 0 to h_b < 0, so the seed lies strictly
-inside the bracket, and through two nodes it is the regula-falsi point.
-The grid values are already there, so the seed costs no evaluation;
-over 0 < t < 499 it cuts the exact passes per zero from 4.68 to 3.71.
-If Newton leaves the bracket or the strip, Illinois regula falsi (Dowell
-and Jarratt, BIT 11, 1971) narrows the sign change of h, one exact
-evaluation a step, and Newton polishes its last point, so xi is still
-measured; a bracket that still yields no zero inside raises a
-RefinementError naming it. Two zeros in one cell show no sign change; a
-caller that holds a count of all zeros rescans at a finer step.
-Rectangle counts use the argument principle with adaptive boundary
-sampling that keeps every phase increment below pi/2.
+Brackets. The scanner samples zeta(1/2 + it) on a uniform grid. Since
+zeta(1/2 + it) = e^{-i theta(t)} Z(t) with Hardy's Z real,
+Re[zeta_b conj(zeta_a)] = Z_a Z_b cos(theta_b - theta_a) has the sign of
+Z_a Z_b while |theta_b - theta_a| < pi/2, as it stays on every allowed
+grid (step <= 0.5) for 0 <= t <= 500; so a negative value brackets a zero
+of odd order on the line without computing theta. Two zeros in one cell
+show no sign change; a caller that holds a count of all zeros rescans at
+a finer step.
 
-The scan grid is uniformly spaced on a line, and a rectangle's base
-nodes on a closed path of four such sides, so their Dirichlet sums come
-from one walk (one complex multiply per term and node, see
-``zeta_core``): the rectangle's walk starts at its first corner and
-carries its terms around each corner into the next side, so each corner
-is one node, and the last phase increment closes on the first node's
-value. One call of the evaluator's node kernel adds every node's pole
-term and tail. Those values only decide signs and phases, so the walk
-runs at a sample cutoff: the cheapest schedule entry (by N + 3 nu, see
-``zeta_core``) whose truncation bound at the walk's worst corner
-(sigma_min, max |t|) is at most 2^-15, or the caller's params where no
-entry applies (beyond t = 500). 2^10 times that is 1/32, so a sample
-above 1/32 (plus its rounding term) certifies, and a finer cutoff buys
-accuracy that the certificate seldom reads: over 0 <= t <= 499, 21 of
-the line's 1,997 grid nodes lie below 1/32, and no node of the strip
-rectangle's sides does (their smallest |zeta| is 0.32). Each sample is
-certified: it counts when |value| exceeds 2^10 times its truncation
-bound plus a first-order rounding bound (N - 1 additions and a phase
-error of 2 |s| ln N in any pass, with |s| read as |s_0| plus the walk's
-length, and k + 2 more roundings at walk node k, all in units of
-u sum n^{-sigma} at the walk's smallest sigma). Its error is then below
-|zeta|/1024, so by Rouche's theorem it has the sign and the winding of
-the exact value.
-Each side of a walk is certified against one truncation bound at least
-every node's. On a vertical side (the scan grid, a rectangle's left and
-right sides) each factor |s + k| grows with |t|, so that is the bound at
-the end farther from the real axis. On a horizontal side at height t,
+The seed. On a bracket [a, b] the real function
+h(t) = Re[zeta(1/2 + it) conj(zeta_a)] / |zeta_a| runs from
+h_a = |zeta_a| > 0 to h_b < 0. Newton starts at the root in the bracket
+of the polynomial that interpolates h through up to 8 consecutive grid
+nodes around it (not those where zeta is exactly 0), in divided-difference
+form, so an off-grid t_max node serves too; at a window's end the stencil
+shifts to stay on the grid. Newton on the polynomial runs from the
+regula-falsi point a + (b - a) h_a / (h_a - h_b), guarded by bisection:
+the polynomial also runs from h_a > 0 to h_b < 0, so the seed lies
+strictly inside the bracket, and through two nodes it is the regula-falsi
+point. The grid values are already there, so the seed costs no evaluation.
+
+Refinement. Complex Newton takes the analytic derivative from the same
+exact pass as the value, at the scan's params. If it leaves the bracket
+or the strip, Illinois regula falsi (Dowell and Jarratt, BIT 11, 1971)
+narrows the sign change of h, one exact evaluation a step, and Newton
+polishes its last point, so xi is still measured; a bracket that still
+yields no zero inside raises a RefinementError naming it. The polish
+step of ``refine_zero`` reads no slope, so it makes one value-only pass,
+whose head Q at the refined zero reads from the evaluator's memo (see
+``zeta_core``).
+
+The certificate. The scan grid is a line of uniformly spaced nodes and a
+rectangle's boundary a closed path of four such sides, so their Dirichlet
+sums come from one walk and their values from one node-kernel call (see
+``zeta_core``); phase-walk splits and an off-grid t_max are one-node
+walks, from an exact head. Those values only decide signs and phases, so a
+walk runs at a sample cutoff: the cheapest schedule entry whose truncation
+bound at the walk's worst corner (sigma_min, max |t|) is at most 2^-15, or
+the caller's params where no entry applies (beyond t = 500). A sample
+counts when |value| exceeds 2^10 times its truncation bound plus a
+first-order rounding bound: N - 1 additions and a phase error of
+2 |s| ln N in any pass, with |s| read as |s_0| plus the walk's length,
+which also covers the steps' own errors, and k + 2 more roundings at walk
+node k, all in units of u sum n^{-sigma} at the walk's smallest sigma. Its
+error is then below |zeta|/1024, so by Rouche's theorem it has the sign and
+the winding of the exact value. 2^10 times 2^-15 is 1/32: a sample above
+1/32, plus its rounding term, certifies, and a finer cutoff buys accuracy
+that the certificate seldom reads. A node that fails the certificate makes
+the exact pass at params. Grid values only pick brackets and Newton seeds,
+so the refined zeros move by rounding only, within the Newton tolerance.
+
+Side bounds. Each side of a walk is certified against one truncation
+bound at least every node's. On a vertical side (the scan grid, a
+rectangle's left and right sides) each factor |s + k| grows with |t|, so
+that is the bound at the end farther from the real axis. On a horizontal
+side at height t,
 
     d ln B / d sigma = sum_{k <= 2 nu + 1} (sigma + k) / |s + k|^2
                        - ln N - 1/(sigma + 2 nu + 1)
                     <= (nu + 1)/|t| - ln N,
 
 since (sigma + k)^2 + t^2 >= 2 |sigma + k| |t| and sigma + 2 nu + 1 > 0,
-so whenever nu + 1 < |t| ln N the bound falls as sigma grows and the
-end with the smaller sigma bounds the side; elsewhere (near t = 0) each
-node reads its own bound. A node that fails its side's bound reads its
-own, so every decision is the per-node one. A node that fails the
-certificate makes the exact pass at params; on a rectangle's boundary
-only such full-accuracy values decide a BoundaryError, since a certified
-sample must also exceed 2e-6. Without params, a rectangle picks them at
-its worst corner when the first node needs them.
-Phase-walk splits and an off-grid t_max are one-node walks, which read
-their exact head. Grid values only pick brackets and Newton seeds, so
-the refined zeros move by rounding only, within the Newton tolerance.
-Newton and Illinois steps make the exact per-point pass at params. Once
-|Z| <= tol, one polish step at the same params squares the error again
-and is kept while |Z| still meets tol, so a refined zero's |Z| sits far
-below tol (at most 4.8e-13 over 0 < t < 499) rather than wherever the
-last step happened to land. The polish reads no slope, so it makes one
-value-only exact pass, whose head Q at the refined zero reads from the
-evaluator's memo (see ``zeta_core``), with the same bits as a pass of its
-own.
+so whenever nu + 1 < |t| ln N the bound falls as sigma grows and the end
+with the smaller sigma bounds the side; elsewhere (near t = 0) each node
+reads its own bound. A node that fails its side's bound reads its own, so
+every decision is the per-node one.
+
+Winding. Rectangle counts use the argument principle: a phase increment
+between neighbouring nodes is kept below pi/2, split at the midpoint
+otherwise, and the last increment closes on the first node's value. On
+the boundary only full-accuracy values decide a BoundaryError, since a
+certified sample must also exceed 2e-6.
 """
 
 from __future__ import annotations
@@ -97,8 +88,8 @@ from itertools import accumulate
 
 from .errors import BoundaryError, InconclusiveError, ParameterError, RefinementError
 from .serialize import csv_text, dumps
-from .zeta_core import (_IM_CAP, EvalParams, _as_complex, _dirichlet_path, _head, _schedule, _tail_denominator,
-                        _value, _zeta_nodes, auto_params, remainder_bound, zeta_gb)
+from .zeta_core import (_IM_CAP, EvalParams, _as_complex, _dirichlet_path, _schedule, _tail_denominator, _value,
+                        _zeta_nodes, auto_params, dirichlet_partial_sum, remainder_bound, zeta_gb)
 from .qfunction import q_gb
 
 __all__ = [
@@ -123,9 +114,7 @@ _BOUNDARY_MODULUS = 1e-6  # contour samples below this indicate a boundary zero
 _MAX_SPLIT_DEPTH = 12    # adaptive phase-walk refinement levels
 _PHASE_LIMIT = math.pi / 2
 _LEFT_STRIP = "iteration left the critical strip"
-# truncation bound of the sampled walks at their worst corner: 2^10 times it
-# is 1/32, the |zeta| above which a sample certifies; a node below that takes
-# the exact pass at the caller's params, as nodes near a zero already do
+# truncation bound of the sampled walks at their worst corner (see the module docstring)
 _SAMPLE_EPS = 2.0 ** -15
 _SAMPLE_MARGIN = 2.0 ** 10  # a sample counts when |value| exceeds this many error bounds
 _UNIT_ROUNDOFF = 2.0 ** -53
@@ -218,7 +207,7 @@ class ScanConfig:
             raise ParameterError(f"step must lie in (0, 0.5], got {self.step!r}")
         if not isinstance(self.tol, (int, float)) or not self.tol >= _TOL_FLOOR:
             raise ParameterError(f"tol must be at least {_TOL_FLOOR}, got {self.tol!r}")
-        if not isinstance(self.max_iter, int) or self.max_iter < 1:
+        if type(self.max_iter) is not int or self.max_iter < 1:
             raise ParameterError(f"max_iter must be a positive integer, got {self.max_iter!r}")
 
 
@@ -321,14 +310,10 @@ def _sample_params(corner: complex, params: EvalParams | None) -> EvalParams | N
 
 
 def _rounding(path: list[complex], count: int, cutoff_n: int) -> list[float]:
-    # a first-order bound on the rounding of the Dirichlet sums at the first
-    # ``count`` nodes walked along ``path`` (its vertices in walk order, a
-    # closed path ending where it starts), in units of u sum_{n<N} n^-sigma:
-    # N - 1 additions and a phase error of 2 |s| ln N in any pass, where
-    # |s_0| plus the path's length bounds |s| and the steps' own errors
-    # carried along, and k + 2 more roundings per term at node k of the
-    # walk. At the path's smallest sigma, 1 + integral_1^N x^-sigma dx
-    # bounds the sum for every real sigma.
+    # the module docstring's rounding bound at the first ``count`` nodes
+    # walked along ``path`` (its vertices in walk order, a closed path ending
+    # where it starts). At the path's smallest sigma,
+    # 1 + integral_1^N x^-sigma dx bounds sum_{n<N} n^-sigma for every real sigma.
     sigma = min(z.real for z in path)
     log_n = math.log(cutoff_n)
     a = (1.0 - sigma) * log_n
@@ -339,11 +324,8 @@ def _rounding(path: list[complex], count: int, cutoff_n: int) -> list[float]:
 
 
 def _side_bound(start: complex, stop: complex, cutoff_n: int, tail_order: int) -> float:
-    # a truncation bound at least every node's on the side from start to
-    # stop, or inf where its nodes read their own: the end farther from the
-    # real axis on a vertical side, the end with the smaller sigma on a
-    # horizontal side at height t where nu + 1 < |t| ln N (the module
-    # docstring has the proof)
+    # the module docstring's side bound of the side from start to stop, or
+    # inf where its nodes read their own
     if start.real == stop.real:
         return remainder_bound(max(start, stop, key=lambda z: abs(z.imag)), cutoff_n, tail_order)
     if start.imag == stop.imag and tail_order + 1 < abs(start.imag) * math.log(cutoff_n):
@@ -358,24 +340,20 @@ def _walk(
     exact: Callable[[complex], complex],
     floor: float = 0.0,
 ) -> list[complex]:
-    # zeta at the nodes of a path of straight sides, finished in one kernel
-    # call from the Dirichlet sums of one walk at the sample cutoff, or at
-    # one node (no segments), which reads its exact head. Side j starts at
-    # node segments[0] + ... + segments[j-1] and reaches the next side's
-    # first node in segments[j] equal steps; when the counts add up to
-    # len(nodes), the path is closed and its last side returns to nodes[0].
-    # A sample counts where |value| exceeds floor and _SAMPLE_MARGIN times
-    # its truncation bound plus its rounding; elsewhere the node takes
-    # exact(z), the exact pass. A node is tested against its side's bound
-    # first and, only where that fails, against its own, so every decision
-    # is the per-node one.
+    # zeta at the nodes of a path of straight sides, from one walk at the
+    # sample cutoff, or at one node (no segments) from its exact head. Side j
+    # starts at node segments[0] + ... + segments[j-1] and reaches the next
+    # side's first node in segments[j] equal steps; when the counts add up
+    # to len(nodes), the path is closed and its last side returns to
+    # nodes[0]. A node whose sample is not certified (see the module
+    # docstring), or not above floor, takes exact(z).
     n, nu = sample.cutoff_n, sample.tail_order
     firsts = list(accumulate(segments, initial=0))
     closed = firsts[-1] == len(nodes)
     vertices = [nodes[k] for k in firsts[:-1]] + ([] if closed else [nodes[-1]])
     path = vertices + vertices[:1] if closed else vertices
     _tail_denominator(min(z.real for z in vertices), nu)
-    heads = _dirichlet_path(vertices, segments, n) if segments else [_head(nodes[0], n, keep=False)]
+    heads = _dirichlet_path(vertices, segments, n) if segments else [dirichlet_partial_sum(nodes[0], n)]
     values, _ = _zeta_nodes(nodes, heads, sample)
     bounds: list[float] = []
     for start, stop, count in zip(path, path[1:], segments):
@@ -411,9 +389,8 @@ def _line_values(
 def _refine_bracket(
     ta: float, tb: float, seed: float, za: complex, hb: float, cfg: ScanConfig, params: EvalParams
 ) -> ZeroRecord:
-    # the zero in (ta, tb), where h(t) = Re[zeta(1/2 + it) conj(za)] / |za|
-    # falls from |za| to hb < 0: Newton from the interpolated seed, then
-    # Illinois on h and a Newton polish if Newton leaves the bracket or the strip
+    # the zero in (ta, tb), where h falls from |za| to hb < 0, refined as the
+    # module docstring says
     ha = abs(za)
     try:
         rec = refine_zero(complex(0.5, seed), cfg.tol, cfg.max_iter, params)
@@ -455,9 +432,7 @@ def _refine_bracket(
 
 def _interpolated_seed(ts: list[float], hs: list[float], ta: float, tb: float, ha: float, hb: float) -> float:
     # the root in (ta, tb) of the polynomial through (ts, hs), where
-    # h(ta) = ha > 0 > hb = h(tb): Newton from the regula-falsi point on the
-    # divided-difference form, kept inside the shrinking sign bracket by
-    # bisection. Through two nodes that is the regula-falsi point itself.
+    # h(ta) = ha > 0 > hb = h(tb), by the module docstring's guarded Newton
     coef = list(hs)
     for j in range(1, len(ts)):
         for k in range(len(ts) - 1, j - 1, -1):
@@ -496,16 +471,11 @@ def scan_critical_line(
 
     ``cfg`` (default ``ScanConfig()``) holds every scan setting. Grid
     nodes where zeta is exactly 0 are dropped; every remaining cell whose
-    ends give Re[zeta_b conj(zeta_a)] < 0 is a bracket. Newton starts at
-    the root in the bracket of the polynomial through h(t) = Re[zeta(1/2 +
-    it) conj(zeta_a)] / |zeta_a| at up to 8 grid nodes around it (see the
-    module docstring); if it leaves the bracket or the strip,
-    Illinois regula falsi on h (at most ``cfg.max_iter`` exact steps)
-    narrows the bracket and Newton polishes the result. A bracket that
-    still yields no zero inside raises a RefinementError naming it. A
-    refinement that fails is skipped with a logged warning unless
-    ``cfg.strict_refine`` is set. Cells do not overlap, so no zero is
-    returned twice; two zeros in one cell are not seen.
+    ends give Re[zeta_b conj(zeta_a)] < 0 is a bracket, refined from its
+    interpolated seed (see the module docstring), with at most
+    ``cfg.max_iter`` Illinois steps. A refinement that fails is skipped
+    with a logged warning unless ``cfg.strict_refine`` is set. Cells do not
+    overlap, so no zero is returned twice; two zeros in one cell are not seen.
     """
     cfg = _scan_config(cfg)
     _check_t_range(t_min, t_max)

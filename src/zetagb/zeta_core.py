@@ -12,74 +12,59 @@ and certifies the truncation error with the first-omitted-term rule
            * N^{-Re(s)-2nu-1} * |s+2nu+1| / (Re(s)+2nu+1).
 
 ``auto_params`` picks the (N, nu) of least cost N + 3 nu whose bound meets
-eps: a tail order costs about three Dirichlet terms. The bound is
+eps: a tail order is priced at three Dirichlet terms. The bound is
 A_nu N^{-(Re s + 2 nu + 1)}, so each nu has its least N in closed form,
 and as nu grows that N falls towards |t|/(2 pi), the cutoff H. M. Edwards
-gives (*Riemann's Zeta Function*, 6.4); at t = 499 and eps = 1e-10 the
-choice is (136, 20), not the (1000, 4) that N = 2 (|t| + 1) needs.
+gives (*Riemann's Zeta Function*, 6.4).
 
-Everything is plain binary64; powers go through exp(-s ln n) with the
-real logarithm, so no branch ambiguity arises. The Dirichlet sum reads
-ln n from one table, computed once and shared, with the same bits. The
-tail is summed in nested (Horner) form, with one exp for all its orders,
+Powers go through exp(-s ln n) with the real logarithm, so no branch
+ambiguity arises; ln n comes from one shared table. The tail is summed in
+nested (Horner) form, with one exp for all its orders,
 
     N^{-s}/2 + s N^{-s-1} [c_1 + q_1 (c_2 + q_2 (... + q_{nu-1} c_nu))],
     c_mu = B_{2mu}/(2mu)!,  q_mu = (s+2mu-1)(s+2mu)/N^2,
 
-one complex product and one complex multiply-add an order instead of
-carrying the rising product and the power of N separately (Higham,
-*Accuracy and Stability of Numerical Algorithms*, 5.1).
-
-On request the evaluator also returns the exact derivative of the sum it
-evaluates (Edwards, 6.4),
+one complex product and one complex multiply-add an order (Higham,
+*Accuracy and Stability of Numerical Algorithms*, 5.1). On request the
+evaluator also returns the exact derivative of the sum it evaluates
+(Edwards, 6.4),
 
     Z'(s) = -sum_{n=2}^{N-1} ln n n^{-s}  -  A (ln N + 1/(s-1))  -  ln N N^{-s}/2
           + sum_{mu=1}^{nu} B_{2mu}/(2mu)! * (P_mu' - ln N P_mu) * N^{-s-2mu+1},
 
-with A = N^{1-s}/(s-1) and P_mu = s(s+1)...(s+2mu-2). Each derivative
-term reuses the n^{-s} or tail term of the same pass. Only that request
-carries the tail's slope, the derivative of the nested bracket, which
-runs along the same loop as Horner's derivative does and leaves the
-value's operations as they are. The truncation bound is computed when
-``EvalResult.remainder_bound`` is first read, with the same bits, so
-Newton steps, which never read it, do not pay for it; params the
-schedule picked at s carry the bound it computed there to certify them.
+with A = N^{1-s}/(s-1) and P_mu = s(s+1)...(s+2mu-2). Each derivative term
+reuses the n^{-s} or tail term of the same pass, and the tail's slope runs
+along the same loop as Horner's derivative, so the value keeps its
+operations.
 
-At uniformly spaced nodes s_k = s_0 + k d on a line, ``dirichlet_line``
-walks the sum instead: n^{-s_{k+1}} = n^{-s_k} n^{-d}, one complex
-multiply per term after one exp per term for n^{-s_0} and for n^{-d}
-(the multi-point idea of A. M. Odlyzko and A. Schonhage, Trans. AMS 309,
-1988). Node 0 keeps the bits of the exact pass; each later node's terms
-carry k more roundings, so node k drifts by O(k u) sum |n^{-s_k}| at
-worst (measured 2.1e-14 of that sum over 2,000-node lines). A path of
-such lines is one walk too: at a vertex the terms carry on with the next
-line's step ratios, so only the first node pays one exp per term, and a
-closed path ends one step short of its start, whose sum it already has.
-``dirichlet_line`` is that walk along one line. One private node kernel,
-``_zeta_nodes``, finishes every node of a walk in one call: head + pole
-term + N^{-s}/2 + tail, in the operations and order of ``zeta_gb``,
-which is the same kernel at one node; what depends on N and nu alone it
-takes once per call, and callers refuse a too small tail order before
-their Dirichlet pass, which can overflow first. The scanner walks at a
-sample cutoff, the cheapest schedule entry that bounds the walk's worst
-corner by 2^-15, and keeps a node's value only where |value| exceeds 2^10
-times its truncation and rounding bounds (one bound per side of the walk
-serves every node of it first); elsewhere it makes the exact pass (see
-``zero_scan``).
+Walks. At uniformly spaced nodes s_k = s_0 + k d, n^{-s_{k+1}} = n^{-s_k}
+n^{-d}: after one exp per term for n^{-s_0} and one for n^{-d}, each node
+costs one complex multiply per term (the multi-point idea of A. M. Odlyzko
+and A. Schonhage, Trans. AMS 309, 1988). Node 0 keeps the bits of the
+exact pass; node k's terms carry k more roundings, so it drifts by
+O(k u) sum |n^{-s_k}|. A path of such lines is one walk: at a vertex the
+terms carry on with the next line's step ratios, and a closed path ends
+one step short of its start, whose sum it already has. ``dirichlet_line``
+is the walk along one line.
 
-The derivative request, Q (``qfunction``) and the value-only pass of
-Newton's polish (``_value``) keep the heads sum_{n<N} n^{-s} of their
-exact passes in a memo of the 2,048 most recent, keyed by (s, N) under
-complex equality and evicted oldest first; Q and the plain evaluator read
-it. So the polish's pass at the refined zero, Q there and its audit share
-one pass. The head depends on s and N alone, not on nu or eps, and a
-stored head is the total of the pass that made it: a plain pass and a
-derivative pass add the same terms in the same order, so a hit returns
-the bits a fresh pass would. Keys with a signed zero, such as 2+0j and
-2-0j, hold the same bits too: the total starts at 1+0j and exp(+-0 + iy)
-is one value. A derivative request always makes its own pass, a plain
-``zeta_gb`` adds nothing to the memo, and ``dirichlet_partial_sum``
-itself is never cached. The memo holds about 0.3 MB.
+The node kernel. ``_zeta_nodes`` finishes every node of a walk in one
+call, head + pole term + N^{-s}/2 + tail, in the operations and order of
+``zeta_gb``, which is the same kernel at one node; what depends on N and
+nu alone it takes once per call. Callers refuse a too small tail order
+before their Dirichlet pass, which can overflow first. ``zero_scan``
+certifies walked values.
+
+The head memo. Newton's polish (``_value``) keeps the head sum_{n<N}
+n^{-s} of its value-only pass, and Q (``qfunction``) reads it, so the
+refined zero, Q there and its audit share one pass. ``_head`` is the
+memo's one reader and writer. It holds the 2,048 most recent heads, keyed
+by (s, N) under complex equality and evicted oldest first. A head depends
+on s and N alone, so a hit returns the bits a fresh pass would; keys with
+a signed zero, such as 2+0j and 2-0j, hold the same bits too, since the
+total starts at 1+0j and exp(+-0 + iy) is one value. Plain and derivative
+evaluations and walks make their own passes and neither read nor write
+the memo, since no caller reads their heads again; ``dirichlet_partial_sum``
+itself is never cached.
 """
 
 from __future__ import annotations
@@ -114,25 +99,20 @@ DEFAULT_TARGET_EPS = 1e-8
 _AUTO_NU_RANGE = range(2, 26)
 _EPS_FLOOR = 1e-13
 _IM_CAP = 500.0
-# the price of one tail order in Dirichlet terms. Measured with the nested
-# tail at s = 1/2 + 300.25i (Python 3.11.7, 2 CPUs, medians of 8 runs, five
-# times over): 1.4 to 1.8 terms on a plain pass and 1.6 to 1.9 on a
-# derivative pass (2.4 and 2.7 with the expanded tail). It stays 3: another
-# price moves the (N, nu) choices, so the retune waits for rounding-aware
-# bounds (ROADMAP item 3), which move them anyway.
+# the price of one tail order in Dirichlet terms. A retune moves the (N, nu)
+# choices, so it waits for rounding-aware bounds, which move them anyway.
 _TAIL_TERMS = 3
 # the largest cutoff, explicit or scheduled; larger ones only grow the log
 # table. It is 64 times 2 (|t| + 1) at the cap.
 _MAX_CUTOFF = 64_128
 _SHADE = 1.0 - 1e-12
-# exact Dirichlet heads kept by _head; auditing 0..499 needs about 3.7 per
-# zero (the polish step included) between a zero's refinement and its
-# audit, about 1,000 in all
+# Dirichlet heads kept by _head: one per refined zero, from its polish to
+# its audit (269 over 0..499, pinned with the cost of a refined zero)
 _HEAD_MEMO_SIZE = 2048
 
 
 def _check_cutoff(cutoff_n: object) -> None:
-    if not isinstance(cutoff_n, int) or not 2 <= cutoff_n <= _MAX_CUTOFF:
+    if type(cutoff_n) is not int or not 2 <= cutoff_n <= _MAX_CUTOFF:
         raise ParameterError(f"cutoff_n must be an integer in [2, {_MAX_CUTOFF}], got {cutoff_n!r}")
 
 
@@ -159,7 +139,7 @@ class EvalParams:
 
     def __post_init__(self) -> None:
         _check_cutoff(self.cutoff_n)
-        if not isinstance(self.tail_order, int) or self.tail_order < 1:
+        if type(self.tail_order) is not int or self.tail_order < 1:
             raise ParameterError(f"tail_order must be an integer >= 1, got {self.tail_order!r}")
         # the bound's first omitted term reads B_{2 nu + 2}
         if 2 * self.tail_order + 2 > MAX_INDEX:
@@ -247,19 +227,9 @@ def dirichlet_partial_sum(
 
 
 # (s, N) -> sum_{n<N} n^{-s} of the most recent exact passes, and their keys
-# oldest first (a dict and a deque hold 2,048 heads in 0.27 MB, an
-# OrderedDict in 0.46 MB)
+# oldest first (a dict and a deque take less memory than an OrderedDict)
 _HEADS: dict[tuple[complex, int], complex] = {}
 _HEAD_KEYS: deque[tuple[complex, int]] = deque()
-
-
-def _remember(s: complex, cutoff_n: int, head: complex) -> None:
-    key = (s, cutoff_n)
-    if key not in _HEADS:
-        if len(_HEAD_KEYS) >= _HEAD_MEMO_SIZE:
-            _HEADS.pop(_HEAD_KEYS.popleft(), None)
-        _HEAD_KEYS.append(key)
-    _HEADS[key] = head
 
 
 def _forget_heads() -> None:
@@ -267,43 +237,40 @@ def _forget_heads() -> None:
     _HEAD_KEYS.clear()
 
 
-def _head(s: complex, cutoff_n: int, keep: bool = True) -> complex:
+def _head(s: complex, cutoff_n: int) -> complex:
     # dirichlet_partial_sum(s, cutoff_n), from the memo when a recent pass
-    # summed the same (s, N); the bits are the same either way. A new pass
-    # is kept only with ``keep``: no caller reused the head of a plain
-    # evaluation, and keeping one per call slowed one-off evaluations by 3 %.
-    head = _HEADS.get((s, cutoff_n))
+    # summed the same (s, N), and kept there otherwise; the bits are the
+    # same either way
+    key = (s, cutoff_n)
+    head = _HEADS.get(key)
     if head is None:
         head = dirichlet_partial_sum(s, cutoff_n)
-        if keep:
-            _remember(s, cutoff_n, head)
+        if len(_HEAD_KEYS) >= _HEAD_MEMO_SIZE:
+            _HEADS.pop(_HEAD_KEYS.popleft(), None)
+        _HEAD_KEYS.append(key)
+        _HEADS[key] = head
     return head
 
 
 def dirichlet_line(start: complex, stop: complex, segments: int, cutoff_n: int) -> list[complex]:
     """Partial sums at the nodes start + k (stop - start)/segments, k = 0..segments.
 
-    Walks the line: n^{-(s+d)} = n^{-s} n^{-d}, so after one exp per term
-    for the first node and one for the step d, each further node costs one
-    complex multiply per term. Each node's terms are added in ascending
-    order, so node 0 has the bits of ``dirichlet_partial_sum(start)``; the
-    terms of node k carry about k roundings of the walk.
+    Walks the line (see the module docstring): node 0 has the bits of
+    ``dirichlet_partial_sum(start)``, and node k's terms carry about k
+    roundings of the walk.
     """
     start = _as_complex(start, "start")
     stop = _as_complex(stop, "stop")
-    if not isinstance(segments, int) or segments < 1:
+    if type(segments) is not int or segments < 1:
         raise ParameterError(f"segments must be an integer >= 1, got {segments!r}")
     return _dirichlet_path([start, stop], [segments], cutoff_n)
 
 
 def _dirichlet_path(vertices: list[complex], segments: list[int], cutoff_n: int) -> list[complex]:
     # partial sums at the nodes of a walk from vertices[0] through the
-    # others, edge j cut into segments[j] equal steps: one exp per term at
-    # vertices[0] and one per term and edge for its step, then one complex
-    # multiply per term and node, the terms carried from each edge into the
-    # next, so a vertex is one node. With one count per vertex the path is
-    # closed: its last edge returns to vertices[0], whose sum is not walked
-    # again. Node k's terms carry about k roundings of the walk.
+    # others, edge j cut into segments[j] equal steps, a vertex one node.
+    # With one count per vertex the path is closed: its last edge returns to
+    # vertices[0], whose sum is not walked again.
     logs = _log_table(cutoff_n)[2:cutoff_n]
     minus_s = -vertices[0]
     terms = [cmath.exp(minus_s * log_n) for log_n in logs]
@@ -365,13 +332,10 @@ def _tail_orders(tail_order: int) -> tuple[float, tuple[tuple[float, float, floa
 def _em_series(s: complex, log_n: float, inv_n2: float, orders: tuple, head: complex, prod: complex,
                dprod: complex | None = None) -> tuple[complex, complex | None]:
     # head + sum_mu c_mu * prod * (s+1)...(s+2mu-2) * N^{-s-2mu+1} in the
-    # nested form of the module docstring, head + prod N^{-s-1} [c_1 +
-    # q_1 (c_2 + q_2 (... c_nu))] with q_mu = (s+2mu-1)(s+2mu)/N^2. 1/N^2
-    # stays in the loop: a table of coefficients scaled per (N, nu) would be
-    # rebuilt whenever N changes, as it does from one evaluation to the next.
+    # nested form of the module docstring. 1/N^2 stays in the loop: a table
+    # of coefficients scaled per (N, nu) would be rebuilt whenever N changes.
     # When dprod = prod' is given, also the derivative of the sum over mu
-    # (head excluded): the bracket's derivative runs along the same loop as
-    # Horner's derivative, dacc = q' acc + q dacc with
+    # (head excluded), along Horner's derivative dacc = q' acc + q dacc with
     # q'_mu = (2s+4mu-1)/N^2; None otherwise. The evaluator passes
     # head = N^{-s}/2, prod = s and, for a derivative, dprod = 1 (safe at
     # s = 0); the abbreviated tail r(N, s) passes head = N^{-s}/(2s),
@@ -412,13 +376,11 @@ def em_tail(s: complex, params: EvalParams) -> complex:
 def _zeta_nodes(
     nodes: list[complex], heads: list[complex], params: EvalParams, head_slopes: list[complex] | None = None
 ) -> tuple[list[complex], list[complex] | None]:
-    # zeta at each node of a line (or at one node) from its Dirichlet head
-    # at params.cutoff_n: head + N^{1-s}/(s-1) + N^{-s}/2 + the tail. With
-    # head_slopes (each head's derivative), also each node's derivative;
-    # None otherwise. The truncation bound is left to the caller, but its
-    # order is refused here, at the smaller Re s of the first and last
-    # nodes: an end of a line, and the smallest on the rectangle's closed
-    # walk, which starts at (sigma_min, t_min).
+    # zeta at each node from its Dirichlet head at params.cutoff_n, and with
+    # head_slopes each node's derivative; None otherwise. The truncation
+    # bound is left to the caller, but its order is refused here, at the
+    # smaller Re s of the first and last nodes: an end of a line, and the
+    # smallest on the rectangle's closed walk, which starts at (sigma_min, t_min).
     n, nu = params.cutoff_n, params.tail_order
     log_n = math.log(n)
     inv_n2 = 1.0 / (n * n)
@@ -440,9 +402,9 @@ def _zeta_nodes(
     return values, slopes
 
 
-def _value(s: complex, params: EvalParams, keep: bool = True) -> complex:
-    # zeta_gb(s, params).value, checks aside, its head kept in the memo with ``keep``
-    (value,), _ = _zeta_nodes([s], [_head(s, params.cutoff_n, keep)], params)
+def _value(s: complex, params: EvalParams) -> complex:
+    # zeta_gb(s, params).value, checks aside, its head kept in the memo for Q
+    (value,), _ = _zeta_nodes([s], [_head(s, params.cutoff_n)], params)
     return value
 
 
@@ -471,10 +433,9 @@ def zeta_gb(
         params = auto_params(s, eps)
     _tail_denominator(s.real, params.tail_order)
     if not derivative:
-        return EvalResult(value=_value(s, params, keep=False), s=s, params_used=params)
-    n = params.cutoff_n
-    head, head_slope = dirichlet_partial_sum(s, n, derivative=True)
-    _remember(s, n, head)
+        (value,), _ = _zeta_nodes([s], [dirichlet_partial_sum(s, params.cutoff_n)], params)
+        return EvalResult(value=value, s=s, params_used=params)
+    head, head_slope = dirichlet_partial_sum(s, params.cutoff_n, derivative=True)
     (value,), (slope,) = _zeta_nodes([s], [head], params, [head_slope])
     return EvalResult(value=value, s=s, params_used=params, derivative=slope)
 
@@ -482,10 +443,9 @@ def zeta_gb(
 def auto_params(s: complex, eps: float) -> EvalParams:
     """Pick the cheapest (N, nu) whose certified bound meets ``eps``.
 
-    Cost is N + 3 nu: one tail order costs about three Dirichlet terms.
-    The tail order ranges over 2..25 and the cutoff over 2..64,128 (see
-    ``_schedule``). Accuracy requests below 1e-13 are refused: binary64
-    rounding already eats that.
+    Cost is N + 3 nu (see the module docstring); the tail order ranges
+    over 2..25 and the cutoff over 2..64,128. Accuracy requests below
+    1e-13 are refused: binary64 rounding already eats that.
     """
     s = _as_complex(s)
     if abs(s.imag) > _IM_CAP:
@@ -514,16 +474,15 @@ def _schedule_rows() -> tuple[tuple[int, int, float, int], ...]:
 
 def _schedule(s: complex, eps: float) -> EvalParams | None:
     # the (N, nu) of least cost N + 3 nu, nu in 2..25 and N <= _MAX_CUTOFF,
-    # whose bound at s meets eps, or None. The bound is A_nu N^-d with
-    # d = Re s + 2 nu + 1 and A_nu = |c_{nu+1}| prod_{k<=2nu+1} |s + k| / d,
-    # so each nu has its least N in closed form, from a running product.
-    # Cost falls while a longer tail shortens N by more than 3 and rises
-    # after (the tests check this against a full search), so the sweep
-    # stops at the first rise. Only the winner is checked against
-    # remainder_bound itself, N raised until it meets eps; the closed form
-    # is shaded by 1e-12 so that it never starts above the least N. The
-    # params carry the bound they meet at s, so that a result evaluated at
-    # s need not compute it again.
+    # whose bound at s meets eps, or None. With d = Re s + 2 nu + 1 and
+    # A_nu = |c_{nu+1}| prod_{k<=2nu+1} |s + k| / d, from a running product,
+    # each nu's least N solves A_nu N^-d = eps. Cost falls while a longer
+    # tail shortens N by more than 3 and rises after (the tests check this
+    # against a full search), so the sweep stops at the first rise. Only the
+    # winner is checked against remainder_bound itself, N raised until it
+    # meets eps; the closed form is shaded by 1e-12 so that it never starts
+    # above the least N. The params carry the bound they meet at s, so that a
+    # result evaluated at s need not compute it again.
     sigma, t = s.real, s.imag
     hypot, ceil, cap, shade = math.hypot, math.ceil, _MAX_CUTOFF, _SHADE
     prod = hypot(sigma, t) * hypot(sigma + 1.0, t) * hypot(sigma + 2.0, t) * hypot(sigma + 3.0, t)

@@ -75,6 +75,8 @@ def test_index_validation(table: BernoulliTable) -> None:
         table[MAX_INDEX + 1]
     with pytest.raises(ParameterError):
         table["2"]  # type: ignore[index]
+    with pytest.raises(ParameterError):
+        table[True]
 
 
 @pytest.mark.parametrize("bad", [0, 1, 7, MAX_INDEX + 2, "8"])

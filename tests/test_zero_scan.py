@@ -244,6 +244,8 @@ def test_scan_validation() -> None:
         scan_critical_line(0.0, 5.0, ScanConfig(step=0.6))
     with pytest.raises(ParameterError):
         scan_critical_line(0.0, 5.0, ScanConfig(tol=1e-12))
+    with pytest.raises(ParameterError, match="max_iter"):
+        ScanConfig(max_iter=True)
     with pytest.raises(ParameterError, match="ScanConfig"):
         scan_critical_line(0.0, 5.0, {"step": 0.5})  # type: ignore[arg-type]
 
@@ -432,19 +434,22 @@ def test_a_refined_zero_costs_under_two_hundred_dirichlet_terms(monkeypatch) -> 
 
     monkeypatch.setattr(zeta_core, "dirichlet_partial_sum", record)
     # the grid walks its sums; every exact pass is a Newton point or the
-    # polish step, and Q reads the head of the last one. The README quotes
-    # these counts: 3 passes and 120 terms a zero at (41, 11) over 0..100,
-    # and 997 passes for 269 zeros over 0..499
+    # polish step, and Q reads the head of the last one, the memo's only
+    # entry for that zero. The README quotes these counts: 3 passes and 120
+    # terms a zero at (41, 11) over 0..100, and 997 passes for 269 zeros
+    # over 0..499, one memo head per refined zero
     zeta_core._forget_heads()
     records = zero_scan.scan_critical_line(0, 100)
     assert len(records) == 29
     assert len(cutoffs) == 87
     assert set(cutoffs) == {41}
     assert sum(n - 1 for n in cutoffs) == 120 * len(records) <= 200 * len(records)
+    assert len(zeta_core._HEADS) == 29
     cutoffs.clear()
     zeta_core._forget_heads()
     assert len(zero_scan.scan_critical_line(0, 499)) == 269
     assert len(cutoffs) == 997
+    assert len(zeta_core._HEADS) == 269
 
 
 def test_the_coarse_grid_keeps_every_bracket(zeros_below_499, caplog) -> None:

@@ -212,7 +212,7 @@ def test_horizontal_and_descending_lines_track_the_partial_sum() -> None:
 
 
 def test_line_segments_must_be_a_positive_integer() -> None:
-    for segments in (0, -3, 2.0, None):
+    for segments in (0, -3, 2.0, None, True):
         with pytest.raises(ParameterError, match="segments"):
             dirichlet_line(0.5 + 14j, 0.5 + 15j, segments, 40)  # type: ignore[arg-type]
     with pytest.raises(ParameterError):
@@ -465,15 +465,23 @@ def test_warm_heads_keep_the_bits_of_a_fresh_pass(monkeypatch: pytest.MonkeyPatc
     ]
     cold = [(zeta_gb(s, p).value, q_gb(s, p)) for s, p in cases]
     fresh = [dirichlet_partial_sum(s, p.cutoff_n) for s, p in cases]
+    partial_sum = zeta_core.dirichlet_partial_sum
 
     def no_pass(*args, **kwargs):
         raise AssertionError("a warm head made a pass")
 
+    # Q reads the head its cold call kept
     monkeypatch.setattr(zeta_core, "dirichlet_partial_sum", no_pass)
-    warm = [(zeta_gb(s, p).value, q_gb(s, p)) for s, p in cases]
-    for (s, p), head, before, after in zip(cases, fresh, cold, warm):
+    for (s, p), head, (_, before) in zip(cases, fresh, cold):
         assert _bits(zeta_core._head(s, p.cutoff_n)) == _bits(head)
-        assert list(map(_bits, before)) == list(map(_bits, after))
+        assert _bits(q_gb(s, p)) == _bits(before)
+    # a plain evaluation reads no head: it makes its own pass, with the same bits
+    passes = []
+    monkeypatch.setattr(zeta_core, "dirichlet_partial_sum",
+                        lambda s, n, **kwargs: passes.append((s, n)) or partial_sum(s, n, **kwargs))
+    for (s, p), (before, _) in zip(cases, cold):
+        assert _bits(zeta_gb(s, p).value) == _bits(before)
+    assert passes == [(s, p.cutoff_n) for s, p in cases]
 
 
 def test_signed_zero_keys_hold_the_same_bits() -> None:
@@ -485,19 +493,20 @@ def test_signed_zero_keys_hold_the_same_bits() -> None:
             assert len(set(map(_bits, heads))) == 1, (a, b, n)
 
 
-def test_q_after_a_derivative_pass_reuses_its_head(record_call_stacks) -> None:
+def test_only_the_polish_pass_hands_its_head_to_q(record_call_stacks) -> None:
     calls = record_call_stacks(("dirichlet_partial_sum",))
     s, params = 0.5 + 14.134725j, EvalParams(40, 6)
-    # a plain evaluation reads the memo but adds nothing to it
+    # plain and derivative evaluations neither read nor write the memo
+    zeta_gb(s, params)
+    zeta_gb(s, params, derivative=True)
     zeta_gb(s, params)
     assert not zeta_core._HEADS
-    zeta_gb(s, params, derivative=True)
-    q_gb(s, params)
-    zeta_gb(s, params)
-    assert len(calls) == 2
-    # a derivative request always makes its own pass
-    zeta_gb(s, params, derivative=True)
     assert len(calls) == 3
+    # the polish's value-only pass keeps its head, and Q there reads it
+    zeta_core._value(s, params)
+    q_gb(s, params)
+    assert list(zeta_core._HEADS) == [(s, params.cutoff_n)]
+    assert len(calls) == 4
 
 
 def test_the_memo_keeps_its_bound() -> None:
@@ -879,6 +888,10 @@ def test_eval_params_validation() -> None:
         EvalParams(1, 2)
     with pytest.raises(ParameterError):
         EvalParams(16, 0)
+    # bool is an int subclass, but a record refined with True could not be read back
+    for bad in ((True, 2), (40, True)):
+        with pytest.raises(ParameterError):
+            EvalParams(*bad)
     assert EvalParams(16, 29).tail_order == 29  # its bound reads B_60, the last entry
     for nu in (30, 31):  # Bernoulli indices beyond the table cap
         with pytest.raises(ParameterError, match="tail_order"):
