@@ -40,6 +40,7 @@ from .zero_scan import (
     rectangle_winding,
     refine_zero,
     scan_critical_line,
+    siegel_theta,
     write_records_csv,
     write_records_jsonl,
 )
@@ -67,7 +68,7 @@ __all__ = [
     "auto_params", "remainder_bound",
     "q_gb", "consistency_identity",
     "ZeroRecord", "Rectangle", "ScanConfig",
-    "refine_zero", "scan_critical_line", "rectangle_winding",
+    "refine_zero", "scan_critical_line", "rectangle_winding", "siegel_theta",
     "write_records_csv", "read_records_csv", "write_records_jsonl", "read_records_jsonl",
     "PropositionChecks", "AuditReport",
     "factorization_check", "audit_zero", "q_variation", "audit_range",

@@ -24,10 +24,12 @@ rendering. Verdict III tests the counter-hypothesis, an off-line
 conjugate pair rho, 1 - conj(rho): the winding number of one rectangle
 over the strip counts every zero with multiplicity, and the scan finds
 the zeros of odd order on the line, one per sign change of Hardy's Z on
-its grid. Outside sigma in [0.01, 0.99] there are no zeros for
-2 <= t <= 500 (H. Kadiri's explicit zero-free region, Acta Arith. 117,
-2005, and the functional equation), so equal counts mean every zero in
-the window is on the line, simple, and audited.
+its grid. The rectangle is symmetric about the line, so its count walks
+the right half and the functional equation gives the left half's phase
+through theta (see ``zero_scan``). Outside sigma in [0.01, 0.99] there
+are no zeros for 2 <= t <= 500 (H. Kadiri's explicit zero-free region,
+Acta Arith. 117, 2005, and the functional equation), so equal counts
+mean every zero in the window is on the line, simple, and audited.
 """
 
 from __future__ import annotations

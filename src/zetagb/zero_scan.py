@@ -32,15 +32,15 @@ whose head Q at the refined zero reads from the evaluator's memo (see
 ``zeta_core``).
 
 The certificate. The scan grid is a line of uniformly spaced nodes and a
-rectangle's boundary a closed path of four such sides, so their Dirichlet
+rectangle's boundary a path of three or four such sides, so their Dirichlet
 sums come from one walk and their values from one node-kernel call (see
 ``zeta_core``); phase-walk splits and an off-grid t_max are one-node
 walks, from an exact head. Those values only decide signs and phases, so a
 walk runs at a sample cutoff: the cheapest schedule entry whose truncation
-bound at the walk's worst corner (sigma_min, max |t|) is at most 2^-15, or
-the caller's params where no entry applies (beyond t = 500). A sample
-counts when |value| exceeds 2^10 times its truncation bound plus a
-first-order rounding bound: N - 1 additions and a phase error of
+bound at the walk's worst corner (its smallest sigma, max |t|) is at
+most 2^-15, or the caller's params where no entry applies (beyond
+t = 500). A sample counts when |value| exceeds 2^10 times its truncation
+bound plus a first-order rounding bound: N - 1 additions and a phase error of
 2 |s| ln N in any pass, with |s| read as |s_0| plus the walk's length,
 which also covers the steps' own errors, and k + 2 more roundings at walk
 node k, all in units of u sum n^{-sigma} at the walk's smallest sigma. Its
@@ -69,9 +69,29 @@ every decision is the per-node one.
 
 Winding. Rectangle counts use the argument principle: a phase increment
 between neighbouring nodes is kept below pi/2, split at the midpoint
-otherwise, and the last increment closes on the first node's value. On
-the boundary only full-accuracy values decide a BoundaryError, since a
-certified sample must also exceed 2e-6.
+otherwise. A rectangle walks its closed boundary, and the last increment
+closes on the first node's value, unless it is symmetric about the line
+and inside the strip (sigma_min + sigma_max = 1 in binary64 and
+sigma_min > 0). Then it walks only its right half, the open path
+1/2 + i t_min -> sigma_max + i t_min -> sigma_max + i t_max -> 1/2 + i t_max,
+and the functional equation gives the left half's phase (Backlund's
+N(T) = theta(T)/pi + 1 + S(T) rests on the same identity):
+
+  * reflection and the functional equation give
+    zeta(s) = chi(s) conj zeta(1 - conj s), and the left half is the
+    mirror image of the right half walked backwards, so
+    Delta_left arg zeta = Delta_right arg zeta + Delta_left arg chi;
+  * chi has no zero or pole in 0 < sigma <= 1/2, so its change along the
+    left half equals its change down the line, where
+    arg chi(1/2 + it) = -2 theta(t); the count is therefore
+    (Delta_right arg zeta + theta(t_max) - theta(t_min)) / pi;
+  * a zero on the left side has its mirror on the right side, so the
+    BoundaryError still fires there.
+
+Its residual then carries the phase errors of the two samples on the
+line, not only rounding. The full-accuracy params stay those of the
+whole rectangle. On the boundary only full-accuracy values decide a
+BoundaryError, since a certified sample must also exceed 2e-6.
 """
 
 from __future__ import annotations
@@ -84,12 +104,14 @@ import logging
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 
+from .bernoulli import _full_table
 from .errors import BoundaryError, InconclusiveError, ParameterError, RefinementError
 from .serialize import csv_text, dumps
-from .zeta_core import (_IM_CAP, EvalParams, _as_complex, _dirichlet_path, _schedule, _tail_denominator, _value,
-                        _zeta_nodes, auto_params, dirichlet_partial_sum, remainder_bound, zeta_gb)
+from .zeta_core import (_IM_CAP, EvalParams, _as_complex, _dirichlet_path, _is_real, _schedule, _tail_denominator,
+                        _value, _zeta_nodes, auto_params, dirichlet_partial_sum, remainder_bound, zeta_gb)
 from .qfunction import q_gb
 
 __all__ = [
@@ -99,6 +121,7 @@ __all__ = [
     "refine_zero",
     "scan_critical_line",
     "rectangle_winding",
+    "siegel_theta",
     "record_fields",
     "write_records_csv",
     "read_records_csv",
@@ -121,6 +144,10 @@ _UNIT_ROUNDOFF = 2.0 ** -53
 _SEED_NODES = 8          # grid nodes the Newton seed's interpolant passes through
 _SEED_STEP = 1e-13       # the seed's polynomial Newton stops below this relative step
 _SEED_ITER = 64          # its steps, bisections included
+# theta: shift z = 1/4 + it/2 up to |z| >= 10, then sum 10 Stirling terms; the
+# first dropped one, B_22 / (22 * 21 * z^21), is below 2e-20 there
+_THETA_SHIFT = 10.0
+_STIRLING_TERMS = 10
 
 
 @dataclass(frozen=True)
@@ -164,7 +191,7 @@ class Rectangle:
     def __post_init__(self) -> None:
         for name in ("sigma_min", "sigma_max", "t_min", "t_max"):
             v = getattr(self, name)
-            if not isinstance(v, (int, float)) or not math.isfinite(v):
+            if not _is_real(v) or not math.isfinite(v):
                 raise ParameterError(f"{name} must be finite, got {v!r}")
         if not self.sigma_min < self.sigma_max:
             raise ParameterError("sigma_min must be below sigma_max")
@@ -203,9 +230,9 @@ class ScanConfig:
     strict_refine: bool = False
 
     def __post_init__(self) -> None:
-        if not isinstance(self.step, (int, float)) or not 0 < self.step <= 0.5:
+        if not _is_real(self.step) or not 0 < self.step <= 0.5:
             raise ParameterError(f"step must lie in (0, 0.5], got {self.step!r}")
-        if not isinstance(self.tol, (int, float)) or not self.tol >= _TOL_FLOOR:
+        if not _is_real(self.tol) or not self.tol >= _TOL_FLOOR:
             raise ParameterError(f"tol must be at least {_TOL_FLOOR}, got {self.tol!r}")
         if type(self.max_iter) is not int or self.max_iter < 1:
             raise ParameterError(f"max_iter must be a positive integer, got {self.max_iter!r}")
@@ -223,7 +250,7 @@ def _scan_config(cfg: ScanConfig | None) -> ScanConfig:
 
 
 def _check_t_range(t_min: float, t_max: float) -> None:
-    if not isinstance(t_min, (int, float)) or not isinstance(t_max, (int, float)):
+    if not _is_real(t_min) or not _is_real(t_max):
         raise ParameterError("t_min and t_max must be numbers")
     if not (math.isfinite(t_min) and math.isfinite(t_max)) or t_min < 0 or t_max <= t_min:
         raise ParameterError(f"need 0 <= t_min < t_max, got [{t_min!r}, {t_max!r}]")
@@ -538,6 +565,44 @@ def _phase_walk(
     return _phase_walk(za, mid, fa, fm, f, depth + 1) + _phase_walk(mid, zb, fm, fb, f, depth + 1)
 
 
+@lru_cache(maxsize=None)
+def _stirling_coeffs() -> tuple[float, ...]:
+    # B_2k / (2k (2k - 1)) for k = 1.._STIRLING_TERMS, each rounded once from
+    # the exact rational; built on first use, so importing builds no table
+    table = _full_table()
+    return tuple(float(table[2 * k] / (2 * k * (2 * k - 1))) for k in range(1, _STIRLING_TERMS + 1))
+
+
+def siegel_theta(t: float) -> float:
+    """The Riemann-Siegel theta(t) = Im log Gamma(1/4 + it/2) - (t/2) log pi.
+
+    Uses the Stirling series
+
+        log Gamma(z) = (z - 1/2) log z - z + log(2 pi)/2
+                     + sum_k B_2k / (2k (2k-1) z^(2k-1))
+
+    at |z| >= 10; a smaller z is first shifted up with
+    log Gamma(z) = log Gamma(z + 1) - log z. The series at conj(z) gives
+    -theta(t) bit for bit, so theta is odd with no branch on the sign of t.
+    """
+    if not _is_real(t) or not math.isfinite(t):
+        raise ParameterError(f"t must be a finite real number, got {t!r}")
+    z = complex(0.25, t / 2)
+    shifted = 0.0  # Im of the logs the recurrence subtracts
+    while abs(z) < _THETA_SHIFT:
+        shifted += cmath.phase(z)
+        z += 1
+    inv_z = 1 / z
+    inv_z2 = inv_z * inv_z
+    series = 0.0j
+    for coeff in _stirling_coeffs():
+        series += coeff * inv_z
+        inv_z *= inv_z2
+    # Im[(z - 1/2) log z - z] for z = x + iy
+    head = (z.real - 0.5) * cmath.phase(z) + z.imag * math.log(abs(z)) - z.imag
+    return head + series.imag - shifted - t / 2 * math.log(math.pi)
+
+
 def _worst_corner(rect: Rectangle) -> complex:
     # the truncation bound is largest at the left corner farthest from the real axis
     return complex(rect.sigma_min, max(abs(rect.t_min), abs(rect.t_max)))
@@ -547,14 +612,16 @@ def rectangle_winding(rect: Rectangle, params: EvalParams | None = None) -> tupl
     """Winding number of Z along the rectangle boundary and its residual.
 
     Returns (count, |winding - count|). The count equals zeros minus
-    poles inside; keep s = 1 outside the rectangle. Samples with
-    |Z| < 1e-6 on the contour abort with BoundaryError. Without
-    ``params``, full-accuracy values use ``auto_params`` at the worst
-    corner with eps 1e-9, picked on first need.
+    poles inside; keep s = 1 outside the rectangle. A rectangle symmetric
+    about the line inside the strip walks its right half only (see the
+    module docstring). Samples with |Z| < 1e-6 on the contour abort with
+    BoundaryError. Without ``params``, full-accuracy values use
+    ``auto_params`` at the worst corner with eps 1e-9, picked on first need.
     """
     if not isinstance(rect, Rectangle):
         raise ParameterError(f"rect must be a Rectangle, got {type(rect).__name__}")
     worst = _worst_corner(rect)
+    mirrored = rect.sigma_min + rect.sigma_max == 1.0 and rect.sigma_min > 0
 
     def full() -> EvalParams:
         nonlocal params
@@ -565,7 +632,8 @@ def rectangle_winding(rect: Rectangle, params: EvalParams | None = None) -> tupl
     def exact(z: complex) -> complex:
         return zeta_gb(z, full()).value
 
-    sample = _sample_params(worst, params) or full()
+    # the walked path's worst corner: its smallest sigma, farthest from the real axis
+    sample = _sample_params(complex(0.5, worst.imag) if mirrored else worst, params) or full()
 
     def walk(nodes: list[complex], segments: list[int]) -> list[complex]:
         # a sample above twice the boundary modulus stays above it at params,
@@ -582,21 +650,32 @@ def rectangle_winding(rect: Rectangle, params: EvalParams | None = None) -> tupl
     def f(z: complex) -> complex:
         return walk([z], [])[0]
 
-    # one closed walk: each side's base nodes from its first corner on, so
-    # every corner is one node, and the last increment closes on the first
+    # one walk: each side's base nodes from its first corner on, so every
+    # corner is one node; a closed walk's last increment closes on the first
     corners = rect.corners()
+    if mirrored:
+        vertices = [complex(0.5, rect.t_min), corners[1], corners[2], complex(0.5, rect.t_max)]
+    else:
+        vertices = [*corners, corners[0]]
     nodes: list[complex] = []
     segments: list[int] = []
-    for za, zb in zip(corners, corners[1:] + corners[:1]):
+    for za, zb in zip(vertices, vertices[1:]):
         count = max(4, math.ceil(abs(zb - za) / 0.25))
         segments.append(count)
         nodes += [za + (zb - za) * (k / count) for k in range(count)]
+    if mirrored:
+        nodes.append(vertices[-1])
     ends = list(zip(nodes, walk(nodes, segments)))
+    if not mirrored:
+        ends.append(ends[0])
     total = 0.0
-    for (za, fa), (zb, fb) in zip(ends, ends[1:] + ends[:1]):
+    for (za, fa), (zb, fb) in zip(ends, ends[1:]):
         total += _phase_walk(za, zb, fa, fb, f, 0)
 
-    winding = total / math.tau
+    if mirrored:
+        winding = (total + siegel_theta(rect.t_max) - siegel_theta(rect.t_min)) / math.pi
+    else:
+        winding = total / math.tau
     count = round(winding)
     residual = abs(winding - count)
     if residual >= 0.25:

@@ -126,6 +126,11 @@ def _as_complex(s: object, name: str = "s") -> complex:
     return z
 
 
+def _is_real(x: object) -> bool:
+    # an int or a float; bool is an int subclass, but True is no number here
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class EvalParams:
     """Evaluation knobs: Dirichlet cutoff N and tail order nu.
@@ -450,7 +455,7 @@ def auto_params(s: complex, eps: float) -> EvalParams:
     s = _as_complex(s)
     if abs(s.imag) > _IM_CAP:
         raise ParameterError(f"|Im s| = {abs(s.imag)} exceeds the supported range {_IM_CAP}")
-    if not isinstance(eps, (int, float)) or not math.isfinite(eps) or eps <= 0:
+    if not _is_real(eps) or not math.isfinite(eps) or eps <= 0:
         raise ParameterError(f"eps must be a finite positive number, got {eps!r}")
     if eps < _EPS_FLOOR:
         raise PrecisionError(f"eps = {eps} is below the binary64 floor {_EPS_FLOOR}")

@@ -29,6 +29,7 @@ from zetagb.zero_scan import (
     rectangle_winding,
     refine_zero,
     scan_critical_line,
+    siegel_theta,
     write_records_csv,
     write_records_jsonl,
 )
@@ -207,9 +208,9 @@ def test_scan_walks_the_grid_once(record_call_stacks, kernel_calls) -> None:
 
 
 # the first has no phase-walk split, the second two (the first zero sits
-# 0.06 below its top side)
+# 0.06 below its top side); sigma_min + sigma_max != 1, so both walk the closed path
 @pytest.mark.parametrize(
-    ("rect", "zeros"), ((Rectangle(0.01, 0.99, 0.1, 30.0), 3), (Rectangle(0.45, 0.55, 13.5, 14.2), 1))
+    ("rect", "zeros"), ((Rectangle(0.01, 0.98, 0.1, 30.0), 3), (Rectangle(0.45, 0.54, 13.5, 14.2), 1))
 )
 def test_winding_walks_each_side_once(record_call_stacks, kernel_calls, rect: Rectangle, zeros: int) -> None:
     calls = record_call_stacks(("zeta_gb", "dirichlet_partial_sum", "_dirichlet_path"))
@@ -235,9 +236,47 @@ def test_winding_walks_each_side_once(record_call_stacks, kernel_calls, rect: Re
     assert calls.count(("zeta_gb", "dirichlet_partial_sum")) == calls.count(("zeta_gb",))
 
 
+# the mirrored twins of the closed walks above, and a 4-wide audit window:
+# (rectangle, zeros, segments of the right half, phase-walk splits)
+@pytest.mark.parametrize(
+    ("rect", "zeros", "segments", "splits"),
+    (
+        (Rectangle(0.01, 0.99, 0.1, 30.0), 3, [4, 120, 4], 0),
+        (Rectangle(0.45, 0.55, 13.5, 14.2), 1, [4, 4, 4], 1),
+        (Rectangle(0.01, 0.99, 250.0, 254.0), 2, [4, 16, 4], 0),
+    ),
+)
+def test_a_mirrored_winding_walks_its_right_half_once(record_call_stacks, kernel_calls, rect: Rectangle,
+                                                      zeros: int, segments: list[int], splits: int) -> None:
+    calls = record_call_stacks(("zeta_gb", "dirichlet_partial_sum", "_dirichlet_path", "siegel_theta"))
+    count, residual = rectangle_winding(rect)
+    assert count == zeros and residual < 1e-3
+    # one open walk 1/2 + i t_min -> sigma_max + i t_min -> sigma_max + i t_max
+    # -> 1/2 + i t_max, each corner one node, and theta at its two ends
+    assert calls.count(("_dirichlet_path",)) == 1
+    (walked,) = [nodes for nodes, _, _ in kernel_calls if len(nodes) > 1]
+    assert len(walked) == sum(segments) + 1
+    assert len(set(walked)) == len(walked)
+    _, right_low, right_high, _ = rect.corners()
+    vertices = [complex(0.5, rect.t_min), right_low, right_high, complex(0.5, rect.t_max)]
+    firsts = list(itertools.accumulate(segments, initial=0))
+    assert [walked[k] for k in firsts] == vertices
+    assert all(z.real >= 0.5 for z in walked)
+    assert calls.count(("siegel_theta",)) == 2
+    assert sum(len(nodes) == 1 for nodes, _, _ in kernel_calls) == splits
+    assert calls.count(("dirichlet_partial_sum",)) == splits
+    assert calls.count(("zeta_gb", "dirichlet_partial_sum")) == calls.count(("zeta_gb",))
+
+
 def test_scan_validation() -> None:
     with pytest.raises(ParameterError):
         scan_critical_line(-1.0, 5.0)
+    with pytest.raises(ParameterError, match="t_min and t_max must be numbers"):
+        scan_critical_line(False, 20)  # type: ignore[arg-type]
+    with pytest.raises(ParameterError, match="tol must be at least"):
+        ScanConfig(tol=True)
+    with pytest.raises(ParameterError, match="step must lie"):
+        ScanConfig(step=True)
     with pytest.raises(ParameterError):
         scan_critical_line(5.0, 5.0)
     with pytest.raises(ParameterError):
@@ -261,6 +300,23 @@ def test_theta_moves_less_than_a_quarter_turn_per_cell() -> None:
     theta = [float(mpmath.siegeltheta(k * 0.25)) for k in range(2001)]
     worst = max(abs(b - a) for a, b in zip(theta, theta[2:]))
     assert 1.0 < worst < 1.13 < math.pi / 2
+
+
+def test_theta_matches_mpmath() -> None:
+    # the Stirling series, shifted up to |1/4 + it/2| >= 10, at 64 seeded t in
+    # [0, 500] and at three small t that take the shift
+    rng = random.Random(20261019)
+    ts = [rng.uniform(0.0, 500.0) for _ in range(64)] + [0.0, 0.5, 3.0]
+    with mpmath.workdps(30):
+        for t in ts:
+            want = float(mpmath.siegeltheta(t))
+            assert abs(siegel_theta(t) - want) <= 1e-14 * abs(want)
+            # odd, bit for bit
+            assert siegel_theta(-t) == -siegel_theta(t)
+    assert siegel_theta(0.0) == 0.0
+    for bad in (math.inf, -math.inf, math.nan, True, "3"):
+        with pytest.raises(ParameterError, match="finite real"):
+            siegel_theta(bad)  # type: ignore[arg-type]
 
 
 @pytest.fixture(scope="module")
@@ -474,8 +530,11 @@ def test_scan_stays_inside_the_supported_range() -> None:
 # ---------------------------------------------------------------------------
 
 AUDIT_WINDOWS = tuple(250.0 + 24.9 * k for k in range(10))
-# the tall strip rectangle: its closed walk carries its terms about 4,000 steps
+# the tall strip rectangle: its mirrored walk, along its right half, carries
+# its terms about 2,000 steps; the closed walk of its twin, which ends at
+# sigma = 0.98, about 4,000 (0.98 < sigma < 0.99 holds no zero for t <= 500)
 TALL = Rectangle(0.01, 0.99, 0.1, 499.0)
+TALL_CLOSED = Rectangle(0.01, 0.98, 0.1, 499.0)
 
 
 @pytest.fixture(scope="module")
@@ -483,7 +542,7 @@ def sampled_walks() -> list[tuple[list[complex], list[int], EvalParams, EvalPara
     # (nodes, segments, params, sample params, returned values) of every walk
     # made by the 0..499 grid at step 0.25, by the strip rectangles of ten
     # 4-wide audit windows in [250, 499] and by the tall strip rectangle,
-    # splits included
+    # mirrored and by their closed twins, splits included
     walks = []
     walk = zero_scan._walk
     caller = {}
@@ -497,14 +556,18 @@ def sampled_walks() -> list[tuple[list[complex], list[int], EvalParams, EvalPara
         patch.setattr(zero_scan, "_walk", record)
         caller["params"] = zero_scan._refine_params(complex(0.5, 499.0), 1e-9)
         zero_scan._line_values(0.0, 499.0, 0.25, caller["params"])
-        for rect in [Rectangle(0.01, 0.99, lo, lo + 4.0) for lo in AUDIT_WINDOWS] + [TALL]:
-            caller["params"] = auto_params(complex(0.5, rect.t_max), 1e-9)
-            rectangle_winding(rect, caller["params"])
+        for sigma_max in (0.99, 0.98):
+            rects = [Rectangle(0.01, sigma_max, lo, lo + 4.0) for lo in AUDIT_WINDOWS]
+            for rect in rects + [TALL if sigma_max == 0.99 else TALL_CLOSED]:
+                caller["params"] = auto_params(complex(0.5, rect.t_max), 1e-9)
+                rectangle_winding(rect, caller["params"])
     return walks
 
 
 def _path(nodes: list[complex], segments: list[int]) -> list[complex]:
-    # the walk's vertices in order, a closed walk's ending where it starts
+    # the walk's vertices in order, a closed walk's ending where it starts;
+    # an open walk's segments add up to one less than its nodes, so its
+    # last vertex is its last node and the ring's extra node is never read
     ring = nodes + nodes[:1]
     return [ring[k] for k in itertools.accumulate(segments, initial=0)]
 
@@ -545,10 +608,14 @@ def test_each_sample_lies_within_its_certificate(sampled_walks) -> None:
                          + zero_scan._rounding([z], 1, params.cutoff_n)[0])
             assert abs(sampled - full.value) <= allowance
             nodes_checked += 1
-    # the grid, ten closed walks of 40 nodes and the tall one of 4,000
-    assert nodes_checked >= 1997 + 10 * 40 + 4000
+    # the grid, ten closed walks of 40 nodes and the tall one of 4,000, ten
+    # mirrored walks of 25 nodes and the tall one of 2,005
+    assert nodes_checked >= 1997 + 10 * 40 + 4000 + 10 * 25 + 2005
     tall = [nodes for nodes, segments, *_ in sampled_walks if sum(segments) == len(nodes) > 3000]
     assert [len(nodes) for nodes in tall] == [2 * 4 + 2 * 1996]
+    mirrored = [(len(nodes), segments) for nodes, segments, *_ in sampled_walks if sum(segments) == len(nodes) - 1
+                and len(segments) == 3]
+    assert mirrored == [(25, [4, 16, 4])] * 10 + [(2005, [4, 1996, 4])]
 
 
 def test_a_vertical_walk_is_bounded_at_its_far_end(sampled_walks, monkeypatch) -> None:
@@ -559,7 +626,8 @@ def test_a_vertical_walk_is_bounded_at_its_far_end(sampled_walks, monkeypatch) -
     sides = [(side, sample) for nodes, segments, _, sample, _ in sampled_walks
              for side in _sides(nodes, segments)]
     vertical = [(side, sample) for side, sample in sides if side[0].real == side[1].real]
-    assert len(vertical) == 1 + 2 * 11 and len(sides) == 1 + 4 * 11
+    # the grid, two per closed walk and one per mirrored walk
+    assert len(vertical) == 1 + 2 * 11 + 11 and len(sides) == 1 + 4 * 11 + 3 * 11
     for (start, stop, nodes), sample in vertical + [((crossing[0], crossing[-1], crossing), EvalParams(16, 4))]:
         n, nu = sample.cutoff_n, sample.tail_order
         line_bound = remainder_bound(max(start, stop, key=lambda z: abs(z.imag)), n, nu)
@@ -601,10 +669,12 @@ def test_a_horizontal_side_is_bounded_at_its_smaller_sigma(sampled_walks) -> Non
         checked += 1
     assert checked >= 100
     # the walked horizontal sides: the audit windows' take the side bound,
-    # the tall rectangle's bottom side at t = 0.1 reads each node's bound
+    # the tall rectangles' bottom sides at t = 0.1 read each node's bound;
+    # a mirrored side runs from sigma = 1/2
     horizontal = [(side, sample) for nodes, segments, _, sample, _ in sampled_walks
                   for side in _sides(nodes, segments) if side[0].imag == side[1].imag]
-    assert len(horizontal) == 2 * 11
+    assert len(horizontal) == 2 * 11 + 2 * 11
+    assert sum(start.real == 0.5 or stop.real == 0.5 for (start, stop, _), _ in horizontal) == 2 * 11
     for (start, stop, nodes), sample in horizontal:
         n, nu = sample.cutoff_n, sample.tail_order
         side = zero_scan._side_bound(start, stop, n, nu)
@@ -619,7 +689,7 @@ def test_the_rectangle_reads_one_bound_per_side(monkeypatch) -> None:
     bounded = []
     bound = zero_scan.remainder_bound
     monkeypatch.setattr(zero_scan, "remainder_bound", lambda s, *args: bounded.append(s) or bound(s, *args))
-    high, low = Rectangle(0.01, 0.99, 250.0, 254.0), Rectangle(0.01, 0.99, 0.1, 30.0)
+    high, low = Rectangle(0.01, 0.98, 250.0, 254.0), Rectangle(0.01, 0.98, 0.1, 30.0)
     rectangle_winding(high, EvalParams(200, 10))
     c = high.corners()
     assert bounded == [c[0], c[2], c[3], c[3]]
@@ -627,6 +697,24 @@ def test_the_rectangle_reads_one_bound_per_side(monkeypatch) -> None:
     rectangle_winding(low, EvalParams(200, 10))
     c = low.corners()
     assert bounded == [c[2], c[3], c[3]] + [c[0] + (c[1] - c[0]) * (k / 4) for k in range(4)]
+
+
+def test_the_mirrored_rectangle_reads_one_bound_per_side(monkeypatch) -> None:
+    # the right half reads one bound per side: at sigma = 1/2 on a horizontal
+    # side, at the far end of the vertical one; its bottom side at t = 0.1
+    # reads one per node, and its last node, on the line, ends the top side
+    bounded = []
+    bound = zero_scan.remainder_bound
+    monkeypatch.setattr(zero_scan, "remainder_bound", lambda s, *args: bounded.append(s) or bound(s, *args))
+    high, low = Rectangle(0.01, 0.99, 250.0, 254.0), Rectangle(0.01, 0.99, 0.1, 30.0)
+    rectangle_winding(high, EvalParams(200, 10))
+    c = high.corners()
+    assert bounded == [complex(0.5, 250.0), c[2], complex(0.5, 254.0)]
+    bounded.clear()
+    rectangle_winding(low, EvalParams(200, 10))
+    c = low.corners()
+    start = complex(0.5, 0.1)
+    assert bounded == [c[2], complex(0.5, 30.0)] + [start + (c[1] - start) * (k / 4) for k in range(4)]
 
 
 def test_a_walk_at_params_still_certifies_its_nodes(monkeypatch) -> None:
@@ -659,8 +747,9 @@ def test_samples_agree_with_mpmath(sampled_walks) -> None:
     rng = random.Random(20261018)
     nodes = [(walk, k) for walk in sampled_walks for k in range(len(walk[0]))]
     picks = rng.sample(nodes, 40)
-    # the tall rectangle's walk holds about half the nodes, so it is drawn from
+    # the tall rectangles' walks hold about 70 % of the nodes, so both are drawn from
     assert sum(len(walk[0]) == 4000 for walk, _ in picks) >= 10
+    assert sum(len(walk[0]) == 2005 for walk, _ in picks) >= 5
     samples = {}
     with mpmath.workdps(20):
         for walk, k in picks:
@@ -713,14 +802,12 @@ def test_a_side_through_a_zero_still_aborts_the_walk(sigma_max: float) -> None:
         rectangle_winding(rect)
 
 
-def test_only_full_accuracy_values_raise_a_boundary_error(monkeypatch, kernel_calls) -> None:
-    # the bottom side's middle node sits 1e-7 above the second zero, where
-    # |zeta| = 1.1e-7: its sample is certified but below 2e-6, so the node
-    # is evaluated again at params, and that value raises
-    t_min = scan_critical_line(20.5, 21.5)[0].t + 1e-7
-    worst = complex(0.01, 100.0)
-    params = auto_params(worst, 1e-9)
-    sample = zero_scan._sample_params(worst, params)
+def _boundary_error_at_full_accuracy(monkeypatch, kernel_calls, rect: Rectangle, sample_corner: complex) -> None:
+    # the node 1/2 + i t_min of rect, whose t_min sits 1e-7 above the second
+    # zero, where |zeta| = 1.1e-7: its sample is certified but below 2e-6, so
+    # the node is evaluated again at params, and that value raises
+    params = auto_params(zero_scan._worst_corner(rect), 1e-9)
+    sample = zero_scan._sample_params(sample_corner, params)
     evaluate = zero_scan.zeta_gb
     calls = []
 
@@ -732,13 +819,28 @@ def test_only_full_accuracy_values_raise_a_boundary_error(monkeypatch, kernel_ca
     monkeypatch.setattr(zero_scan, "zeta_gb", record)
     kernel_calls.clear()
     with pytest.raises(BoundaryError, match="nudge"):
-        rectangle_winding(Rectangle(0.01, 0.99, t_min, 100.0))
-    node = complex(0.5, t_min)
+        rectangle_winding(rect)
+    node = complex(0.5, rect.t_min)
     ((p1, sampled),) = [(p, values[nodes.index(node)]) for nodes, p, values in kernel_calls if node in nodes]
     ((p2, full),) = [(p, result) for s, p, result in calls if s == node]
     assert (p1, p2) == (sample, params)
     assert 2.0**10 * remainder_bound(node, sample.cutoff_n, sample.tail_order) < abs(sampled) < 2e-6
     assert abs(full.value) < 1e-6
+
+
+def test_only_full_accuracy_values_raise_a_boundary_error(monkeypatch, kernel_calls) -> None:
+    # the node is the middle one of the bottom side, cut into 8 steps; with
+    # sigma_min <= 0 the rectangle walks its closed path, sampled at (-0.5, 100)
+    t_min = scan_critical_line(20.5, 21.5)[0].t + 1e-7
+    rect = Rectangle(-0.5, 1.5, t_min, 100.0)
+    _boundary_error_at_full_accuracy(monkeypatch, kernel_calls, rect, complex(-0.5, 100.0))
+
+
+def test_a_mirrored_walk_leaves_boundary_errors_to_full_accuracy_values(monkeypatch, kernel_calls) -> None:
+    # the node is the first of the right half, sampled at (1/2, 100)
+    t_min = scan_critical_line(20.5, 21.5)[0].t + 1e-7
+    rect = Rectangle(0.01, 0.99, t_min, 100.0)
+    _boundary_error_at_full_accuracy(monkeypatch, kernel_calls, rect, complex(0.5, 100.0))
 
 
 def _cost(params: EvalParams) -> int:
@@ -766,8 +868,9 @@ def test_the_sampler_never_costs_more_than_params() -> None:
 
 def test_the_sample_accuracy_leaves_the_exact_pass_to_nodes_near_a_zero(monkeypatch) -> None:
     # a sample certifies where |zeta| exceeds 2^10 times the sample accuracy,
-    # 1/32: no base node of the tall strip rectangle (its sides' smallest
-    # |zeta| is 0.32) and no node of the 0..499 grid takes the exact pass, and
+    # 1/32: no base node of the tall strip rectangle, mirrored or closed (its
+    # sides' smallest |zeta| is 0.32), and no node of the 0..499 grid takes
+    # the exact pass, and
     # under 2 % of the nodes walked by the zeros-desk windows [10k, 10k + 10] do
     walk = zero_scan._walk
     walks = []  # (nodes, exact passes, whether the walk has sides) of each walk
@@ -779,9 +882,9 @@ def test_the_sample_accuracy_leaves_the_exact_pass_to_nodes_near_a_zero(monkeypa
         return values
 
     monkeypatch.setattr(zero_scan, "_walk", counted)
-    assert rectangle_winding(TALL)[0] == 269
+    assert rectangle_winding(TALL_CLOSED)[0] == rectangle_winding(TALL)[0] == 269
     assert len(scan_critical_line(0.0, 499.0)) == 269
-    assert [(nodes, exact) for nodes, exact, sided in walks if sided] == [(4000, 0), (1997, 0)]
+    assert [(nodes, exact) for nodes, exact, sided in walks if sided] == [(4000, 0), (2005, 0), (1997, 0)]
     walks.clear()
     for k in range(10):
         scan_critical_line(10.0 * k, 10.0 * k + 10.0)
@@ -789,24 +892,28 @@ def test_the_sample_accuracy_leaves_the_exact_pass_to_nodes_near_a_zero(monkeypa
     assert walked == 410 and exact < 0.02 * walked
 
 
-def test_winding_params_meet_their_target_at_the_worst_corner(monkeypatch) -> None:
-    chosen = []
-    pick = zero_scan.auto_params
-    monkeypatch.setattr(zero_scan, "auto_params", lambda s, eps: chosen.append(pick(s, eps)) or chosen[-1])
-    rect = Rectangle(0.01, 0.99, 493.0, 499.0)
-    # the fallback params are picked on first need: every sample is certified here
-    assert rectangle_winding(rect)[0] == 5
-    assert chosen == []
-    # with no sample certified, every node takes the exact pass at them
-    exact = []
-    evaluate = zero_scan.zeta_gb
-    monkeypatch.setattr(zero_scan, "zeta_gb", lambda s, p: exact.append(p) or evaluate(s, p))
-    monkeypatch.setattr(zero_scan, "_SAMPLE_MARGIN", math.inf)
-    assert rectangle_winding(rect)[0] == 5
-    (params,) = chosen
-    assert len(exact) >= 40 and set(exact) == {params}
-    # chosen at sigma_max they bounded 4.2e-7 at sigma = 0.01
-    assert remainder_bound(complex(0.01, 499.0), params.cutoff_n, params.tail_order) <= 1e-9
+def test_winding_params_meet_their_target_at_the_worst_corner() -> None:
+    # the closed walk of (0.01, 0.98) and the mirrored walk of (0.01, 0.99):
+    # (rectangle, base nodes); the mirrored walk's params are still chosen at
+    # the whole rectangle's worst corner, sigma = 0.01
+    for rect, nodes in ((Rectangle(0.01, 0.98, 493.0, 499.0), 56), (Rectangle(0.01, 0.99, 493.0, 499.0), 33)):
+        chosen = []
+        pick = zero_scan.auto_params
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(zero_scan, "auto_params", lambda s, eps: chosen.append(pick(s, eps)) or chosen[-1])
+            # the fallback params are picked on first need: every sample is certified here
+            assert rectangle_winding(rect)[0] == 5
+            assert chosen == []
+            # with no sample certified, every node takes the exact pass at them
+            exact = []
+            evaluate = zero_scan.zeta_gb
+            patch.setattr(zero_scan, "zeta_gb", lambda s, p: exact.append(p) or evaluate(s, p))
+            patch.setattr(zero_scan, "_SAMPLE_MARGIN", math.inf)
+            assert rectangle_winding(rect)[0] == 5
+        (params,) = chosen
+        assert len(exact) == nodes and set(exact) == {params}
+        # chosen at sigma_max they bounded 4.2e-7 at sigma = 0.01
+        assert remainder_bound(complex(0.01, 499.0), params.cutoff_n, params.tail_order) <= 1e-9
     # beyond the supported range no sample cutoff applies, so the first need
     # comes first and refuses the rectangle
     with pytest.raises(ParameterError, match="supported range"):
@@ -845,6 +952,42 @@ def test_count_in_an_empty_rectangle() -> None:
     assert count == 0
 
 
+@pytest.mark.parametrize("t_max", (100.0, 200.0, 300.0, 400.0, 499.0))
+def test_a_mirrored_count_equals_the_closed_count(t_max: float) -> None:
+    # (0.01, 0.99) walks its right half, (0.01, 0.98) its closed boundary;
+    # Kadiri's zero-free region leaves 0.98 < sigma < 0.99 empty for t <= 500,
+    # so both hold the same zeros, over 0.1..t_max and over the ten audit windows
+    rects = [(0.1, t_max)] + ([(lo, lo + 4.0) for lo in AUDIT_WINDOWS] if t_max == 499.0 else [])
+    for t_min, t_top in rects:
+        mirrored, residual = rectangle_winding(Rectangle(0.01, 0.99, t_min, t_top))
+        closed, _ = rectangle_winding(Rectangle(0.01, 0.98, t_min, t_top))
+        assert mirrored == closed
+        assert residual < 1e-3
+    assert mirrored == {100.0: 29, 200.0: 79, 300.0: 138, 400.0: 202, 499.0: 3}[t_max]
+
+
+def test_an_off_line_pair_counts_in_both_walks(monkeypatch) -> None:
+    # zeta h, with h(s) = (s - rho)(s - 1 + conj rho) / (s - c)^2, has the
+    # off-line pair rho, 1 - conj rho on top of zeta's zeros and a double pole
+    # outside; h(s) = conj h(1 - conj s), so zeta h keeps the mirror identity,
+    # and both walks count the pair
+    rho, c = complex(0.8, 253.0), complex(0.5, 260.0)
+    walk = zero_scan._walk
+
+    def h(s: complex) -> complex:
+        return (s - rho) * (s - 1 + rho.conjugate()) / (s - c) ** 2
+
+    for s in (complex(0.3, 251.0), complex(0.95, 254.5)):
+        assert abs(h(s) - h(1 - s.conjugate()).conjugate()) <= 1e-15
+    true_count, _ = rectangle_winding(Rectangle(0.01, 0.98, 250.0, 254.0))
+    monkeypatch.setattr(zero_scan, "_walk", lambda nodes, *args: [
+        value * h(z) for z, value in zip(nodes, walk(nodes, *args))])
+    mirrored, residual = rectangle_winding(Rectangle(0.01, 0.99, 250.0, 254.0))
+    closed, _ = rectangle_winding(Rectangle(0.01, 0.98, 250.0, 254.0))
+    assert mirrored == closed == true_count + 2 == 4
+    assert residual < 1e-3
+
+
 def test_boundary_zero_aborts_the_walk() -> None:
     # top-right corner sits on the first zero
     with pytest.raises(BoundaryError, match="nudge"):
@@ -852,14 +995,27 @@ def test_boundary_zero_aborts_the_walk() -> None:
 
 
 def test_a_winding_far_from_an_integer_is_inconclusive(monkeypatch) -> None:
-    # a third of a turn added to the first step leaves the total a third
-    # away from the one zero inside (a quarter would sit on the threshold)
+    # a third of a turn added to the first step of the closed walk leaves the
+    # total a third away from the one zero inside (a quarter would sit on the
+    # threshold); its residual is rounding only
     walk = zero_scan._phase_walk
     extra = [math.tau / 3]
     monkeypatch.setattr(zero_scan, "_phase_walk", lambda *args: walk(*args) + (extra.pop() if extra else 0.0))
     with pytest.raises(InconclusiveError, match="away from an integer") as caught:
-        rectangle_winding(Rectangle(0.1, 0.9, 13.5, 14.5))
+        rectangle_winding(Rectangle(0.1, 0.89, 13.5, 14.5))
     assert caught.value.residual == pytest.approx(1 / 3, abs=1e-6)
+
+
+def test_a_mirrored_winding_far_from_an_integer_is_inconclusive(monkeypatch) -> None:
+    # the half walk's phase counts in units of pi, so a sixth of a turn added
+    # to its first step leaves the count a third away from the one zero
+    # inside; the residual also carries the samples' phase errors on the line
+    walk = zero_scan._phase_walk
+    extra = [math.tau / 6]
+    monkeypatch.setattr(zero_scan, "_phase_walk", lambda *args: walk(*args) + (extra.pop() if extra else 0.0))
+    with pytest.raises(InconclusiveError, match="away from an integer") as caught:
+        rectangle_winding(Rectangle(0.1, 0.9, 13.5, 14.5))
+    assert caught.value.residual == pytest.approx(1 / 3, abs=1e-3)
 
 
 def test_rectangle_validation() -> None:
@@ -871,6 +1027,8 @@ def test_rectangle_validation() -> None:
         Rectangle(-0.5, 0.5, 0.0, 3.0)  # bottom edge runs through s = 0
     with pytest.raises(ParameterError):
         Rectangle(1.0, 2.0, -1.0, 1.0)  # left edge runs through s = 1
+    with pytest.raises(ParameterError):
+        Rectangle(False, True, 1.0, 2.0)  # bool is an int subclass, but no coordinate
     with pytest.raises(ParameterError):
         rectangle_winding("box")  # type: ignore[arg-type]
 

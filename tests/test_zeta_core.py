@@ -621,6 +621,9 @@ def test_input_validation() -> None:
         zeta_gb("two")  # type: ignore[arg-type]
     with pytest.raises(ParameterError):
         zeta_gb(complex(float("inf"), 0))
+    # bool is an int subclass, but no accuracy: it picked EvalParams(2, 2)
+    with pytest.raises(ParameterError, match="eps must be"):
+        auto_params(0.5 + 10j, True)
 
 
 @settings(max_examples=60, deadline=None)
