@@ -21,15 +21,15 @@ Q at a caller's points; the audit calls neither.
 ``audit_range`` bundles the per-zero checks with a count of the window's
 zeros into an eight-line verdict report (I..VIII) with a stable JSON
 rendering. Verdict III tests the counter-hypothesis, an off-line
-conjugate pair rho, 1 - conj(rho): the winding number of one rectangle
-over the strip counts every zero with multiplicity, and the scan finds
+conjugate pair rho, 1 - conj(rho): the winding number of the rectangle
+[-1, 2] x window counts every zero with multiplicity, and the scan finds
 the zeros of odd order on the line, one per sign change of Hardy's Z on
-its grid. The rectangle is symmetric about the line, so its count walks
-the right half and the functional equation gives the left half's phase
-through theta (see ``zero_scan``). Outside sigma in [0.01, 0.99] there
-are no zeros for 2 <= t <= 500 (H. Kadiri's explicit zero-free region,
-Acta Arith. 117, 2005, and the functional equation), so equal counts
-mean every zero in the window is on the line, simple, and audited.
+its grid. The rectangle holds every nontrivial zero in the window: none
+lies in sigma >= 1, nor, by the functional equation, in sigma <= 0 off
+the real axis. It walks its right half, the sigma = 2 side in one step,
+and theta gives the left half's phase (see ``zero_scan``): Backlund's
+N(t_max) - N(t_min), 14 nodes on a 4-wide window. So equal counts mean
+every zero in the window is on the line, simple, and audited.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from .qfunction import q_gb
 from .serialize import dumps
 from .zero_scan import (Rectangle, ScanConfig, ZeroRecord, _check_t_range, _scan_config,
                         record_fields, rectangle_winding, scan_critical_line)
-from .zeta_core import EvalParams, _as_complex, auto_params
+from .zeta_core import EvalParams, _as_complex, _eval_params, auto_params
 
 __all__ = [
     "TOLERANCES",
@@ -64,7 +64,7 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = "7"
-_STRIP = (0.01, 0.99)  # sigma range of the counting rectangle
+_STRIP = (-1.0, 2.0)  # sigma range of the counting rectangle
 # a scan short of the strip's count is repeated at half the step, down to step / 16
 _RECOUNT_HALVINGS = 4
 
@@ -245,7 +245,7 @@ def audit_range(
     scanned again at half the step, down to step / 16, and the new
     records are audited. Without ``params`` the scan and the audit use
     ``auto_params`` at 1/2 + i t_max with eps 1e-9, and the strip
-    rectangle picks its own at (0.01, t_max), where its truncation bound
+    rectangle picks its own at (-1, t_max), where its truncation bound
     is largest. Fatal numeric failures in any sub-step abort the
     audit; the partial report comes back with ``complete=False`` and the
     abort reason.
@@ -253,8 +253,7 @@ def audit_range(
     _check_t_range(t_min, t_max)
     cfg = _scan_config(scan_cfg)
     winding_params = params
-    if params is None:
-        params = auto_params(complex(0.5, float(t_max)), 1e-9)
+    params = auto_params(complex(0.5, float(t_max)), 1e-9) if params is None else _eval_params(params)
 
     def scan_and_audit(cfg: ScanConfig) -> tuple[tuple[ZeroRecord, PropositionChecks], ...]:
         records = scan_critical_line(float(t_min), float(t_max), cfg, params)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 
 from .errors import ParameterError, SingularQError
-from .zeta_core import EvalParams, _as_complex, _head, _rpow, em_tail
+from .zeta_core import EvalParams, _as_complex, _eval_params, _head, _rpow, em_tail
 
 __all__ = ["q_gb", "consistency_identity"]
 
@@ -47,7 +47,7 @@ def q_gb(s: complex, params: EvalParams) -> complex:
     The zero condition s(s-1) + Q(s) = 0 holds at the zeros of zeta.
     """
     s = _defined(s)
-    rhs = _reciprocal_q(s, params)
+    rhs = _reciprocal_q(s, _eval_params(params))
     if abs(rhs) < _SINGULAR_FLOOR:
         raise SingularQError(f"|1/Q| = {abs(rhs):.3e} at s = {s!r}; Q is effectively infinite")
     return 1.0 / rhs
@@ -60,7 +60,7 @@ def consistency_identity(s: complex, z: complex, q: complex, params: EvalParams)
     pass. Pure rounding residue: small everywhere, zeros or not.
     """
     s = _defined(s)
-    lhs = s * _rpow(params.cutoff_n, 1 - s) * (1.0 / (s * (s - 1)) + 1.0 / q)
+    lhs = s * _rpow(_eval_params(params).cutoff_n, 1 - s) * (1.0 / (s * (s - 1)) + 1.0 / q)
     residual = abs(z - lhs)
     if not math.isfinite(residual):
         raise ParameterError(f"identity residual overflowed at s = {s!r}")

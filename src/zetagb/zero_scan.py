@@ -69,10 +69,14 @@ every decision is the per-node one.
 
 Winding. Rectangle counts use the argument principle: a phase increment
 between neighbouring nodes is kept below pi/2, split at the midpoint
-otherwise. A rectangle walks its closed boundary, and the last increment
-closes on the first node's value, unless it is symmetric about the line
-and inside the strip (sigma_min + sigma_max = 1 in binary64 and
-sigma_min > 0). Then it walks only its right half, the open path
+otherwise. A side takes max(4, ceil(length / 0.25)) steps, or one in
+sigma >= 2: there |zeta - 1| <= zeta(2) - 1 < 0.645, so |arg zeta| < 0.701
+(asin 0.645), and its phase change, the principal difference of its end
+phases, stays below 1.402 < pi/2 with each sample's error of about 1e-3
+(where that premise fails, the guard splits). A rectangle walks its closed
+boundary, the last increment closing on the first node's value, unless it
+is symmetric about the line (sigma_min + sigma_max = 1 in binary64) with
+sigma_min > 0 or t_min > 0. Then it walks only its right half, the path
 1/2 + i t_min -> sigma_max + i t_min -> sigma_max + i t_max -> 1/2 + i t_max,
 and the functional equation gives the left half's phase (Backlund's
 N(T) = theta(T)/pi + 1 + S(T) rests on the same identity):
@@ -81,8 +85,8 @@ N(T) = theta(T)/pi + 1 + S(T) rests on the same identity):
     zeta(s) = chi(s) conj zeta(1 - conj s), and the left half is the
     mirror image of the right half walked backwards, so
     Delta_left arg zeta = Delta_right arg zeta + Delta_left arg chi;
-  * chi has no zero or pole in 0 < sigma <= 1/2, so its change along the
-    left half equals its change down the line, where
+  * chi has its zeros and poles on the real axis, none in 0 < sigma <= 1/2,
+    so its change along the left half equals its change down the line, where
     arg chi(1/2 + it) = -2 theta(t); the count is therefore
     (Delta_right arg zeta + theta(t_max) - theta(t_min)) / pi;
   * a zero on the left side has its mirror on the right side, so the
@@ -110,8 +114,9 @@ from itertools import accumulate
 from .bernoulli import _full_table
 from .errors import BoundaryError, InconclusiveError, ParameterError, RefinementError
 from .serialize import csv_text, dumps
-from .zeta_core import (_IM_CAP, EvalParams, _as_complex, _dirichlet_path, _is_real, _schedule, _tail_denominator,
-                        _value, _zeta_nodes, auto_params, dirichlet_partial_sum, remainder_bound, zeta_gb)
+from .zeta_core import (_IM_CAP, EvalParams, _as_complex, _dirichlet_path, _eval_params, _is_real, _schedule,
+                        _tail_denominator, _value, _zeta_nodes, auto_params, dirichlet_partial_sum, remainder_bound,
+                        zeta_gb)
 from .qfunction import q_gb
 
 __all__ = [
@@ -279,8 +284,7 @@ def refine_zero(
     if not 0.0 < s0.real < 1.0:
         raise ParameterError(f"seed must sit inside the critical strip, got {s0!r}")
     ScanConfig(tol=tol, max_iter=max_iter)  # validates tol and max_iter
-    if params is None:
-        params = _refine_params(s0, tol)
+    params = _refine_params(s0, tol) if params is None else _eval_params(params)
 
     def f(z: complex) -> tuple[complex, complex]:
         result = zeta_gb(z, params, derivative=True)
@@ -506,8 +510,7 @@ def scan_critical_line(
     """
     cfg = _scan_config(cfg)
     _check_t_range(t_min, t_max)
-    if params is None:
-        params = _refine_params(complex(0.5, t_max), cfg.tol)
+    params = _refine_params(complex(0.5, t_max), cfg.tol) if params is None else _eval_params(params)
 
     grid, values = _line_values(t_min, t_max, cfg.step, params)
     nodes = [(t, value) for t, value in zip(grid, values) if value != 0]
@@ -612,16 +615,17 @@ def rectangle_winding(rect: Rectangle, params: EvalParams | None = None) -> tupl
     """Winding number of Z along the rectangle boundary and its residual.
 
     Returns (count, |winding - count|). The count equals zeros minus
-    poles inside; keep s = 1 outside the rectangle. A rectangle symmetric
-    about the line inside the strip walks its right half only (see the
-    module docstring). Samples with |Z| < 1e-6 on the contour abort with
+    poles inside; keep s = 1 outside the rectangle. The module docstring
+    says which sides take one step and which rectangles walk their right
+    half only. Samples with |Z| < 1e-6 on the contour abort with
     BoundaryError. Without ``params``, full-accuracy values use
     ``auto_params`` at the worst corner with eps 1e-9, picked on first need.
     """
     if not isinstance(rect, Rectangle):
         raise ParameterError(f"rect must be a Rectangle, got {type(rect).__name__}")
+    params = params if params is None else _eval_params(params)
     worst = _worst_corner(rect)
-    mirrored = rect.sigma_min + rect.sigma_max == 1.0 and rect.sigma_min > 0
+    mirrored = rect.sigma_min + rect.sigma_max == 1.0 and (rect.sigma_min > 0 or rect.t_min > 0)
 
     def full() -> EvalParams:
         nonlocal params
@@ -660,7 +664,7 @@ def rectangle_winding(rect: Rectangle, params: EvalParams | None = None) -> tupl
     nodes: list[complex] = []
     segments: list[int] = []
     for za, zb in zip(vertices, vertices[1:]):
-        count = max(4, math.ceil(abs(zb - za) / 0.25))
+        count = 1 if min(za.real, zb.real) >= 2 else max(4, math.ceil(abs(zb - za) / 0.25))
         segments.append(count)
         nodes += [za + (zb - za) * (k / count) for k in range(count)]
     if mirrored:

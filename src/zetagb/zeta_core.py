@@ -143,14 +143,23 @@ class EvalParams:
     tail_order: int
 
     def __post_init__(self) -> None:
-        _check_cutoff(self.cutoff_n)
-        if type(self.tail_order) is not int or self.tail_order < 1:
-            raise ParameterError(f"tail_order must be an integer >= 1, got {self.tail_order!r}")
-        # the bound's first omitted term reads B_{2 nu + 2}
-        if 2 * self.tail_order + 2 > MAX_INDEX:
-            raise ParameterError(
-                f"tail_order {self.tail_order} needs Bernoulli indices beyond the cap {MAX_INDEX}"
-            )
+        _check_params(self.cutoff_n, self.tail_order)
+
+
+def _check_params(cutoff_n: object, tail_order: object) -> None:
+    # the (N, nu) that EvalParams and remainder_bound accept
+    _check_cutoff(cutoff_n)
+    if type(tail_order) is not int or tail_order < 1:
+        raise ParameterError(f"tail_order must be an integer >= 1, got {tail_order!r}")
+    # the bound's first omitted term reads B_{2 nu + 2}
+    if 2 * tail_order + 2 > MAX_INDEX:
+        raise ParameterError(f"tail_order {tail_order} needs Bernoulli indices beyond the cap {MAX_INDEX}")
+
+
+def _eval_params(params: object) -> EvalParams:
+    if not isinstance(params, EvalParams):
+        raise ParameterError(f"params must be an EvalParams, got {type(params).__name__}")
+    return params
 
 
 @dataclass(frozen=True)
@@ -313,10 +322,11 @@ def _tail_denominator(sigma: float, tail_order: int) -> float:
 def remainder_bound(s: complex, cutoff_n: int, tail_order: int) -> float:
     """Certified bound on the dropped tail after ``tail_order`` terms.
 
-    Requires Re(s) + 2 nu + 1 > 0; outside that region the correction
-    series itself is meaningless at this order.
+    Takes the (N, nu) that ``EvalParams`` takes. Requires Re(s) + 2 nu + 1 > 0;
+    outside that region the correction series itself is meaningless at this order.
     """
     s = _as_complex(s)
+    _check_params(cutoff_n, tail_order)
     nu = tail_order
     denom = _tail_denominator(s.real, nu)
     prod = 1.0
@@ -372,7 +382,7 @@ def em_tail(s: complex, params: EvalParams) -> complex:
     s = _as_complex(s)
     if s == 0:
         raise ParameterError("the abbreviated tail divides by s; s = 0 is excluded")
-    n = params.cutoff_n
+    n = _eval_params(params).cutoff_n
     r, _ = _em_series(s, math.log(n), 1.0 / (n * n), _tail_orders(params.tail_order),
                       _rpow(n, -s) / (2 * s), 1.0 + 0.0j)
     return r
@@ -434,8 +444,7 @@ def zeta_gb(
     s = _as_complex(s)
     if s == 1:
         raise PoleError("s = 1 is the simple pole of the extension")
-    if params is None:
-        params = auto_params(s, eps)
+    params = auto_params(s, eps) if params is None else _eval_params(params)
     _tail_denominator(s.real, params.tail_order)
     if not derivative:
         (value,), _ = _zeta_nodes([s], [dirichlet_partial_sum(s, params.cutoff_n)], params)

@@ -113,11 +113,12 @@ def test_05_zeros_sit_on_the_line(zeros_to_50) -> None:
 def test_06_winding_counts_match_the_scan() -> None:
     scan_count = len(scan_critical_line(0.0, 30.0, ScanConfig(step=0.25, tol=1e-9)))
     full, res_full = rectangle_winding(Rectangle(0.01, 0.99, 0.1, 30.0))
+    wide, res_wide = rectangle_winding(Rectangle(-1.0, 2.0, 0.1, 30.0))  # the audit's rectangle
     left, res_left = rectangle_winding(Rectangle(0.01, 0.49, 0.1, 30.0))
-    assert full == 3 == scan_count
+    assert full == wide == 3 == scan_count
     assert left == 0
-    assert res_full < 0.25 and res_left < 0.25
-    _passed(6, f"counts 3/0, residuals {res_full:.2e}/{res_left:.2e}")
+    assert res_full < 0.25 and res_wide < 0.25 and res_left < 0.25
+    _passed(6, f"counts 3/3/0, residuals {res_full:.2e}/{res_wide:.2e}/{res_left:.2e}")
 
 
 def test_07_zero_condition_propositions(zeros_to_50) -> None:

@@ -197,10 +197,11 @@ def test_audit_zero_reads_the_heads_of_the_scan(record_call_stacks) -> None:
 
 def test_the_strip_winding_meets_its_target_at_its_worst_corner(monkeypatch) -> None:
     # without explicit params, the winding's params bound the truncation by
-    # 1e-9 on the strip's left side, not only on the critical line. They
-    # serve only nodes whose sample is not certified, so no sample is
-    # certified here and every node of the winding takes the exact pass: the
-    # strip is symmetric about the line, so the 25 base nodes of its right half.
+    # 1e-9 on the rectangle's left side, sigma = -1, not only on the critical
+    # line. They serve only nodes whose sample is not certified, so no sample
+    # is certified here and every node of the winding takes the exact pass:
+    # the rectangle [-1, 2] x [495, 499] is symmetric about the line, so the
+    # 14 base nodes of its right half, whose side at sigma = 2 is one step.
     winding_params = []
     winding = audit.rectangle_winding
     evaluate = zero_scan.zeta_gb
@@ -224,8 +225,9 @@ def test_the_strip_winding_meets_its_target_at_its_worst_corner(monkeypatch) -> 
     report = audit_range(495.0, 499.0)
     assert report.strip_zeros == len(report.zero_checks) == 3
     (params,) = set(winding_params)
-    assert len(winding_params) == 25
-    assert remainder_bound(complex(0.01, 499.0), params.cutoff_n, params.tail_order) <= 1e-9
+    assert len(winding_params) == 14
+    assert params == EvalParams(141, 23)  # picked at (-1, 499)
+    assert remainder_bound(complex(-1.0, 499.0), params.cutoff_n, params.tail_order) <= 1e-9
     # explicit params are the winding's params too
     winding_params.clear()
     explicit = EvalParams(1000, 4)
@@ -452,6 +454,8 @@ def test_audit_range_validation() -> None:
         audit_range(1.0, 3.0, seed=7)  # type: ignore[call-arg]
     with pytest.raises(ParameterError, match="ScanConfig"):
         audit_range(0.0, 5.0, {"step": 0.5})  # type: ignore[arg-type]
+    with pytest.raises(ParameterError, match="EvalParams"):
+        audit_range(0.0, 5.0, params=(30, 5))  # type: ignore[arg-type]
 
 
 def test_report_json_is_deterministic_and_round_trips() -> None:

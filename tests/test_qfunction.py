@@ -88,6 +88,11 @@ def test_undefined_points_are_rejected() -> None:
             q_gb(s, EvalParams(16, 4))
         with pytest.raises(ParameterError):
             consistency_identity(s, 1 + 0j, 1 + 0j, EvalParams(16, 4))
+    # a pair is no EvalParams: it raised AttributeError
+    with pytest.raises(ParameterError, match="EvalParams"):
+        q_gb(0.5 + 10j, (16, 4))  # type: ignore[arg-type]
+    with pytest.raises(ParameterError, match="EvalParams"):
+        consistency_identity(0.5 + 10j, 1 + 0j, 1 + 0j, (16, 4))  # type: ignore[arg-type]
 
 
 def test_underflowing_reciprocal_is_singular(monkeypatch) -> None:

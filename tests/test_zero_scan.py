@@ -8,6 +8,7 @@ the oracle itself is validated against mpmath in test_oracles.py.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import logging
 import math
@@ -128,6 +129,8 @@ def test_refine_validation() -> None:
         refine_zero(complex(0.5, 14.1), tol=1e-11)
     with pytest.raises(ParameterError, match="max_iter must be a positive integer"):
         refine_zero(complex(0.5, 14.1), max_iter=0)
+    with pytest.raises(ParameterError, match="EvalParams"):  # it raised AttributeError
+        refine_zero(complex(0.5, 14.1), params=(30, 5))  # type: ignore[arg-type]
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +239,9 @@ def test_winding_walks_each_side_once(record_call_stacks, kernel_calls, rect: Re
     assert calls.count(("zeta_gb", "dirichlet_partial_sum")) == calls.count(("zeta_gb",))
 
 
-# the mirrored twins of the closed walks above, and a 4-wide audit window:
+# the mirrored twins of the closed walks above, a 4-wide audit window, and
+# the audit's rectangle [-1, 2] at a 4-wide window and over 0.1..499, whose
+# side at sigma = 2 is one step at any height, so 14 nodes:
 # (rectangle, zeros, segments of the right half, phase-walk splits)
 @pytest.mark.parametrize(
     ("rect", "zeros", "segments", "splits"),
@@ -244,6 +249,8 @@ def test_winding_walks_each_side_once(record_call_stacks, kernel_calls, rect: Re
         (Rectangle(0.01, 0.99, 0.1, 30.0), 3, [4, 120, 4], 0),
         (Rectangle(0.45, 0.55, 13.5, 14.2), 1, [4, 4, 4], 1),
         (Rectangle(0.01, 0.99, 250.0, 254.0), 2, [4, 16, 4], 0),
+        (Rectangle(-1.0, 2.0, 250.0, 254.0), 2, [6, 1, 6], 0),
+        (Rectangle(-1.0, 2.0, 0.1, 499.0), 269, [6, 1, 6], 0),
     ),
 )
 def test_a_mirrored_winding_walks_its_right_half_once(record_call_stacks, kernel_calls, rect: Rectangle,
@@ -287,6 +294,8 @@ def test_scan_validation() -> None:
         ScanConfig(max_iter=True)
     with pytest.raises(ParameterError, match="ScanConfig"):
         scan_critical_line(0.0, 5.0, {"step": 0.5})  # type: ignore[arg-type]
+    with pytest.raises(ParameterError, match="EvalParams"):  # it raised AttributeError
+        scan_critical_line(0.0, 30.0, params=(30, 5))  # type: ignore[arg-type]
 
 
 # ---------------------------------------------------------------------------
@@ -829,10 +838,11 @@ def _boundary_error_at_full_accuracy(monkeypatch, kernel_calls, rect: Rectangle,
 
 
 def test_only_full_accuracy_values_raise_a_boundary_error(monkeypatch, kernel_calls) -> None:
-    # the node is the middle one of the bottom side, cut into 8 steps; with
-    # sigma_min <= 0 the rectangle walks its closed path, sampled at (-0.5, 100)
+    # the node is the fifth of the bottom side, cut into 16 steps; the
+    # rectangle is not symmetric about the line, so it walks its closed
+    # path, sampled at (-0.5, 100), its right side in sigma >= 2 in one step
     t_min = scan_critical_line(20.5, 21.5)[0].t + 1e-7
-    rect = Rectangle(-0.5, 1.5, t_min, 100.0)
+    rect = Rectangle(-0.5, 3.5, t_min, 100.0)
     _boundary_error_at_full_accuracy(monkeypatch, kernel_calls, rect, complex(-0.5, 100.0))
 
 
@@ -956,13 +966,16 @@ def test_count_in_an_empty_rectangle() -> None:
 def test_a_mirrored_count_equals_the_closed_count(t_max: float) -> None:
     # (0.01, 0.99) walks its right half, (0.01, 0.98) its closed boundary;
     # Kadiri's zero-free region leaves 0.98 < sigma < 0.99 empty for t <= 500,
-    # so both hold the same zeros, over 0.1..t_max and over the ten audit windows
+    # so both hold the same zeros, over 0.1..t_max and over the ten audit
+    # windows. So does the audit's (-1, 2), which holds every nontrivial zero
+    # of its window and walks its right half, the side at sigma = 2 in one step.
     rects = [(0.1, t_max)] + ([(lo, lo + 4.0) for lo in AUDIT_WINDOWS] if t_max == 499.0 else [])
     for t_min, t_top in rects:
         mirrored, residual = rectangle_winding(Rectangle(0.01, 0.99, t_min, t_top))
         closed, _ = rectangle_winding(Rectangle(0.01, 0.98, t_min, t_top))
-        assert mirrored == closed
-        assert residual < 1e-3
+        audit, audit_residual = rectangle_winding(Rectangle(-1.0, 2.0, t_min, t_top))
+        assert mirrored == closed == audit
+        assert residual < 1e-3 and audit_residual < 1e-3
     assert mirrored == {100.0: 29, 200.0: 79, 300.0: 138, 400.0: 202, 499.0: 3}[t_max]
 
 
@@ -980,12 +993,43 @@ def test_an_off_line_pair_counts_in_both_walks(monkeypatch) -> None:
     for s in (complex(0.3, 251.0), complex(0.95, 254.5)):
         assert abs(h(s) - h(1 - s.conjugate()).conjugate()) <= 1e-15
     true_count, _ = rectangle_winding(Rectangle(0.01, 0.98, 250.0, 254.0))
-    monkeypatch.setattr(zero_scan, "_walk", lambda nodes, *args: [
-        value * h(z) for z, value in zip(nodes, walk(nodes, *args))])
+    walked = []  # the nodes of each walk
+
+    def stub(nodes, *args):
+        walked.append(nodes)
+        return [value * h(z) for z, value in zip(nodes, walk(nodes, *args))]
+
+    monkeypatch.setattr(zero_scan, "_walk", stub)
     mirrored, residual = rectangle_winding(Rectangle(0.01, 0.99, 250.0, 254.0))
     closed, _ = rectangle_winding(Rectangle(0.01, 0.98, 250.0, 254.0))
     assert mirrored == closed == true_count + 2 == 4
     assert residual < 1e-3
+    # h turns by more than pi/2 along the audit rectangle's side at sigma = 2,
+    # so the guard splits that one step where zeta alone needs none
+    walked.clear()
+    audit_count, residual = rectangle_winding(Rectangle(-1.0, 2.0, 250.0, 254.0))
+    assert audit_count == 4 and residual < 1e-3
+    assert [len(nodes) for nodes in walked] == [14, 1, 1]
+    assert [nodes[0].real for nodes in walked[1:]] == [2.0, 2.0]
+
+
+def test_zeta_keeps_its_phase_below_asin_of_zeta_two_minus_one_at_sigma_two() -> None:
+    # |zeta(2 + it) - 1| <= zeta(2) - 1, so a side in sigma >= 2 turns by
+    # less than twice this, below pi/2, and is walked in one step
+    rng = random.Random(2029)
+    limit = math.asin(math.pi**2 / 6 - 1)
+    for t in [0.0, 500.0] + [rng.uniform(0.0, 500.0) for _ in range(198)]:
+        assert abs(cmath.phase(zeta_gb(complex(2.0, t)).value)) < limit
+
+
+def test_a_closed_walk_takes_a_side_in_sigma_two_or_more_in_one_step(kernel_calls) -> None:
+    rect = Rectangle(0.01, 2.5, 0.1, 100.0)
+    count, residual = rectangle_winding(rect)
+    assert count == 29 and residual < 1e-3
+    # bottom 10 steps, right side one, top 10, left 400, each corner one node
+    (walked,) = [nodes for nodes, _, _ in kernel_calls if len(nodes) > 1]
+    assert len(walked) == 421
+    assert [walked[k] for k in (0, 10, 11, 21)] == list(rect.corners())
 
 
 def test_boundary_zero_aborts_the_walk() -> None:
@@ -1031,6 +1075,10 @@ def test_rectangle_validation() -> None:
         Rectangle(False, True, 1.0, 2.0)  # bool is an int subclass, but no coordinate
     with pytest.raises(ParameterError):
         rectangle_winding("box")  # type: ignore[arg-type]
+    # a pair is no EvalParams; every sample here certifies, so it used to
+    # return a count and fail only on an exact fallback
+    with pytest.raises(ParameterError, match="EvalParams"):
+        rectangle_winding(Rectangle(0.01, 0.99, 0.1, 30.0), (30, 5))  # type: ignore[arg-type]
 
 
 # ---------------------------------------------------------------------------

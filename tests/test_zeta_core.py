@@ -624,6 +624,19 @@ def test_input_validation() -> None:
     # bool is an int subclass, but no accuracy: it picked EvalParams(2, 2)
     with pytest.raises(ParameterError, match="eps must be"):
         auto_params(0.5 + 10j, True)
+    # a pair is no EvalParams: it raised AttributeError
+    for evaluate in (zeta_gb, em_tail):
+        with pytest.raises(ParameterError, match="EvalParams"):
+            evaluate(0.5 + 10j, (30, 5))  # type: ignore[arg-type]
+    # the bound takes the (N, nu) that EvalParams takes: it returned 0.034 for
+    # nu = 0, 2.97e-5 for nu = True and 22.7 for N = 1, accepted N = 30.5, and
+    # raised IndexError for nu = 30
+    assert remainder_bound(0.5 + 10j, 30, 5) > 0
+    for n, nu in ((30, 0), (30, True), (1, 5), (True, 5), (30.5, 5), (30, 30), (64_129, 5), (30, 2.0)):
+        with pytest.raises(ParameterError):
+            EvalParams(n, nu)
+        with pytest.raises(ParameterError):
+            remainder_bound(0.5 + 10j, n, nu)
 
 
 @settings(max_examples=60, deadline=None)
