@@ -24,12 +24,11 @@ rendering. Verdict III tests the counter-hypothesis, an off-line
 conjugate pair rho, 1 - conj(rho): the winding number of the rectangle
 [-1, 2] x window counts every zero with multiplicity, and the scan finds
 the zeros of odd order on the line, one per sign change of Hardy's Z on
-its grid. The rectangle holds every nontrivial zero in the window: none
-lies in sigma >= 1, nor, by the functional equation, in sigma <= 0 off
-the real axis. It walks its right half, the sigma = 2 side in one step,
-and theta gives the left half's phase (see ``zero_scan``): Backlund's
-N(t_max) - N(t_min), 14 nodes on a 4-wide window. So equal counts mean
-every zero in the window is on the line, simple, and audited.
+its grid. The rectangle holds every nontrivial zero in the window, none
+lying in sigma >= 1, nor, by the functional equation, in sigma <= 0 off the
+real axis; its count, Backlund's N(t_max) - N(t_min), walks 14 nodes (see
+``zero_scan``). So equal counts mean every zero in the window is on the
+line, simple, and audited.
 """
 
 from __future__ import annotations

@@ -85,8 +85,9 @@ N(T) = theta(T)/pi + 1 + S(T) rests on the same identity):
     zeta(s) = chi(s) conj zeta(1 - conj s), and the left half is the
     mirror image of the right half walked backwards, so
     Delta_left arg zeta = Delta_right arg zeta + Delta_left arg chi;
-  * chi has its zeros and poles on the real axis, none in 0 < sigma <= 1/2,
-    so its change along the left half equals its change down the line, where
+  * chi's zeros and poles lie on the real axis outside 0 < sigma <= 1/2, so
+    none lies between the left half and the line, and its change along the
+    left half equals its change down the line, where
     arg chi(1/2 + it) = -2 theta(t); the count is therefore
     (Delta_right arg zeta + theta(t_max) - theta(t_min)) / pi;
   * a zero on the left side has its mirror on the right side, so the
