@@ -31,25 +31,27 @@ step of ``refine_zero`` reads no slope, so it makes one value-only pass,
 whose head Q at the refined zero reads from the evaluator's memo (see
 ``zeta_core``).
 
-The certificate. The scan grid is a line of uniformly spaced nodes and a
-rectangle's boundary a path of three or four such sides, so their Dirichlet
-sums come from one walk and their values from one node-kernel call (see
-``zeta_core``); phase-walk splits and an off-grid t_max are one-node
-walks, from an exact head. Those values only decide signs and phases, so a
-walk runs at a sample cutoff: the cheapest schedule entry whose truncation
-bound at the walk's worst corner (its smallest sigma, max |t|) is at
-most 2^-15, or the caller's params where no entry applies (beyond
-t = 500). A sample counts when |value| exceeds 2^10 times its truncation
-bound plus a first-order rounding bound: N - 1 additions and a phase error of
-2 |s| ln N in any pass, with |s| read as |s_0| plus the walk's length,
-which also covers the steps' own errors, and k + 2 more roundings at walk
-node k, all in units of u sum n^{-sigma} at the walk's smallest sigma. Its
-error is then below |zeta|/1024, so by Rouche's theorem it has the sign and
-the winding of the exact value. 2^10 times 2^-15 is 1/32: a sample above
-1/32, plus its rounding term, certifies, and a finer cutoff buys accuracy
-that the certificate seldom reads. A node that fails the certificate makes
-the exact pass at params. Grid values only pick brackets and Newton seeds,
-so the refined zeros move by rounding only, within the Newton tolerance.
+The certificate. The scan grid is a line of uniformly spaced nodes, an
+off-grid t_max a last side of one step, and a rectangle's boundary an
+open path of three or four such sides, so their Dirichlet sums come from
+one walk and their values from one node-kernel call (see ``zeta_core``);
+phase-walk splits are one-node walks, one exact pass each. Those values
+only decide signs and phases, so a walk runs at a sample cutoff: the
+cheapest schedule entry whose truncation bound at the walk's worst
+corner (its smallest sigma, max |t|) is at most 2^-15, or the caller's
+params where no entry applies (beyond t = 500). A sample counts when
+|value| exceeds 2^10 times its truncation bound plus a first-order
+rounding bound: N - 1 additions and a phase error of 2 |s| ln N in any
+pass, with |s| read as |s_0| plus the walk's length, which also covers
+the steps' own errors, and k + 2 more roundings at walk node k, all in
+units of u sum n^{-sigma} at the walk's smallest sigma. Its error is
+then below |zeta|/1024, so by Rouche's theorem it has the sign and the
+winding of the exact value. 2^10 times 2^-15 is 1/32: a sample above
+1/32, plus its rounding term, certifies, and a finer cutoff buys
+accuracy that the certificate seldom reads. A node that fails the
+certificate makes the exact pass at params. Grid values only pick
+brackets and Newton seeds, so the refined zeros move by rounding only,
+within the Newton tolerance.
 
 Side bounds. Each side of a walk is certified against one truncation
 bound at least every node's. On a vertical side (the scan grid, a
@@ -73,10 +75,11 @@ otherwise. A side takes max(4, ceil(length / 0.25)) steps, or one in
 sigma >= 2: there |zeta - 1| <= zeta(2) - 1 < 0.645, so |arg zeta| < 0.701
 (asin 0.645), and its phase change, the principal difference of its end
 phases, stays below 1.402 < pi/2 with each sample's error of about 1e-3
-(where that premise fails, the guard splits). A rectangle walks its closed
-boundary, the last increment closing on the first node's value, unless it
-is symmetric about the line (sigma_min + sigma_max = 1 in binary64) with
-sigma_min > 0 or t_min > 0. Then it walks only its right half, the path
+(where that premise fails, the guard splits). A rectangle closes its own
+boundary: its walk stops one step short of its first corner, and the last
+increment closes on that corner's value, unless it is symmetric about the
+line (sigma_min + sigma_max = 1 in binary64) with sigma_min > 0 or
+t_min > 0. Then it walks only its right half, the path
 1/2 + i t_min -> sigma_max + i t_min -> sigma_max + i t_max -> 1/2 + i t_max,
 and the functional equation gives the left half's phase (Backlund's
 N(T) = theta(T)/pi + 1 + S(T) rests on the same identity):
@@ -116,8 +119,7 @@ from .bernoulli import _full_table
 from .errors import BoundaryError, InconclusiveError, ParameterError, RefinementError
 from .serialize import csv_text, dumps
 from .zeta_core import (_IM_CAP, EvalParams, _as_complex, _dirichlet_path, _eval_params, _is_real, _schedule,
-                        _tail_denominator, _value, _zeta_nodes, auto_params, dirichlet_partial_sum, remainder_bound,
-                        zeta_gb)
+                        _tail_denominator, _value, _zeta_nodes, auto_params, remainder_bound, zeta_gb)
 from .qfunction import q_gb
 
 __all__ = [
@@ -343,9 +345,9 @@ def _sample_params(corner: complex, params: EvalParams | None) -> EvalParams | N
 
 def _rounding(path: list[complex], count: int, cutoff_n: int) -> list[float]:
     # the module docstring's rounding bound at the first ``count`` nodes
-    # walked along ``path`` (its vertices in walk order, a closed path ending
-    # where it starts). At the path's smallest sigma,
-    # 1 + integral_1^N x^-sigma dx bounds sum_{n<N} n^-sigma for every real sigma.
+    # walked along ``path``, its vertices in walk order. At the path's
+    # smallest sigma, 1 + integral_1^N x^-sigma dx bounds sum_{n<N} n^-sigma
+    # for every real sigma.
     sigma = min(z.real for z in path)
     log_n = math.log(cutoff_n)
     a = (1.0 - sigma) * log_n
@@ -372,27 +374,21 @@ def _walk(
     exact: Callable[[complex], complex],
     floor: float = 0.0,
 ) -> list[complex]:
-    # zeta at the nodes of a path of straight sides, from one walk at the
-    # sample cutoff, or at one node (no segments) from its exact head. Side j
-    # starts at node segments[0] + ... + segments[j-1] and reaches the next
-    # side's first node in segments[j] equal steps; when the counts add up
-    # to len(nodes), the path is closed and its last side returns to
-    # nodes[0]. A node whose sample is not certified (see the module
-    # docstring), or not above floor, takes exact(z).
+    # zeta at the nodes of an open path of straight sides, from one walk at
+    # the sample cutoff. Side j starts at node segments[0] + ... +
+    # segments[j-1] and reaches the next side's first node in segments[j]
+    # equal steps, so the counts add up to len(nodes) - 1; one node and no
+    # side is one exact pass. A node whose sample is not certified (see the
+    # module docstring), or not above floor, takes exact(z).
     n, nu = sample.cutoff_n, sample.tail_order
-    firsts = list(accumulate(segments, initial=0))
-    closed = firsts[-1] == len(nodes)
-    vertices = [nodes[k] for k in firsts[:-1]] + ([] if closed else [nodes[-1]])
-    path = vertices + vertices[:1] if closed else vertices
+    vertices = [nodes[k] for k in accumulate(segments, initial=0)]
     _tail_denominator(min(z.real for z in vertices), nu)
-    heads = _dirichlet_path(vertices, segments, n) if segments else [dirichlet_partial_sum(nodes[0], n)]
-    values, _ = _zeta_nodes(nodes, heads, sample)
+    values, _ = _zeta_nodes(nodes, _dirichlet_path(vertices, segments, n), sample)
     bounds: list[float] = []
-    for start, stop, count in zip(path, path[1:], segments):
+    for start, stop, count in zip(vertices, vertices[1:], segments):
         bounds += [_side_bound(start, stop, n, nu)] * count
-    if not closed:  # the last node ends the last side
-        bounds.append(bounds[-1] if bounds else math.inf)
-    for k, (z, value, bound, rounding) in enumerate(zip(nodes, values, bounds, _rounding(path, len(nodes), n))):
+    bounds.append(bounds[-1] if bounds else math.inf)  # the last node ends the last side
+    for k, (z, value, bound, rounding) in enumerate(zip(nodes, values, bounds, _rounding(vertices, len(nodes), n))):
         if not abs(value) > max(floor, _SAMPLE_MARGIN * (bound + rounding)):
             if not abs(value) > max(floor, _SAMPLE_MARGIN * (remainder_bound(z, n, nu) + rounding)):
                 values[k] = exact(z)
@@ -403,19 +399,20 @@ def _line_values(
     t_min: float, t_max: float, step: float, params: EvalParams
 ) -> tuple[list[float], list[complex]]:
     # the grid t_min + k step, plus t_max when it is off the grid, and Z at
-    # 1/2 + it on each node
+    # 1/2 + it on each node, from one walk: an off-grid t_max is its last
+    # side, one step long
     count = int(math.floor((t_max - t_min) / step + 1e-9))
     grid = [t_min + k * step for k in range(count + 1)]
+    segments = [count] if count else []
+    if grid[-1] < t_max - 1e-12:
+        grid.append(t_max)
+        segments.append(1)
     sample = _sample_params(complex(0.5, t_max), params)
 
     def exact(z: complex) -> complex:
         return zeta_gb(z, params).value
 
-    values = _walk([complex(0.5, t) for t in grid], [len(grid) - 1] if len(grid) > 1 else [], sample, exact)
-    if grid[-1] < t_max - 1e-12:
-        grid.append(t_max)
-        values += _walk([complex(0.5, t_max)], [], sample, exact)
-    return grid, values
+    return grid, _walk([complex(0.5, t) for t in grid], segments, sample, exact)
 
 
 def _refine_bracket(
@@ -656,7 +653,8 @@ def rectangle_winding(rect: Rectangle, params: EvalParams | None = None) -> tupl
         return walk([z], [])[0]
 
     # one walk: each side's base nodes from its first corner on, so every
-    # corner is one node; a closed walk's last increment closes on the first
+    # corner is one node. The closed boundary's walk stops one step short of
+    # its first corner, on which its last increment closes.
     corners = rect.corners()
     if mirrored:
         vertices = [complex(0.5, rect.t_min), corners[1], corners[2], complex(0.5, rect.t_max)]
@@ -670,7 +668,10 @@ def rectangle_winding(rect: Rectangle, params: EvalParams | None = None) -> tupl
         nodes += [za + (zb - za) * (k / count) for k in range(count)]
     if mirrored:
         nodes.append(vertices[-1])
-    ends = list(zip(nodes, walk(nodes, segments)))
+    else:
+        segments[-1] -= 1
+    # a left side in sigma >= 2 has one step, none left after the last
+    ends = list(zip(nodes, walk(nodes, [count for count in segments if count])))
     if not mirrored:
         ends.append(ends[0])
     total = 0.0

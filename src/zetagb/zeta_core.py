@@ -42,10 +42,9 @@ n^{-d}: after one exp per term for n^{-s_0} and one for n^{-d}, each node
 costs one complex multiply per term (the multi-point idea of A. M. Odlyzko
 and A. Schonhage, Trans. AMS 309, 1988). Node 0 keeps the bits of the
 exact pass; node k's terms carry k more roundings, so it drifts by
-O(k u) sum |n^{-s_k}|. A path of such lines is one walk: at a vertex the
-terms carry on with the next line's step ratios, and a closed path ends
-one step short of its start, whose sum it already has. ``dirichlet_line``
-is the walk along one line.
+O(k u) sum |n^{-s_k}|. An open path of such lines is one walk: at a
+vertex the terms carry on with the next line's step ratios.
+``dirichlet_line`` is the walk along one line.
 
 The node kernel. ``_zeta_nodes`` finishes every node of a walk in one
 call, head + pole term + N^{-s}/2 + tail, in the operations and order of
@@ -281,21 +280,19 @@ def dirichlet_line(start: complex, stop: complex, segments: int, cutoff_n: int) 
 
 
 def _dirichlet_path(vertices: list[complex], segments: list[int], cutoff_n: int) -> list[complex]:
-    # partial sums at the nodes of a walk from vertices[0] through the
-    # others, edge j cut into segments[j] equal steps, a vertex one node.
-    # With one count per vertex the path is closed: its last edge returns to
-    # vertices[0], whose sum is not walked again.
+    # partial sums at the nodes of an open walk: vertices[0], then side j
+    # from vertices[j] to vertices[j + 1] in segments[j] equal steps, a
+    # vertex one node. One vertex and no side is one exact pass, with the
+    # bits of dirichlet_partial_sum.
     logs = _log_table(cutoff_n)[2:cutoff_n]
     minus_s = -vertices[0]
     terms = [cmath.exp(minus_s * log_n) for log_n in logs]
     # an explicit left fold: sum() may compensate and change the bits
     sums = [reduce(add, terms, 1.0 + 0.0j)]
-    closed = len(segments) == len(vertices)
-    for j, count in enumerate(segments):
-        start, stop = vertices[j], vertices[(j + 1) % len(vertices)]
+    for start, stop, count in zip(vertices, vertices[1:], segments):
         minus_d = -(stop - start) / count
         ratios = [cmath.exp(minus_d * log_n) for log_n in logs]
-        for _ in range(count - 1 if closed and j == len(segments) - 1 else count):
+        for _ in range(count):
             terms = list(map(mul, terms, ratios))
             sums.append(reduce(add, terms, 1.0 + 0.0j))
     return sums
@@ -395,7 +392,7 @@ def _zeta_nodes(
     # head_slopes each node's derivative; None otherwise. The truncation
     # bound is left to the caller, but its order is refused here, at the
     # smaller Re s of the first and last nodes: an end of a line, and the
-    # smallest on the rectangle's closed walk, which starts at (sigma_min, t_min).
+    # smallest on a rectangle's walk, which starts and ends at its smallest sigma.
     n, nu = params.cutoff_n, params.tail_order
     log_n = math.log(n)
     inv_n2 = 1.0 / (n * n)

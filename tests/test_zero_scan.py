@@ -34,8 +34,7 @@ from zetagb.zero_scan import (
     write_records_csv,
     write_records_jsonl,
 )
-from zetagb.zeta_core import (EvalParams, auto_params, dirichlet_line, dirichlet_partial_sum,
-                              remainder_bound, zeta_gb)
+from zetagb.zeta_core import EvalParams, auto_params, remainder_bound, zeta_gb
 
 ORACLE_ORDINATES = (14.13472514172102, 21.02203963877902, 25.010857580131244)
 
@@ -221,21 +220,21 @@ def test_winding_walks_each_side_once(record_call_stacks, kernel_calls, rect: Re
     assert count == zeros
     sides = (rect.sigma_max - rect.sigma_min, rect.t_max - rect.t_min) * 2
     segments = [max(4, math.ceil(side / 0.25)) for side in sides]
-    # the boundary is one closed walk, whose one kernel call finishes each
+    # the closed boundary is one walk, whose one kernel call finishes each
     # base node once: a side's nodes from its first corner up to the next
     # corner, which is the next side's first node, so each corner is one node
-    assert calls.count(("_dirichlet_path",)) == 1
     (walked,) = [nodes for nodes, _, _ in kernel_calls if len(nodes) > 1]
     assert len(walked) == sum(segments)
     assert len(set(walked)) == len(walked)
     assert [walked.count(corner) for corner in rect.corners()] == [1, 1, 1, 1]
     firsts = [0, *itertools.accumulate(segments)][:4]
     assert [walked[k] for k in firsts] == list(rect.corners())
-    # only the phase-walk splits (one-node walks) and uncertified samples
-    # (zeta_gb at params) make their own pass, one each
+    # only the phase-walk splits (one-node walks, one exact sum each) and
+    # uncertified samples (zeta_gb at params) make their own pass, one each
     splits = sum(len(nodes) == 1 for nodes, _, _ in kernel_calls)
     assert splits == (0 if rect.t_min == 0.1 else 2)  # as the cases above say
-    assert calls.count(("dirichlet_partial_sum",)) == splits
+    assert calls.count(("_dirichlet_path",)) == 1 + splits
+    assert calls.count(("dirichlet_partial_sum",)) == 0
     assert calls.count(("zeta_gb", "dirichlet_partial_sum")) == calls.count(("zeta_gb",))
 
 
@@ -260,7 +259,6 @@ def test_a_mirrored_winding_walks_its_right_half_once(record_call_stacks, kernel
     assert count == zeros and residual < 1e-3
     # one open walk 1/2 + i t_min -> sigma_max + i t_min -> sigma_max + i t_max
     # -> 1/2 + i t_max, each corner one node, and theta at its two ends
-    assert calls.count(("_dirichlet_path",)) == 1
     (walked,) = [nodes for nodes, _, _ in kernel_calls if len(nodes) > 1]
     assert len(walked) == sum(segments) + 1
     assert len(set(walked)) == len(walked)
@@ -270,8 +268,10 @@ def test_a_mirrored_winding_walks_its_right_half_once(record_call_stacks, kernel
     assert [walked[k] for k in firsts] == vertices
     assert all(z.real >= 0.5 for z in walked)
     assert calls.count(("siegel_theta",)) == 2
+    # each split is a one-node walk, one exact sum
     assert sum(len(nodes) == 1 for nodes, _, _ in kernel_calls) == splits
-    assert calls.count(("dirichlet_partial_sum",)) == splits
+    assert calls.count(("_dirichlet_path",)) == 1 + splits
+    assert calls.count(("dirichlet_partial_sum",)) == 0
     assert calls.count(("zeta_gb", "dirichlet_partial_sum")) == calls.count(("zeta_gb",))
 
 
@@ -574,19 +574,15 @@ def sampled_walks() -> list[tuple[list[complex], list[int], EvalParams, EvalPara
 
 
 def _path(nodes: list[complex], segments: list[int]) -> list[complex]:
-    # the walk's vertices in order, a closed walk's ending where it starts;
-    # an open walk's segments add up to one less than its nodes, so its
-    # last vertex is its last node and the ring's extra node is never read
-    ring = nodes + nodes[:1]
-    return [ring[k] for k in itertools.accumulate(segments, initial=0)]
+    # the walk's vertices in order: its first node, then each side's last
+    return [nodes[k] for k in itertools.accumulate(segments, initial=0)]
 
 
 def _sides(nodes: list[complex], segments: list[int]):
     # (start, stop, the side's nodes with both ends) of each straight side of a walk
-    ring = nodes + nodes[:1]
     firsts = list(itertools.accumulate(segments, initial=0))
     for a, b in zip(firsts, firsts[1:]):
-        yield ring[a], ring[b], ring[a:b + 1]
+        yield nodes[a], nodes[b], nodes[a:b + 1]
 
 
 def _samples(nodes: list[complex], segments: list[int], sample: EvalParams):
@@ -594,10 +590,7 @@ def _samples(nodes: list[complex], segments: list[int], sample: EvalParams):
     # recomputed as the walk made them
     n, nu = sample.cutoff_n, sample.tail_order
     path = _path(nodes, segments)
-    vertices = path[:-1] if sum(segments) == len(nodes) else path
-    heads = (zeta_core._dirichlet_path(vertices, segments, n) if segments
-             else [dirichlet_partial_sum(nodes[0], n)])
-    values, _ = zeta_core._zeta_nodes(nodes, heads, sample)
+    values, _ = zeta_core._zeta_nodes(nodes, zeta_core._dirichlet_path(path, segments, n), sample)
     for z, value, rounding in zip(nodes, values, zero_scan._rounding(path, len(nodes), n)):
         yield z, value, remainder_bound(z, n, nu), rounding
 
@@ -620,10 +613,12 @@ def test_each_sample_lies_within_its_certificate(sampled_walks) -> None:
     # the grid, ten closed walks of 40 nodes and the tall one of 4,000, ten
     # mirrored walks of 25 nodes and the tall one of 2,005
     assert nodes_checked >= 1997 + 10 * 40 + 4000 + 10 * 25 + 2005
-    tall = [nodes for nodes, segments, *_ in sampled_walks if sum(segments) == len(nodes) > 3000]
-    assert [len(nodes) for nodes in tall] == [2 * 4 + 2 * 1996]
-    mirrored = [(len(nodes), segments) for nodes, segments, *_ in sampled_walks if sum(segments) == len(nodes) - 1
-                and len(segments) == 3]
+    # every walk is open, its sides' steps one fewer than its nodes; a closed
+    # boundary's four sides stop one step short of its first corner
+    assert all(sum(segments) == len(nodes) - 1 for nodes, segments, *_ in sampled_walks)
+    closed = [(len(nodes), segments) for nodes, segments, *_ in sampled_walks if len(segments) == 4]
+    assert closed == [(40, [4, 16, 4, 15])] * 10 + [(2 * 4 + 2 * 1996, [4, 1996, 4, 1995])]
+    mirrored = [(len(nodes), segments) for nodes, segments, *_ in sampled_walks if len(segments) == 3]
     assert mirrored == [(25, [4, 16, 4])] * 10 + [(2005, [4, 1996, 4])]
 
 
@@ -785,12 +780,11 @@ def test_a_node_on_a_zero_takes_the_full_pass(monkeypatch, kernel_calls) -> None
 
     monkeypatch.setattr(zero_scan, "zeta_gb", record)
     sampled = scan_critical_line(t_min, t_max)
-    # each node is sampled once, by its walk; only t_min makes one exact
-    # pass at params, and the off-grid t_max is a one-node walk
+    # each node is sampled once, by the grid's one walk; only t_min makes
+    # one exact pass at params, and the off-grid t_max is the walk's last node
     low, high = complex(0.5, t_min), complex(0.5, t_max)
-    assert [p for nodes, p, _ in kernel_calls if low in nodes] == [sample]
+    assert [(nodes[0], nodes[-1], p) for nodes, p, _ in kernel_calls] == [(low, high, sample)]
     assert [p for s, p in calls if s == low] == [params]
-    assert [(len(nodes), p) for nodes, p, _ in kernel_calls if high in nodes] == [(1, sample)]
     assert [p for s, p in calls if s == high] == []
     monkeypatch.setattr(zero_scan, "_sample_params", lambda corner, params: params)
     full = scan_critical_line(t_min, t_max)

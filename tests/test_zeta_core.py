@@ -198,6 +198,16 @@ def test_line_starts_on_the_partial_sum_bitwise() -> None:
         assert _same_bits(dirichlet_line(start, stop, rng.randint(1, 5), n)[0], dirichlet_partial_sum(start, n))
 
 
+def test_a_one_vertex_walk_is_the_exact_pass_bitwise() -> None:
+    # a walk of one vertex and no side, as a phase-walk split makes, is one
+    # exact pass with the bits of dirichlet_partial_sum
+    rng = random.Random(20159)
+    for _ in range(3000):
+        s = complex(rng.uniform(-1.0, 2.0), rng.uniform(-500.0, 500.0))
+        n = rng.randrange(2, 200)
+        assert _same_bits(zeta_core._dirichlet_path([s], [], n)[0], dirichlet_partial_sum(s, n))
+
+
 @pytest.mark.parametrize("sigma", (0.01, 0.5, 0.99))
 def test_vertical_line_tracks_the_partial_sum(sigma: float) -> None:
     _assert_line_tracks_the_sum(complex(sigma, 0.1), complex(sigma, 500.1), 2000, 1002)
