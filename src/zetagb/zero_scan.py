@@ -71,17 +71,21 @@ every decision is the per-node one.
 
 Winding. Rectangle counts use the argument principle: a phase increment
 between neighbouring nodes is kept below pi/2, split at the midpoint
-otherwise. A side takes max(4, ceil(length / 0.25)) steps, or one in
+otherwise. Zeta has no zero or pole in sigma > 1, so a rectangle's right
+edge stops at sigma = 2, and one with sigma_min >= 2 counts 0 without a
+walk. A side takes max(4, ceil(length / 0.25)) steps, or one in
 sigma >= 2: there |zeta - 1| <= zeta(2) - 1 < 0.645, so |arg zeta| < 0.701
 (asin 0.645), and its phase change, the principal difference of its end
 phases, stays below 1.402 < pi/2 with each sample's error of about 1e-3
 (where that premise fails, the guard splits). A rectangle closes its own
 boundary: its walk stops one step short of its first corner, and the last
 increment closes on that corner's value, unless it is symmetric about the
-line (sigma_min + sigma_max = 1 in binary64) with sigma_min > 0 or
-t_min > 0. Then it walks only its right half, the path
+line (sigma_min + sigma_max = 1 in binary64, as the caller gave it) with
+sigma_min > 0 or t_min > 0. Then it walks only its right half, the path
 1/2 + i t_min -> sigma_max + i t_min -> sigma_max + i t_max -> 1/2 + i t_max,
-and the functional equation gives the left half's phase (Backlund's
+with sigma_max at most 2 (a symmetric rectangle wider than that has
+t_min > 0, and by the functional equation no zero left of sigma = -1
+either), and the functional equation gives the left half's phase (Backlund's
 N(T) = theta(T)/pi + 1 + S(T) rests on the same identity):
 
   * reflection and the functional equation give
@@ -111,7 +115,7 @@ import json
 import logging
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import accumulate
 
@@ -613,17 +617,25 @@ def rectangle_winding(rect: Rectangle, params: EvalParams | None = None) -> tupl
     """Winding number of Z along the rectangle boundary and its residual.
 
     Returns (count, |winding - count|). The count equals zeros minus
-    poles inside; keep s = 1 outside the rectangle. The module docstring
-    says which sides take one step and which rectangles walk their right
-    half only. Samples with |Z| < 1e-6 on the contour abort with
-    BoundaryError. Without ``params``, full-accuracy values use
-    ``auto_params`` at the worst corner with eps 1e-9, picked on first need.
+    poles inside; keep s = 1 outside the rectangle. A rectangle with
+    max |t| above 500 is refused, also with ``params``, and one with
+    sigma_min >= 2 holds no zero and counts (0, 0.0) unwalked. The module
+    docstring says where the walk stops, which sides take one step and
+    which rectangles walk their right half only. Samples with |Z| < 1e-6
+    on the contour abort with BoundaryError. Without ``params``,
+    full-accuracy values use ``auto_params`` at the worst corner with
+    eps 1e-9, picked on first need.
     """
     if not isinstance(rect, Rectangle):
         raise ParameterError(f"rect must be a Rectangle, got {type(rect).__name__}")
     params = params if params is None else _eval_params(params)
     worst = _worst_corner(rect)
+    if worst.imag > _IM_CAP:
+        raise ParameterError(f"max |t| = {worst.imag!r} exceeds the supported range {_IM_CAP}")
+    if rect.sigma_min >= 2:
+        return 0, 0.0
     mirrored = rect.sigma_min + rect.sigma_max == 1.0 and (rect.sigma_min > 0 or rect.t_min > 0)
+    rect = replace(rect, sigma_max=min(rect.sigma_max, 2.0))
 
     def full() -> EvalParams:
         nonlocal params
@@ -635,7 +647,11 @@ def rectangle_winding(rect: Rectangle, params: EvalParams | None = None) -> tupl
         return zeta_gb(z, full()).value
 
     # the walked path's worst corner: its smallest sigma, farthest from the real axis
-    sample = _sample_params(complex(0.5, worst.imag) if mirrored else worst, params) or full()
+    corner = complex(0.5, worst.imag) if mirrored else worst
+    sample = _sample_params(corner, params) or full()
+    # refused before any node is built: an order too small there makes
+    # the walk overflow
+    _tail_denominator(corner.real, sample.tail_order)
 
     def walk(nodes: list[complex], segments: list[int]) -> list[complex]:
         # a sample above twice the boundary modulus stays above it at params,
@@ -670,8 +686,7 @@ def rectangle_winding(rect: Rectangle, params: EvalParams | None = None) -> tupl
         nodes.append(vertices[-1])
     else:
         segments[-1] -= 1
-    # a left side in sigma >= 2 has one step, none left after the last
-    ends = list(zip(nodes, walk(nodes, [count for count in segments if count])))
+    ends = list(zip(nodes, walk(nodes, segments)))
     if not mirrored:
         ends.append(ends[0])
     total = 0.0

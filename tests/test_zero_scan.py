@@ -832,9 +832,10 @@ def _boundary_error_at_full_accuracy(monkeypatch, kernel_calls, rect: Rectangle,
 
 
 def test_only_full_accuracy_values_raise_a_boundary_error(monkeypatch, kernel_calls) -> None:
-    # the node is the fifth of the bottom side, cut into 16 steps; the
-    # rectangle is not symmetric about the line, so it walks its closed
-    # path, sampled at (-0.5, 100), its right side in sigma >= 2 in one step
+    # the node is the fifth of the bottom side, which stops at sigma = 2,
+    # cut into 10 steps; the rectangle is not symmetric about the line, so
+    # it walks its closed path, sampled at (-0.5, 100), its right side at
+    # sigma = 2 in one step
     t_min = scan_critical_line(20.5, 21.5)[0].t + 1e-7
     rect = Rectangle(-0.5, 3.5, t_min, 100.0)
     _boundary_error_at_full_accuracy(monkeypatch, kernel_calls, rect, complex(-0.5, 100.0))
@@ -918,8 +919,7 @@ def test_winding_params_meet_their_target_at_the_worst_corner() -> None:
         assert len(exact) == nodes and set(exact) == {params}
         # chosen at sigma_max they bounded 4.2e-7 at sigma = 0.01
         assert remainder_bound(complex(0.01, 499.0), params.cutoff_n, params.tail_order) <= 1e-9
-    # beyond the supported range no sample cutoff applies, so the first need
-    # comes first and refuses the rectangle
+    # beyond the supported range the rectangle is refused before any node
     with pytest.raises(ParameterError, match="supported range"):
         rectangle_winding(Rectangle(0.01, 0.99, 600.0, 601.0))
 
@@ -1020,10 +1020,41 @@ def test_a_closed_walk_takes_a_side_in_sigma_two_or_more_in_one_step(kernel_call
     rect = Rectangle(0.01, 2.5, 0.1, 100.0)
     count, residual = rectangle_winding(rect)
     assert count == 29 and residual < 1e-3
-    # bottom 10 steps, right side one, top 10, left 400, each corner one node
+    # the walk stops at sigma = 2: bottom 8 steps, right side one, top 8,
+    # left 400, each corner one node
     (walked,) = [nodes for nodes, _, _ in kernel_calls if len(nodes) > 1]
-    assert len(walked) == 421
-    assert [walked[k] for k in (0, 10, 11, 21)] == list(rect.corners())
+    assert len(walked) == 417
+    assert [walked[k] for k in (0, 8, 9, 17)] == [0.01 + 0.1j, 2.0 + 0.1j, 2.0 + 100.0j, 0.01 + 100.0j]
+
+
+def test_a_rectangle_far_outside_the_strip_walks_few_nodes(kernel_calls) -> None:
+    # zeta has no zero or pole in sigma > 1: a rectangle in sigma >= 2 counts
+    # 0 unwalked (the walk back from sigma = 1000 overflowed), and a wider
+    # one stops at sigma = 2 (it built 4e300 nodes): 8 + 1 + 8 + 120 nodes
+    assert rectangle_winding(Rectangle(3.0, 1000.0, 10.0, 20.0)) == (0, 0.0)
+    assert kernel_calls == []
+    count, residual = rectangle_winding(Rectangle(0.01, 1e300, 0.1, 30.0))
+    assert count == 3 and residual < 1e-3
+    assert [len(nodes) for nodes, _, _ in kernel_calls] == [137]
+    assert max(z.real for z in kernel_calls[0][0]) == 2.0
+    # symmetry is read from the rectangle as given: this one walks its right
+    # half, 1/2 -> 2 and back, where its closed walk from sigma = -1e15
+    # would be refused
+    kernel_calls.clear()
+    params = EvalParams(200, 10)
+    count, residual = rectangle_winding(Rectangle(-1e15, 1e15 + 1.0, 0.1, 30.0), params)
+    assert count == 3 and residual < 1e-3
+    assert [len(nodes) for nodes, _, _ in kernel_calls] == [14]
+    # refused before any node is built, also with explicit params: a tail
+    # order too small at the path's smallest sigma, and |t| above the cap,
+    # which is checked before sigma_min >= 2 returns
+    kernel_calls.clear()
+    with pytest.raises(ParameterError, match="tail order 10 too small"):
+        rectangle_winding(Rectangle(-1e300, 0.99, 0.1, 30.0), params)
+    for rect in (Rectangle(0.01, 0.99, 600.0, 601.0), Rectangle(3.0, 4.0, -1e300, 20.0)):
+        with pytest.raises(ParameterError, match="exceeds the supported range 500.0"):
+            rectangle_winding(rect, EvalParams(1300, 4))
+    assert kernel_calls == []
 
 
 def test_boundary_zero_aborts_the_walk() -> None:
