@@ -5,7 +5,8 @@ Commands: ``eval``, ``zeros``, ``count``, ``audit``, ``params``,
 errors and singular Q, 4 inconclusive winding counts, 5 refinement
 failures under ``--strict-refine``; ``audit`` maps its abort reason
 through the same table. ``--eps`` (default 1e-8) sets the target
-accuracy of ``eval``, ``params`` and ``count``. ``zeros`` and ``audit``
+accuracy of ``eval``, ``params`` and ``count``, and must be finite and
+positive also where ``--N/--nu`` fix the params. ``zeros`` and ``audit``
 take the scan settings of ``ScanConfig`` (its defaults are theirs).
 """
 
@@ -37,7 +38,7 @@ from .zero_scan import (
     write_records_csv,
     write_records_jsonl,
 )
-from .zeta_core import DEFAULT_TARGET_EPS, EvalParams, auto_params, remainder_bound, zeta_gb
+from .zeta_core import DEFAULT_TARGET_EPS, EvalParams, _check_eps, auto_params, remainder_bound, zeta_gb
 
 __all__ = ["build_parser", "run", "main"]
 
@@ -115,7 +116,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _explicit_params(args: argparse.Namespace) -> EvalParams | None:
-    """The parameters ``--N``/``--nu`` pin, or None without them."""
+    """The parameters ``--N``/``--nu`` pin, or None without them.
+
+    A command that takes ``--eps`` has it checked either way.
+    """
+    if "eps" in args:
+        _check_eps(args.eps)
     if args.cutoff_n is None and args.nu is None:
         return None
     if args.cutoff_n is None or args.nu is None:

@@ -130,6 +130,11 @@ def _is_real(x: object) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _check_eps(eps: object) -> None:
+    if not _is_real(eps) or not math.isfinite(eps) or eps <= 0:
+        raise ParameterError(f"eps must be a finite positive number, got {eps!r}")
+
+
 @dataclass(frozen=True)
 class EvalParams:
     """Evaluation knobs: Dirichlet cutoff N and tail order nu.
@@ -321,6 +326,8 @@ def remainder_bound(s: complex, cutoff_n: int, tail_order: int) -> float:
 
     Takes the (N, nu) that ``EvalParams`` takes. Requires Re(s) + 2 nu + 1 > 0;
     outside that region the correction series itself is meaningless at this order.
+    Refuses an s where the bound is not finite in binary64, such as
+    |s| near 1e300.
     """
     s = _as_complex(s)
     _check_params(cutoff_n, tail_order)
@@ -330,7 +337,10 @@ def remainder_bound(s: complex, cutoff_n: int, tail_order: int) -> float:
     for k in range(2 * nu + 1):
         prod *= abs(s + k)
     scale = math.exp(-denom * math.log(cutoff_n))
-    return abs(_coeffs()[nu + 1]) * prod * scale * abs(s + 2 * nu + 1) / denom
+    bound = abs(_coeffs()[nu + 1]) * prod * scale * abs(s + 2 * nu + 1) / denom
+    if not math.isfinite(bound):
+        raise ParameterError(f"the remainder bound at s = {s!r} is not finite in binary64 ({bound})")
+    return bound
 
 
 @lru_cache(maxsize=None)
@@ -461,8 +471,7 @@ def auto_params(s: complex, eps: float) -> EvalParams:
     s = _as_complex(s)
     if abs(s.imag) > _IM_CAP:
         raise ParameterError(f"|Im s| = {abs(s.imag)} exceeds the supported range {_IM_CAP}")
-    if not _is_real(eps) or not math.isfinite(eps) or eps <= 0:
-        raise ParameterError(f"eps must be a finite positive number, got {eps!r}")
+    _check_eps(eps)
     if eps < _EPS_FLOOR:
         raise PrecisionError(f"eps = {eps} is below the binary64 floor {_EPS_FLOOR}")
 

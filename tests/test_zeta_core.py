@@ -681,6 +681,14 @@ def test_bound_rejects_too_negative_real_part() -> None:
         remainder_bound(-10 + 0j, 16, 2)
 
 
+def test_bound_rejects_an_s_where_it_is_not_finite() -> None:
+    # the rising product overflows to inf at |t| = 1e300 (the CLI printed
+    # it), and inf * 0 is nan at Re s = 1e300, where N^-(Re s) underflows
+    for s, value in ((0.5 + 1e300j, "inf"), (1e300 + 0j, "nan")):
+        with pytest.raises(ParameterError, match=rf"is not finite in binary64 \({value}\)"):
+            remainder_bound(s, 40, 9)
+
+
 def test_the_bound_is_computed_on_its_first_read(record_call_stacks) -> None:
     s, params = 0.5 + 100j, EvalParams(212, 9)
     calls = record_call_stacks(("remainder_bound",))
