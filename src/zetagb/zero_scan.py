@@ -185,10 +185,19 @@ class ZeroRecord:
         return self.s.real - 0.5
 
     def __post_init__(self) -> None:
+        # the values the record writers can write, and no other
+        if not cmath.isfinite(self.s):
+            raise ParameterError(f"zero record s must be finite, got {self.s!r}")
         if not self.t > 0:
             raise ParameterError(f"zero records live in the upper half plane, got t = {self.t!r}")
         if not 0.0 < self.s.real < 1.0:
             raise ParameterError(f"zero record outside the critical strip: s = {self.s!r}")
+        if not (_is_real(self.z_modulus) and math.isfinite(self.z_modulus) and self.z_modulus >= 0):
+            raise ParameterError(f"z_modulus must be a finite number >= 0, got {self.z_modulus!r}")
+        if not cmath.isfinite(self.q_value):
+            raise ParameterError(f"q_value must be finite, got {self.q_value!r}")
+        if type(self.refine_iterations) is not int or self.refine_iterations < 0:
+            raise ParameterError(f"refine_iterations must be an integer >= 0, got {self.refine_iterations!r}")
 
 
 @dataclass(frozen=True)

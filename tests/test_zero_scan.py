@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import json
 import logging
 import math
 import random
@@ -935,6 +936,23 @@ def test_zero_record_validation() -> None:
         ZeroRecord(s=complex(0.5, -1.0), z_modulus=0.0, q_value=0j, refine_iterations=0, params_used=params)
     with pytest.raises(ParameterError):
         ZeroRecord(s=complex(1.5, 14.0), z_modulus=0.0, q_value=0j, refine_iterations=0, params_used=params)
+    # values the record writers refuse: the readers accepted them
+    inf, nan = math.inf, math.nan
+    for field, value, message in (
+        ("s", complex(0.5, inf), "s must be finite"),
+        ("z_modulus", nan, "z_modulus must be"),
+        ("z_modulus", -1.0, "z_modulus must be"),
+        ("z_modulus", inf, "z_modulus must be"),
+        ("q_value", complex(inf, 0.0), "q_value must be finite"),
+        ("q_value", complex(0.0, nan), "q_value must be finite"),
+        ("refine_iterations", -3, "refine_iterations must be"),
+        ("refine_iterations", True, "refine_iterations must be"),
+        ("refine_iterations", 2.0, "refine_iterations must be"),
+    ):
+        fields = dict(s=complex(0.5, 14.0), z_modulus=0.0, q_value=0j, refine_iterations=0, params_used=params)
+        fields[field] = value
+        with pytest.raises(ParameterError, match=message):
+            ZeroRecord(**fields)
     # t and xi are read from s
     rec = ZeroRecord(s=complex(0.75, 14.0), z_modulus=0.0, q_value=0j, refine_iterations=0, params_used=params)
     assert (rec.t, rec.xi) == (14.0, 0.25)
@@ -1153,9 +1171,22 @@ def test_malformed_records_raise_parameter_error(two_records) -> None:
     for reader, text, message in cases:
         with pytest.raises(ParameterError, match=message):
             reader(text)
-    # a readable row that breaks a record invariant keeps the record's own error
-    with pytest.raises(ParameterError, match="upper half plane"):
-        read_records_csv(header + "\n" + ",".join(["-1"] + cells[1:]))
+    # a readable row that breaks a record invariant keeps the record's own
+    # error: t = inf, z_modulus = nan or -1, q_re = inf and iterations = -3
+    # were read, and write_records_csv failed on them with a bare ValueError
+    for column, cell, message in (
+        (0, "-1", "upper half plane"),
+        (0, "inf", "s must be finite"),
+        (3, "nan", "z_modulus must be"),
+        (3, "-1", "z_modulus must be"),
+        (4, "inf", "q_value must be finite"),
+        (8, "-3", "refine_iterations must be"),
+    ):
+        row = cells[:column] + [cell] + cells[column + 1:]
+        with pytest.raises(ParameterError, match=message):
+            read_records_csv(header + "\n" + ",".join(row))
+        with pytest.raises(ParameterError, match=message):
+            read_records_jsonl(json.dumps(dict(zip(RECORD_FIELDS, row))) + "\n")
 
 
 def test_a_row_whose_xi_is_not_re_s_minus_a_half_is_refused(two_records) -> None:
