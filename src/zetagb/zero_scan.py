@@ -392,10 +392,10 @@ def _walk(
     # segments[j-1] and reaches the next side's first node in segments[j]
     # equal steps, so the counts add up to len(nodes) - 1; one node and no
     # side is one exact pass. A node whose sample is not certified (see the
-    # module docstring), or not above floor, takes exact(z).
+    # module docstring), or not above floor, takes exact(z). Callers refuse
+    # a tail order too small on the path before they walk it.
     n, nu = sample.cutoff_n, sample.tail_order
     vertices = [nodes[k] for k in accumulate(segments, initial=0)]
-    _tail_denominator(min(z.real for z in vertices), nu)
     values, _ = _zeta_nodes(nodes, _dirichlet_path(vertices, segments, n), sample)
     bounds: list[float] = []
     for start, stop, count in zip(vertices, vertices[1:], segments):
@@ -658,8 +658,8 @@ def rectangle_winding(rect: Rectangle, params: EvalParams | None = None) -> tupl
     # the walked path's worst corner: its smallest sigma, farthest from the real axis
     corner = complex(0.5, worst.imag) if mirrored else worst
     sample = _sample_params(corner, params) or full()
-    # refused before any node is built: an order too small there makes
-    # the walk overflow
+    # a tail order too small at the path's smallest sigma is refused before
+    # any node is built, since the walk there can overflow first
     _tail_denominator(corner.real, sample.tail_order)
 
     def walk(nodes: list[complex], segments: list[int]) -> list[complex]:

@@ -246,18 +246,6 @@ def test_count_refuses_t_above_the_cap(capsys) -> None:
     assert "exceeds the supported range 500.0" in err
 
 
-@pytest.mark.parametrize(("rect", "printed"), (
-    (("3", "1000", "10", "20"), "0\n"),
-    (("0.01", "1e300", "0.1", "30"), "3\n"),
-), ids=("right-of-two", "to-1e300"))
-def test_count_right_of_the_strip_stays_small(capsys, rect, printed) -> None:
-    # the first overflowed in its walk back from sigma = 1000, the second
-    # built a node every 0.25 up to sigma = 1e300
-    names = ("--sigma-min", "--sigma-max", "--t-min", "--t-max")
-    code, out, _ = invoke(capsys, "count", *(arg for pair in zip(names, rect) for arg in pair))
-    assert (code, out) == (0, printed)
-
-
 def test_audit_reports_explicit_params_without_a_target(capsys) -> None:
     code, out, _ = invoke(capsys, "audit", "--t-min", "14", "--t-max", "15", "--N", "40", "--nu", "6")
     assert code == 0
