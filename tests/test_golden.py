@@ -64,7 +64,7 @@ CASES: dict[str, tuple[str, ...]] = {
     **{f"bernoulli_{fmt}": (*_BERNOULLI, "--format", fmt) for fmt in _FORMATS},
     # non-default scan settings and --eps on count, so a dropped option shows
     "zeros_step_tol_csv": ("zeros", "--t-min", "0", "--t-max", "40", "--step", "0.2", "--tol", "1e-8", "--format", "csv"),
-    # one Newton step from the 0.5 grid's seed leaves |Z| near 9e-6, so both fail to refine
+    # one Newton step from the 0.5 grid's seed leaves |Z| near 5e-7, so both fail to refine
     "zeros_max_iter_1": ("zeros", "--t-min", "14", "--t-max", "15", "--step", "0.5", "--max-iter", "1"),
     "audit_step_tol": ("audit", "--t-min", "14", "--t-max", "22", "--step", "0.2", "--tol", "1e-8"),
     "audit_max_iter_strict": ("audit", "--t-min", "14", "--t-max", "15", "--step", "0.5", "--max-iter", "1",

@@ -163,7 +163,7 @@ def test_scan_is_deterministic() -> None:
     assert len(a) == 1
 
 
-# One Newton step from the seed that a 0.5 grid gives leaves |Z| near 9e-6, far above
+# One Newton step from the seed that a 0.5 grid gives leaves |Z| near 5e-7, far above
 # tol; on the default grid the interpolated seed needs only one step and converges.
 def test_scan_skips_failed_refinements_by_default(caplog) -> None:
     with caplog.at_level(logging.WARNING, logger="zetagb.zero_scan"):
@@ -407,10 +407,10 @@ def test_a_bracket_the_fallback_cannot_resolve_is_named(monkeypatch, caplog) -> 
 def test_interpolated_seeds_take_under_two_newton_steps(zeros_below_499) -> None:
     # refine_iterations counts the polish step, one a zero: 4.75 a zero from
     # the grid node with the smaller |Z|, 3.69 from the regula-falsi point,
-    # 2.71 from the 8-node interpolant
+    # 2.71 from the 8-node interpolant of h, 1.98 from that of Hardy's Z
     assert len(zeros_below_499) == 269
     iterations = [rec.refine_iterations for rec in zeros_below_499]
-    assert sum(iterations) / len(iterations) <= 2.75
+    assert sum(iterations) / len(iterations) <= 2.0
     assert max(rec.z_modulus for rec in zeros_below_499) <= 4.8e-13
 
 
@@ -429,27 +429,35 @@ def seeds(monkeypatch) -> list[tuple[list[float], float, float, float, float]]:
     return calls
 
 
-@pytest.mark.parametrize(("t_min", "t_max", "stencil"), (
-    (14.0, 16.0, [14.0 + 0.25 * k for k in range(8)]),     # at the window's start
-    (12.5, 14.25, [12.5 + 0.25 * k for k in range(8)]),    # at its end
-    (13.0, 14.2, [13.0 + 0.25 * k for k in range(5)] + [14.2]),  # ending on an off-grid t_max
-    (14.0, 14.25, [14.0, 14.25]),                           # a grid of two nodes
+# the seeds of the longer stencils lie within 5e-6 of the zero; through two
+# nodes the seed is regula falsi on Hardy's Z, which lies 1.285e-3 from it
+# (regula falsi on h lay 0.966e-3 away; both from siegel_theta at 14.0 and 14.25)
+@pytest.mark.parametrize(("t_min", "t_max", "stencil", "reach"), (
+    (14.0, 16.0, [14.0 + 0.25 * k for k in range(8)], 1e-5),     # at the window's start
+    (12.5, 14.25, [12.5 + 0.25 * k for k in range(8)], 1e-5),    # at its end
+    (13.0, 14.2, [13.0 + 0.25 * k for k in range(5)] + [14.2], 1e-5),  # ending on an off-grid t_max
+    (14.0, 14.25, [14.0, 14.25], 1.3e-3),                         # a grid of two nodes
 ), ids=("start", "end", "off-grid", "two-nodes"))
 def test_the_seed_lies_strictly_inside_its_bracket(seeds, t_min: float, t_max: float,
-                                                   stencil: list[float]) -> None:
+                                                   stencil: list[float], reach: float) -> None:
     records = scan_critical_line(t_min, t_max)
     assert [round(rec.t, 6) for rec in records] == [14.134725]
     ((ts, ta, tb, seed, _),) = seeds
     # the stencil is shifted to stay on the grid and keeps both bracket ends
     assert ts == pytest.approx(stencil, abs=1e-12)
     assert ta < seed < tb and ta < 14.134725 < tb
-    assert abs(seed - records[0].t) < 1e-3
+    assert abs(seed - records[0].t) < reach
 
 
 def test_two_nodes_seed_at_the_regula_falsi_point(seeds) -> None:
     scan_critical_line(14.0, 14.25)
     ((_, _, _, seed, falsi),) = seeds
     assert seed == pytest.approx(falsi, rel=4e-16)
+    # the two values are Hardy's Z, to the sign of Z(14.0) and a factor near 1
+    params = auto_params(complex(0.5, 14.25), 1e-10)
+    z_a, z_b = ((cmath.exp(1j * siegel_theta(t)) * zeta_gb(complex(0.5, t), params).value).real
+                for t in (14.0, 14.25))
+    assert seed == pytest.approx(14.0 + 0.25 * z_a / (z_a - z_b), abs=1e-6)
     rng = random.Random(21003)
     for _ in range(200):
         ta = rng.uniform(0.0, 499.0)
@@ -457,6 +465,73 @@ def test_two_nodes_seed_at_the_regula_falsi_point(seeds) -> None:
         ha, hb = rng.uniform(1e-6, 10.0), -rng.uniform(1e-6, 10.0)
         falsi = ta + (tb - ta) * ha / (ha - hb)
         assert zero_scan._interpolated_seed([ta, tb], [ha, hb], ta, tb, ha, hb) == pytest.approx(falsi, rel=4e-16)
+
+
+def test_every_seed_below_499_lies_within_1e_5_of_its_zero(seeds) -> None:
+    # the 8-node interpolant of Hardy's Z puts the seeds a median 4.0e-7 and
+    # at most 5.7e-6 from their zeros; that of h put them a median 3.8e-5
+    # and at most 5.7e-4 away
+    records = scan_critical_line(0, 499)
+    assert len(records) == len(seeds) == 269
+    assert all(len(ts) == 8 for ts, *_ in seeds)
+    gaps = sorted(abs(seed - rec.t) for (*_, seed, _), rec in zip(seeds, records))
+    assert gaps[-1] < 1e-5
+    assert gaps[len(gaps) // 2] < 1e-6
+
+
+def test_the_turn_follows_theta_across_every_stencil(seeds) -> None:
+    # delta_k = theta(t_k) - theta(ta) - psi_k keeps within the module
+    # docstring's leading-order bound |d| (d^2 + 1) / (12 t^2) on each stencil
+    # of the scan below 499, t its lowest node
+    scan_critical_line(0, 499)
+    for ts, ta, *_ in seeds:
+        for t, turn in zip(ts, zero_scan._hardy_turn(ts, ta)):
+            d = t - ta
+            delta = math.remainder(siegel_theta(t) - siegel_theta(ta) - cmath.phase(turn), math.tau)
+            assert abs(delta) <= abs(d) * (d * d + 1) / (12 * ts[0] ** 2)
+
+
+def test_the_turn_keeps_the_sign_of_h_b_from_a_small_ta_on() -> None:
+    # the module docstring's fallback: from ta = 0.04 on, |delta_b| stays
+    # below pi/2 less a certified sample's phase error for any step up to
+    # 0.5, and below 1e-3 from ta = 13.6, below every bracket of zeta
+    for k in range(2, 1001):
+        ta = 0.02 * k
+        for d in (0.05, 0.1, 0.2, 0.25, 0.3, 0.4, 0.5):
+            (_, turn) = zero_scan._hardy_turn([ta, ta + d], ta)
+            delta = math.remainder(siegel_theta(ta + d) - siegel_theta(ta) - cmath.phase(turn), math.tau)
+            assert abs(delta) < (1e-3 if ta >= 13.6 else math.pi / 2 - 1 / 1024)
+    assert zero_scan._hardy_turn([0.0, 0.25, 0.5], 0.0) == [1.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("turn", (-1.0, 0.0), ids=("flips-h_b", "zeroes-h_b"))
+def test_a_turn_that_leaves_h_b_not_negative_seeds_from_h(monkeypatch, seeds, turn: float) -> None:
+    # with no turn the seed interpolates h itself; a turn that leaves h_b >= 0
+    # would break the polynomial's + to - sign change, so it falls back to h
+    default = scan_critical_line(250.0, 256.0)
+    turned = [seed for *_, seed, _ in seeds]
+    seeds.clear()
+    monkeypatch.setattr(zero_scan, "_hardy_turn", lambda ts, ta: [1.0] * len(ts))
+    on_h = scan_critical_line(250.0, 256.0)
+    plain = list(seeds)
+    seeds.clear()
+    monkeypatch.setattr(zero_scan, "_hardy_turn", lambda ts, ta: [turn] * len(ts))
+    assert scan_critical_line(250.0, 256.0) == on_h
+    assert seeds == plain and len(plain) == len(default) == 3
+    # only the seeds moved, so the zeros moved by rounding only
+    assert [seed for *_, seed, _ in seeds] != turned
+    assert [rec.t for rec in on_h] == pytest.approx([rec.t for rec in default], abs=1e-12)
+
+
+def test_a_bracket_at_t_zero_seeds_from_h(monkeypatch, seeds) -> None:
+    # psi is not defined at ta = 0, where ln ta is not; zeta makes no bracket
+    # there, so the grid values are those of 0.1 - t, whose h is linear
+    grid = [0.25 * k for k in range(9)]
+    monkeypatch.setattr(zero_scan, "_line_values", lambda *args: (grid, [complex(0.1 - t) for t in grid]))
+    monkeypatch.setattr(zero_scan, "_refine_bracket", lambda ta, tb, seed, *args: seed)
+    assert scan_critical_line(0.0, 2.0) == [pytest.approx(0.1, abs=1e-12)]
+    ((ts, ta, tb, _, _),) = seeds
+    assert (ta, tb) == (0.0, 0.25) and ts == grid[:8]
 
 
 def test_the_interpolated_seed_is_the_polynomials_root() -> None:
@@ -501,20 +576,21 @@ def test_a_refined_zero_costs_under_two_hundred_dirichlet_terms(monkeypatch) -> 
     monkeypatch.setattr(zeta_core, "dirichlet_partial_sum", record)
     # the grid walks its sums; every exact pass is a Newton point or the
     # polish step, and Q reads the head of the last one, the memo's only
-    # entry for that zero. The README quotes these counts: 3 passes and 120
-    # terms a zero at (41, 11) over 0..100, and 997 passes for 269 zeros
-    # over 0..499, one memo head per refined zero
+    # entry for that zero. The README quotes these counts: 83 passes of 40
+    # terms for 29 zeros at (41, 11) over 0..100, and 801 passes for 269
+    # zeros over 0..499, one memo head per refined zero. Seeded on h they
+    # were 87 and 997
     zeta_core._forget_heads()
     records = zero_scan.scan_critical_line(0, 100)
     assert len(records) == 29
-    assert len(cutoffs) == 87
+    assert len(cutoffs) == 83
     assert set(cutoffs) == {41}
-    assert sum(n - 1 for n in cutoffs) == 120 * len(records) <= 200 * len(records)
+    assert sum(n - 1 for n in cutoffs) == 40 * 83 <= 200 * len(records)
     assert len(zeta_core._HEADS) == 29
     cutoffs.clear()
     zeta_core._forget_heads()
     assert len(zero_scan.scan_critical_line(0, 499)) == 269
-    assert len(cutoffs) == 997
+    assert len(cutoffs) == 801 <= 3.2 * 269
     assert len(zeta_core._HEADS) == 269
 
 
