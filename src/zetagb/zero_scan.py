@@ -23,7 +23,7 @@ value is turned first:
 
 Taylor's quadratic for theta(t_k) - theta(a) from Stirling's
 theta'(t) ~ ln(t / 2 pi) / 2 and theta''(t) ~ 1/(2t), one log and at
-most 8 complex exp a bracket. Then h_k = sign(Z_a) Z(t_k) cos delta_k
+most 8 cosine-sine pairs a bracket. Then h_k = sign(Z_a) Z(t_k) cos delta_k
 with delta_k = theta(t_k) - theta(a) - psi_k. Stirling's series also
 gives theta''' = -1/(2t^2) + ... and
 theta' - ln(t / 2 pi) / 2 = -1/(48t^2) + ..., so to leading order
@@ -31,9 +31,9 @@ theta' - ln(t / 2 pi) / 2 = -1/(48t^2) + ..., so to leading order
 below 0.023 on any stencil of an allowed grid around a bracket of zeta
 (a > 13.6 and |d| <= 3.5), and below 3e-6 at t = 499 on the default
 grid. So the polynomial interpolates Hardy's Z
-itself, to a factor within 3e-4 of 1. Where the turned h_b is not
-negative, the bracket seeds from h itself (psi_k = 0), whose h_b < 0
-made the bracket: at a = 0, where psi is not defined, for a below about
+itself, to a factor within 3e-4 of 1. At a = 0, where ln a is not
+defined, psi_k = 0. Where the turned h_b is not negative, the bracket
+seeds from h itself, whose h_b < 0 made the bracket: for a below about
 0.04, where d^2 / (4a) turns psi far from theta, and on values that are
 not zeta's; on zeta's values above a = 13.6, |delta_b| < 1e-3 and a
 certified sample's phase error of at most 1/1024 cannot flip the sign.
@@ -499,12 +499,12 @@ def _refine_bracket(
     return rec
 
 
-def _hardy_turn(ts: list[float], ta: float) -> list[complex]:
-    # e^{i psi_k} at each t_k, the module docstring's turn about ta; none at ta = 0
-    if not ta > 0:
-        return [1.0] * len(ts)
-    slope, bend = 0.5 * math.log(ta / math.tau), 0.25 / ta
-    return [cmath.exp(1j * (t - ta) * (slope + (t - ta) * bend)) for t in ts]
+def _hardy_values(stencil: list[tuple[float, complex]], ta: float, za: complex) -> list[float]:
+    # h at the stencil's nodes, each turned by psi_k about ta (see the module
+    # docstring); psi = 0 at ta = 0, where ln ta is not defined
+    slope, bend = (0.5 * math.log(ta / math.tau), 0.25 / ta) if ta > 0 else (0.0, 0.0)
+    turn = za.conjugate() / abs(za)
+    return [(z * turn * cmath.rect(1.0, (t - ta) * (slope + (t - ta) * bend))).real for t, z in stencil]
 
 
 def _interpolated_seed(ts: list[float], hs: list[float], ta: float, tb: float, ha: float, hb: float) -> float:
@@ -573,12 +573,10 @@ def scan_critical_line(
         lo = max(0, min(i + 1 - _SEED_NODES // 2, len(nodes) - _SEED_NODES))
         stencil = nodes[lo:lo + _SEED_NODES]
         ts = [t for t, _ in stencil]
-        ws = [z * za.conjugate() / ha for _, z in stencil]
-        hs = [w.real for w in ws]
-        # Hardy's Z through the stencil where its value at tb keeps h's sign
-        turned = [(w * turn).real for w, turn in zip(ws, _hardy_turn(ts, ta))]
-        if turned[i + 1 - lo] < 0:
-            hs = turned
+        # Hardy's Z through the stencil, or h where its value at tb is not negative
+        hs = _hardy_values(stencil, ta, za)
+        if not hs[i + 1 - lo] < 0:
+            hs = [(z * za.conjugate()).real / ha for _, z in stencil]
         seed = _interpolated_seed(ts, hs, ta, tb, ha, hs[i + 1 - lo])
         try:
             records.append(_refine_bracket(ta, tb, seed, za, hb, cfg, params))

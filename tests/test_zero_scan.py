@@ -479,15 +479,22 @@ def test_every_seed_below_499_lies_within_1e_5_of_its_zero(seeds) -> None:
     assert gaps[len(gaps) // 2] < 1e-6
 
 
+def _psi(ts: list[float], ta: float) -> list[float]:
+    # the turn psi_k at each t_k, read off the turned values of zeta = 1 and i
+    re = zero_scan._hardy_values([(t, 1.0 + 0j) for t in ts], ta, 1.0 + 0j)
+    im = zero_scan._hardy_values([(t, 1j) for t in ts], ta, 1.0 + 0j)
+    return [math.atan2(-b, a) for a, b in zip(re, im)]
+
+
 def test_the_turn_follows_theta_across_every_stencil(seeds) -> None:
     # delta_k = theta(t_k) - theta(ta) - psi_k keeps within the module
     # docstring's leading-order bound |d| (d^2 + 1) / (12 t^2) on each stencil
     # of the scan below 499, t its lowest node
     scan_critical_line(0, 499)
     for ts, ta, *_ in seeds:
-        for t, turn in zip(ts, zero_scan._hardy_turn(ts, ta)):
+        for t, psi in zip(ts, _psi(ts, ta)):
             d = t - ta
-            delta = math.remainder(siegel_theta(t) - siegel_theta(ta) - cmath.phase(turn), math.tau)
+            delta = math.remainder(siegel_theta(t) - siegel_theta(ta) - psi, math.tau)
             assert abs(delta) <= abs(d) * (d * d + 1) / (12 * ts[0] ** 2)
 
 
@@ -495,36 +502,43 @@ def test_the_turn_keeps_the_sign_of_h_b_from_a_small_ta_on() -> None:
     # the module docstring's fallback: from ta = 0.04 on, |delta_b| stays
     # below pi/2 less a certified sample's phase error for any step up to
     # 0.5, and below 1e-3 from ta = 13.6, below every bracket of zeta
+    steps = (0.05, 0.1, 0.2, 0.25, 0.3, 0.4, 0.5)
     for k in range(2, 1001):
         ta = 0.02 * k
-        for d in (0.05, 0.1, 0.2, 0.25, 0.3, 0.4, 0.5):
-            (_, turn) = zero_scan._hardy_turn([ta, ta + d], ta)
-            delta = math.remainder(siegel_theta(ta + d) - siegel_theta(ta) - cmath.phase(turn), math.tau)
+        ts = [ta + d for d in steps]
+        for t, psi in zip(ts, _psi(ts, ta)):
+            delta = math.remainder(siegel_theta(t) - siegel_theta(ta) - psi, math.tau)
             assert abs(delta) < (1e-3 if ta >= 13.6 else math.pi / 2 - 1 / 1024)
-    assert zero_scan._hardy_turn([0.0, 0.25, 0.5], 0.0) == [1.0, 1.0, 1.0]
+    # no turn at ta = 0, where ln ta is not defined
+    assert _psi([0.0, 0.25, 0.5], 0.0) == [0.0, 0.0, 0.0]
 
 
-@pytest.mark.parametrize("turn", (-1.0, 0.0), ids=("flips-h_b", "zeroes-h_b"))
-def test_a_turn_that_leaves_h_b_not_negative_seeds_from_h(monkeypatch, seeds, turn: float) -> None:
-    # with no turn the seed interpolates h itself; a turn that leaves h_b >= 0
-    # would break the polynomial's + to - sign change, so it falls back to h
+def _h(stencil: list[tuple[float, complex]], ta: float, za: complex) -> list[float]:
+    return [(z * za.conjugate()).real / abs(za) for _, z in stencil]
+
+
+@pytest.mark.parametrize("turned", (lambda hs: [-h for h in hs], lambda hs: [0.0] * len(hs)),
+                         ids=("flips-h_b", "zeroes-h_b"))
+def test_a_turn_that_leaves_h_b_not_negative_seeds_from_h(monkeypatch, seeds, turned) -> None:
+    # a turn whose value at tb is not negative would break the polynomial's
+    # + to - sign change, so the bracket seeds from h, bit for bit
     default = scan_critical_line(250.0, 256.0)
-    turned = [seed for *_, seed, _ in seeds]
+    hardy = [seed for *_, seed, _ in seeds]
     seeds.clear()
-    monkeypatch.setattr(zero_scan, "_hardy_turn", lambda ts, ta: [1.0] * len(ts))
+    monkeypatch.setattr(zero_scan, "_hardy_values", _h)
     on_h = scan_critical_line(250.0, 256.0)
     plain = list(seeds)
     seeds.clear()
-    monkeypatch.setattr(zero_scan, "_hardy_turn", lambda ts, ta: [turn] * len(ts))
+    monkeypatch.setattr(zero_scan, "_hardy_values", lambda *args: turned(_h(*args)))
     assert scan_critical_line(250.0, 256.0) == on_h
     assert seeds == plain and len(plain) == len(default) == 3
     # only the seeds moved, so the zeros moved by rounding only
-    assert [seed for *_, seed, _ in seeds] != turned
+    assert [seed for *_, seed, _ in seeds] != hardy
     assert [rec.t for rec in on_h] == pytest.approx([rec.t for rec in default], abs=1e-12)
 
 
 def test_a_bracket_at_t_zero_seeds_from_h(monkeypatch, seeds) -> None:
-    # psi is not defined at ta = 0, where ln ta is not; zeta makes no bracket
+    # psi is 0 at ta = 0, where ln ta is not defined; zeta makes no bracket
     # there, so the grid values are those of 0.1 - t, whose h is linear
     grid = [0.25 * k for k in range(9)]
     monkeypatch.setattr(zero_scan, "_line_values", lambda *args: (grid, [complex(0.1 - t) for t in grid]))
