@@ -23,20 +23,21 @@ value is turned first:
 
 Taylor's quadratic for theta(t_k) - theta(a) from Stirling's
 theta'(t) ~ ln(t / 2 pi) / 2 and theta''(t) ~ 1/(2t), one log and at
-most 8 cosine-sine pairs a bracket. Then h_k = sign(Z_a) Z(t_k) cos delta_k
-with delta_k = theta(t_k) - theta(a) - psi_k. Stirling's series also
-gives theta''' = -1/(2t^2) + ... and
+most 8 cosine-sine pairs a bracket. Then
+h_k = sign(Z_a) Z(t_k) cos delta_k with
+delta_k = theta(t_k) - theta(a) - psi_k. Stirling's series also gives
+theta''' = -1/(2t^2) + ... and
 theta' - ln(t / 2 pi) / 2 = -1/(48t^2) + ..., so to leading order
 |delta_k| <= |d| (d^2 + 1) / (12 t^2), t the stencil's lowest node:
 below 0.023 on any stencil of an allowed grid around a bracket of zeta
 (a > 13.6 and |d| <= 3.5), and below 3e-6 at t = 499 on the default
-grid. So the polynomial interpolates Hardy's Z
-itself, to a factor within 3e-4 of 1. At a = 0, where ln a is not
-defined, psi_k = 0. Where the turned h_b is not negative, the bracket
-seeds from h itself, whose h_b < 0 made the bracket: for a below about
-0.04, where d^2 / (4a) turns psi far from theta, and on values that are
-not zeta's; on zeta's values above a = 13.6, |delta_b| < 1e-3 and a
-certified sample's phase error of at most 1/1024 cannot flip the sign.
+grid. So the polynomial interpolates Hardy's Z itself, to a factor
+within 3e-4 of 1. At a = 0, where ln a is not defined, psi_k = 0.
+Where the turned h_b is not negative, the bracket seeds from h itself,
+whose h_b < 0 made the bracket: for a below about 0.04, where
+d^2 / (4a) turns psi far from theta, and on values that are not zeta's;
+on zeta's values above a = 13.6, |delta_b| < 1e-3 and a certified
+sample's phase error of at most 1/1024 cannot flip the sign.
 
 Newton starts at the root in the bracket of the polynomial that
 interpolates the h_k through up to 8 consecutive grid nodes around it

@@ -467,18 +467,6 @@ def test_two_nodes_seed_at_the_regula_falsi_point(seeds) -> None:
         assert zero_scan._interpolated_seed([ta, tb], [ha, hb], ta, tb, ha, hb) == pytest.approx(falsi, rel=4e-16)
 
 
-def test_every_seed_below_499_lies_within_1e_5_of_its_zero(seeds) -> None:
-    # the 8-node interpolant of Hardy's Z puts the seeds a median 4.0e-7 and
-    # at most 5.7e-6 from their zeros; that of h put them a median 3.8e-5
-    # and at most 5.7e-4 away
-    records = scan_critical_line(0, 499)
-    assert len(records) == len(seeds) == 269
-    assert all(len(ts) == 8 for ts, *_ in seeds)
-    gaps = sorted(abs(seed - rec.t) for (*_, seed, _), rec in zip(seeds, records))
-    assert gaps[-1] < 1e-5
-    assert gaps[len(gaps) // 2] < 1e-6
-
-
 def _psi(ts: list[float], ta: float) -> list[float]:
     # the turn psi_k at each t_k, read off the turned values of zeta = 1 and i
     re = zero_scan._hardy_values([(t, 1.0 + 0j) for t in ts], ta, 1.0 + 0j)
@@ -486,11 +474,18 @@ def _psi(ts: list[float], ta: float) -> list[float]:
     return [math.atan2(-b, a) for a, b in zip(re, im)]
 
 
-def test_the_turn_follows_theta_across_every_stencil(seeds) -> None:
+def test_every_seed_below_499_lies_within_1e_5_of_its_zero(seeds) -> None:
+    # the 8-node interpolant of Hardy's Z puts the seeds a median 4.0e-7 and
+    # at most 5.7e-6 from their zeros
+    records = scan_critical_line(0, 499)
+    assert len(records) == len(seeds) == 269
+    assert all(len(ts) == 8 for ts, *_ in seeds)
+    gaps = sorted(abs(seed - rec.t) for (*_, seed, _), rec in zip(seeds, records))
+    assert gaps[-1] < 1e-5
+    assert gaps[len(gaps) // 2] < 1e-6
     # delta_k = theta(t_k) - theta(ta) - psi_k keeps within the module
-    # docstring's leading-order bound |d| (d^2 + 1) / (12 t^2) on each stencil
-    # of the scan below 499, t its lowest node
-    scan_critical_line(0, 499)
+    # docstring's leading-order bound |d| (d^2 + 1) / (12 t^2) on each
+    # stencil, t its lowest node
     for ts, ta, *_ in seeds:
         for t, psi in zip(ts, _psi(ts, ta)):
             d = t - ta
@@ -592,8 +587,7 @@ def test_a_refined_zero_costs_under_two_hundred_dirichlet_terms(monkeypatch) -> 
     # polish step, and Q reads the head of the last one, the memo's only
     # entry for that zero. The README quotes these counts: 83 passes of 40
     # terms for 29 zeros at (41, 11) over 0..100, and 801 passes for 269
-    # zeros over 0..499, one memo head per refined zero. Seeded on h they
-    # were 87 and 997
+    # zeros over 0..499, one memo head per refined zero
     zeta_core._forget_heads()
     records = zero_scan.scan_critical_line(0, 100)
     assert len(records) == 29
