@@ -49,7 +49,6 @@ from .zeta_core import (
     EvalParams,
     EvalResult,
     auto_params,
-    dirichlet_line,
     dirichlet_partial_sum,
     em_tail,
     remainder_bound,
@@ -64,7 +63,7 @@ __all__ = [
     "SingularQError", "RefinementError", "InconclusiveError", "BoundaryError",
     "MAX_INDEX", "BernoulliTable", "build_table",
     "DEFAULT_TARGET_EPS", "EvalParams", "EvalResult",
-    "dirichlet_partial_sum", "dirichlet_line", "em_tail", "zeta_gb",
+    "dirichlet_partial_sum", "em_tail", "zeta_gb",
     "auto_params", "remainder_bound",
     "q_gb", "consistency_identity",
     "ZeroRecord", "Rectangle", "ScanConfig",

@@ -2,9 +2,10 @@
 
 At each refined zero s_H = 1/2 + xi + it the audit measures the one fact
 that needs Q, the zero-condition residual s(s-1) + Q(s) at s_H (IV), at
-working precision; reflection, Z(conj s) = conj Z(s) bit for bit, makes
-its conjugate the same check. The line offset xi (I) is the record's
-own. The other propositions are stated, not measured again:
+working precision, with the record's own Q, so the audit evaluates
+nothing; reflection, Z(conj s) = conj Z(s) bit for bit, makes its
+conjugate the same check. The line offset xi (I) is the record's own
+too. The other propositions are stated, not measured again:
 
   * II: Z = s N^{1-s} (1/(s(s-1)) + 1/Q) holds up to rounding, since Q is
     built from Z's own head and tail (``consistency_identity`` measures it),
@@ -118,18 +119,19 @@ def factorization_check(s_h: complex, q_at_sh: complex, samples: Iterable[comple
 
 
 def audit_zero(rec: ZeroRecord) -> PropositionChecks:
-    """Measure the zero-condition residual at rec.s, the one fact that needs Q.
+    """Measure the zero-condition residual |s(s-1) + Q| at rec.s.
 
-    Q is evaluated at ``rec.params_used``, the params that refined the
-    zero. Reflection makes Q(conj s) = conj Q(s) bit for bit, so the
-    residual at the conjugate zero is the residual at rec.s: the two
-    conjugate points are one check, and Q is evaluated once. The line
-    offset is ``rec.xi``, and the verdicts read it from the record.
+    Q is ``rec.q_value``, so the audit evaluates nothing. A scan's record
+    holds ``q_gb(rec.s, rec.params_used)`` bit for bit; a record built by
+    hand is judged on its own Q, as verdict I judges its own ``xi``.
+    Reflection makes Q(conj s) = conj Q(s) bit for bit, so the residual
+    at the conjugate zero is the residual at rec.s: the two conjugate
+    points are one check.
     """
     if not isinstance(rec, ZeroRecord):
         raise ParameterError(f"rec must be a ZeroRecord, got {type(rec).__name__}")
     s = rec.s
-    return PropositionChecks(zero_residual_abs=abs(s * (s - 1) + q_gb(s, rec.params_used)))
+    return PropositionChecks(zero_residual_abs=abs(s * (s - 1) + rec.q_value))
 
 
 def q_variation(points: Iterable[complex], params: EvalParams) -> tuple[tuple[complex, complex], ...]:
@@ -241,42 +243,37 @@ def audit_range(
 
     While the scan finds fewer zeros than the strip rectangle counts
     (two zeros in one grid cell show no sign change), the window is
-    scanned again at half the step, down to step / 16, and the new
-    records are audited. Without ``params`` the scan and the audit use
-    ``auto_params`` at 1/2 + i t_max with eps 1e-9, and the strip
+    scanned again at half the step, down to step / 16; then the records
+    of the last scan are audited, each once. Without ``params`` the scan
+    uses ``auto_params`` at 1/2 + i t_max with eps 1e-9, and the strip
     rectangle picks its own at (-1, t_max), where its truncation bound
     is largest. Fatal numeric failures in any sub-step abort the
-    audit; the partial report comes back with ``complete=False`` and the
-    abort reason.
+    audit; the partial report comes back with ``complete=False``, the
+    abort reason and the audited records of the last completed scan.
     """
     _check_t_range(t_min, t_max)
     cfg = _scan_config(scan_cfg)
     winding_params = params
     params = auto_params(complex(0.5, float(t_max)), 1e-9) if params is None else _eval_params(params)
 
-    def scan_and_audit(cfg: ScanConfig) -> tuple[tuple[ZeroRecord, PropositionChecks], ...]:
-        records = scan_critical_line(float(t_min), float(t_max), cfg, params)
-        return tuple((rec, audit_zero(rec)) for rec in records)
-
     abort: str | None = None
-    scanned = False
-    checks: tuple[tuple[ZeroRecord, PropositionChecks], ...] = ()
+    records: list[ZeroRecord] | None = None  # those of the last completed scan
     strip_zeros: int | None = None
     try:
-        checks = scan_and_audit(cfg)
-        scanned = True
-        window_lo = max(float(t_min), 0.1)
-        if t_max - window_lo > 0.2:
+        records = scan_critical_line(float(t_min), float(t_max), cfg, params)
+        window_lo = max(float(t_min), 0.1)  # the counting rectangle keeps off the real axis
+        if t_max > window_lo:
             strip_zeros, _ = rectangle_winding(Rectangle(*_STRIP, window_lo, float(t_max)), winding_params)
             for _ in range(_RECOUNT_HALVINGS):
-                if len(checks) >= strip_zeros:
+                if len(records) >= strip_zeros:
                     break
                 cfg = replace(cfg, step=cfg.step / 2)
-                checks = scan_and_audit(cfg)
+                records = scan_critical_line(float(t_min), float(t_max), cfg, params)
     except (PrecisionError, SingularQError, InconclusiveError, RefinementError) as exc:
         abort = f"{type(exc).__name__}: {exc}"
 
-    verdicts = _verdicts(checks, scanned, strip_zeros, abort)
+    checks = tuple((rec, audit_zero(rec)) for rec in records or ())
+    verdicts = _verdicts(checks, records is not None, strip_zeros, abort)
     return AuditReport(
         complete=abort is None,
         abort_reason=abort,

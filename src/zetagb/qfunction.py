@@ -5,8 +5,10 @@ Q is defined through its reciprocal,
     1/Q(s) = (1/(s N^{1-s})) * sum_{n=1}^{N-1} n^{-s}  +  r(N, s) / N^{1-s},
 
 with r(N, s) the abbreviated Euler-Maclaurin tail (``em_tail``).
-``q_gb(s, params)`` returns Q(s) itself at the caller's (N, nu); it
-refuses s = 0 and 1 and raises SingularQError where |1/Q| underflows.
+``q_gb(s, params)`` returns Q(s) itself at the caller's (N, nu), from a
+Dirichlet pass of its own; it refuses s = 0 and 1 and raises
+SingularQError where |1/Q| underflows. ``refine_zero`` builds Q from the
+head sum_{n<N} n^{-s} its polish pass already summed, with the same bits.
 Dividing the full evaluator by s N^{1-s} shows the algebraic identity
 
     Z(s) = s N^{1-s} * ( 1/(s(s-1)) + 1/Q(s) ),
@@ -21,7 +23,7 @@ from __future__ import annotations
 import math
 
 from .errors import ParameterError, SingularQError
-from .zeta_core import EvalParams, _as_complex, _eval_params, _head, _rpow, em_tail
+from .zeta_core import EvalParams, _as_complex, _eval_params, _rpow, dirichlet_partial_sum, em_tail
 
 __all__ = ["q_gb", "consistency_identity"]
 
@@ -29,9 +31,17 @@ __all__ = ["q_gb", "consistency_identity"]
 _SINGULAR_FLOOR = 1e-300
 
 
-def _reciprocal_q(s: complex, params: EvalParams) -> complex:
+def _reciprocal_q(s: complex, params: EvalParams, head: complex) -> complex:
     n_pow = _rpow(params.cutoff_n, 1 - s)
-    return _head(s, params.cutoff_n) / (s * n_pow) + em_tail(s, params) / n_pow
+    return head / (s * n_pow) + em_tail(s, params) / n_pow
+
+
+def _q(s: complex, params: EvalParams, head: complex) -> complex:
+    # Q(s) from the head sum_{n<N} n^{-s} at params
+    rhs = _reciprocal_q(s, params, head)
+    if abs(rhs) < _SINGULAR_FLOOR:
+        raise SingularQError(f"|1/Q| = {abs(rhs):.3e} at s = {s!r}; Q is effectively infinite")
+    return 1.0 / rhs
 
 
 def _defined(s: object) -> complex:
@@ -47,10 +57,8 @@ def q_gb(s: complex, params: EvalParams) -> complex:
     The zero condition s(s-1) + Q(s) = 0 holds at the zeros of zeta.
     """
     s = _defined(s)
-    rhs = _reciprocal_q(s, _eval_params(params))
-    if abs(rhs) < _SINGULAR_FLOOR:
-        raise SingularQError(f"|1/Q| = {abs(rhs):.3e} at s = {s!r}; Q is effectively infinite")
-    return 1.0 / rhs
+    params = _eval_params(params)
+    return _q(s, params, dirichlet_partial_sum(s, params.cutoff_n))
 
 
 def consistency_identity(s: complex, z: complex, q: complex, params: EvalParams) -> float:

@@ -56,8 +56,9 @@ narrows the sign change of h, one exact evaluation a step, and Newton
 polishes its last point, so xi is still measured; a bracket that still
 yields no zero inside raises a RefinementError naming it. The polish
 step of ``refine_zero`` reads no slope, so it makes one value-only pass,
-whose head Q at the refined zero reads from the evaluator's memo (see
-``zeta_core``).
+and Q at the refined zero is built from that pass's head. Where the
+polish is not kept, or the zero is conjugated, ``q_gb`` makes a pass of
+its own; either way ``ZeroRecord.q_value`` has the bits of ``q_gb``.
 
 The certificate. The scan grid is a line of uniformly spaced nodes, an
 off-grid t_max a last side of one step, and a rectangle's boundary an
@@ -152,7 +153,7 @@ from .errors import BoundaryError, InconclusiveError, ParameterError, Refinement
 from .serialize import csv_text, dumps
 from .zeta_core import (_IM_CAP, EvalParams, _as_complex, _dirichlet_path, _eval_params, _is_real, _schedule,
                         _tail_denominator, _value, _zeta_nodes, auto_params, remainder_bound, zeta_gb)
-from .qfunction import q_gb
+from .qfunction import _q, q_gb
 
 __all__ = [
     "ZeroRecord",
@@ -355,21 +356,22 @@ def refine_zero(
                 f"stalled at {z!r}: step {abs(step):.3e} below floor with |Z| = {abs(fz):.3e}"
             )
     # the polish: one more step, which squares the error, kept if |Z| still meets tol
+    head = None
     if deriv != 0 and cmath.isfinite(deriv):
         polished = z - fz / deriv
         if 0.0 < polished.real < 1.0:
             iterations += 1
-            fp = _value(polished, params)
+            fp, summed = _value(polished, params)
             if abs(fp) <= tol:
-                z, fz = polished, fp
+                z, fz, head = polished, fp, summed
     if z.imag < 0:
-        z = z.conjugate()  # |Z| is unchanged: Z(conj s) = conj Z(s)
+        z, head = z.conjugate(), None  # |Z| is unchanged: Z(conj s) = conj Z(s)
     if z.imag == 0:
         raise RefinementError(f"refinement landed on the real axis at {z!r}")
     return ZeroRecord(
         s=z,
         z_modulus=abs(fz),
-        q_value=q_gb(z, params),
+        q_value=q_gb(z, params) if head is None else _q(z, params, head),
         refine_iterations=iterations,
         params_used=params,
     )

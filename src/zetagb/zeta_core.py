@@ -44,26 +44,15 @@ and A. Schonhage, Trans. AMS 309, 1988). Node 0 keeps the bits of the
 exact pass; node k's terms carry k more roundings, so it drifts by
 O(k u) sum |n^{-s_k}|. An open path of such lines is one walk: at a
 vertex the terms carry on with the next line's step ratios.
-``dirichlet_line`` is the walk along one line.
 
 The node kernel. ``_zeta_nodes`` finishes every node of a walk in one
 call, head + pole term + N^{-s}/2 + tail, in the operations and order of
 ``zeta_gb``, which is the same kernel at one node; what depends on N and
 nu alone it takes once per call. Callers refuse a too small tail order
 before their Dirichlet pass, which can overflow first. ``zero_scan``
-certifies walked values.
-
-The head memo. Newton's polish (``_value``) keeps the head sum_{n<N}
-n^{-s} of its value-only pass, and Q (``qfunction``) reads it, so the
-refined zero, Q there and its audit share one pass. ``_head`` is the
-memo's one reader and writer. It holds the 2,048 most recent heads, keyed
-by (s, N) under complex equality and evicted oldest first. A head depends
-on s and N alone, so a hit returns the bits a fresh pass would; keys with
-a signed zero, such as 2+0j and 2-0j, hold the same bits too, since the
-total starts at 1+0j and exp(+-0 + iy) is one value. Plain and derivative
-evaluations and walks make their own passes and neither read nor write
-the memo, since no caller reads their heads again; ``dirichlet_partial_sum``
-itself is never cached.
+certifies walked values. Newton's value-only polish (``_value``) returns
+the head it summed with its value, and Q at the refined zero is built
+from that head (``qfunction``), so the zero and its Q share one pass.
 """
 
 from __future__ import annotations
@@ -71,7 +60,6 @@ from __future__ import annotations
 import cmath
 import math
 from array import array
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import add, mul
@@ -84,7 +72,6 @@ __all__ = [
     "EvalParams",
     "EvalResult",
     "dirichlet_partial_sum",
-    "dirichlet_line",
     "em_tail",
     "zeta_gb",
     "auto_params",
@@ -105,9 +92,6 @@ _TAIL_TERMS = 3
 # table. It is 64 times 2 (|t| + 1) at the cap.
 _MAX_CUTOFF = 64_128
 _SHADE = 1.0 - 1e-12
-# Dirichlet heads kept by _head: one per refined zero, from its polish to
-# its audit (269 over 0..499, pinned with the cost of a refined zero)
-_HEAD_MEMO_SIZE = 2048
 
 
 def _check_cutoff(cutoff_n: object) -> None:
@@ -242,46 +226,6 @@ def dirichlet_partial_sum(
         total += term
         slope -= log_n * term
     return total, slope
-
-
-# (s, N) -> sum_{n<N} n^{-s} of the most recent exact passes, and their keys
-# oldest first (a dict and a deque take less memory than an OrderedDict)
-_HEADS: dict[tuple[complex, int], complex] = {}
-_HEAD_KEYS: deque[tuple[complex, int]] = deque()
-
-
-def _forget_heads() -> None:
-    _HEADS.clear()
-    _HEAD_KEYS.clear()
-
-
-def _head(s: complex, cutoff_n: int) -> complex:
-    # dirichlet_partial_sum(s, cutoff_n), from the memo when a recent pass
-    # summed the same (s, N), and kept there otherwise; the bits are the
-    # same either way
-    key = (s, cutoff_n)
-    head = _HEADS.get(key)
-    if head is None:
-        head = dirichlet_partial_sum(s, cutoff_n)
-        if len(_HEAD_KEYS) >= _HEAD_MEMO_SIZE:
-            _HEADS.pop(_HEAD_KEYS.popleft(), None)
-        _HEAD_KEYS.append(key)
-        _HEADS[key] = head
-    return head
-
-
-def dirichlet_line(start: complex, stop: complex, segments: int, cutoff_n: int) -> list[complex]:
-    """Partial sums at the nodes start + k (stop - start)/segments, k = 0..segments.
-
-    Walks the line (see the module docstring): node 0 has the bits of
-    ``dirichlet_partial_sum(start)``, and node k's terms carry about k
-    roundings of the walk.
-    """
-    start = _as_complex(start, "start")
-    stop = _as_complex(stop, "stop")
-    if type(segments) is not int or segments < 1:
-        raise ParameterError(f"segments must be an integer >= 1, got {segments!r}")
-    return _dirichlet_path([start, stop], [segments], cutoff_n)
 
 
 def _dirichlet_path(vertices: list[complex], segments: list[int], cutoff_n: int) -> list[complex]:
@@ -424,10 +368,11 @@ def _zeta_nodes(
     return values, slopes
 
 
-def _value(s: complex, params: EvalParams) -> complex:
-    # zeta_gb(s, params).value, checks aside, its head kept in the memo for Q
-    (value,), _ = _zeta_nodes([s], [_head(s, params.cutoff_n)], params)
-    return value
+def _value(s: complex, params: EvalParams) -> tuple[complex, complex]:
+    # zeta_gb(s, params).value, checks aside, and the head it summed
+    head = dirichlet_partial_sum(s, params.cutoff_n)
+    (value,), _ = _zeta_nodes([s], [head], params)
+    return value, head
 
 
 def zeta_gb(

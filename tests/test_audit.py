@@ -21,7 +21,7 @@ from zetagb.audit import (
     render_text,
     report_to_json,
 )
-from zetagb.errors import InconclusiveError, ParameterError
+from zetagb.errors import InconclusiveError, ParameterError, RefinementError
 from zetagb.qfunction import q_gb
 from zetagb.zero_scan import ScanConfig, ZeroRecord, refine_zero
 from zetagb.zeta_core import EvalParams, remainder_bound
@@ -175,10 +175,10 @@ def test_audit_range_asks_each_question_once(record_call_stacks) -> None:
     def passes_under(name: str) -> int:
         return sum(1 for stack in calls if stack[-1] == "dirichlet_partial_sum" and name in stack)
 
-    # one Q per zero (reflection covers the conjugate), which reads the head
-    # of Newton's last pass; II and VII are stated, so the audit evaluates
-    # nothing else of its own
-    assert calls.count(("audit_range", "audit_zero", "q_gb")) == len(report.zero_checks)
+    # one check per zero (reflection covers the conjugate), which reads the
+    # record's Q; II and VII are stated, so the audit evaluates nothing of its own
+    assert calls.count(("audit_range", "audit_zero")) == len(report.zero_checks)
+    assert not any("q_gb" in stack for stack in calls if "audit_zero" in stack)
     assert passes_under("audit_zero") == 0
     assert not any(name in stack for stack in calls for name in ("q_variation", "consistency_identity"))
     assert calls.count(("audit_range", "zeta_gb")) == 0
@@ -188,11 +188,23 @@ def test_audit_range_asks_each_question_once(record_call_stacks) -> None:
 
 
 def test_audit_zero_reads_the_heads_of_the_scan(record_call_stacks) -> None:
-    calls = record_call_stacks(("audit_zero", "dirichlet_partial_sum"))
+    # each record's Q was built from the head of its polish pass, and the
+    # audit reads that Q from the record: no Q and no pass of its own
+    calls = record_call_stacks(("audit_zero", "q_gb", "dirichlet_partial_sum"))
     report = audit_range(0.0, 100.0)
     assert len(report.zero_checks) == 29
     assert calls.count(("audit_zero",)) == 29
-    assert not any(stack[-1] == "dirichlet_partial_sum" and "audit_zero" in stack for stack in calls)
+    assert not any(len(stack) > 1 and stack[0] == "audit_zero" for stack in calls)
+    for rec, checks in report.zero_checks:
+        assert checks.zero_residual_abs == abs(rec.s * (rec.s - 1) + rec.q_value)
+
+
+def test_audit_zero_judges_the_record_own_q(first_zero) -> None:
+    # a record built by hand is judged on the Q it carries, as I judges its xi
+    s = first_zero.s
+    moved = ZeroRecord(s=s, z_modulus=first_zero.z_modulus, q_value=first_zero.q_value + 1.0,
+                       refine_iterations=first_zero.refine_iterations, params_used=first_zero.params_used)
+    assert audit_zero(moved).zero_residual_abs == abs(s * (s - 1) + moved.q_value)
 
 
 def test_the_strip_winding_meets_its_target_at_its_worst_corner(monkeypatch) -> None:
@@ -242,6 +254,51 @@ def test_audit_range_with_no_zeros_is_vacuously_complete() -> None:
     assert report.strip_zeros == 0
     assert any("vacuous" in line for line in report.verdict_lines)
     assert not any(" FAIL " in line for line in report.verdict_lines)
+
+
+def test_a_thin_window_is_counted() -> None:
+    # the rectangle's floor is t = 0.1, so any window reaching above it is counted
+    report = audit_range(14.0, 14.2)
+    assert report.complete
+    assert report.strip_zeros == len(report.zero_checks) == 1
+    assert _verdict(report, "III").split()[1] == "PASS"
+    assert "holds 1 zeros; the scan found 1 on the line" in _verdict(report, "III")
+    # a window below the floor holds no rectangle, and III stays vacuous
+    report = audit_range(0.0, 0.05)
+    assert report.complete
+    assert report.strip_zeros is None
+    assert _verdict(report, "III").split()[1:3] == ["PASS", "vacuous,"]
+
+
+def test_each_kept_record_is_audited_once(record_call_stacks) -> None:
+    # the 0.5 grid loses 415.0188 and 415.4552, so the window is scanned
+    # again; only the records of the last scan are audited
+    calls = record_call_stacks(("scan_critical_line", "audit_zero"))
+    report = audit_range(410.0, 417.0, ScanConfig(step=0.5))
+    assert sum(stack[-1] == "scan_critical_line" for stack in calls) == 2
+    assert report.strip_zeros == len(report.zero_checks) == 5
+    assert sum(stack[-1] == "audit_zero" for stack in calls) == 5
+
+
+def test_an_aborted_rescan_keeps_the_audited_records_of_the_last_scan(monkeypatch) -> None:
+    # a first scan that drops its last zero is followed by a rescan that fails
+    scan = audit.scan_critical_line
+    steps: list[float] = []
+
+    def short_then_failing(t_min, t_max, cfg, params):
+        steps.append(cfg.step)
+        if len(steps) > 1:
+            raise RefinementError("rescan failed")
+        return scan(t_min, t_max, cfg, params)[:-1]
+
+    monkeypatch.setattr("zetagb.audit.scan_critical_line", short_then_failing)
+    report = audit_range(14.0, 22.0)
+    assert steps == [0.25, 0.125]
+    assert not report.complete
+    assert report.abort_reason == "RefinementError: rescan failed"
+    assert report.strip_zeros == 2
+    assert [round(rec.t, 4) for rec, _ in report.zero_checks] == [14.1347]
+    assert report.zero_checks[0][1] == audit_zero(report.zero_checks[0][0])
 
 
 def test_winding_abort_keeps_one_vacuous_rule(monkeypatch) -> None:

@@ -13,7 +13,6 @@ import pytest
 
 from zetagb import cli
 from zetagb.cli import run
-from zetagb.errors import SingularQError
 from zetagb.zeta_core import EvalParams, remainder_bound, zeta_gb
 
 FIRST_ORDINATE = 14.13472514172102
@@ -340,10 +339,8 @@ def test_audit_report_to_file(capsys, tmp_path) -> None:
 
 @pytest.mark.parametrize("command", ["zeros", "audit"])
 def test_singular_q_exits_3(capsys, monkeypatch, command: str) -> None:
-    def singular(*args, **kwargs):
-        raise SingularQError("|1/Q| underflowed")
-
-    monkeypatch.setattr("zetagb.zero_scan.q_gb", singular)
+    # |1/Q| below the floor, whether Q is built from the polish's head or by q_gb
+    monkeypatch.setattr("zetagb.qfunction._reciprocal_q", lambda s, params, head: 1e-301 + 0j)
     code, _, _ = invoke(capsys, command, "--t-min", "14", "--t-max", "15")
     assert code == 3
 

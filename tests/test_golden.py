@@ -95,7 +95,7 @@ def test_cli_output_is_byte_identical(name: str) -> None:
     golden = _golden(name)
     assert _run_case(CASES[name]) == golden
     if name.startswith(("zeros_", "audit_")):
-        # again with the Dirichlet heads of the first run in memory
+        # again in the same process: a run leaves no state that moves the next
         assert _run_case(CASES[name]) == golden
 
 

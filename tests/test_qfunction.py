@@ -97,6 +97,6 @@ def test_undefined_points_are_rejected() -> None:
 
 def test_underflowing_reciprocal_is_singular(monkeypatch) -> None:
     # |1/Q| below 1e-300 would overflow Q itself
-    monkeypatch.setattr(qfunction, "_reciprocal_q", lambda s, params: 1e-301 + 0j)
+    monkeypatch.setattr(qfunction, "_reciprocal_q", lambda s, params, head: 1e-301 + 0j)
     with pytest.raises(SingularQError, match="effectively infinite"):
         q_gb(0.5 + 10j, EvalParams(16, 3))

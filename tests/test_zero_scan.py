@@ -19,7 +19,7 @@ import mpmath
 import pytest
 
 import oracles
-from zetagb import zero_scan, zeta_core
+from zetagb import qfunction, zero_scan, zeta_core
 from zetagb.errors import BoundaryError, InconclusiveError, ParameterError, RefinementError
 from zetagb.zero_scan import (
     RECORD_FIELDS,
@@ -77,16 +77,17 @@ def test_refine_evaluates_once_per_newton_point(monkeypatch) -> None:
         lambda s, params, *, derivative=False: calls.append((s, derivative))
         or evaluate(s, params, derivative=derivative),
     )
-    monkeypatch.setattr(
-        zeta_core,
-        "dirichlet_partial_sum",
-        lambda s, cutoff_n, *, derivative=False: passes.append((s, derivative))
-        or summed(s, cutoff_n, derivative=derivative),
-    )
+    for module in (zeta_core, qfunction):  # the evaluator's passes and q_gb's
+        monkeypatch.setattr(
+            module,
+            "dirichlet_partial_sum",
+            lambda s, cutoff_n, *, derivative=False: passes.append((s, derivative))
+            or summed(s, cutoff_n, derivative=derivative),
+        )
     # the seed and each Newton step are evaluated once through zeta_gb,
     # together with their derivative; the polish point, counted in
     # refine_iterations, makes one value-only Dirichlet pass, and Q at the
-    # kept point reads its head, so Q makes no pass
+    # kept point is built from its head, so Q makes no pass
     rec = refine_zero(complex(0.5, 14.1))
     assert rec.refine_iterations >= 2
     assert len(calls) == rec.refine_iterations
@@ -94,16 +95,24 @@ def test_refine_evaluates_once_per_newton_point(monkeypatch) -> None:
     assert [s for s, derivative in passes if derivative] == [s for s, _ in calls]
     assert [s for s, derivative in passes if not derivative] == [rec.s]
     # a conjugated iterate is not evaluated again: reflection keeps |Z|; Q
-    # at the reflected point makes its own pass (on a cold memo: the first
-    # refinement kept the head there)
+    # at the reflected point makes its own pass
     calls.clear()
     passes.clear()
-    zeta_core._forget_heads()
     rec = refine_zero(complex(0.5, -14.1))
     assert len(calls) == rec.refine_iterations
     assert all(derivative for _, derivative in calls)
     assert [s for s, derivative in passes if not derivative] == [rec.s.conjugate(), rec.s]
     assert rec.z_modulus == abs(evaluate(rec.s, rec.params_used).value)
+
+
+def test_a_record_holds_the_bits_of_q_gb_at_its_zero() -> None:
+    # Q built from the polish's head, or from q_gb's own pass where the
+    # polish was not kept or the zero was conjugated, is q_gb bit for bit
+    records = scan_critical_line(0, 100) + [refine_zero(complex(0.5, -14.1))]
+    assert len(records) == 30
+    for rec in records:
+        q = qfunction.q_gb(rec.s, rec.params_used)
+        assert (rec.q_value.real.hex(), rec.q_value.imag.hex()) == (q.real.hex(), q.imag.hex()), rec.t
 
 
 def test_refine_rejects_seeds_outside_the_strip() -> None:
@@ -576,30 +585,33 @@ def test_the_polish_step_leaves_every_zero_far_below_tol(zeros_below_499) -> Non
 
 def test_a_refined_zero_costs_under_two_hundred_dirichlet_terms(monkeypatch) -> None:
     cutoffs = []
+    value_only = []
     partial_sum = zeta_core.dirichlet_partial_sum
 
-    def record(s, cutoff_n, **kwargs):
+    def record(s, cutoff_n, *, derivative=False):
         cutoffs.append(cutoff_n)
-        return partial_sum(s, cutoff_n, **kwargs)
+        if not derivative:
+            value_only.append(s)
+        return partial_sum(s, cutoff_n, derivative=derivative)
 
     monkeypatch.setattr(zeta_core, "dirichlet_partial_sum", record)
+    monkeypatch.setattr(qfunction, "dirichlet_partial_sum", record)
     # the grid walks its sums; every exact pass is a Newton point or the
-    # polish step, and Q reads the head of the last one, the memo's only
-    # entry for that zero. The README quotes these counts: 83 passes of 40
-    # terms for 29 zeros at (41, 11) over 0..100, and 801 passes for 269
-    # zeros over 0..499, one memo head per refined zero
-    zeta_core._forget_heads()
+    # polish step, and Q is built from the head of the last one, so each
+    # refined zero makes one value-only pass. The README quotes these
+    # counts: 83 passes of 40 terms for 29 zeros at (41, 11) over 0..100,
+    # and 801 passes for 269 zeros over 0..499
     records = zero_scan.scan_critical_line(0, 100)
     assert len(records) == 29
     assert len(cutoffs) == 83
     assert set(cutoffs) == {41}
     assert sum(n - 1 for n in cutoffs) == 40 * 83 <= 200 * len(records)
-    assert len(zeta_core._HEADS) == 29
+    assert len(value_only) == 29
     cutoffs.clear()
-    zeta_core._forget_heads()
+    value_only.clear()
     assert len(zero_scan.scan_critical_line(0, 499)) == 269
     assert len(cutoffs) == 801 <= 3.2 * 269
-    assert len(zeta_core._HEADS) == 269
+    assert len(value_only) == 269
 
 
 def test_the_coarse_grid_keeps_every_bracket(zeros_below_499, caplog) -> None:

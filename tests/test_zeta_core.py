@@ -27,7 +27,6 @@ from zetagb.zeta_core import (
     DEFAULT_TARGET_EPS,
     EvalParams,
     auto_params,
-    dirichlet_line,
     dirichlet_partial_sum,
     em_tail,
     remainder_bound,
@@ -84,6 +83,16 @@ def _same_bits(got: complex, want: complex) -> bool:
     return got.real == want.real and got.imag == want.imag
 
 
+def _bits(z: complex) -> bytes:
+    # unlike ==, tells -0.0 from 0.0
+    return struct.pack("<dd", z.real, z.imag)
+
+
+def _line(start: complex, stop: complex, segments: int, cutoff_n: int) -> list[complex]:
+    # partial sums at start + k (stop - start)/segments, k = 0..segments: a walk of one side
+    return zeta_core._dirichlet_path([start, stop], [segments], cutoff_n)
+
+
 def test_partial_sum_matches_uncached_logs_bitwise(monkeypatch: pytest.MonkeyPatch) -> None:
     rng = random.Random(20151)
     points = [complex(rng.uniform(-1.0, 2.0), rng.uniform(0.0, 500.0)) for _ in range(200)]
@@ -96,9 +105,9 @@ def test_partial_sum_matches_uncached_logs_bitwise(monkeypatch: pytest.MonkeyPat
         assert all(_same_bits(dirichlet_partial_sum(s, n), want[s, n]) for s in points)
 
 
-def _line_head(s: complex, cutoff_n: int) -> complex:
+def _line_start(s: complex, cutoff_n: int) -> complex:
     # node 0 of a one-segment line walk from s
-    return dirichlet_line(s, s + 1j, 1, cutoff_n)[0]
+    return _line(s, s + 1j, 1, cutoff_n)[0]
 
 
 def test_partial_sum_is_bitwise_under_concurrent_growth(monkeypatch: pytest.MonkeyPatch) -> None:
@@ -107,7 +116,7 @@ def test_partial_sum_is_bitwise_under_concurrent_growth(monkeypatch: pytest.Monk
     # partial sum, two through the line walk
     s = 0.5 + 499.0j
     plans = [range(2 + k, 800, 4) for k in range(4)]
-    kernels = (dirichlet_partial_sum, _line_head)
+    kernels = (dirichlet_partial_sum, _line_start)
     want = {n: _uncached_sum(s, n) for plan in plans for n in plan}
     got: list[dict[int, complex]] = [{} for _ in plans]
     start = threading.Barrier(len(plans), timeout=60)
@@ -156,7 +165,7 @@ def test_cutoff_is_capped_before_the_table_grows() -> None:
     with pytest.raises(ParameterError, match="64128"):
         dirichlet_partial_sum(0.5 + 14j, 10**8, derivative=True)
     with pytest.raises(ParameterError, match="64128"):
-        dirichlet_line(0.5 + 14j, 0.5 + 15j, 4, 10**8)
+        _line(0.5 + 14j, 0.5 + 15j, 4, 10**8)
     assert len(zeta_core._LOGS) == size
 
 
@@ -171,6 +180,16 @@ def test_partial_sum_derivative_keeps_the_sum_bitwise() -> None:
         assert abs(slope - want) <= 1e-12 * sum(math.log(k) * k ** -s.real for k in range(2, n))
 
 
+def test_signed_zero_keys_hold_the_same_bits() -> None:
+    # the total starts at 1+0j and exp(+-0 + iy) is one value, so either
+    # sign of a zero component sums the same bits
+    for a, b in ((2 + 0j, complex(2.0, -0.0)), (complex(-0.0, 14.0), complex(0.0, 14.0))):
+        for n in (2, 3, 40, 1000):
+            heads = [dirichlet_partial_sum(z, n) for z in (a, b)]
+            heads += [dirichlet_partial_sum(z, n, derivative=True)[0] for z in (a, b)]
+            assert len(set(map(_bits, heads))) == 1, (a, b, n)
+
+
 # ---------------------------------------------------------------------------
 # line walks
 # ---------------------------------------------------------------------------
@@ -178,7 +197,7 @@ def test_partial_sum_derivative_keeps_the_sum_bitwise() -> None:
 
 def _assert_line_tracks_the_sum(start: complex, stop: complex, segments: int, cutoff_n: int) -> None:
     # every node within 1e-12 of the sum of |n^{-s_k}|, i.e. rounding level
-    sums = dirichlet_line(start, stop, segments, cutoff_n)
+    sums = _line(start, stop, segments, cutoff_n)
     assert len(sums) == segments + 1
     step = (stop - start) / segments
     scale: dict[float, float] = {}
@@ -195,7 +214,7 @@ def test_line_starts_on_the_partial_sum_bitwise() -> None:
         start = complex(rng.uniform(-1.0, 2.0), rng.uniform(0.0, 500.0))
         stop = complex(rng.uniform(-1.0, 2.0), rng.uniform(0.0, 500.0))
         n = rng.choice(_CUTOFFS)
-        assert _same_bits(dirichlet_line(start, stop, rng.randint(1, 5), n)[0], dirichlet_partial_sum(start, n))
+        assert _same_bits(_line(start, stop, rng.randint(1, 5), n)[0], dirichlet_partial_sum(start, n))
 
 
 def test_a_one_vertex_walk_is_the_exact_pass_bitwise() -> None:
@@ -221,14 +240,6 @@ def test_horizontal_and_descending_lines_track_the_partial_sum() -> None:
     _assert_line_tracks_the_sum(0.9 + 480.3j, 0.2 + 20.7j, 1840, 1002)
 
 
-def test_line_segments_must_be_a_positive_integer() -> None:
-    for segments in (0, -3, 2.0, None, True):
-        with pytest.raises(ParameterError, match="segments"):
-            dirichlet_line(0.5 + 14j, 0.5 + 15j, segments, 40)  # type: ignore[arg-type]
-    with pytest.raises(ParameterError):
-        dirichlet_line(float("nan"), 0.5 + 15j, 4, 40)
-
-
 def test_the_node_kernel_keeps_the_bits_of_each_pass() -> None:
     # given each node's exact head, the kernel returns zeta_gb's value, and
     # with the heads' slopes its derivative, bit for bit
@@ -251,8 +262,8 @@ def test_the_node_kernel_keeps_the_bits_of_each_pass() -> None:
 
 
 def test_zeta_gb_takes_no_partial_sum() -> None:
-    # walked sums go to the node kernel; the evaluator always makes or
-    # reads its own head
+    # walked sums go to the node kernel; the evaluator always makes its own
+    # head
     s, params = 0.5 + 14j, EvalParams(40, 6)
     with pytest.raises(TypeError, match="partial_sum"):
         zeta_gb(s, params, partial_sum=dirichlet_partial_sum(s, 40))  # type: ignore[call-arg]
@@ -345,7 +356,7 @@ def _walked(nodes: list[complex], params: EvalParams) -> list[complex]:
     # the values the node kernel finishes from a walk's Dirichlet sums: one
     # line walk, or the exact pass for a single node
     if len(nodes) > 1:
-        heads = dirichlet_line(nodes[0], nodes[-1], len(nodes) - 1, params.cutoff_n)
+        heads = _line(nodes[0], nodes[-1], len(nodes) - 1, params.cutoff_n)
     else:
         heads = [dirichlet_partial_sum(nodes[0], params.cutoff_n)]
     values, slopes = zeta_core._zeta_nodes(nodes, heads, params)
@@ -455,78 +466,6 @@ def test_evaluations_keep_their_bits() -> None:
     tail, q = em_tail(rec.s, rec.params_used), q_gb(rec.s, rec.params_used)
     assert q == rec.q_value
     assert tuple(x.hex() for x in (rec.s.real, rec.s.imag, tail.real, tail.imag, q.real, q.imag)) == _ZERO_PIN
-
-
-# ---------------------------------------------------------------------------
-# the head memo
-# ---------------------------------------------------------------------------
-
-
-def _bits(z: complex) -> bytes:
-    # unlike ==, tells -0.0 from 0.0
-    return struct.pack("<dd", z.real, z.imag)
-
-
-def test_warm_heads_keep_the_bits_of_a_fresh_pass(monkeypatch: pytest.MonkeyPatch) -> None:
-    rng = random.Random(20159)
-    cases = [
-        (complex(rng.uniform(-1.0, 2.0), rng.uniform(0.0, 500.0)), EvalParams(rng.randint(2, 1000), 4))
-        for _ in range(200)
-    ]
-    cold = [(zeta_gb(s, p).value, q_gb(s, p)) for s, p in cases]
-    fresh = [dirichlet_partial_sum(s, p.cutoff_n) for s, p in cases]
-    partial_sum = zeta_core.dirichlet_partial_sum
-
-    def no_pass(*args, **kwargs):
-        raise AssertionError("a warm head made a pass")
-
-    # Q reads the head its cold call kept
-    monkeypatch.setattr(zeta_core, "dirichlet_partial_sum", no_pass)
-    for (s, p), head, (_, before) in zip(cases, fresh, cold):
-        assert _bits(zeta_core._head(s, p.cutoff_n)) == _bits(head)
-        assert _bits(q_gb(s, p)) == _bits(before)
-    # a plain evaluation reads no head: it makes its own pass, with the same bits
-    passes = []
-    monkeypatch.setattr(zeta_core, "dirichlet_partial_sum",
-                        lambda s, n, **kwargs: passes.append((s, n)) or partial_sum(s, n, **kwargs))
-    for (s, p), (before, _) in zip(cases, cold):
-        assert _bits(zeta_gb(s, p).value) == _bits(before)
-    assert passes == [(s, p.cutoff_n) for s, p in cases]
-
-
-def test_signed_zero_keys_hold_the_same_bits() -> None:
-    for a, b in ((2 + 0j, complex(2.0, -0.0)), (complex(-0.0, 14.0), complex(0.0, 14.0))):
-        assert a == b and hash(a) == hash(b)  # one key in the memo
-        for n in (2, 3, 40, 1000):
-            heads = [dirichlet_partial_sum(z, n) for z in (a, b)]
-            heads += [dirichlet_partial_sum(z, n, derivative=True)[0] for z in (a, b)]
-            assert len(set(map(_bits, heads))) == 1, (a, b, n)
-
-
-def test_only_the_polish_pass_hands_its_head_to_q(record_call_stacks) -> None:
-    calls = record_call_stacks(("dirichlet_partial_sum",))
-    s, params = 0.5 + 14.134725j, EvalParams(40, 6)
-    # plain and derivative evaluations neither read nor write the memo
-    zeta_gb(s, params)
-    zeta_gb(s, params, derivative=True)
-    zeta_gb(s, params)
-    assert not zeta_core._HEADS
-    assert len(calls) == 3
-    # the polish's value-only pass keeps its head, and Q there reads it
-    zeta_core._value(s, params)
-    q_gb(s, params)
-    assert list(zeta_core._HEADS) == [(s, params.cutoff_n)]
-    assert len(calls) == 4
-
-
-def test_the_memo_keeps_its_bound() -> None:
-    bound = zeta_core._HEAD_MEMO_SIZE
-    keys = [(complex(0.5, k / 8), 3) for k in range(3 * bound)]
-    for s, n in keys:
-        zeta_core._head(s, n)
-        assert len(zeta_core._HEADS) <= bound
-    # the oldest go first
-    assert list(zeta_core._HEADS) == list(zeta_core._HEAD_KEYS) == keys[-bound:]
 
 
 # ---------------------------------------------------------------------------
