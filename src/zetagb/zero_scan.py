@@ -68,7 +68,7 @@ phase-walk splits are one-node walks, one exact pass each. Those values
 only decide signs and phases, so a walk runs at a sample cutoff: the
 cheapest schedule entry whose truncation bound at the walk's worst
 corner (its smallest sigma, max |t|) is at most 2^-15, or the caller's
-params where no entry applies (beyond t = 500). A sample counts when
+params where no entry applies. A sample counts when
 |value| exceeds 2^10 times its truncation bound plus a first-order
 rounding bound: N - 1 additions and a phase error of 2 |s| ln N in any
 pass, with |s| read as |s_0| plus the walk's length, which also covers
@@ -82,21 +82,21 @@ certificate makes the exact pass at params. Grid values only pick
 brackets and Newton seeds, so the refined zeros move by rounding only,
 within the Newton tolerance.
 
-Side bounds. Each side of a walk is certified against one truncation
-bound at least every node's. On a vertical side (the scan grid, a
-rectangle's left and right sides) each factor |s + k| grows with |t|, so
-that is the bound at the end farther from the real axis. On a horizontal
-side at height t,
+The walk's bound. A walk reads one truncation bound B, at its worst
+corner: the smallest sigma of its path at its largest |t|, T. At fixed
+sigma each factor |s + k| grows with |t|, so the bound does too. At
+height T,
 
     d ln B / d sigma = sum_{k <= 2 nu + 1} (sigma + k) / |s + k|^2
                        - ln N - 1/(sigma + 2 nu + 1)
-                    <= (nu + 1)/|t| - ln N,
+                    <= (nu + 1)/T - ln N,
 
-since (sigma + k)^2 + t^2 >= 2 |sigma + k| |t| and sigma + 2 nu + 1 > 0,
-so whenever nu + 1 < |t| ln N the bound falls as sigma grows and the end
-with the smaller sigma bounds the side; elsewhere (near t = 0) each node
-reads its own bound. A node that fails its side's bound reads its own, so
-every decision is the per-node one.
+since (sigma + k)^2 + T^2 >= 2 |sigma + k| T and sigma + 2 nu + 1 > 0,
+so whenever nu + 1 < T ln N the bound falls as sigma grows. So B is at
+least every node's bound on a vertical path (the scan grid), and on a
+rectangle's path, its phase-walk splits included, where
+nu + 1 < T ln N; elsewhere (a rectangle near t = 0) B is inf. A node
+that fails B reads its own bound, so every decision is the per-node one.
 
 Winding. Rectangle counts use the argument principle: a phase increment
 between neighbouring nodes is kept below pi/2, split at the midpoint
@@ -380,9 +380,7 @@ def refine_zero(
 def _sample_params(corner: complex, params: EvalParams | None) -> EvalParams | None:
     # the (N, nu) of sign and phase samples on a walk whose truncation bound
     # is largest at ``corner``: the cheapest bounding it by _SAMPLE_EPS, or
-    # params beyond the supported range or where no schedule entry applies
-    if abs(corner.imag) > _IM_CAP:
-        return params
+    # params where no schedule entry applies
     return _schedule(corner, _SAMPLE_EPS) or params
 
 
@@ -400,20 +398,11 @@ def _rounding(path: list[complex], count: int, cutoff_n: int) -> list[float]:
     return [(units + k) * unit for k in range(count)]
 
 
-def _side_bound(start: complex, stop: complex, cutoff_n: int, tail_order: int) -> float:
-    # the module docstring's side bound of the side from start to stop, or
-    # inf where its nodes read their own
-    if start.real == stop.real:
-        return remainder_bound(max(start, stop, key=lambda z: abs(z.imag)), cutoff_n, tail_order)
-    if start.imag == stop.imag and tail_order + 1 < abs(start.imag) * math.log(cutoff_n):
-        return remainder_bound(min(start, stop, key=lambda z: z.real), cutoff_n, tail_order)
-    return math.inf
-
-
 def _walk(
     nodes: list[complex],
     segments: list[int],
     sample: EvalParams,
+    bound: float,
     exact: Callable[[complex], complex],
     floor: float = 0.0,
 ) -> list[complex]:
@@ -422,16 +411,13 @@ def _walk(
     # segments[j-1] and reaches the next side's first node in segments[j]
     # equal steps, so the counts add up to len(nodes) - 1; one node and no
     # side is one exact pass. A node whose sample is not certified (see the
-    # module docstring), or not above floor, takes exact(z). Callers refuse
-    # a tail order too small on the path before they walk it.
+    # module docstring), by the walk's truncation bound or else by its own,
+    # or not above floor, takes exact(z). Callers refuse a tail order too
+    # small on the path before they walk it.
     n, nu = sample.cutoff_n, sample.tail_order
     vertices = [nodes[k] for k in accumulate(segments, initial=0)]
     values, _ = _zeta_nodes(nodes, _dirichlet_path(vertices, segments, n), sample)
-    bounds: list[float] = []
-    for start, stop, count in zip(vertices, vertices[1:], segments):
-        bounds += [_side_bound(start, stop, n, nu)] * count
-    bounds.append(bounds[-1] if bounds else math.inf)  # the last node ends the last side
-    for k, (z, value, bound, rounding) in enumerate(zip(nodes, values, bounds, _rounding(vertices, len(nodes), n))):
+    for k, (z, value, rounding) in enumerate(zip(nodes, values, _rounding(vertices, len(nodes), n))):
         if not abs(value) > max(floor, _SAMPLE_MARGIN * (bound + rounding)):
             if not abs(value) > max(floor, _SAMPLE_MARGIN * (remainder_bound(z, n, nu) + rounding)):
                 values[k] = exact(z)
@@ -441,21 +427,25 @@ def _walk(
 def _line_values(
     t_min: float, t_max: float, step: float, params: EvalParams
 ) -> tuple[list[float], list[complex]]:
-    # the grid t_min + k step, plus t_max when it is off the grid, and Z at
-    # 1/2 + it on each node, from one walk: an off-grid t_max is its last
-    # side, one step long
+    # the grid t_min + k step up to t_max, plus t_max when it is off the
+    # grid, and Z at 1/2 + it on each node, from one walk: an off-grid t_max
+    # is its last side, one step long, and the walk's top
     count = int(math.floor((t_max - t_min) / step + 1e-9))
+    if t_min + count * step > t_max:
+        count -= 1
     grid = [t_min + k * step for k in range(count + 1)]
     segments = [count] if count else []
     if grid[-1] < t_max - 1e-12:
         grid.append(t_max)
         segments.append(1)
-    sample = _sample_params(complex(0.5, t_max), params)
+    top = complex(0.5, t_max)
+    sample = _sample_params(top, params)
+    bound = remainder_bound(top, sample.cutoff_n, sample.tail_order)
 
     def exact(z: complex) -> complex:
         return zeta_gb(z, params).value
 
-    return grid, _walk([complex(0.5, t) for t in grid], segments, sample, exact)
+    return grid, _walk([complex(0.5, t) for t in grid], segments, sample, bound, exact)
 
 
 def _refine_bracket(
@@ -699,14 +689,17 @@ def rectangle_winding(rect: Rectangle, params: EvalParams | None = None) -> tupl
     # the walked path's worst corner: its smallest sigma, farthest from the real axis
     corner = complex(0.5, worst.imag) if mirrored else worst
     sample = _sample_params(corner, params) or full()
+    n, nu = sample.cutoff_n, sample.tail_order
     # a tail order too small at the path's smallest sigma is refused before
     # any node is built, since the walk there can overflow first
-    _tail_denominator(corner.real, sample.tail_order)
+    _tail_denominator(corner.real, nu)
+    # the walk's bound (see the module docstring), its splits' too
+    bound = remainder_bound(corner, n, nu) if nu + 1 < corner.imag * math.log(n) else math.inf
 
     def walk(nodes: list[complex], segments: list[int]) -> list[complex]:
         # a sample above twice the boundary modulus stays above it at params,
         # so only full-accuracy values decide a BoundaryError
-        values = _walk(nodes, segments, sample, exact, 2 * _BOUNDARY_MODULUS)
+        values = _walk(nodes, segments, sample, bound, exact, 2 * _BOUNDARY_MODULUS)
         for z, value in zip(nodes, values):
             if abs(value) < _BOUNDARY_MODULUS:
                 raise BoundaryError(

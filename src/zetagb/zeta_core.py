@@ -399,8 +399,7 @@ def zeta_gb(
     params = auto_params(s, eps) if params is None else _eval_params(params)
     _tail_denominator(s.real, params.tail_order)
     if not derivative:
-        (value,), _ = _zeta_nodes([s], [dirichlet_partial_sum(s, params.cutoff_n)], params)
-        return EvalResult(value=value, s=s, params_used=params)
+        return EvalResult(value=_value(s, params)[0], s=s, params_used=params)
     head, head_slope = dirichlet_partial_sum(s, params.cutoff_n, derivative=True)
     (value,), (slope,) = _zeta_nodes([s], [head], params, [head_slope])
     return EvalResult(value=value, s=s, params_used=params, derivative=slope)

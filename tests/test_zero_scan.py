@@ -20,6 +20,7 @@ import pytest
 
 import oracles
 from zetagb import qfunction, zero_scan, zeta_core
+from zetagb.audit import audit_range
 from zetagb.errors import BoundaryError, InconclusiveError, ParameterError, RefinementError
 from zetagb.zero_scan import (
     RECORD_FIELDS,
@@ -631,6 +632,18 @@ def test_scan_stays_inside_the_supported_range() -> None:
     assert [round(rec.t, 4) for rec in scan_critical_line(498.0, 500.0)] == [498.5808]
 
 
+def test_the_grid_never_passes_t_max() -> None:
+    # (t_max - t_min) / step falls 9e-10 below 8, inside the grid's 1e-9
+    # slack: the node t_min + 8 step = 14.13472514187464 would pass t_max
+    # and bracket the first zero, 14.1347251417347, which lies above it
+    t_min, t_max = 12.13472514187464, 14.13472514164964
+    assert t_min + 8 * 0.25 > t_max
+    params = zero_scan._refine_params(complex(0.5, t_max), ScanConfig.tol)
+    grid, _ = zero_scan._line_values(t_min, t_max, 0.25, params)
+    assert grid == [t_min + k * 0.25 for k in range(8)] + [t_max]
+    assert scan_critical_line(t_min, t_max) == []
+
+
 # ---------------------------------------------------------------------------
 # certified samples: walks at a cheaper cutoff, the full pass where they fail
 # ---------------------------------------------------------------------------
@@ -644,18 +657,18 @@ TALL_CLOSED = Rectangle(0.01, 0.98, 0.1, 499.0)
 
 
 @pytest.fixture(scope="module")
-def sampled_walks() -> list[tuple[list[complex], list[int], EvalParams, EvalParams, list[complex]]]:
-    # (nodes, segments, params, sample params, returned values) of every walk
-    # made by the 0..499 grid at step 0.25, by the strip rectangles of ten
-    # 4-wide audit windows in [250, 499] and by the tall strip rectangle,
-    # mirrored and by their closed twins, splits included
+def sampled_walks() -> list[tuple[list[complex], list[int], EvalParams, EvalParams, float, list[complex]]]:
+    # (nodes, segments, params, sample params, walk bound, returned values) of
+    # every walk made by the 0..499 grid at step 0.25, by the strip
+    # rectangles of ten 4-wide audit windows in [250, 499] and by the tall
+    # strip rectangle, mirrored and by their closed twins, splits included
     walks = []
     walk = zero_scan._walk
     caller = {}
 
-    def record(nodes, segments, sample, exact, floor=0.0):
-        values = walk(nodes, segments, sample, exact, floor)
-        walks.append((nodes, segments, caller["params"], sample, values))
+    def record(nodes, segments, sample, bound, exact, floor=0.0):
+        values = walk(nodes, segments, sample, bound, exact, floor)
+        walks.append((nodes, segments, caller["params"], sample, bound, values))
         return values
 
     with pytest.MonkeyPatch.context() as patch:
@@ -675,13 +688,6 @@ def _path(nodes: list[complex], segments: list[int]) -> list[complex]:
     return [nodes[k] for k in itertools.accumulate(segments, initial=0)]
 
 
-def _sides(nodes: list[complex], segments: list[int]):
-    # (start, stop, the side's nodes with both ends) of each straight side of a walk
-    firsts = list(itertools.accumulate(segments, initial=0))
-    for a, b in zip(firsts, firsts[1:]):
-        yield nodes[a], nodes[b], nodes[a:b + 1]
-
-
 def _samples(nodes: list[complex], segments: list[int], sample: EvalParams):
     # each node's sampled value, truncation bound and rounding allowance,
     # recomputed as the walk made them
@@ -692,9 +698,43 @@ def _samples(nodes: list[complex], segments: list[int], sample: EvalParams):
         yield z, value, remainder_bound(z, n, nu), rounding
 
 
+def _uncertified(nodes: list[complex], segments: list[int], sample: EvalParams, bound: float,
+                 floor: float = 0.0) -> list[complex]:
+    # the nodes of a walk whose sample its walk bound does not certify
+    return [z for z, value, _, rounding in _samples(nodes, segments, sample)
+            if not abs(value) > max(floor, 2.0**10 * (bound + rounding))]
+
+
+@pytest.fixture
+def bound_reads(monkeypatch):
+    # (walks, outside): each walk's (nodes, segments, sample, walk bound,
+    # floor, the truncation bounds it read itself), and the bounds that
+    # zero_scan read outside any walk
+    walks, outside = [], []
+    reads = outside
+    bound, walk = zero_scan.remainder_bound, zero_scan._walk
+
+    def read(s, *args):
+        reads.append(s)
+        return bound(s, *args)
+
+    def walked(nodes, segments, sample, walk_bound, exact, floor=0.0):
+        nonlocal reads
+        reads = []
+        walks.append((nodes, segments, sample, walk_bound, floor, reads))
+        try:
+            return walk(nodes, segments, sample, walk_bound, exact, floor)
+        finally:
+            reads = outside
+
+    monkeypatch.setattr(zero_scan, "remainder_bound", read)
+    monkeypatch.setattr(zero_scan, "_walk", walked)
+    return walks, outside
+
+
 def test_each_sample_lies_within_its_certificate(sampled_walks) -> None:
     nodes_checked = 0
-    for nodes, segments, params, sample, values in sampled_walks:
+    for nodes, segments, params, sample, _, values in sampled_walks:
         # every walk samples at its own cutoff, the cheapest bounding its worst
         # corner by the sample accuracy, not at its caller's params
         for (z, sampled, bound, rounding), value in zip(_samples(nodes, segments, sample), values):
@@ -720,102 +760,143 @@ def test_each_sample_lies_within_its_certificate(sampled_walks) -> None:
 
 
 def test_a_vertical_walk_is_bounded_at_its_far_end(sampled_walks, monkeypatch) -> None:
-    # the walk tests every node of a vertical side against the bound at its
-    # end farther from the real axis first; that bound is at least each
-    # node's, also on a line that crosses the axis
+    # on a vertical line each node's bound grows with |t|, so the bound at
+    # the line's largest |t| is at least each node's, also on a line that
+    # crosses the axis; the grid walk reads it at 1/2 + 499i, its top
     crossing = [complex(0.5, -3.0 + 0.25 * k) for k in range(21)]
-    sides = [(side, sample) for nodes, segments, _, sample, _ in sampled_walks
-             for side in _sides(nodes, segments)]
-    vertical = [(side, sample) for side, sample in sides if side[0].real == side[1].real]
-    # the grid, two per closed walk and one per mirrored walk
-    assert len(vertical) == 1 + 2 * 11 + 11 and len(sides) == 1 + 4 * 11 + 3 * 11
-    for (start, stop, nodes), sample in vertical + [((crossing[0], crossing[-1], crossing), EvalParams(16, 4))]:
-        n, nu = sample.cutoff_n, sample.tail_order
-        line_bound = remainder_bound(max(start, stop, key=lambda z: abs(z.imag)), n, nu)
-        assert all(remainder_bound(z, n, nu) <= line_bound for z in nodes)
-    # on the crossing line the walk's first bound is the far end's, and every
-    # node still takes the decision of its own bound
-    params, sample = EvalParams(40, 10), EvalParams(16, 4)
+    (grid,) = [walk for walk in sampled_walks if len(walk[1]) == 1]
+    nodes, _, _, sample, bound, _ = grid
+    n, nu = sample.cutoff_n, sample.tail_order
+    assert nodes[-1] == complex(0.5, 499.0)
+    assert bound == remainder_bound(nodes[-1], n, nu)
+    assert all(remainder_bound(z, n, nu) <= bound for z in nodes)
+    sample = EvalParams(16, 4)
+    n, nu = sample.cutoff_n, sample.tail_order
+    top = remainder_bound(complex(0.5, 3.0), n, nu)
+    assert top == remainder_bound(crossing[0], n, nu)
+    assert all(remainder_bound(z, n, nu) <= top for z in crossing)
+    # on the crossing line the walk reads only the bounds of nodes that its
+    # walk bound cannot certify, and every node still takes the decision of
+    # its own bound
+    params = EvalParams(40, 10)
     bounded = []
     bound = zero_scan.remainder_bound
     monkeypatch.setattr(zero_scan, "remainder_bound", lambda s, *args: bounded.append(s) or bound(s, *args))
-    values = zero_scan._walk(crossing, [20], sample, lambda z: zeta_gb(z, params).value)
-    assert bounded[0] == complex(0.5, -3.0)
+    values = zero_scan._walk(crossing, [20], sample, top, lambda z: zeta_gb(z, params).value)
+    assert bounded == _uncertified(crossing, [20], sample, top)
     for (z, sampled, bound, rounding), value in zip(_samples(crossing, [20], sample), values):
         certified = abs(sampled) > 2.0**10 * (bound + rounding)
         assert value == (sampled if certified else zeta_gb(z, params).value)
 
 
-def test_a_horizontal_side_is_bounded_at_its_smaller_sigma(sampled_walks) -> None:
-    # where nu + 1 < |t| ln N the bound falls as sigma grows along a side at
-    # height t, so its end with the smaller sigma bounds every node; near
-    # the real axis the rule does not apply and each node keeps its own
-    rng = random.Random(20261019)
-    checked = 0
-    for _ in range(400):
-        t = rng.choice((-1.0, 1.0)) * rng.uniform(0.05, 500.0)
-        sigma_a, sigma_b = rng.uniform(-1.0, 2.0), rng.uniform(-1.0, 2.0)
-        params = EvalParams(rng.randrange(2, 1200), rng.randrange(2, 26))
-        n, nu = params.cutoff_n, params.tail_order
-        if min(sigma_a, sigma_b) + 2 * nu + 1 <= 0 or sigma_a == sigma_b:
-            continue
-        start, stop = complex(sigma_a, t), complex(sigma_b, t)
-        side = zero_scan._side_bound(start, stop, n, nu)
-        if not nu + 1 < abs(t) * math.log(n):
-            assert side == math.inf
-            continue
-        assert side == remainder_bound(min(start, stop, key=lambda z: z.real), n, nu)
-        nodes = [start + (stop - start) * (k / 64) for k in range(64)] + [stop]
-        assert all(remainder_bound(z, n, nu) <= side for z in nodes)
-        checked += 1
-    assert checked >= 100
-    # the walked horizontal sides: the audit windows' take the side bound,
-    # the tall rectangles' bottom sides at t = 0.1 read each node's bound;
-    # a mirrored side runs from sigma = 1/2
-    horizontal = [(side, sample) for nodes, segments, _, sample, _ in sampled_walks
-                  for side in _sides(nodes, segments) if side[0].imag == side[1].imag]
-    assert len(horizontal) == 2 * 11 + 2 * 11
-    assert sum(start.real == 0.5 or stop.real == 0.5 for (start, stop, _), _ in horizontal) == 2 * 11
-    for (start, stop, nodes), sample in horizontal:
+def test_the_walk_bound_bounds_every_node_of_a_rectangle(sampled_walks, monkeypatch) -> None:
+    # at height T the bound falls as sigma grows where nu + 1 < T ln N, and
+    # at fixed sigma it grows with |t|, so the bound at the path's smallest
+    # sigma and largest |t| is at least every boundary node's there; near
+    # the real axis the rule does not apply and the walk bound is inf
+    rng = random.Random(20261020)
+    walks = []
+
+    def stub(nodes, segments, sample, bound, exact, floor=0.0):
+        walks.append((nodes, sample, bound))
+        return [1.0 + 0.0j] * len(nodes)
+
+    monkeypatch.setattr(zero_scan, "_walk", stub)
+    bounded = unbounded = 0
+    for k in range(48):
+        sigma_min, sigma_max = sorted(rng.uniform(-1.0, 2.0) for _ in range(2))
+        if k % 4 == 0:
+            sigma_min = rng.uniform(-1.0, 0.45)
+            sigma_max = 1.0 - sigma_min  # mirrored
+        t_min, t_max = sorted(rng.uniform(0.05, 500.0) for _ in range(2))
+        if k % 3 == 0:
+            t_min = 0.1
+        if k % 10 == 9:
+            t_min = -rng.uniform(0.05, t_max)  # crossing the real axis
+        if k % 16 == 5:
+            t_max = rng.uniform(0.15, 1.5)  # near the real axis
+            t_min = 0.1
+        rect = Rectangle(sigma_min, sigma_max, t_min, t_max)
+        walks.clear()
+        try:
+            rectangle_winding(rect)
+        except InconclusiveError:
+            pass  # the stub's constant values leave theta's turn in a mirrored winding
+        ((nodes, sample, bound),) = walks
         n, nu = sample.cutoff_n, sample.tail_order
-        side = zero_scan._side_bound(start, stop, n, nu)
-        assert (side == math.inf) == (start.imag == 0.1)
-        assert all(remainder_bound(z, n, nu) <= side for z in nodes)
+        T = max(abs(t_min), t_max)
+        corner = complex(min(z.real for z in nodes), T)
+        if not nu + 1 < T * math.log(n):
+            assert bound == math.inf
+            unbounded += 1
+            continue
+        assert bound == remainder_bound(corner, n, nu)
+        # the nodes, and points between them, where splits fall
+        between = [a + (b - a) * rng.random() for a, b in zip(nodes, nodes[1:])]
+        assert all(remainder_bound(z, n, nu) <= bound for z in nodes + between)
+        bounded += 1
+    assert bounded >= 40 and unbounded >= 3
+    # the walks the scan and the counts made: the tall rectangles' bottom
+    # sides at t = 0.1 are bounded by the bound at t = 499 too
+    for nodes, _, _, sample, bound, _ in sampled_walks:
+        n, nu = sample.cutoff_n, sample.tail_order
+        assert math.isfinite(bound)
+        assert all(remainder_bound(z, n, nu) <= bound for z in nodes)
+    assert sum(nodes[0].imag == 0.1 for nodes, *_ in sampled_walks) == 2
 
 
-def test_the_rectangle_reads_one_bound_per_side(monkeypatch) -> None:
-    # the closed walk reads one truncation bound per side, at the far end of
-    # a vertical side and the sigma_min end of a horizontal one; a bottom
-    # side at t = 0.1, where that rule does not apply, reads one per node
-    bounded = []
-    bound = zero_scan.remainder_bound
-    monkeypatch.setattr(zero_scan, "remainder_bound", lambda s, *args: bounded.append(s) or bound(s, *args))
-    high, low = Rectangle(0.01, 0.98, 250.0, 254.0), Rectangle(0.01, 0.98, 0.1, 30.0)
-    rectangle_winding(high, EvalParams(200, 10))
-    c = high.corners()
-    assert bounded == [c[0], c[2], c[3], c[3]]
-    bounded.clear()
-    rectangle_winding(low, EvalParams(200, 10))
-    c = low.corners()
-    assert bounded == [c[2], c[3], c[3]] + [c[0] + (c[1] - c[0]) * (k / 4) for k in range(4)]
+def _reads_one_bound_per_walk(bound_reads, rect: Rectangle, corner: complex) -> list:
+    # counts rect and checks that every walk, splits included, takes the
+    # one bound read at corner and reads a node's own only where that one
+    # fails; returns the walks, as bound_reads records them
+    walks, outside = bound_reads
+    walks.clear()
+    outside.clear()
+    rectangle_winding(rect, EvalParams(200, 10))
+    assert outside == [corner]
+    (bound,) = {walk[3] for walk in walks}
+    sample = walks[0][2]
+    assert bound == remainder_bound(corner, sample.cutoff_n, sample.tail_order)
+    for nodes, segments, sample, _, floor, reads in walks:
+        assert reads == _uncertified(nodes, segments, sample, bound, floor)
+    return walks
 
 
-def test_the_mirrored_rectangle_reads_one_bound_per_side(monkeypatch) -> None:
-    # the right half reads one bound per side: at sigma = 1/2 on a horizontal
-    # side, at the far end of the vertical one; its bottom side at t = 0.1
-    # reads one per node, and its last node, on the line, ends the top side
-    bounded = []
-    bound = zero_scan.remainder_bound
-    monkeypatch.setattr(zero_scan, "remainder_bound", lambda s, *args: bounded.append(s) or bound(s, *args))
-    high, low = Rectangle(0.01, 0.99, 250.0, 254.0), Rectangle(0.01, 0.99, 0.1, 30.0)
-    rectangle_winding(high, EvalParams(200, 10))
-    c = high.corners()
-    assert bounded == [complex(0.5, 250.0), c[2], complex(0.5, 254.0)]
-    bounded.clear()
-    rectangle_winding(low, EvalParams(200, 10))
-    c = low.corners()
-    start = complex(0.5, 0.1)
-    assert bounded == [c[2], complex(0.5, 30.0)] + [start + (c[1] - start) * (k / 4) for k in range(4)]
+def _reads_one_bound_per_node(bound_reads, rect: Rectangle) -> None:
+    # a rectangle below t = 1.5, where nu + 1 < T ln N fails: its walk
+    # bound is inf, so each node reads its own
+    walks, outside = bound_reads
+    walks.clear()
+    outside.clear()
+    rectangle_winding(rect, EvalParams(200, 10))
+    assert outside == []
+    ((nodes, _, sample, bound, _, reads),) = walks
+    assert bound == math.inf
+    assert not sample.tail_order + 1 < rect.t_max * math.log(sample.cutoff_n)
+    assert reads == nodes
+
+
+def test_the_rectangle_reads_one_bound_per_walk(bound_reads) -> None:
+    # the closed walk reads one truncation bound, at (sigma_min, max |t|),
+    # and so do its splits: the top side of (10, 14.14) passes 0.005 above
+    # the first zero, and the nodes there also read their own
+    for t_min, t_max in ((250.0, 254.0), (0.1, 30.0)):
+        rect = Rectangle(0.01, 0.98, t_min, t_max)
+        assert len(_reads_one_bound_per_walk(bound_reads, rect, rect.corners()[3])) == 1
+    near = _reads_one_bound_per_walk(bound_reads, Rectangle(0.01, 0.98, 10.0, 14.14), complex(0.01, 14.14))
+    assert len(near) > 1 and any(reads for *_, reads in near)
+    # the height of a rectangle across the real axis is its larger |t|
+    _reads_one_bound_per_walk(bound_reads, Rectangle(0.01, 0.98, -30.0, 20.0), complex(0.01, 30.0))
+    _reads_one_bound_per_node(bound_reads, Rectangle(0.01, 0.98, 0.1, 1.4))
+
+
+def test_the_mirrored_rectangle_reads_one_bound_per_walk(bound_reads) -> None:
+    # the right half reads one bound, at 1/2 + i max |t|, splits included;
+    # below t = 1.5 it reads one per node
+    for t_min, t_max in ((250.0, 254.0), (0.1, 30.0), (10.0, 14.14)):
+        _reads_one_bound_per_walk(bound_reads, Rectangle(0.01, 0.99, t_min, t_max), complex(0.5, t_max))
+    assert len(_reads_one_bound_per_walk(bound_reads, Rectangle(0.2, 0.8, -30.0, 30.0), complex(0.5, 30.0))) == 1
+    _reads_one_bound_per_node(bound_reads, Rectangle(0.01, 0.99, 0.1, 1.4))
 
 
 def test_a_walk_at_params_still_certifies_its_nodes(monkeypatch) -> None:
@@ -830,14 +911,27 @@ def test_a_walk_at_params_still_certifies_its_nodes(monkeypatch) -> None:
     assert values[1] == zeta_gb(complex(0.5, rec.t), params).value
 
 
-def test_walks_read_few_truncation_bounds(record_call_stacks) -> None:
+def test_walks_read_few_truncation_bounds(record_call_stacks, request) -> None:
     params = zero_scan._refine_params(complex(0.5, 14.1), ScanConfig.tol)
     calls = record_call_stacks(("remainder_bound",))
-    # params and sample params check one schedule bound each, each vertical
-    # walk one, and only nodes that line bound cannot certify their own
+    walks, outside = request.getfixturevalue("bound_reads")
+    # params and sample params check one schedule bound each, the walk
+    # reads one, and only nodes that walk bound cannot certify their own
     # (511 calls when every node read its own bound)
     assert len(zero_scan.scan_critical_line(0, 100)) == 29
     assert len(calls) <= 20
+    # ten audit windows: each scan and each count reads one walk bound, its
+    # splits none, and a node reads its own only where that bound fails
+    walks.clear()
+    outside.clear()
+    calls.clear()
+    for lo in AUDIT_WINDOWS:
+        report = audit_range(lo, lo + 4.0)
+        assert report.abort_reason is None
+    assert len(outside) == sum(bool(segments) for _, segments, *_ in walks) == 2 * 10
+    for nodes, segments, sample, bound, floor, reads in walks:
+        assert reads == _uncertified(nodes, segments, sample, bound, floor)
+    assert sum(len(reads) for *_, reads in walks) <= 10
     # Newton never reads a bound
     calls.clear()
     refine_zero(complex(0.5, 14.1), params=params)
@@ -854,7 +948,7 @@ def test_samples_agree_with_mpmath(sampled_walks) -> None:
     samples = {}
     with mpmath.workdps(20):
         for walk, k in picks:
-            nodes, segments, _, sample, _ = walk
+            nodes, segments, _, sample, _, _ = walk
             if id(walk) not in samples:
                 samples[id(walk)] = list(_samples(nodes, segments, sample))
             z, sampled, bound, rounding = samples[id(walk)][k]
@@ -964,8 +1058,9 @@ def test_the_sampler_never_costs_more_than_params() -> None:
                 assert remainder_bound(corner, sample.cutoff_n, sample.tail_order) <= eps
                 if remainder_bound(corner, params.cutoff_n, params.tail_order) <= eps:
                     assert _cost(sample) <= _cost(params)
-    # no schedule entry applies beyond the supported range: explicit params stay
-    assert zero_scan._sample_params(complex(0.5, 600.0), explicit[2]) == explicit[2]
+    # where no schedule entry applies, far left of the strip, explicit params
+    # stay; both callers refuse |t| above 500 before they sample
+    assert zero_scan._sample_params(complex(-60.0, 10.0), explicit[2]) == explicit[2]
 
 
 def test_the_sample_accuracy_leaves_the_exact_pass_to_nodes_near_a_zero(monkeypatch) -> None:
@@ -977,9 +1072,9 @@ def test_the_sample_accuracy_leaves_the_exact_pass_to_nodes_near_a_zero(monkeypa
     walk = zero_scan._walk
     walks = []  # (nodes, exact passes, whether the walk has sides) of each walk
 
-    def counted(nodes, segments, sample, exact, floor=0.0):
+    def counted(nodes, segments, sample, bound, exact, floor=0.0):
         calls = []
-        values = walk(nodes, segments, sample, lambda z: calls.append(z) or exact(z), floor)
+        values = walk(nodes, segments, sample, bound, lambda z: calls.append(z) or exact(z), floor)
         walks.append((len(nodes), len(calls), bool(segments)))
         return values
 
