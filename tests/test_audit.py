@@ -319,6 +319,114 @@ def _verdict(report, numeral: str) -> str:
     return next(line for line in report.verdict_lines if line.split()[0] == numeral)
 
 
+def _checked_zero(xi: float, t: float, residual: float):
+    # a hand-built record and its checks; _verdicts reads only xi, t and the residual
+    rec = ZeroRecord(s=complex(0.5 + xi, t), z_modulus=0.0, q_value=0j, refine_iterations=1,
+                     params_used=EvalParams(30, 5))
+    return rec, audit.PropositionChecks(zero_residual_abs=residual)
+
+
+_ON_LINE = _checked_zero(0.0, 14.134725141734695, 2.5e-9)
+_II_PASS = "II   PASS consistency identity Z = s N^(1-s) (1/(s(s-1)) + 1/Q): stated, Q is built from Z's head and tail"
+_NO_ZEROS = {
+    "I": "I    PASS vacuous, no zeros in range (measured |xi| at each zero)",
+    "IV": "IV   PASS vacuous, no zeros in range (|s(s-1) + Q|)",
+    "V": "V    PASS vacuous, no zeros in range (Q realness)",
+    "VI": "VI   PASS vacuous, no zeros in range (division rest |Q - s(1-s)| = |s(s-1) + Q| (IV))",
+    "VII": "VII  PASS vacuous, no zeros in range (factorization deviation = |s_H(s_H - 1) + Q| at every s (IV))",
+    "VIII": "VIII PASS vacuous, no zeros in range (|conj(s) - (1 - s)| = 2|xi| (I))",
+}
+_ON_LINE_LINES = {
+    "I": "I    PASS measured |xi| at each zero: max 0.000e+00 vs tolerance 1.0e-06",
+    "IV": "IV   PASS |s(s-1) + Q|: max 2.500e-09 vs tolerance 1.0e-04",
+    "V": "V    PASS from I and IV: Q realness <= 1.250e-11 vs 1.0e-06; |Q - (1/4 + t^2)| <= 2.500e-09 vs 1.0e-04",
+    "VI": "VI   PASS division rest |Q - s(1-s)| = |s(s-1) + Q| (IV): max 2.500e-09 vs tolerance 1.0e-04",
+    "VII": "VII  PASS factorization deviation = |s_H(s_H - 1) + Q| at every s (IV): max 2.500e-09 vs tolerance 1.0e-04",
+    "VIII": "VIII PASS |conj(s) - (1 - s)| = 2|xi| (I): max 0.000e+00 vs tolerance 2.0e-06",
+}
+
+
+def _eight(per_zero: dict[str, str], iii: str, ii: str = _II_PASS) -> list[str]:
+    lines = {**per_zero, "II": ii, "III": iii}
+    return [lines[numeral] for numeral in ("I", "II", "III", "IV", "V", "VI", "VII", "VIII")]
+
+
+_VERDICT_TEXT = {
+    "no zeros, thin window": (
+        ((), True, None, None),
+        _eight(_NO_ZEROS, "III  PASS vacuous, window too thin for winding counts"),
+    ),
+    "no zeros, counted": (
+        ((), True, 0, None),
+        _eight(_NO_ZEROS, "III  PASS strip [-1.0, 2.0] holds 0 zeros; the scan found 0 on the line"),
+    ),
+    "abort before the scan": (
+        ((), False, None, "RefinementError: failed"),
+        ["I    SKIP audit aborted before this check",
+         "II   SKIP audit aborted before this check",
+         "III  SKIP vacuous, audit aborted before the winding counts",
+         "IV   SKIP audit aborted before this check",
+         "V    SKIP audit aborted before this check",
+         "VI   SKIP audit aborted before this check",
+         "VII  SKIP audit aborted before this check",
+         "VIII SKIP audit aborted before this check"],
+    ),
+    "abort after the scan, no zeros": (
+        ((), True, None, "InconclusiveError: failed"),
+        _eight(_NO_ZEROS, "III  SKIP vacuous, audit aborted before the winding counts"),
+    ),
+    "abort after the scan": (
+        ((_ON_LINE,), True, None, "InconclusiveError: failed"),
+        _eight(_ON_LINE_LINES, "III  SKIP vacuous, audit aborted before the winding counts"),
+    ),
+    "a zero 2e-6 off the line": (
+        ((_ON_LINE, _checked_zero(2e-6, 21.022039638771555, 3.0e-8)), True, 2, None),
+        ["I    FAIL measured |xi| at each zero: max 2.000e-06 vs tolerance 1.0e-06",
+         _II_PASS,
+         "III  PASS strip [-1.0, 2.0] holds 2 zeros; the scan found 2 on the line",
+         "IV   PASS |s(s-1) + Q|: max 3.000e-08 vs tolerance 1.0e-04",
+         "V    PASS from I and IV: Q realness <= 1.902e-07 vs 1.0e-06; |Q - (1/4 + t^2)| <= 8.412e-05 vs 1.0e-04",
+         "VI   PASS division rest |Q - s(1-s)| = |s(s-1) + Q| (IV): max 3.000e-08 vs tolerance 1.0e-04",
+         "VII  PASS factorization deviation = |s_H(s_H - 1) + Q| at every s (IV): max 3.000e-08 vs tolerance 1.0e-04",
+         "VIII FAIL |conj(s) - (1 - s)| = 2|xi| (I): max 4.000e-06 vs tolerance 2.0e-06"],
+    ),
+    "a residual of 1e-3": (
+        ((_checked_zero(0.0, 25.01085758014569, 1e-3),), True, 1, None),
+        ["I    PASS measured |xi| at each zero: max 0.000e+00 vs tolerance 1.0e-06",
+         _II_PASS,
+         "III  PASS strip [-1.0, 2.0] holds 1 zeros; the scan found 1 on the line",
+         "IV   FAIL |s(s-1) + Q|: max 1.000e-03 vs tolerance 1.0e-04",
+         "V    FAIL from I and IV: Q realness <= 1.598e-06 vs 1.0e-06; |Q - (1/4 + t^2)| <= 1.000e-03 vs 1.0e-04",
+         "VI   FAIL division rest |Q - s(1-s)| = |s(s-1) + Q| (IV): max 1.000e-03 vs tolerance 1.0e-04",
+         "VII  FAIL factorization deviation = |s_H(s_H - 1) + Q| at every s (IV): max 1.000e-03 vs tolerance 1.0e-04",
+         "VIII PASS |conj(s) - (1 - s)| = 2|xi| (I): max 0.000e+00 vs tolerance 2.0e-06"],
+    ),
+    "a residual above 1/4 + t^2": (
+        ((_checked_zero(0.0, 1.0, 2.0),), True, 1, None),
+        ["I    PASS measured |xi| at each zero: max 0.000e+00 vs tolerance 1.0e-06",
+         _II_PASS,
+         "III  PASS strip [-1.0, 2.0] holds 1 zeros; the scan found 1 on the line",
+         "IV   FAIL |s(s-1) + Q|: max 2.000e+00 vs tolerance 1.0e-04",
+         "V    FAIL from I and IV: Q realness <= inf vs 1.0e-06; |Q - (1/4 + t^2)| <= 2.000e+00 vs 1.0e-04",
+         "VI   FAIL division rest |Q - s(1-s)| = |s(s-1) + Q| (IV): max 2.000e+00 vs tolerance 1.0e-04",
+         "VII  FAIL factorization deviation = |s_H(s_H - 1) + Q| at every s (IV): max 2.000e+00 vs tolerance 1.0e-04",
+         "VIII PASS |conj(s) - (1 - s)| = 2|xi| (I): max 0.000e+00 vs tolerance 2.0e-06"],
+    ),
+    "a III mismatch": (
+        ((_ON_LINE,), True, 3, None),
+        _eight(_ON_LINE_LINES, "III  FAIL strip [-1.0, 2.0] holds 3 zeros; the scan found 1 on the line"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_VERDICT_TEXT))
+def test_the_verdict_lines_keep_their_text(case: str) -> None:
+    # the goldens reach only PASS and SKIP lines; these pin every line's
+    # bytes, FAIL lines and V's inf bound included
+    args, expected = _VERDICT_TEXT[case]
+    assert list(audit._verdicts(*args)) == expected
+
+
 def test_an_off_line_pair_fails_verdict_three(monkeypatch) -> None:
     # two more zeros in the strip than on the line: an off-line pair rho, 1 - conj(rho)
     count = audit.rectangle_winding
