@@ -5,16 +5,20 @@ that needs Q, the zero-condition residual s(s-1) + Q(s) at s_H (IV), at
 working precision, with the record's own Q, so the audit evaluates
 nothing; reflection, Z(conj s) = conj Z(s) bit for bit, makes its
 conjugate the same check. The line offset xi (I) is the record's own
-too. The other propositions are stated, not measured again:
+too. One pass over the zeros takes I's and IV's maxima and bounds V
+from them; VI, VII and VIII restate them, and II is stated:
 
   * II: Z = s N^{1-s} (1/(s(s-1)) + 1/Q) holds up to rounding, since Q is
     built from Z's own head and tail (``consistency_identity`` measures it),
-  * V: the zero condition gives Q = 1/4 + t^2 - xi^2 - 2i xi t up to the
-    residual, which bounds how far Q is from real and from 1/4 + t^2,
-  * VI: the division rest |Q(s_H) - s_H (1 - s_H)| is the residual bit for bit,
+  * V: with r = s_H (s_H - 1) + Q, Q = 1/4 + t^2 - xi^2 - 2i xi t + r, so
+    |Q - (1/4 + t^2)| <= xi^2 + 2|xi| t + |r| and |Im Q| <= 2|xi| t + |r|,
+    while |Q| >= 1/4 + t^2 less the first bound (inf where that is <= 0),
+  * VI: the division rest |Q(s_H) - s_H (1 - s_H)| is the residual bit for
+    bit, so VI reads IV's maximum,
   * VII: [s(s-1) + Q] - (s - s_H)(s - (1 - s_H)) is s_H (s_H - 1) + Q at
-    every s, so the factorization deviates by the residual,
-  * VIII: the conjugate relation |conj(s_H) - (1 - s_H)| is 2 |xi|.
+    every s, so the factorization deviates by the residual, IV's maximum,
+  * VIII: the conjugate relation |conj(s_H) - (1 - s_H)| is 2 |xi|, so
+    VIII reads twice I's maximum, which is exact in binary64.
 
 ``factorization_check`` and ``q_variation`` measure VII's deviation and
 Q at a caller's points; the audit calls neither.
@@ -148,6 +152,12 @@ def _line(idx: int, status: str, text: str) -> str:
     return f"{_ROMAN[idx]:<4} {status:<4} {text}"
 
 
+def _judged(label: str, worst: float, tolerance: float) -> tuple[str, str, str]:
+    # a per-zero row judged on its maximum against its tolerance
+    status = "PASS" if worst <= tolerance else "FAIL"
+    return label, status, f"{label}: max {worst:.3e} vs tolerance {tolerance:.1e}"
+
+
 def _verdicts(
     checks: tuple[tuple[ZeroRecord, PropositionChecks], ...],
     scanned: bool,
@@ -155,81 +165,45 @@ def _verdicts(
     aborted: str | None,
 ) -> tuple[str, ...]:
     tol = TOLERANCES
-    lines: list[str] = []
+    # one pass: I's and IV's maxima and V's two bounds (see the module docstring)
+    worst_xi = worst_res = worst_imag = worst_quarter = 0.0
+    for rec, c in checks:
+        xi, t, res = abs(rec.xi), rec.t, c.zero_residual_abs
+        quarter = xi * xi + 2 * xi * t + res
+        q_floor = 0.25 + t * t - quarter
+        imag = (2 * xi * t + res) / q_floor if q_floor > 0 else math.inf
+        worst_xi, worst_res = max(worst_xi, xi), max(worst_res, res)
+        worst_imag, worst_quarter = max(worst_imag, imag), max(worst_quarter, quarter)
 
-    def vacuous(idx: int, label: str) -> bool:
-        # A per-zero verdict with no zero to judge: once the scan has
-        # finished, "no zeros" is a measured fact and passes.
-        if checks:
-            return False
-        if not scanned:
-            lines.append(_line(idx, "SKIP", "audit aborted before this check"))
-        else:
-            lines.append(_line(idx, "PASS", f"vacuous, no zeros in range ({label})"))
-        return True
-
-    def summary(fn, tolerance: float, label: str, idx: int) -> None:
-        if vacuous(idx, label):
-            return
-        worst = max(fn(rec, c) for rec, c in checks)
-        status = "PASS" if worst <= tolerance else "FAIL"
-        lines.append(_line(idx, status, f"{label}: max {worst:.3e} vs tolerance {tolerance:.1e}"))
-
-    # I: every zero sits on the line within tolerance
-    summary(lambda rec, c: abs(rec.xi), tol["xi"], "measured |xi| at each zero", 0)
-
-    # II: the consistency identity holds by construction, up to rounding
-    if scanned:
-        lines.append(_line(1, "PASS", "consistency identity Z = s N^(1-s) (1/(s(s-1)) + 1/Q): "
-                                      "stated, Q is built from Z's head and tail"))
-    else:
-        lines.append(_line(1, "SKIP", "audit aborted before this check"))
-
-    # III: counter-hypothesis control, every zero in the strip is a simple zero on the line
     if strip_zeros is None:
         note = "audit aborted before the winding counts" if aborted else "window too thin for winding counts"
-        lines.append(_line(2, "SKIP" if aborted else "PASS", f"vacuous, {note}"))
+        iii = ("SKIP" if aborted else "PASS", f"vacuous, {note}")
     else:
-        lines.append(
-            _line(2, "PASS" if strip_zeros == len(checks) else "FAIL",
-                  f"strip [{_STRIP[0]}, {_STRIP[1]}] holds {strip_zeros} zeros; "
-                  f"the scan found {len(checks)} on the line")
-        )
-
-    # IV: zero-condition residual at each zero and its conjugate
-    summary(lambda rec, c: c.zero_residual_abs, tol["zero_residual"], "|s(s-1) + Q|", 3)
-
-    # V: Q is real and equals 1/4 + t^2, stated from I and IV. With res = IV's
-    # residual, Q = 1/4 + t^2 - xi^2 - 2i xi t + r with |r| = res, so
-    # |Q - (1/4 + t^2)| <= xi^2 + 2|xi|t + res and |Im Q| <= 2|xi|t + res,
-    # while |Q| >= 1/4 + t^2 less the first bound.
-    if not vacuous(4, "Q realness"):
-        worst_imag = worst_quarter = 0.0
-        for rec, c in checks:
-            xi, t = abs(rec.xi), rec.t
-            quarter = xi * xi + 2 * xi * t + c.zero_residual_abs
-            q_floor = 0.25 + t * t - quarter
-            imag = (2 * xi * t + c.zero_residual_abs) / q_floor if q_floor > 0 else math.inf
-            worst_imag, worst_quarter = max(worst_imag, imag), max(worst_quarter, quarter)
-        ok = worst_imag <= tol["q_imag_rel"] and worst_quarter <= tol["q_vs_quarter_plus_t2"]
-        lines.append(
-            _line(4, "PASS" if ok else "FAIL",
-                  f"from I and IV: Q realness <= {worst_imag:.3e} vs {tol['q_imag_rel']:.1e}; "
-                  f"|Q - (1/4 + t^2)| <= {worst_quarter:.3e} vs {tol['q_vs_quarter_plus_t2']:.1e}")
-        )
-
-    # VI: polynomial division rest, IV's residual: Q - s(1-s) = s(s-1) + Q bit for bit
-    summary(lambda rec, c: c.zero_residual_abs, tol["zero_residual"],
-            "division rest |Q - s(1-s)| = |s(s-1) + Q| (IV)", 5)
-
-    # VII: factorization deviation, IV's residual: [s(s-1) + Q] - (s - s_H)(s - (1 - s_H))
-    # is s_H(s_H - 1) + Q at every s
-    summary(lambda rec, c: c.zero_residual_abs, tol["zero_residual"],
-            "factorization deviation = |s_H(s_H - 1) + Q| at every s (IV)", 6)
-
-    # VIII: conjugate relation conj(s) = 1 - s, I's offset: |conj(s) - (1 - s)| = 2|xi|
-    summary(lambda rec, c: 2 * abs(rec.xi), 2 * tol["xi"], "|conj(s) - (1 - s)| = 2|xi| (I)", 7)
-
+        iii = ("PASS" if strip_zeros == len(checks) else "FAIL",
+               f"strip [{_STRIP[0]}, {_STRIP[1]}] holds {strip_zeros} zeros; "
+               f"the scan found {len(checks)} on the line")
+    v_ok = worst_imag <= tol["q_imag_rel"] and worst_quarter <= tol["q_vs_quarter_plus_t2"]
+    # (label of a per-zero row, "" for a window row; status; text)
+    rows = (
+        _judged("measured |xi| at each zero", worst_xi, tol["xi"]),
+        ("", "PASS", "consistency identity Z = s N^(1-s) (1/(s(s-1)) + 1/Q): "
+                     "stated, Q is built from Z's head and tail"),
+        ("", *iii),
+        _judged("|s(s-1) + Q|", worst_res, tol["zero_residual"]),
+        ("Q realness", "PASS" if v_ok else "FAIL",
+         f"from I and IV: Q realness <= {worst_imag:.3e} vs {tol['q_imag_rel']:.1e}; "
+         f"|Q - (1/4 + t^2)| <= {worst_quarter:.3e} vs {tol['q_vs_quarter_plus_t2']:.1e}"),
+        _judged("division rest |Q - s(1-s)| = |s(s-1) + Q| (IV)", worst_res, tol["zero_residual"]),
+        _judged("factorization deviation = |s_H(s_H - 1) + Q| at every s (IV)", worst_res, tol["zero_residual"]),
+        _judged("|conj(s) - (1 - s)| = 2|xi| (I)", 2 * worst_xi, 2 * tol["xi"]),
+    )
+    lines = []
+    for idx, (label, status, text) in enumerate(rows):
+        if not scanned and idx != 2:  # III says itself why it skipped
+            status, text = "SKIP", "audit aborted before this check"
+        elif label and not checks:  # once the scan has finished, "no zeros" is a measured fact
+            status, text = "PASS", f"vacuous, no zeros in range ({label})"
+        lines.append(_line(idx, status, text))
     return tuple(lines)
 
 
