@@ -176,6 +176,7 @@ _STEP_FLOOR = 1e-12      # Newton stalls below this step size
 _TOL_FLOOR = 1e-10       # refinement tolerances below this are unreliable
 _BOUNDARY_MODULUS = 1e-6  # contour samples below this indicate a boundary zero
 _MAX_SPLIT_DEPTH = 12    # adaptive phase-walk refinement levels
+_MAX_GRID_NODES = 2 ** 20  # the scan grid's largest node count
 _PHASE_LIMIT = math.pi / 2
 _LEFT_STRIP = "iteration left the critical strip"
 # truncation bound of the sampled walks at their worst corner (see the module docstring)
@@ -282,8 +283,8 @@ class ScanConfig:
     def __post_init__(self) -> None:
         if not _is_real(self.step) or not 0 < self.step <= 0.5:
             raise ParameterError(f"step must lie in (0, 0.5], got {self.step!r}")
-        if not _is_real(self.tol) or not self.tol >= _TOL_FLOOR:
-            raise ParameterError(f"tol must be at least {_TOL_FLOOR}, got {self.tol!r}")
+        if not _is_real(self.tol) or not _TOL_FLOOR <= self.tol < math.inf:
+            raise ParameterError(f"tol must be at least {_TOL_FLOOR} and finite, got {self.tol!r}")
         if type(self.max_iter) is not int or self.max_iter < 1:
             raise ParameterError(f"max_iter must be a positive integer, got {self.max_iter!r}")
 
@@ -429,8 +430,15 @@ def _line_values(
 ) -> tuple[list[float], list[complex]]:
     # the grid t_min + k step up to t_max, plus t_max when it is off the
     # grid, and Z at 1/2 + it on each node, from one walk: an off-grid t_max
-    # is its last side, one step long, and the walk's top
-    count = int(math.floor((t_max - t_min) / step + 1e-9))
+    # is its last side, one step long, and the walk's top. The grid holds at
+    # most ratio + 2 nodes; a ratio that passes the cap, inf too, is refused
+    # before any node is built.
+    ratio = (t_max - t_min) / step
+    if not ratio <= _MAX_GRID_NODES - 2:
+        raise ParameterError(
+            f"step {step!r} over [{t_min!r}, {t_max!r}] asks for more than {_MAX_GRID_NODES} grid nodes"
+        )
+    count = int(math.floor(ratio + 1e-9))
     if t_min + count * step > t_max:
         count -= 1
     grid = [t_min + k * step for k in range(count + 1)]

@@ -21,6 +21,7 @@ import pytest
 import oracles
 from zetagb import qfunction, zero_scan, zeta_core
 from zetagb.audit import audit_range
+from zetagb.cli import run
 from zetagb.errors import BoundaryError, InconclusiveError, ParameterError, RefinementError
 from zetagb.zero_scan import (
     RECORD_FIELDS,
@@ -286,7 +287,7 @@ def test_a_mirrored_winding_walks_its_right_half_once(record_call_stacks, kernel
     assert calls.count(("zeta_gb", "dirichlet_partial_sum")) == calls.count(("zeta_gb",))
 
 
-def test_scan_validation() -> None:
+def test_scan_validation(capsys) -> None:
     with pytest.raises(ParameterError):
         scan_critical_line(-1.0, 5.0)
     with pytest.raises(ParameterError, match="t_min and t_max must be numbers"):
@@ -307,6 +308,25 @@ def test_scan_validation() -> None:
         scan_critical_line(0.0, 5.0, {"step": 0.5})  # type: ignore[arg-type]
     with pytest.raises(ParameterError, match="EvalParams"):  # it raised AttributeError
         scan_critical_line(0.0, 30.0, params=(30, 5))  # type: ignore[arg-type]
+    # tol = inf passed, and --tol inf exited 0 with Newton's loop never run,
+    # or exited 2 naming --eps
+    with pytest.raises(ParameterError, match=r"tol must be at least 1e-10 and finite, got inf"):
+        ScanConfig(tol=math.inf)
+    for extra in ((), ("--N", "40", "--nu", "9")):
+        assert run(["zeros", "--t-min", "0", "--t-max", "20", "--tol", "inf", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("parameter error: tol must be at least")
+
+
+@pytest.mark.parametrize(("t_max", "step"), ((10.0, 5e-324), (499.0, 1e-9)))
+def test_a_grid_above_the_node_cap_is_refused_before_any_node(record_call_stacks, t_max, step) -> None:
+    # the first raised OverflowError on an infinite node count, the second
+    # asked for 5e11 nodes and ran out of memory
+    calls = record_call_stacks(("_dirichlet_path",))
+    with pytest.raises(ParameterError, match=rf"step {step!r} over \[0.0, {t_max!r}\] asks for more than 1048576"):
+        scan_critical_line(0.0, t_max, ScanConfig(step=step))
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
