@@ -177,9 +177,9 @@ def _verdicts(
 
     if strip_zeros is None:
         note = "audit aborted before the winding counts" if aborted else "window too thin for winding counts"
-        iii = ("SKIP" if aborted else "PASS", f"vacuous, {note}")
+        iii = ("", "SKIP" if aborted else "PASS", f"vacuous, {note}")
     else:
-        iii = ("PASS" if strip_zeros == len(checks) else "FAIL",
+        iii = ("", "PASS" if strip_zeros == len(checks) else "FAIL",
                f"strip [{_STRIP[0]}, {_STRIP[1]}] holds {strip_zeros} zeros; "
                f"the scan found {len(checks)} on the line")
     v_ok = worst_imag <= tol["q_imag_rel"] and worst_quarter <= tol["q_vs_quarter_plus_t2"]
@@ -188,7 +188,7 @@ def _verdicts(
         _judged("measured |xi| at each zero", worst_xi, tol["xi"]),
         ("", "PASS", "consistency identity Z = s N^(1-s) (1/(s(s-1)) + 1/Q): "
                      "stated, Q is built from Z's head and tail"),
-        ("", *iii),
+        iii,
         _judged("|s(s-1) + Q|", worst_res, tol["zero_residual"]),
         ("Q realness", "PASS" if v_ok else "FAIL",
          f"from I and IV: Q realness <= {worst_imag:.3e} vs {tol['q_imag_rel']:.1e}; "

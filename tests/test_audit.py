@@ -610,14 +610,6 @@ def test_audit_range_aborts_to_a_partial_report() -> None:
     assert "INCOMPLETE" in render_text(report)
 
 
-@pytest.mark.parametrize(("t_max", "step"), ((10.0, 5e-324), (499.0, 1e-9)))
-def test_an_audit_grid_above_the_node_cap_is_refused_before_any_node(record_call_stacks, t_max, step) -> None:
-    calls = record_call_stacks(("_dirichlet_path",))
-    with pytest.raises(ParameterError, match="grid nodes"):
-        audit_range(0.0, t_max, ScanConfig(step=step))
-    assert calls == []
-
-
 def test_an_audit_recount_above_the_node_cap_is_refused(monkeypatch) -> None:
     # the cap covers every recount: with it at 40 nodes, the 33-node scan of
     # 14..22 runs, and the 65-node recount at step 0.125 is refused

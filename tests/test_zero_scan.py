@@ -319,13 +319,14 @@ def test_scan_validation(capsys) -> None:
         assert captured.err.startswith("parameter error: tol must be at least")
 
 
+@pytest.mark.parametrize("command", (scan_critical_line, audit_range), ids=("zeros", "audit"))
 @pytest.mark.parametrize(("t_max", "step"), ((10.0, 5e-324), (499.0, 1e-9)))
-def test_a_grid_above_the_node_cap_is_refused_before_any_node(record_call_stacks, t_max, step) -> None:
+def test_a_grid_above_the_node_cap_is_refused_before_any_node(record_call_stacks, command, t_max, step) -> None:
     # the first raised OverflowError on an infinite node count, the second
     # asked for 5e11 nodes and ran out of memory
     calls = record_call_stacks(("_dirichlet_path",))
     with pytest.raises(ParameterError, match=rf"step {step!r} over \[0.0, {t_max!r}\] asks for more than 1048576"):
-        scan_critical_line(0.0, t_max, ScanConfig(step=step))
+        command(0.0, t_max, ScanConfig(step=step))
     assert calls == []
 
 
