@@ -49,16 +49,14 @@ polynomial also runs from h_a > 0 to h_b < 0, so the seed lies strictly
 inside the bracket, and through two nodes it is the regula-falsi point.
 The grid values are already there, so the seed costs no evaluation.
 
-Refinement. Complex Newton takes the analytic derivative from the same
-exact pass as the value, at the scan's params. If it leaves the bracket
-or the strip, Illinois regula falsi (Dowell and Jarratt, BIT 11, 1971)
-narrows the sign change of h, one exact evaluation a step, and Newton
-polishes its last point, so xi is still measured; a bracket that still
-yields no zero inside raises a RefinementError naming it. The polish
-step of ``refine_zero`` reads no slope, so it makes one value-only pass,
-and Q at the refined zero is built from that pass's head. Where the
-polish is not kept, or the zero is conjugated, ``q_gb`` makes a pass of
-its own; either way ``ZeroRecord.q_value`` has the bits of ``q_gb``.
+Refinement. Complex Newton runs from the seed, with the analytic
+derivative from the same exact pass as the value, at the scan's params;
+a zero it refines outside the bracket raises a RefinementError naming
+the bracket. The polish step of ``refine_zero`` reads no slope, so it
+makes one value-only pass, and Q at the refined zero is built from that
+pass's head. Where the polish is not kept, or the zero is conjugated,
+``q_gb`` makes a pass of its own; either way ``ZeroRecord.q_value`` has
+the bits of ``q_gb``.
 
 The certificate. The scan grid is a line of uniformly spaced nodes, an
 off-grid t_max a last side of one step, and a rectangle's boundary an
@@ -178,7 +176,6 @@ _BOUNDARY_MODULUS = 1e-6  # contour samples below this indicate a boundary zero
 _MAX_SPLIT_DEPTH = 12    # adaptive phase-walk refinement levels
 _MAX_GRID_NODES = 2 ** 20  # the scan grid's largest node count
 _PHASE_LIMIT = math.pi / 2
-_LEFT_STRIP = "iteration left the critical strip"
 # truncation bound of the sampled walks at their worst corner (see the module docstring)
 _SAMPLE_EPS = 2.0 ** -15
 _SAMPLE_MARGIN = 2.0 ** 10  # a sample counts when |value| exceeds this many error bounds
@@ -350,7 +347,7 @@ def refine_zero(
         z = z - step
         iterations += 1
         if not 0.0 < z.real < 1.0:
-            raise RefinementError(f"{_LEFT_STRIP} at {z!r} from seed {s0!r}")
+            raise RefinementError(f"iteration left the critical strip at {z!r} from seed {s0!r}")
         fz, deriv = f(z)
         if abs(step) < _STEP_FLOOR and abs(fz) > tol:
             raise RefinementError(
@@ -456,47 +453,13 @@ def _line_values(
     return grid, _walk([complex(0.5, t) for t in grid], segments, sample, bound, exact)
 
 
-def _refine_bracket(
-    ta: float, tb: float, seed: float, za: complex, hb: float, cfg: ScanConfig, params: EvalParams
-) -> ZeroRecord:
-    # the zero in (ta, tb), where h falls from |za| to hb < 0, refined as the
-    # module docstring says
-    ha = abs(za)
-    try:
-        rec = refine_zero(complex(0.5, seed), cfg.tol, cfg.max_iter, params)
-        if ta < rec.t < tb:
-            return rec
-    except RefinementError as exc:
-        if not str(exc).startswith(_LEFT_STRIP):
-            raise
-
-    # narrow until |h| <= sqrt(tol), from where a Newton step, which squares
-    # the error, reaches tol and measures xi
-    a, fa, b, fb, side = ta, ha, tb, hb, 0
-    t = seed
-    for _ in range(cfg.max_iter):
-        c = a + (b - a) * fa / (fa - fb)
-        if not a < c < b:
-            break
-        t, fc = c, (zeta_gb(complex(0.5, c), params).value * za.conjugate()).real / ha
-        if abs(fc) <= math.sqrt(cfg.tol):
-            break
-        # an end kept twice in a row has its h halved (Illinois)
-        if fc > 0:
-            a, fa = c, fc
-            fb = fb / 2 if side > 0 else fb
-            side = 1
-        else:
-            b, fb = c, fc
-            fa = fa / 2 if side < 0 else fa
-            side = -1
-    where = f"no zero found inside its bracket [{ta:.6f}, {tb:.6f}]"
-    try:
-        rec = refine_zero(complex(0.5, t), cfg.tol, cfg.max_iter, params)
-    except RefinementError as exc:
-        raise RefinementError(f"{where}: {exc}") from None
+def _refine_bracket(ta: float, tb: float, seed: float, cfg: ScanConfig, params: EvalParams) -> ZeroRecord:
+    # Newton from the interpolated seed; a zero outside (ta, tb) is not this bracket's
+    rec = refine_zero(complex(0.5, seed), cfg.tol, cfg.max_iter, params)
     if not ta < rec.t < tb:
-        raise RefinementError(f"{where}: the polish refined to t = {rec.t:.6f}")
+        raise RefinementError(
+            f"no zero found inside its bracket [{ta:.6f}, {tb:.6f}]: Newton refined to t = {rec.t:.6f}"
+        )
     return rec
 
 
@@ -550,10 +513,11 @@ def scan_critical_line(
     ``cfg`` (default ``ScanConfig()``) holds every scan setting. Grid
     nodes where zeta is exactly 0 are dropped; every remaining cell whose
     ends give Re[zeta_b conj(zeta_a)] < 0 is a bracket, refined from its
-    interpolated seed (see the module docstring), with at most
-    ``cfg.max_iter`` Illinois steps. A refinement that fails is skipped
-    with a logged warning unless ``cfg.strict_refine`` is set. Cells do not
-    overlap, so no zero is returned twice; two zeros in one cell are not seen.
+    interpolated seed by Newton (see the module docstring), at most
+    ``cfg.max_iter`` steps. A refinement that fails, or that refines to
+    a zero outside its bracket, is skipped with a logged warning unless
+    ``cfg.strict_refine`` is set. Cells do not overlap, so no zero is
+    returned twice; two zeros in one cell are not seen.
     """
     cfg = _scan_config(cfg)
     _check_t_range(t_min, t_max)
@@ -569,7 +533,6 @@ def scan_critical_line(
         if cross >= 0:
             continue
         ha = abs(za)
-        hb = cross / ha
         # the _SEED_NODES nodes around the bracket, shifted to stay on the grid
         lo = max(0, min(i + 1 - _SEED_NODES // 2, len(nodes) - _SEED_NODES))
         stencil = nodes[lo:lo + _SEED_NODES]
@@ -580,7 +543,7 @@ def scan_critical_line(
             hs = [(z * za.conjugate()).real / ha for _, z in stencil]
         seed = _interpolated_seed(ts, hs, ta, tb, ha, hs[i + 1 - lo])
         try:
-            records.append(_refine_bracket(ta, tb, seed, za, hb, cfg, params))
+            records.append(_refine_bracket(ta, tb, seed, cfg, params))
         except RefinementError as exc:
             if cfg.strict_refine:
                 raise

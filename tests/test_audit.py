@@ -427,11 +427,14 @@ def test_the_verdict_lines_keep_their_text(case: str) -> None:
     assert list(audit._verdicts(*args)) == expected
 
 
-def test_an_off_line_pair_fails_verdict_three(monkeypatch) -> None:
-    # two more zeros in the strip than on the line: an off-line pair rho, 1 - conj(rho)
+def test_an_off_line_pair_fails_verdict_three(monkeypatch, record_call_stacks) -> None:
+    # two more zeros in the strip than on the line: an off-line pair rho,
+    # 1 - conj(rho), which the one rescan at half the step cannot find either
     count = audit.rectangle_winding
     monkeypatch.setattr("zetagb.audit.rectangle_winding", lambda *args: (count(*args)[0] + 2, 0.0))
+    calls = record_call_stacks(("scan_critical_line",))
     report = audit_range(14.0, 22.0)
+    assert len(calls) == 2
     assert report.complete
     assert report.strip_zeros == 4
     assert len(report.zero_checks) == 2
@@ -441,9 +444,9 @@ def test_an_off_line_pair_fails_verdict_three(monkeypatch) -> None:
     assert sum(" FAIL " in line for line in report.verdict_lines) == 1
 
 
-def test_a_short_sign_count_fails_after_the_recounts(monkeypatch) -> None:
-    # a scan that drops its last zero is rescanned at half the step down to
-    # step / 16, and III then fails on the short list
+def test_a_short_sign_count_fails_after_one_rescan(monkeypatch) -> None:
+    # a scan that drops its last zero is rescanned once, at half the step,
+    # and III then fails on the short list
     steps: list[float] = []
     scan = audit.scan_critical_line
 
@@ -453,7 +456,7 @@ def test_a_short_sign_count_fails_after_the_recounts(monkeypatch) -> None:
 
     monkeypatch.setattr("zetagb.audit.scan_critical_line", short)
     report = audit_range(14.0, 22.0)
-    assert steps == [0.25, 0.125, 0.0625, 0.03125, 0.015625]
+    assert steps == [0.25, 0.125]
     assert report.strip_zeros == 2
     assert len(report.zero_checks) == 1
     assert "holds 2 zeros" in _verdict(report, "III")

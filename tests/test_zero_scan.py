@@ -14,6 +14,7 @@ import json
 import logging
 import math
 import random
+from types import SimpleNamespace
 
 import mpmath
 import pytest
@@ -126,13 +127,32 @@ def test_refine_rejects_seeds_outside_the_strip() -> None:
 
 def test_refine_reports_divergence() -> None:
     # far from any zero the iteration wanders out of the strip
-    with pytest.raises(RefinementError):
+    with pytest.raises(RefinementError, match="iteration left the critical strip"):
         refine_zero(complex(0.5, 2.0))
 
 
 def test_refine_reports_iteration_exhaustion() -> None:
     with pytest.raises(RefinementError, match="no convergence"):
         refine_zero(complex(0.5, 14.25), max_iter=1)
+
+
+@pytest.mark.parametrize(("value", "slope", "message"), (
+    (lambda z: 1.0, lambda z: 0.0, r"derivative degenerated at \(0\.5\+14\.1j\)$"),
+    (lambda z: 1.0, lambda z: 1e20,
+     r"stalled at \(0\.5\+14\.1j\): step 1\.000e-20 below floor with \|Z\| = 1\.000e\+00$"),
+    (lambda z: z - 0.5, lambda z: 1.0, r"refinement landed on the real axis at \(0\.5\+0j\)$"),
+))
+def test_refine_reports_each_degenerate_iteration(monkeypatch, value, slope, message: str) -> None:
+    # Newton on stand-ins for zeta: a constant with slope 0; a constant so
+    # steep that the step falls below 1e-12; and z - 1/2, whose zero lies on
+    # the real axis, where one step from 1/2 + 14.1i lands exactly
+    monkeypatch.setattr(
+        zero_scan,
+        "zeta_gb",
+        lambda z, params, *, derivative=False: SimpleNamespace(value=complex(value(z)), derivative=complex(slope(z))),
+    )
+    with pytest.raises(RefinementError, match=message):
+        refine_zero(complex(0.5, 14.1), params=EvalParams(40, 9))
 
 
 def test_refine_validation() -> None:
@@ -385,6 +405,25 @@ def test_sign_changes_miss_two_zeros_in_one_cell() -> None:
     assert [round(rec.t, 4) for rec in finer] == [415.0188, 415.4552]
 
 
+def test_every_zero_gap_below_500_exceeds_a_quarter() -> None:
+    # the audit's one rescan at half the step rests on this: at any allowed
+    # step, <= 0.5, its grid gives each zero below t = 500 a cell of its own
+    records = scan_critical_line(0.0, 500.0)
+    assert len(records) == 269
+    gaps = [b.t - a.t for a, b in zip(records, records[1:])]
+    assert min(gaps) > 0.25
+    assert round(min(gaps), 4) == 0.4364
+    assert round(records[gaps.index(min(gaps))].t, 4) == 415.0188
+
+
+@pytest.mark.parametrize(("step", "zeros"), ((0.5, 267), (0.25, 269)))
+def test_newton_from_every_seed_lands_inside_its_bracket(step: float, zeros: int) -> None:
+    # under strict_refine a zero refined outside its bracket raises; at step
+    # 0.5 the pair 415.0188, 415.4552 shares a cell and has no bracket
+    records = scan_critical_line(0.0, 500.0, ScanConfig(step=step, strict_refine=True))
+    assert len(records) == zeros
+
+
 def test_a_coarse_bracket_keeps_its_zero(caplog) -> None:
     # at step 0.5 Newton from the node 334.0 ran from the cell [333.5, 334.0]
     # to 334.2114, the zero of the next cell; the interpolated seed keeps it
@@ -410,18 +449,23 @@ def _newton_within(monkeypatch, reach: float) -> None:
     monkeypatch.setattr(zero_scan, "refine_zero", from_334)
 
 
-def test_the_fallback_recovers_a_zero_that_newton_leaves(monkeypatch, caplog) -> None:
-    # the interpolated seed 333.74 is 0.1 from the zero: Illinois must narrow
-    # the bracket to within 1e-3 of it before the Newton polish
+def test_the_audit_rescan_recovers_a_zero_that_newton_leaves(monkeypatch, caplog) -> None:
+    # the interpolated seed 333.6430 is 2.4e-3 from the zero, so Newton runs
+    # to 334.2114: the scan names the bracket and skips it. The audit's one
+    # rescan at step 0.25 seeds within 1e-5 of the zero and recovers it.
     _newton_within(monkeypatch, 1e-3)
     with caplog.at_level(logging.WARNING, logger="zetagb.zero_scan"):
         records = scan_critical_line(333.0, 335.0, ScanConfig(step=0.5))
-    assert [round(rec.t, 4) for rec in records] == [333.6454, 334.2114]
-    assert 333.5 < records[0].t < 334.0
-    # the Newton polish measures xi rather than keeping the Illinois point
-    assert records[0].refine_iterations >= 1
-    assert abs(records[0].xi) <= 1e-9
-    assert caplog.text == ""
+    assert [round(rec.t, 4) for rec in records] == [334.2114]
+    assert ("no zero found inside its bracket [333.500000, 334.000000]: "
+            "Newton refined to t = 334.211355") in caplog.text
+    report = audit_range(333.0, 335.0, ScanConfig(step=0.5))
+    assert report.complete
+    assert report.strip_zeros == 2
+    rescan = scan_critical_line(333.0, 335.0, ScanConfig(step=0.25), report.params_used)
+    assert [rec for rec, _ in report.zero_checks] == rescan
+    assert [round(rec.t, 4) for rec, _ in report.zero_checks] == [333.6454, 334.2114]
+    assert "III  PASS strip [-1.0, 2.0] holds 2 zeros; the scan found 2 on the line" in report.verdict_lines
 
 
 def test_a_bracket_the_fallback_cannot_resolve_is_named(monkeypatch, caplog) -> None:

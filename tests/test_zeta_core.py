@@ -838,6 +838,22 @@ def test_no_request_the_first_fit_accepted_is_refused() -> None:
             assert picked.cutoff_n + 3 * picked.tail_order <= old[0] + 3 * old[1]
 
 
+def test_a_tail_order_whose_closed_form_overflows_is_skipped() -> None:
+    # at sigma = -30.95, nu = 15 has d = sigma + 2 nu + 1 = 0.05, and the
+    # closed form's power 1/d = 20 overflows: the sweep skips that order
+    s, eps = -30.95 + 300j, 1e-8
+    nu, _, c, _ = zeta_core._schedule_rows()[15 - 2]
+    assert nu == 15
+    d = s.real + 31
+    with pytest.raises(OverflowError):
+        (c * math.prod(abs(s + k) for k in range(32)) / (d * eps)) ** (1.0 / d)
+    assert auto_params(s, eps) == EvalParams(50703, 25)
+    # at -40.9 + 400i nu = 20 overflows so, and no other order fits the
+    # cutoff cap: the refusal is a PrecisionError, not the OverflowError
+    with pytest.raises(PrecisionError, match=r"no schedule entry certifies eps = 1e-08"):
+        auto_params(-40.9 + 400j, 1e-8)
+
+
 def test_auto_params_certifies_its_choice() -> None:
     for s, eps in ((0.5 + 14.1j, 1e-9), (-1.5 + 30j, 1e-8), (3 + 0j, 1e-11)):
         p = auto_params(s, eps)
