@@ -964,6 +964,29 @@ def test_the_mirrored_rectangle_reads_one_bound_per_walk(bound_reads) -> None:
     _reads_one_bound_per_node(bound_reads, Rectangle(0.01, 0.99, 0.1, 1.4))
 
 
+# Z at 1/2 + it on the grid 0, 0.25, ..., 2 at the scan's params there, (8, 4),
+# as (re, im) in hex, recorded when the grid read its walk bound at its top
+GRID_0_2 = [
+    ("-0x1.75d9eea46456bp+0", "0x0.0p+0"),
+    ("-0x1.0f62620ae2964p+0", "-0x1.8fb1e99856ab3p-1"),
+    ("-0x1.d653f7530a227p-2", "-0x1.ec29e1cbe38fep-1"),
+    ("-0x1.2c75e53737faap-4", "-0x1.bacb95b85a278p-1"),
+    ("0x1.26c7b6a01055ep-3", "-0x1.71b7e90efc67ap-1"),
+    ("0x1.1514f01b36ae2p-2", "-0x1.2f0eed15a6d01p-1"),
+    ("0x1.66032a1cc08e4p-2", "-0x1.edbb962900298p-2"),
+    ("0x1.9c3ad8cabb925p-2", "-0x1.8f72040c582aep-2"),
+    ("0x1.c31ea6e7bfd94p-2", "-0x1.3f266df209626p-2"),
+]
+
+
+def test_a_grid_below_the_walk_bound_rule_keeps_its_values() -> None:
+    params = zero_scan._refine_params(complex(0.5, 2.0), ScanConfig.tol)
+    assert params == EvalParams(8, 4)
+    grid, values = zero_scan._line_values(0.0, 2.0, 0.25, params)
+    assert grid == [0.25 * k for k in range(9)]
+    assert [(v.real.hex(), v.imag.hex()) for v in values] == GRID_0_2
+
+
 def test_a_walk_at_params_still_certifies_its_nodes(monkeypatch) -> None:
     # sampling at the params themselves is no licence to keep a walked value:
     # node 1 sits on the first zero, where the walk's |zeta| of 4.0e-11 is
