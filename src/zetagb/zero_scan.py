@@ -90,11 +90,11 @@ height T,
                     <= (nu + 1)/T - ln N,
 
 since (sigma + k)^2 + T^2 >= 2 |sigma + k| T and sigma + 2 nu + 1 > 0,
-so whenever nu + 1 < T ln N the bound falls as sigma grows. So B is at
-least every node's bound on a vertical path (the scan grid), and on a
-rectangle's path, its phase-walk splits included, where
-nu + 1 < T ln N; elsewhere (a rectangle near t = 0) B is inf. A node
-that fails B reads its own bound, so every decision is the per-node one.
+so whenever nu + 1 < T ln N the bound falls as sigma grows. So every
+walk, the scan grid's and a rectangle's with its phase-walk splits,
+reads B where nu + 1 < T ln N, which is then at least every node's
+bound on its path, and inf elsewhere (near t = 0). A node that fails B
+reads its own bound, so every decision is the per-node one.
 
 Winding. Rectangle counts use the argument principle: a phase increment
 between neighbouring nodes is kept below pi/2, split at the midpoint
@@ -375,13 +375,6 @@ def refine_zero(
     )
 
 
-def _sample_params(corner: complex, params: EvalParams | None) -> EvalParams | None:
-    # the (N, nu) of sign and phase samples on a walk whose truncation bound
-    # is largest at ``corner``: the cheapest bounding it by _SAMPLE_EPS, or
-    # params where no schedule entry applies
-    return _schedule(corner, _SAMPLE_EPS) or params
-
-
 def _rounding(path: list[complex], count: int, cutoff_n: int) -> list[float]:
     # the module docstring's rounding bound at the first ``count`` nodes
     # walked along ``path``, its vertices in walk order. At the path's
@@ -396,12 +389,24 @@ def _rounding(path: list[complex], count: int, cutoff_n: int) -> list[float]:
     return [(units + k) * unit for k in range(count)]
 
 
+def _walk_params(corner: complex, full: Callable[[], EvalParams]) -> tuple[EvalParams, float]:
+    # the sample (N, nu) and the truncation bound, by the module docstring's
+    # rule, of a walk whose path has its worst corner at ``corner``: the
+    # cheapest schedule entry bounding it by _SAMPLE_EPS, or full() where
+    # none applies. A tail order too small at the path's smallest sigma is
+    # refused before any node is built, since the walk there can overflow first.
+    sample = _schedule(corner, _SAMPLE_EPS) or full()
+    n, nu = sample.cutoff_n, sample.tail_order
+    _tail_denominator(corner.real, nu)
+    return sample, remainder_bound(corner, n, nu) if nu + 1 < corner.imag * math.log(n) else math.inf
+
+
 def _walk(
     nodes: list[complex],
     segments: list[int],
     sample: EvalParams,
     bound: float,
-    exact: Callable[[complex], complex],
+    full: Callable[[], EvalParams],
     floor: float = 0.0,
 ) -> list[complex]:
     # zeta at the nodes of an open path of straight sides, from one walk at
@@ -410,15 +415,14 @@ def _walk(
     # equal steps, so the counts add up to len(nodes) - 1; one node and no
     # side is one exact pass. A node whose sample is not certified (see the
     # module docstring), by the walk's truncation bound or else by its own,
-    # or not above floor, takes exact(z). Callers refuse a tail order too
-    # small on the path before they walk it.
+    # or not above floor, takes the exact pass at full().
     n, nu = sample.cutoff_n, sample.tail_order
     vertices = [nodes[k] for k in accumulate(segments, initial=0)]
     values, _ = _zeta_nodes(nodes, _dirichlet_path(vertices, segments, n), sample)
     for k, (z, value, rounding) in enumerate(zip(nodes, values, _rounding(vertices, len(nodes), n))):
         if not abs(value) > max(floor, _SAMPLE_MARGIN * (bound + rounding)):
             if not abs(value) > max(floor, _SAMPLE_MARGIN * (remainder_bound(z, n, nu) + rounding)):
-                values[k] = exact(z)
+                values[k] = zeta_gb(z, full()).value
     return values
 
 
@@ -443,14 +447,8 @@ def _line_values(
     if grid[-1] < t_max - 1e-12:
         grid.append(t_max)
         segments.append(1)
-    top = complex(0.5, t_max)
-    sample = _sample_params(top, params)
-    bound = remainder_bound(top, sample.cutoff_n, sample.tail_order)
-
-    def exact(z: complex) -> complex:
-        return zeta_gb(z, params).value
-
-    return grid, _walk([complex(0.5, t) for t in grid], segments, sample, bound, exact)
+    sample, bound = _walk_params(complex(0.5, t_max), lambda: params)
+    return grid, _walk([complex(0.5, t) for t in grid], segments, sample, bound, lambda: params)
 
 
 def _refine_bracket(ta: float, tb: float, seed: float, cfg: ScanConfig, params: EvalParams) -> ZeroRecord:
@@ -654,23 +652,14 @@ def rectangle_winding(rect: Rectangle, params: EvalParams | None = None) -> tupl
             params = auto_params(worst, 1e-9)
         return params
 
-    def exact(z: complex) -> complex:
-        return zeta_gb(z, full()).value
-
-    # the walked path's worst corner: its smallest sigma, farthest from the real axis
-    corner = complex(0.5, worst.imag) if mirrored else worst
-    sample = _sample_params(corner, params) or full()
-    n, nu = sample.cutoff_n, sample.tail_order
-    # a tail order too small at the path's smallest sigma is refused before
-    # any node is built, since the walk there can overflow first
-    _tail_denominator(corner.real, nu)
-    # the walk's bound (see the module docstring), its splits' too
-    bound = remainder_bound(corner, n, nu) if nu + 1 < corner.imag * math.log(n) else math.inf
+    # the walked path's worst corner: its smallest sigma, farthest from the
+    # real axis; its bound is its splits' too
+    sample, bound = _walk_params(complex(0.5, worst.imag) if mirrored else worst, full)
 
     def walk(nodes: list[complex], segments: list[int]) -> list[complex]:
         # a sample above twice the boundary modulus stays above it at params,
         # so only full-accuracy values decide a BoundaryError
-        values = _walk(nodes, segments, sample, bound, exact, 2 * _BOUNDARY_MODULUS)
+        values = _walk(nodes, segments, sample, bound, full, 2 * _BOUNDARY_MODULUS)
         for z, value in zip(nodes, values):
             if abs(value) < _BOUNDARY_MODULUS:
                 raise BoundaryError(

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from zetagb.audit import (
     report_to_json,
 )
 from zetagb.errors import InconclusiveError, ParameterError, RefinementError
-from zetagb.qfunction import q_gb
+from zetagb.qfunction import consistency_identity, q_gb
 from zetagb.zero_scan import ScanConfig, ZeroRecord, refine_zero
 from zetagb.zeta_core import EvalParams, remainder_bound
 
@@ -129,6 +130,12 @@ def test_audit_zero_flags_an_off_line_record() -> None:
 def test_audit_zero_rejects_a_non_record() -> None:
     with pytest.raises(ParameterError, match="ZeroRecord"):
         audit_zero("not a record")  # type: ignore[arg-type]
+    # a hand-built record far above the cap: s(s - 1) overflows, and the
+    # residual is refused rather than reported as inf
+    far = ZeroRecord(s=complex(0.5, 1e200), z_modulus=0.0, q_value=0j, refine_iterations=0,
+                     params_used=EvalParams(16, 2))
+    with pytest.raises(ParameterError, match="zero_residual_abs must be a finite non-negative float"):
+        audit_zero(far)
 
 
 def test_q_variation_across_controls() -> None:
@@ -442,6 +449,51 @@ def test_an_off_line_pair_fails_verdict_three(monkeypatch, record_call_stacks) -
     assert "holds 4 zeros" in _verdict(report, "III")
     assert "the scan found 2 on the line" in _verdict(report, "III")
     assert sum(" FAIL " in line for line in report.verdict_lines) == 1
+
+
+def test_a_planted_off_line_pair_fails_only_the_verdicts_that_read_xi(monkeypatch) -> None:
+    # the paper's counter-hypothesis, planted in the sum: zeta h, with
+    # h(s) = (s - rho)(s - 1 + conj rho) / (s - c)^2 as in
+    # test_an_off_line_pair_counts_in_both_walks, vanishes at rho and
+    # 1 - conj rho. Q_f is taken from II's identity on the stubbed Z, so
+    # s(s - 1) + Q_f = 0 at every zero of the sum, on the line or off it:
+    # IV, VI and VII pass, II is stated, and only I and what is read from
+    # it, V and VIII, see the pair. III is handed the pair as if the line
+    # scan had found it; test_an_off_line_pair_fails_verdict_three fails it
+    rho, c = complex(0.8, 253.0), complex(0.5, 260.0)
+    evaluate = zero_scan.zeta_gb
+
+    def h(s: complex) -> complex:
+        return (s - rho) * (s - 1 + rho.conjugate()) / (s - c) ** 2
+
+    def stubbed(s: complex, params: EvalParams, *, derivative: bool = False) -> SimpleNamespace:
+        result = evaluate(s, params, derivative=derivative)
+        slope = None
+        if derivative:
+            dh = (2 * s - 1 - rho + rho.conjugate() - 2 * h(s) * (s - c)) / (s - c) ** 2
+            slope = result.derivative * h(s) + result.value * dh
+        return SimpleNamespace(value=result.value * h(s), derivative=slope)
+
+    def q_f(s: complex, params: EvalParams, *head) -> complex:
+        # Z = s N^(1-s) (1/(s(s-1)) + 1/Q) solved for Q
+        return 1 / (stubbed(s, params).value / (s * params.cutoff_n ** (1 - s)) - 1 / (s * (s - 1)))
+
+    monkeypatch.setattr(zero_scan, "zeta_gb", stubbed)
+    monkeypatch.setattr(zero_scan, "_value", lambda s, params: (stubbed(s, params).value, None))
+    monkeypatch.setattr(zero_scan, "q_gb", q_f)
+    monkeypatch.setattr(zero_scan, "_q", q_f)
+    records = [refine_zero(seed) for seed in (complex(0.79, 253.01), complex(0.21, 252.99))]
+    for rec, zero in zip(records, (rho, 1 - rho.conjugate())):
+        assert abs(rec.s - zero) <= 1e-9
+        params = rec.params_used
+        assert consistency_identity(rec.s, stubbed(rec.s, params).value, rec.q_value, params) <= 1e-9
+    checks = tuple((rec, audit_zero(rec)) for rec in records)
+    assert max(c.zero_residual_abs for _, c in checks) <= 1e-10
+    lines = audit._verdicts(checks, True, 2, None)
+    assert {line.split()[0]: line.split()[1] for line in lines} == {
+        "I": "FAIL", "II": "PASS", "III": "PASS", "IV": "PASS",
+        "V": "FAIL", "VI": "PASS", "VII": "PASS", "VIII": "FAIL"}
+    assert "max 3.000e-01" in lines[0]
 
 
 def test_a_short_sign_count_fails_after_one_rescan(monkeypatch) -> None:

@@ -93,6 +93,9 @@ def test_undefined_points_are_rejected() -> None:
         q_gb(0.5 + 10j, (16, 4))  # type: ignore[arg-type]
     with pytest.raises(ParameterError, match="EvalParams"):
         consistency_identity(0.5 + 10j, 1 + 0j, 1 + 0j, (16, 4))  # type: ignore[arg-type]
+    # 1/q overflows to inf: the residual is refused, not returned as inf
+    with pytest.raises(ParameterError, match="identity residual overflowed"):
+        consistency_identity(0.5 + 14j, 1e308, -1e-320, EvalParams(30, 5))
 
 
 def test_underflowing_reciprocal_is_singular(monkeypatch) -> None:

@@ -731,8 +731,8 @@ def sampled_walks() -> list[tuple[list[complex], list[int], EvalParams, EvalPara
     walk = zero_scan._walk
     caller = {}
 
-    def record(nodes, segments, sample, bound, exact, floor=0.0):
-        values = walk(nodes, segments, sample, bound, exact, floor)
+    def record(nodes, segments, sample, bound, full, floor=0.0):
+        values = walk(nodes, segments, sample, bound, full, floor)
         walks.append((nodes, segments, caller["params"], sample, bound, values))
         return values
 
@@ -783,12 +783,12 @@ def bound_reads(monkeypatch):
         reads.append(s)
         return bound(s, *args)
 
-    def walked(nodes, segments, sample, walk_bound, exact, floor=0.0):
+    def walked(nodes, segments, sample, walk_bound, full, floor=0.0):
         nonlocal reads
         reads = []
         walks.append((nodes, segments, sample, walk_bound, floor, reads))
         try:
-            return walk(nodes, segments, sample, walk_bound, exact, floor)
+            return walk(nodes, segments, sample, walk_bound, full, floor)
         finally:
             reads = outside
 
@@ -847,7 +847,7 @@ def test_a_vertical_walk_is_bounded_at_its_far_end(sampled_walks, monkeypatch) -
     bounded = []
     bound = zero_scan.remainder_bound
     monkeypatch.setattr(zero_scan, "remainder_bound", lambda s, *args: bounded.append(s) or bound(s, *args))
-    values = zero_scan._walk(crossing, [20], sample, top, lambda z: zeta_gb(z, params).value)
+    values = zero_scan._walk(crossing, [20], sample, top, lambda: params)
     assert bounded == _uncertified(crossing, [20], sample, top)
     for (z, sampled, bound, rounding), value in zip(_samples(crossing, [20], sample), values):
         certified = abs(sampled) > 2.0**10 * (bound + rounding)
@@ -862,7 +862,7 @@ def test_the_walk_bound_bounds_every_node_of_a_rectangle(sampled_walks, monkeypa
     rng = random.Random(20261020)
     walks = []
 
-    def stub(nodes, segments, sample, bound, exact, floor=0.0):
+    def stub(nodes, segments, sample, bound, full, floor=0.0):
         walks.append((nodes, sample, bound))
         return [1.0 + 0.0j] * len(nodes)
 
@@ -965,7 +965,8 @@ def test_the_mirrored_rectangle_reads_one_bound_per_walk(bound_reads) -> None:
 
 
 # Z at 1/2 + it on the grid 0, 0.25, ..., 2 at the scan's params there, (8, 4),
-# as (re, im) in hex, recorded when the grid read its walk bound at its top
+# as (re, im) in hex, recorded while the grid read its walk bound at its top
+# even where nu + 1 >= T ln N: the rule's inf there must keep every bit
 GRID_0_2 = [
     ("-0x1.75d9eea46456bp+0", "0x0.0p+0"),
     ("-0x1.0f62620ae2964p+0", "-0x1.8fb1e99856ab3p-1"),
@@ -979,21 +980,30 @@ GRID_0_2 = [
 ]
 
 
-def test_a_grid_below_the_walk_bound_rule_keeps_its_values() -> None:
+def test_a_grid_below_the_walk_bound_rule_keeps_its_values(bound_reads) -> None:
+    # the grid follows the rectangle's rule: its sample (3, 2) has
+    # nu + 1 >= T ln N at T = 2, so its walk bound is inf and each node
+    # reads its own, which takes the decision the bound at the top took
+    walks, outside = bound_reads
     params = zero_scan._refine_params(complex(0.5, 2.0), ScanConfig.tol)
     assert params == EvalParams(8, 4)
     grid, values = zero_scan._line_values(0.0, 2.0, 0.25, params)
     assert grid == [0.25 * k for k in range(9)]
+    ((nodes, _, sample, bound, _, reads),) = walks
+    assert sample == EvalParams(3, 2) and bound == math.inf
+    assert outside == [] and reads == nodes
     assert [(v.real.hex(), v.imag.hex()) for v in values] == GRID_0_2
 
 
 def test_a_walk_at_params_still_certifies_its_nodes(monkeypatch) -> None:
     # sampling at the params themselves is no licence to keep a walked value:
-    # node 1 sits on the first zero, where the walk's |zeta| of 4.0e-11 is
-    # below its certificate, so it makes the exact pass
+    # with no schedule entry the walk samples at full() = params, and node 1
+    # sits on the first zero, where the walk's |zeta| of 4.0e-11 is below
+    # its certificate, so it makes the exact pass
     rec = refine_zero(complex(0.5, 14.1))
     params = rec.params_used
-    monkeypatch.setattr(zero_scan, "_sample_params", lambda corner, p: p)
+    monkeypatch.setattr(zero_scan, "_schedule", lambda corner, eps: None)
+    assert zero_scan._walk_params(complex(0.5, rec.t + 0.75), lambda: params)[0] is params
     grid, values = zero_scan._line_values(rec.t - 0.25, rec.t + 0.75, 0.25, params)
     assert len(grid) == 5 and grid[1] == rec.t
     assert values[1] == zeta_gb(complex(0.5, rec.t), params).value
@@ -1048,7 +1058,7 @@ def test_a_node_on_a_zero_takes_the_full_pass(monkeypatch, kernel_calls) -> None
     # t_min sits 2.7e-10 above the first zero: its sample is not certified
     t_min, t_max = 14.134725142, 60.0
     params = zero_scan._refine_params(complex(0.5, t_max), ScanConfig.tol)
-    sample = zero_scan._sample_params(complex(0.5, t_max), params)
+    sample, _ = zero_scan._walk_params(complex(0.5, t_max), lambda: params)
     assert sample != params
     evaluate = zero_scan.zeta_gb
     calls = []
@@ -1065,7 +1075,8 @@ def test_a_node_on_a_zero_takes_the_full_pass(monkeypatch, kernel_calls) -> None
     assert [(nodes[0], nodes[-1], p) for nodes, p, _ in kernel_calls] == [(low, high, sample)]
     assert [p for s, p in calls if s == low] == [params]
     assert [p for s, p in calls if s == high] == []
-    monkeypatch.setattr(zero_scan, "_sample_params", lambda corner, params: params)
+    # with no schedule entry the grid samples at params, the full accuracy
+    monkeypatch.setattr(zero_scan, "_schedule", lambda corner, eps: None)
     full = scan_critical_line(t_min, t_max)
     assert len(sampled) == len(full) == 12
     for a, b in zip(sampled, full):
@@ -1079,7 +1090,7 @@ def test_a_side_through_a_zero_still_aborts_the_walk(sigma_max: float) -> None:
     t0 = scan_critical_line(415.0, 415.2)[0].t
     rect = Rectangle(0.01, sigma_max, 414.0, t0)
     params = auto_params(complex(0.01, t0), 1e-9)
-    assert zero_scan._sample_params(complex(0.01, t0), params) != params
+    assert zero_scan._walk_params(complex(0.01, t0), lambda: params)[0] != params
     with pytest.raises(BoundaryError, match="nudge"):
         rectangle_winding(rect)
 
@@ -1089,7 +1100,7 @@ def _boundary_error_at_full_accuracy(monkeypatch, kernel_calls, rect: Rectangle,
     # zero, where |zeta| = 1.1e-7: its sample is certified but below 2e-6, so
     # the node is evaluated again at params, and that value raises
     params = auto_params(zero_scan._worst_corner(rect), 1e-9)
-    sample = zero_scan._sample_params(sample_corner, params)
+    sample, _ = zero_scan._walk_params(sample_corner, lambda: params)
     evaluate = zero_scan.zeta_gb
     calls = []
 
@@ -1142,13 +1153,16 @@ def test_the_sampler_never_costs_more_than_params() -> None:
         for sigma in (-1.0, 0.01, 0.5, 0.99):
             corner = complex(sigma, t)
             for params in (auto_params(corner, 1e-9), auto_params(corner, 1e-12)) + explicit:
-                sample = zero_scan._sample_params(corner, params)
+                sample, _ = zero_scan._walk_params(corner, lambda: params)
                 assert remainder_bound(corner, sample.cutoff_n, sample.tail_order) <= eps
                 if remainder_bound(corner, params.cutoff_n, params.tail_order) <= eps:
                     assert _cost(sample) <= _cost(params)
-    # where no schedule entry applies, far left of the strip, explicit params
-    # stay; both callers refuse |t| above 500 before they sample
-    assert zero_scan._sample_params(complex(-60.0, 10.0), explicit[2]) == explicit[2]
+    # where no schedule entry applies, far left of the strip, the full params
+    # are the sample, and a tail order too small there is refused before any
+    # node is built; both callers refuse |t| above 500 before they sample
+    assert zero_scan._walk_params(complex(-50.0, 10.0), lambda: EvalParams(1300, 29))[0] == EvalParams(1300, 29)
+    with pytest.raises(ParameterError, match="tail order 4 too small"):
+        zero_scan._walk_params(complex(-60.0, 10.0), lambda: explicit[2])
 
 
 def test_the_sample_accuracy_leaves_the_exact_pass_to_nodes_near_a_zero(monkeypatch) -> None:
@@ -1160,9 +1174,10 @@ def test_the_sample_accuracy_leaves_the_exact_pass_to_nodes_near_a_zero(monkeypa
     walk = zero_scan._walk
     walks = []  # (nodes, exact passes, whether the walk has sides) of each walk
 
-    def counted(nodes, segments, sample, bound, exact, floor=0.0):
+    def counted(nodes, segments, sample, bound, full, floor=0.0):
+        # the walk reads full() once per exact pass
         calls = []
-        values = walk(nodes, segments, sample, bound, lambda z: calls.append(z) or exact(z), floor)
+        values = walk(nodes, segments, sample, bound, lambda: calls.append(None) or full(), floor)
         walks.append((len(nodes), len(calls), bool(segments)))
         return values
 
