@@ -468,6 +468,38 @@ def test_evaluations_keep_their_bits() -> None:
     assert tuple(x.hex() for x in (rec.s.real, rec.s.imag, tail.real, tail.imag, q.real, q.imag)) == _ZERO_PIN
 
 
+# N, nu, then the value, derivative and Q at auto_params, eps cycling
+# 1e-8, 1e-10, 1e-12 over the seeded points
+_SLOPE_AND_Q_PINS = """
+    119 19 -0x1.b41ea79147cc5p+2 -0x1.3ab0fbf52c26ap+5 0x1.5bb15e15d46a0p+5 0x1.279e24b0e3dfap+7 0x1.219cbf2da8472p+11 -0x1.887b345f3f27bp+12
+    55 14 -0x1.2e15f169c1d7ap+5 -0x1.ea9db5dae15a3p+5 0x1.e7ece14f73412p+6 0x1.76cc3989e7184p+7 0x1.e1fe09162aa95p+9 -0x1.ffdf6398c42bep+11
+    23 7 0x1.897791782a1f1p-1 0x1.44656884ee062p-3 0x1.81d526d4a5c59p-3 -0x1.b3135b4e3c592p-5 0x1.429e89fbeb80cp+0 -0x1.8071674be9617p+0
+    51 12 -0x1.971476a68e306p+2 -0x1.99dd15acdb333p+2 0x1.7c890d17c37f7p+4 0x1.371f577ec5792p+4 -0x1.63c85b3e6ac7ep+11 0x1.dca64f2ca203ap+10
+    94 15 0x1.1452a81777ca6p+0 0x1.8fc96d3eac86bp-3 -0x1.29e6efdf73d25p-2 -0x1.f4aff8ce162bdp-3 0x1.6c547d4e4d5fcp+5 -0x1.118f1b4f45621p+1
+    137 24 0x1.5d5b6c80532dap+3 -0x1.64000e8d0dd93p+4 -0x1.1d75431923beep+5 0x1.6b250e5136504p+6 0x1.76d5557d051aap+11 0x1.4ff5c9c607accp+12
+    63 13 0x1.9658da77a12a6p-2 -0x1.7e2e449d5f821p+2 -0x1.ef1d90715261dp+0 0x1.98c68f67f41dep+4 0x1.fe8cd15e27b5ep+10 0x1.413959c21a893p+12
+    35 11 -0x1.31a71e8b34144p+4 -0x1.36568042dc7e3p+4 0x1.83cd8c61227aap+5 0x1.887eb679994e6p+5 0x1.88e4ffd44dab3p+10 -0x1.68071d1bf6520p+10
+    33 11 -0x1.14668ed845f06p+4 -0x1.1026b1b6c9fb4p-1 0x1.329d7b5303d90p+5 0x1.e09ec50838384p+1 0x1.c9dcd70c1bdc6p+9 0x1.9eb443c244a63p+9
+"""
+
+
+def test_slopes_and_q_keep_their_bits() -> None:
+    # recorded independently of the node kernel, so a change of the kernel
+    # that moves a derivative or a Q by one ulp shows here
+    rng = random.Random(20161)
+    points = [complex(rng.uniform(-1.0, 2.0), rng.uniform(0.0, 500.0)) for _ in range(9)]
+    rows = _SLOPE_AND_Q_PINS.strip().splitlines()
+    assert len(rows) == len(points)
+    for k, (s, row) in enumerate(zip(points, rows)):
+        params = auto_params(s, (1e-8, 1e-10, 1e-12)[k % 3])
+        result = zeta_gb(s, params, derivative=True)
+        q = q_gb(s, params)
+        got = (str(params.cutoff_n), str(params.tail_order),
+               *(x.hex() for x in (result.value.real, result.value.imag, result.derivative.real,
+                                   result.derivative.imag, q.real, q.imag)))
+        assert got == tuple(row.split()), s
+
+
 # ---------------------------------------------------------------------------
 # full evaluation
 # ---------------------------------------------------------------------------
