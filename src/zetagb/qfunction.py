@@ -5,10 +5,13 @@ Q is defined through its reciprocal,
     1/Q(s) = (1/(s N^{1-s})) * sum_{n=1}^{N-1} n^{-s}  +  r(N, s) / N^{1-s},
 
 with r(N, s) the abbreviated Euler-Maclaurin tail (``em_tail``).
+One builder reads 1/Q from the parts of an exact pass (``zeta_core._pass``):
+the head sum_{n<N} n^{-s}, N^{1-s}, N^{-s} and the rest of r(N, s).
 ``q_gb(s, params)`` returns Q(s) itself at the caller's (N, nu), from a
-Dirichlet pass of its own; it refuses s = 0 and 1 and raises
-SingularQError where |1/Q| underflows. ``refine_zero`` builds Q from the
-head sum_{n<N} n^{-s} its polish pass already summed, with the same bits.
+pass of its own; it refuses s = 0 and 1 and raises SingularQError where
+|1/Q| underflows. ``refine_zero`` hands the builder its polish pass's
+parts, so Q there costs no pass, no exp and no tail of its own, with the
+same bits.
 Dividing the full evaluator by s N^{1-s} shows the algebraic identity
 
     Z(s) = s N^{1-s} * ( 1/(s(s-1)) + 1/Q(s) ),
@@ -23,7 +26,7 @@ from __future__ import annotations
 import math
 
 from .errors import ParameterError, SingularQError
-from .zeta_core import EvalParams, _as_complex, _eval_params, _rpow, dirichlet_partial_sum, em_tail
+from .zeta_core import EvalParams, _as_complex, _eval_params, _pass, _rpow
 
 __all__ = ["q_gb", "consistency_identity"]
 
@@ -31,14 +34,10 @@ __all__ = ["q_gb", "consistency_identity"]
 _SINGULAR_FLOOR = 1e-300
 
 
-def _reciprocal_q(s: complex, params: EvalParams, head: complex) -> complex:
-    n_pow = _rpow(params.cutoff_n, 1 - s)
-    return head / (s * n_pow) + em_tail(s, params) / n_pow
-
-
-def _q(s: complex, params: EvalParams, head: complex) -> complex:
-    # Q(s) from the head sum_{n<N} n^{-s} at params
-    rhs = _reciprocal_q(s, params, head)
+def _q(s: complex, parts: tuple[complex, ...]) -> complex:
+    # Q(s) from the parts of an exact pass at s (zeta_core._pass)
+    head, n_pow, n_s, tail = parts
+    rhs = head / (s * n_pow) + (n_s / (2 * s) + tail) / n_pow
     if abs(rhs) < _SINGULAR_FLOOR:
         raise SingularQError(f"|1/Q| = {abs(rhs):.3e} at s = {s!r}; Q is effectively infinite")
     return 1.0 / rhs
@@ -57,8 +56,7 @@ def q_gb(s: complex, params: EvalParams) -> complex:
     The zero condition s(s-1) + Q(s) = 0 holds at the zeros of zeta.
     """
     s = _defined(s)
-    params = _eval_params(params)
-    return _q(s, params, dirichlet_partial_sum(s, params.cutoff_n))
+    return _q(s, _pass(s, _eval_params(params))[2])
 
 
 def consistency_identity(s: complex, z: complex, q: complex, params: EvalParams) -> float:

@@ -52,11 +52,13 @@ The grid values are already there, so the seed costs no evaluation.
 Refinement. Complex Newton runs from the seed, with the analytic
 derivative from the same exact pass as the value, at the scan's params;
 a zero it refines outside the bracket raises a RefinementError naming
-the bracket. The polish step of ``refine_zero`` reads no slope, so it
+the bracket. Each step calls the scalar pass (``zeta_core._pass``)
+without ``zeta_gb``'s checks, which the strip check on each iterate
+makes moot. The polish step of ``refine_zero`` reads no slope, so it
 makes one value-only pass, and Q at the refined zero is built from that
-pass's head. Where the polish is not kept, or the zero is conjugated,
-``q_gb`` makes a pass of its own; either way ``ZeroRecord.q_value`` has
-the bits of ``q_gb``.
+pass's parts, with no pass, exp or tail of its own. Where the polish is
+not kept, or the zero is conjugated, ``q_gb`` makes a pass of its own;
+either way ``ZeroRecord.q_value`` has the bits of ``q_gb``.
 
 The certificate. The scan grid is a line of uniformly spaced nodes, an
 off-grid t_max a last side of one step, and a rectangle's boundary an
@@ -150,7 +152,7 @@ from .bernoulli import _full_table
 from .errors import BoundaryError, InconclusiveError, ParameterError, RefinementError
 from .serialize import csv_text, dumps
 from .zeta_core import (_IM_CAP, EvalParams, _as_complex, _dirichlet_path, _eval_params, _is_real, _schedule,
-                        _tail_denominator, _value, _zeta_nodes, auto_params, remainder_bound, zeta_gb)
+                        _pass, _tail_denominator, _zeta_nodes, auto_params, remainder_bound, zeta_gb)
 from .qfunction import _q, q_gb
 
 __all__ = [
@@ -329,9 +331,9 @@ def refine_zero(
     ScanConfig(tol=tol, max_iter=max_iter)  # validates tol and max_iter
     params = _refine_params(s0, tol) if params is None else _eval_params(params)
 
+    # the strip check on each iterate rules out s = 1 and a too small tail order
     def f(z: complex) -> tuple[complex, complex]:
-        result = zeta_gb(z, params, derivative=True)
-        return result.value, result.derivative
+        return _pass(z, params, True)[:2]
 
     z = s0
     fz, deriv = f(z)
@@ -354,22 +356,22 @@ def refine_zero(
                 f"stalled at {z!r}: step {abs(step):.3e} below floor with |Z| = {abs(fz):.3e}"
             )
     # the polish: one more step, which squares the error, kept if |Z| still meets tol
-    head = None
+    parts = None
     if deriv != 0 and cmath.isfinite(deriv):
         polished = z - fz / deriv
         if 0.0 < polished.real < 1.0:
             iterations += 1
-            fp, summed = _value(polished, params)
+            fp, _, summed = _pass(polished, params)
             if abs(fp) <= tol:
-                z, fz, head = polished, fp, summed
+                z, fz, parts = polished, fp, summed
     if z.imag < 0:
-        z, head = z.conjugate(), None  # |Z| is unchanged: Z(conj s) = conj Z(s)
+        z, parts = z.conjugate(), None  # |Z| is unchanged: Z(conj s) = conj Z(s)
     if z.imag == 0:
         raise RefinementError(f"refinement landed on the real axis at {z!r}")
     return ZeroRecord(
         s=z,
         z_modulus=abs(fz),
-        q_value=q_gb(z, params) if head is None else _q(z, params, head),
+        q_value=q_gb(z, params) if parts is None else _q(z, parts),
         refine_iterations=iterations,
         params_used=params,
     )
@@ -394,11 +396,15 @@ def _walk_params(corner: complex, full: Callable[[], EvalParams]) -> tuple[EvalP
     # rule, of a walk whose path has its worst corner at ``corner``: the
     # cheapest schedule entry bounding it by _SAMPLE_EPS, or full() where
     # none applies. A tail order too small at the path's smallest sigma is
-    # refused before any node is built, since the walk there can overflow first.
+    # refused before any node is built, since the walk there can overflow
+    # first. Params picked at this corner carry its bound; others read it.
     sample = _schedule(corner, _SAMPLE_EPS) or full()
     n, nu = sample.cutoff_n, sample.tail_order
     _tail_denominator(corner.real, nu)
-    return sample, remainder_bound(corner, n, nu) if nu + 1 < corner.imag * math.log(n) else math.inf
+    if not nu + 1 < corner.imag * math.log(n):
+        return sample, math.inf
+    picked = sample.__dict__.get("_picked_at")
+    return sample, picked[1] if picked and picked[0] == corner else remainder_bound(corner, n, nu)
 
 
 def _walk(
@@ -418,7 +424,7 @@ def _walk(
     # or not above floor, takes the exact pass at full().
     n, nu = sample.cutoff_n, sample.tail_order
     vertices = [nodes[k] for k in accumulate(segments, initial=0)]
-    values, _ = _zeta_nodes(nodes, _dirichlet_path(vertices, segments, n), sample)
+    values = _zeta_nodes(nodes, _dirichlet_path(vertices, segments, n), sample)
     for k, (z, value, rounding) in enumerate(zip(nodes, values, _rounding(vertices, len(nodes), n))):
         if not abs(value) > max(floor, _SAMPLE_MARGIN * (bound + rounding)):
             if not abs(value) > max(floor, _SAMPLE_MARGIN * (remainder_bound(z, n, nu) + rounding)):

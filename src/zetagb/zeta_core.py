@@ -45,14 +45,16 @@ exact pass; node k's terms carry k more roundings, so it drifts by
 O(k u) sum |n^{-s_k}|. An open path of such lines is one walk: at a
 vertex the terms carry on with the next line's step ratios.
 
-The node kernel. ``_zeta_nodes`` finishes every node of a walk in one
-call, head + pole term + N^{-s}/2 + tail, in the operations and order of
-``zeta_gb``, which is the same kernel at one node; what depends on N and
-nu alone it takes once per call. Callers refuse a too small tail order
-before their Dirichlet pass, which can overflow first. ``zero_scan``
-certifies walked values. Newton's value-only polish (``_value``) returns
-the head it summed with its value, and Q at the refined zero is built
-from that head (``qfunction``), so the zero and its Q share one pass.
+The kernels. Every exact pass at one point, ``zeta_gb``'s, ``q_gb``'s
+and each Newton step's, goes through ``_pass``: head + pole term +
+N^{-s}/2 + tail, and the derivative on request. It also returns what 1/Q
+reads: the head, N^{1-s}, N^{-s} and N^{-s-1} times the nested sum, so Q
+at a refined zero costs no pass, no exp and no tail of its own
+(``qfunction``). ``_zeta_nodes`` finishes every node of a walk in one
+call, in the operations of ``_pass``, the tail one order at a time over
+all nodes; what depends on N and nu alone it takes once per call.
+Callers refuse a too small tail order before their Dirichlet pass, which
+can overflow first. ``zero_scan`` certifies walked values.
 """
 
 from __future__ import annotations
@@ -295,32 +297,25 @@ def _tail_orders(tail_order: int) -> tuple[float, tuple[tuple[float, float, floa
     return c[tail_order], tuple((c[mu], 2.0 * mu - 1.0, 2.0 * mu) for mu in range(tail_order - 1, 0, -1))
 
 
-def _em_series(s: complex, log_n: float, inv_n2: float, orders: tuple, head: complex, prod: complex,
-               dprod: complex | None = None) -> tuple[complex, complex | None]:
-    # head + sum_mu c_mu * prod * (s+1)...(s+2mu-2) * N^{-s-2mu+1} in the
-    # nested form of the module docstring. 1/N^2 stays in the loop: a table
-    # of coefficients scaled per (N, nu) would be rebuilt whenever N changes.
-    # When dprod = prod' is given, also the derivative of the sum over mu
-    # (head excluded), along Horner's derivative dacc = q' acc + q dacc with
-    # q'_mu = (2s+4mu-1)/N^2; None otherwise. The evaluator passes
-    # head = N^{-s}/2, prod = s and, for a derivative, dprod = 1 (safe at
-    # s = 0); the abbreviated tail r(N, s) passes head = N^{-s}/(2s),
-    # prod = 1. The total has the same bits either way: both paths make the
-    # value's operations in the same order.
-    acc, orders = orders
-    npow = cmath.exp((-s - 1) * log_n)
-    if dprod is None:
+def _horner(s: complex, inv_n2: float, tail_order: int,
+            derivative: bool = False) -> tuple[complex, complex | None]:
+    # c_1 + q_1 (c_2 + q_2 (... + q_{nu-1} c_nu)) of the module docstring,
+    # and with derivative its derivative along Horner's dacc = q' acc + q dacc,
+    # q'_mu = (2s+4mu-1)/N^2; None otherwise. 1/N^2 stays in the loop: a
+    # table of coefficients scaled per (N, nu) would be rebuilt whenever N
+    # changes. The value's operations are the same either way.
+    acc, orders = _tail_orders(tail_order)
+    if not derivative:
         for c, a, b in orders:
             acc = c + (s + a) * (s + b) * inv_n2 * acc
-        return head + prod * npow * acc, None
+        return acc, None
     dacc = 0.0j
     for c, a, b in orders:
         u, v = s + a, s + b
         q = u * v * inv_n2
         dacc = (u + v) * inv_n2 * acc + q * dacc
         acc = c + q * acc
-    tail = prod * npow * acc
-    return head + tail, (dprod * acc + prod * dacc) * npow - log_n * tail
+    return acc, dacc
 
 
 def em_tail(s: complex, params: EvalParams) -> complex:
@@ -334,45 +329,60 @@ def em_tail(s: complex, params: EvalParams) -> complex:
     if s == 0:
         raise ParameterError("the abbreviated tail divides by s; s = 0 is excluded")
     n = _eval_params(params).cutoff_n
-    r, _ = _em_series(s, math.log(n), 1.0 / (n * n), _tail_orders(params.tail_order),
-                      _rpow(n, -s) / (2 * s), 1.0 + 0.0j)
-    return r
+    log_n = math.log(n)
+    acc, _ = _horner(s, 1.0 / (n * n), params.tail_order)
+    return cmath.exp(-s * log_n) / (2 * s) + cmath.exp((-s - 1) * log_n) * acc
 
 
-def _zeta_nodes(
-    nodes: list[complex], heads: list[complex], params: EvalParams, head_slopes: list[complex] | None = None
-) -> tuple[list[complex], list[complex] | None]:
-    # zeta at each node from its Dirichlet head at params.cutoff_n, and with
-    # head_slopes each node's derivative; None otherwise. The truncation
-    # bound is left to the caller, but its order is refused here, at the
-    # smaller Re s of the first and last nodes: an end of a line, and the
-    # smallest on a rectangle's walk, which starts and ends at its smallest sigma.
-    n, nu = params.cutoff_n, params.tail_order
+def _zeta_nodes(nodes: list[complex], heads: list[complex], params: EvalParams) -> list[complex]:
+    # zeta at each node from its Dirichlet head at params.cutoff_n, in the
+    # operations of _pass, the tail one order at a time over all nodes. The
+    # truncation bound is left to the caller, but its order is refused here,
+    # at the smaller Re s of the first and last nodes: an end of a line, and
+    # the smallest on a rectangle's walk, which starts and ends at its smallest sigma.
+    n = params.cutoff_n
     log_n = math.log(n)
     inv_n2 = 1.0 / (n * n)
-    orders = _tail_orders(nu)
-    dprod = None if head_slopes is None else 1.0 + 0.0j
+    acc, orders = _tail_orders(params.tail_order)
+    accs = [acc] * len(nodes)
+    for c, a, b in orders:
+        accs = [c + (s + a) * (s + b) * inv_n2 * acc for s, acc in zip(nodes, accs)]
     values = []
-    slopes = None if head_slopes is None else []
-    for k, (s, head) in enumerate(zip(nodes, heads)):
-        pole_term = cmath.exp((1 - s) * log_n) / (s - 1)
-        half = cmath.exp(-s * log_n) / 2
-        tail, tail_slope = _em_series(s, log_n, inv_n2, orders, half, s, dprod)
-        value = head + pole_term + tail
+    for s, head, acc in zip(nodes, heads, accs):
+        value = head + cmath.exp((1 - s) * log_n) / (s - 1) + (
+            cmath.exp(-s * log_n) / 2 + s * cmath.exp((-s - 1) * log_n) * acc)
         if not cmath.isfinite(value):
             raise ParameterError(f"evaluation overflowed at s = {s!r} with cutoff {n}")
         values.append(value)
-        if slopes is not None:
-            slopes.append(head_slopes[k] - pole_term * (log_n + 1 / (s - 1)) - log_n * half + tail_slope)
-    _tail_denominator(min(nodes[0].real, nodes[-1].real), nu)
-    return values, slopes
+    _tail_denominator(min(nodes[0].real, nodes[-1].real), params.tail_order)
+    return values
 
 
-def _value(s: complex, params: EvalParams) -> tuple[complex, complex]:
-    # zeta_gb(s, params).value, checks aside, and the head it summed
-    head = dirichlet_partial_sum(s, params.cutoff_n)
-    (value,), _ = _zeta_nodes([s], [head], params)
-    return value, head
+def _pass(s: complex, params: EvalParams,
+          derivative: bool = False) -> tuple[complex, complex | None, tuple[complex, ...]]:
+    # zeta_gb at s, checks aside: (value, slope or None, parts), with parts =
+    # (head, N^{1-s}, N^{-s}, N^{-s-1} acc), what 1/Q reads (``qfunction``)
+    n = params.cutoff_n
+    head = dirichlet_partial_sum(s, n, derivative=derivative)
+    head, head_slope = head if derivative else (head, None)
+    log_n = math.log(n)
+    n_pow = cmath.exp((1 - s) * log_n)
+    pole_term = n_pow / (s - 1)
+    n_s = cmath.exp(-s * log_n)
+    half = n_s / 2
+    npow = cmath.exp((-s - 1) * log_n)
+    acc, dacc = _horner(s, 1.0 / (n * n), params.tail_order, derivative)
+    tail = s * npow * acc
+    value = head + pole_term + (half + tail)
+    if not cmath.isfinite(value):
+        raise ParameterError(f"evaluation overflowed at s = {s!r} with cutoff {n}")
+    slope = None
+    if derivative:
+        # d/ds of the tail's leading factor s, as the complex 1 + 0j, so that
+        # its product keeps the signed zeros it had
+        tail_slope = ((1.0 + 0.0j) * acc + s * dacc) * npow - log_n * tail
+        slope = head_slope - pole_term * (log_n + 1 / (s - 1)) - log_n * half + tail_slope
+    return value, slope, (head, n_pow, n_s, npow * acc)
 
 
 def zeta_gb(
@@ -398,10 +408,7 @@ def zeta_gb(
         raise PoleError("s = 1 is the simple pole of the extension")
     params = auto_params(s, eps) if params is None else _eval_params(params)
     _tail_denominator(s.real, params.tail_order)
-    if not derivative:
-        return EvalResult(value=_value(s, params)[0], s=s, params_used=params)
-    head, head_slope = dirichlet_partial_sum(s, params.cutoff_n, derivative=True)
-    (value,), (slope,) = _zeta_nodes([s], [head], params, [head_slope])
+    value, slope, _ = _pass(s, params, derivative)
     return EvalResult(value=value, s=s, params_used=params, derivative=slope)
 
 

@@ -474,14 +474,17 @@ def test_a_planted_off_line_pair_fails_only_the_verdicts_that_read_xi(monkeypatc
             slope = result.derivative * h(s) + result.value * dh
         return SimpleNamespace(value=result.value * h(s), derivative=slope)
 
-    def q_f(s: complex, params: EvalParams, *head) -> complex:
+    def q_f(s: complex, params: EvalParams) -> complex:
         # Z = s N^(1-s) (1/(s(s-1)) + 1/Q) solved for Q
         return 1 / (stubbed(s, params).value / (s * params.cutoff_n ** (1 - s)) - 1 / (s * (s - 1)))
 
-    monkeypatch.setattr(zero_scan, "zeta_gb", stubbed)
-    monkeypatch.setattr(zero_scan, "_value", lambda s, params: (stubbed(s, params).value, None))
+    def stubbed_pass(s: complex, params: EvalParams, derivative: bool = False) -> tuple:
+        # the stub's pass hands Q no parts, so each record's Q comes from q_gb, here Q_f
+        result = stubbed(s, params, derivative=derivative)
+        return result.value, result.derivative, None
+
+    monkeypatch.setattr(zero_scan, "_pass", stubbed_pass)
     monkeypatch.setattr(zero_scan, "q_gb", q_f)
-    monkeypatch.setattr(zero_scan, "_q", q_f)
     records = [refine_zero(seed) for seed in (complex(0.79, 253.01), complex(0.21, 252.99))]
     for rec, zero in zip(records, (rho, 1 - rho.conjugate())):
         assert abs(rec.s - zero) <= 1e-9

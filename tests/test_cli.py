@@ -339,8 +339,9 @@ def test_audit_report_to_file(capsys, tmp_path) -> None:
 
 @pytest.mark.parametrize("command", ["zeros", "audit"])
 def test_singular_q_exits_3(capsys, monkeypatch, command: str) -> None:
-    # |1/Q| below the floor, whether Q is built from the polish's head or by q_gb
-    monkeypatch.setattr("zetagb.qfunction._reciprocal_q", lambda s, params, head: 1e-301 + 0j)
+    # |1/Q| below the floor, whether Q is built from the polish's parts or by
+    # q_gb: the one Q builder reads the floor, here raised so that every Q is below it
+    monkeypatch.setattr("zetagb.qfunction._SINGULAR_FLOOR", math.inf)
     code, _, _ = invoke(capsys, command, "--t-min", "14", "--t-max", "15")
     assert code == 3
 

@@ -99,7 +99,13 @@ def test_undefined_points_are_rejected() -> None:
 
 
 def test_underflowing_reciprocal_is_singular(monkeypatch) -> None:
-    # |1/Q| below 1e-300 would overflow Q itself
-    monkeypatch.setattr(qfunction, "_reciprocal_q", lambda s, params, head: 1e-301 + 0j)
+    # |1/Q| below 1e-300 would overflow Q itself. The one Q builder refuses
+    # it, from the parts of q_gb's pass or of a refined zero's polish. Parts
+    # (c s, 1, 0, 0) give 1/Q = c.
+    s = 0.5 + 10j
+    assert abs(qfunction._q(s, (1e-299 * s, 1.0 + 0j, 0j, 0j))) == pytest.approx(1e299)
     with pytest.raises(SingularQError, match="effectively infinite"):
-        q_gb(0.5 + 10j, EvalParams(16, 3))
+        qfunction._q(s, (1e-301 * s, 1.0 + 0j, 0j, 0j))
+    monkeypatch.setattr(qfunction, "_pass", lambda s, params: (0j, None, (1e-301 * s, 1.0 + 0j, 0j, 0j)))
+    with pytest.raises(SingularQError, match="effectively infinite"):
+        q_gb(s, EvalParams(16, 3))

@@ -14,7 +14,6 @@ import json
 import logging
 import math
 import random
-from types import SimpleNamespace
 
 import mpmath
 import pytest
@@ -70,42 +69,33 @@ def test_refine_canonicalizes_conjugate_seeds() -> None:
     assert rec.s.imag == rec.t
 
 
-def test_refine_evaluates_once_per_newton_point(monkeypatch) -> None:
-    calls: list[tuple[complex, bool]] = []
+def test_refine_evaluates_once_per_newton_point(monkeypatch, record_call_stacks) -> None:
     passes: list[tuple[complex, bool]] = []
-    evaluate, summed = zero_scan.zeta_gb, zeta_core.dirichlet_partial_sum
+    summed = zeta_core.dirichlet_partial_sum
     monkeypatch.setattr(
-        zero_scan,
-        "zeta_gb",
-        lambda s, params, *, derivative=False: calls.append((s, derivative))
-        or evaluate(s, params, derivative=derivative),
+        zeta_core,
+        "dirichlet_partial_sum",
+        lambda s, cutoff_n, *, derivative=False: passes.append((s, derivative))
+        or summed(s, cutoff_n, derivative=derivative),
     )
-    for module in (zeta_core, qfunction):  # the evaluator's passes and q_gb's
-        monkeypatch.setattr(
-            module,
-            "dirichlet_partial_sum",
-            lambda s, cutoff_n, *, derivative=False: passes.append((s, derivative))
-            or summed(s, cutoff_n, derivative=derivative),
-        )
-    # the seed and each Newton step are evaluated once through zeta_gb,
-    # together with their derivative; the polish point, counted in
-    # refine_iterations, makes one value-only Dirichlet pass, and Q at the
-    # kept point is built from its head, so Q makes no pass
+    calls = record_call_stacks(("zeta_gb", "q_gb", "em_tail"))
+    # the seed and each Newton step make one Dirichlet pass each, together
+    # with its derivative; the polish point, counted in refine_iterations,
+    # makes one value-only pass, and Q at the kept point is built from its
+    # parts, so Q makes no pass and no em_tail call
     rec = refine_zero(complex(0.5, 14.1))
     assert rec.refine_iterations >= 2
-    assert len(calls) == rec.refine_iterations
-    assert all(derivative for _, derivative in calls)
-    assert [s for s, derivative in passes if derivative] == [s for s, _ in calls]
+    assert len([s for s, derivative in passes if derivative]) == rec.refine_iterations
     assert [s for s, derivative in passes if not derivative] == [rec.s]
+    assert calls == []
     # a conjugated iterate is not evaluated again: reflection keeps |Z|; Q
-    # at the reflected point makes its own pass
-    calls.clear()
+    # at the reflected point makes its own pass through q_gb
     passes.clear()
     rec = refine_zero(complex(0.5, -14.1))
-    assert len(calls) == rec.refine_iterations
-    assert all(derivative for _, derivative in calls)
+    assert len([s for s, derivative in passes if derivative]) == rec.refine_iterations
     assert [s for s, derivative in passes if not derivative] == [rec.s.conjugate(), rec.s]
-    assert rec.z_modulus == abs(evaluate(rec.s, rec.params_used).value)
+    assert calls == [("q_gb",)]
+    assert rec.z_modulus == abs(zeta_core.zeta_gb(rec.s, rec.params_used).value)
 
 
 def test_a_record_holds_the_bits_of_q_gb_at_its_zero() -> None:
@@ -148,8 +138,8 @@ def test_refine_reports_each_degenerate_iteration(monkeypatch, value, slope, mes
     # the real axis, where one step from 1/2 + 14.1i lands exactly
     monkeypatch.setattr(
         zero_scan,
-        "zeta_gb",
-        lambda z, params, *, derivative=False: SimpleNamespace(value=complex(value(z)), derivative=complex(slope(z))),
+        "_pass",
+        lambda z, params, derivative=False: (complex(value(z)), complex(slope(z)) if derivative else None, None),
     )
     with pytest.raises(RefinementError, match=message):
         refine_zero(complex(0.5, 14.1), params=EvalParams(40, 9))
@@ -215,9 +205,9 @@ def kernel_calls(monkeypatch) -> list[tuple[list[complex], EvalParams, list[comp
     kernel = zero_scan._zeta_nodes
 
     def record(nodes, heads, params):
-        values, slopes = kernel(nodes, heads, params)
+        values = kernel(nodes, heads, params)
         calls.append((nodes, params, list(values)))
-        return values, slopes
+        return values
 
     monkeypatch.setattr(zero_scan, "_zeta_nodes", record)
     return calls
@@ -230,15 +220,18 @@ def test_scan_walks_the_grid_once(record_call_stacks, kernel_calls) -> None:
     records = zero_scan.scan_critical_line(0, 30)
     # one kernel call finishes every grid node, t = 0, 0.25, ..., 30, once,
     # from one line walk's Dirichlet sums; no node falls back to zeta_gb, so
-    # only refinement and Q make their own pass. Each zero's value-only
-    # polish pass goes through a zeta_core helper, not the node kernel as
-    # zero_scan binds it, so that kernel still sees walk calls only.
+    # only refinement and Q make their own pass. Each Newton point and each
+    # polish makes its pass through zeta_core._pass, not zeta_gb and not the
+    # node kernel, so that kernel sees walk calls only.
     assert [len(nodes) for nodes, _, _ in kernel_calls] == [121]
-    assert calls.count(("scan_critical_line", "zeta_gb")) == 0
+    assert not any("zeta_gb" in stack for stack in calls)
+    # The seed, each Newton step and the polish make one pass each, and
+    # every polish is kept, so Q is built from its parts and q_gb never runs.
     passes = [stack for stack in calls if stack[-1] == "dirichlet_partial_sum"]
-    assert passes
-    assert all({"refine_zero", "q_gb"} & set(stack) for stack in passes)
-    assert calls.count(("scan_critical_line", "refine_zero", "dirichlet_partial_sum")) == len(records) == 3
+    assert set(passes) == {("scan_critical_line", "refine_zero", "dirichlet_partial_sum")}
+    assert len(passes) == sum(rec.refine_iterations + 1 for rec in records) == 9
+    assert len(records) == 3
+    assert not any("q_gb" in stack for stack in calls)
 
 
 # the first has no phase-walk split, the second two (the first zero sits
@@ -661,9 +654,8 @@ def test_a_refined_zero_costs_under_two_hundred_dirichlet_terms(monkeypatch) -> 
         return partial_sum(s, cutoff_n, derivative=derivative)
 
     monkeypatch.setattr(zeta_core, "dirichlet_partial_sum", record)
-    monkeypatch.setattr(qfunction, "dirichlet_partial_sum", record)
     # the grid walks its sums; every exact pass is a Newton point or the
-    # polish step, and Q is built from the head of the last one, so each
+    # polish step, and Q is built from the parts of the last one, so each
     # refined zero makes one value-only pass. The README quotes these
     # counts: 83 passes of 40 terms for 29 zeros at (41, 11) over 0..100,
     # and 801 passes for 269 zeros over 0..499
@@ -758,7 +750,7 @@ def _samples(nodes: list[complex], segments: list[int], sample: EvalParams):
     # recomputed as the walk made them
     n, nu = sample.cutoff_n, sample.tail_order
     path = _path(nodes, segments)
-    values, _ = zeta_core._zeta_nodes(nodes, zeta_core._dirichlet_path(path, segments, n), sample)
+    values = zeta_core._zeta_nodes(nodes, zeta_core._dirichlet_path(path, segments, n), sample)
     for z, value, rounding in zip(nodes, values, zero_scan._rounding(path, len(nodes), n)):
         yield z, value, remainder_bound(z, n, nu), rounding
 
@@ -910,18 +902,20 @@ def test_the_walk_bound_bounds_every_node_of_a_rectangle(sampled_walks, monkeypa
     assert sum(nodes[0].imag == 0.1 for nodes, *_ in sampled_walks) == 2
 
 
-def _reads_one_bound_per_walk(bound_reads, rect: Rectangle, corner: complex) -> list:
+def _reads_one_bound_per_walk(bound_reads, rect: Rectangle, corner: complex, scheduled: bool = True) -> list:
     # counts rect and checks that every walk, splits included, takes the
-    # one bound read at corner and reads a node's own only where that one
-    # fails; returns the walks, as bound_reads records them
+    # one bound at corner and reads a node's own only where that one fails;
+    # returns the walks, as bound_reads records them. A sample the schedule
+    # picked at corner carries that bound, so only full() = (200, 10) reads it
     walks, outside = bound_reads
     walks.clear()
     outside.clear()
     rectangle_winding(rect, EvalParams(200, 10))
-    assert outside == [corner]
+    assert outside == ([] if scheduled else [corner])
     (bound,) = {walk[3] for walk in walks}
     sample = walks[0][2]
-    assert bound == remainder_bound(corner, sample.cutoff_n, sample.tail_order)
+    assert (sample == EvalParams(200, 10)) is not scheduled
+    assert bound.hex() == remainder_bound(corner, sample.cutoff_n, sample.tail_order).hex()
     for nodes, segments, sample, _, floor, reads in walks:
         assert reads == _uncertified(nodes, segments, sample, bound, floor)
     return walks
@@ -941,8 +935,8 @@ def _reads_one_bound_per_node(bound_reads, rect: Rectangle) -> None:
     assert reads == nodes
 
 
-def test_the_rectangle_reads_one_bound_per_walk(bound_reads) -> None:
-    # the closed walk reads one truncation bound, at (sigma_min, max |t|),
+def test_the_rectangle_reads_one_bound_per_walk(bound_reads, monkeypatch) -> None:
+    # the closed walk takes one truncation bound, at (sigma_min, max |t|),
     # and so do its splits: the top side of (10, 14.14) passes 0.005 above
     # the first zero, and the nodes there also read their own
     for t_min, t_max in ((250.0, 254.0), (0.1, 30.0)):
@@ -953,6 +947,10 @@ def test_the_rectangle_reads_one_bound_per_walk(bound_reads) -> None:
     # the height of a rectangle across the real axis is its larger |t|
     _reads_one_bound_per_walk(bound_reads, Rectangle(0.01, 0.98, -30.0, 20.0), complex(0.01, 30.0))
     _reads_one_bound_per_node(bound_reads, Rectangle(0.01, 0.98, 0.1, 1.4))
+    # with no schedule entry the walk samples at full() and reads its bound once
+    monkeypatch.setattr(zero_scan, "_schedule", lambda corner, eps: None)
+    rect = Rectangle(0.01, 0.98, 250.0, 254.0)
+    assert len(_reads_one_bound_per_walk(bound_reads, rect, rect.corners()[3], scheduled=False)) == 1
 
 
 def test_the_mirrored_rectangle_reads_one_bound_per_walk(bound_reads) -> None:
@@ -1011,22 +1009,27 @@ def test_a_walk_at_params_still_certifies_its_nodes(monkeypatch) -> None:
 
 def test_walks_read_few_truncation_bounds(record_call_stacks, request) -> None:
     params = zero_scan._refine_params(complex(0.5, 14.1), ScanConfig.tol)
-    calls = record_call_stacks(("remainder_bound",))
+    calls = record_call_stacks(("_schedule", "remainder_bound"))
     walks, outside = request.getfixturevalue("bound_reads")
-    # params and sample params check one schedule bound each, the walk
-    # reads one, and only nodes that walk bound cannot certify their own
-    # (511 calls when every node read its own bound)
+    # params and sample params check their schedule bounds, the walk takes
+    # the sample's, picked at its corner, and only nodes that walk bound
+    # cannot certify read their own (511 calls when every node read its own)
     assert len(zero_scan.scan_critical_line(0, 100)) == 29
-    assert len(calls) <= 20
-    # ten audit windows: each scan and each count reads one walk bound, its
-    # splits none, and a node reads its own only where that bound fails
+    reads = [stack for stack in calls if stack[-1] == "remainder_bound"]
+    assert outside == []
+    assert len([stack for stack in reads if "_schedule" not in stack]) == sum(len(r) for *_, r in walks) == 4
+    assert len(reads) == 6
+    # ten audit windows: each scan and each count takes one walk bound from
+    # its sample, its splits none, and a node reads its own only where that
+    # bound fails
     walks.clear()
     outside.clear()
     calls.clear()
     for lo in AUDIT_WINDOWS:
         report = audit_range(lo, lo + 4.0)
         assert report.abort_reason is None
-    assert len(outside) == sum(bool(segments) for _, segments, *_ in walks) == 2 * 10
+    assert outside == []
+    assert sum(bool(segments) for _, segments, *_ in walks) == 2 * 10
     for nodes, segments, sample, bound, floor, reads in walks:
         assert reads == _uncertified(nodes, segments, sample, bound, floor)
     assert sum(len(reads) for *_, reads in walks) <= 10

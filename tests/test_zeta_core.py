@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from zetagb import zeta_core
+from zetagb import qfunction, zeta_core
 from zetagb.errors import ParameterError, PoleError, PrecisionError
 from zetagb.qfunction import q_gb
 from zetagb.zero_scan import refine_zero
@@ -241,21 +241,27 @@ def test_horizontal_and_descending_lines_track_the_partial_sum() -> None:
 
 
 def test_the_node_kernel_keeps_the_bits_of_each_pass() -> None:
-    # given each node's exact head, the kernel returns zeta_gb's value, and
-    # with the heads' slopes its derivative, bit for bit
+    # given each node's exact head, the walks' node kernel returns the value
+    # of zeta_gb's scalar pass, bit for bit. That pass returns zeta_gb's
+    # value and derivative, and its parts are the head, N^{1-s}, N^{-s} and
+    # the rest of em_tail, so Q read from them is q_gb's
     rng = random.Random(20158)
     for _ in range(100):
         s = complex(rng.uniform(-1.0, 2.0), rng.uniform(0.0, 500.0))
         params = auto_params(s, rng.choice((1e-8, 1e-10, 1e-12)))
         n = params.cutoff_n
         nodes = [s + k * complex(rng.uniform(-0.1, 0.1), rng.uniform(-0.5, 0.5)) for k in range(3)]
-        values, slopes = zeta_core._zeta_nodes(nodes, [dirichlet_partial_sum(z, n) for z in nodes], params)
-        assert slopes is None
+        values = zeta_core._zeta_nodes(nodes, [dirichlet_partial_sum(z, n) for z in nodes], params)
         assert [_bits(v) for v in values] == [_bits(zeta_gb(z, params).value) for z in nodes]
-        head, head_slope = dirichlet_partial_sum(s, n, derivative=True)
-        (value,), (slope,) = zeta_core._zeta_nodes([s], [head], params, [head_slope])
+        value, slope, parts = zeta_core._pass(s, params, True)
         both = zeta_gb(s, params, derivative=True)
         assert _bits(value) == _bits(both.value) and _bits(slope) == _bits(both.derivative)
+        head, n_pow, n_s, tail = parts
+        assert _bits(head) == _bits(dirichlet_partial_sum(s, n))
+        assert _bits(n_pow) == _bits(cmath.exp((1 - s) * math.log(n)))
+        assert _bits(n_s) == _bits(cmath.exp(-s * math.log(n)))
+        assert _bits(n_s / (2 * s) + tail) == _bits(em_tail(s, params))
+        assert _bits(qfunction._q(s, parts)) == _bits(q_gb(s, params))
         # the bound is read from the function, bit for bit
         plain = zeta_gb(s, params)
         assert _bits(plain.remainder_bound) == _bits(remainder_bound(s, n, params.tail_order))
@@ -359,9 +365,7 @@ def _walked(nodes: list[complex], params: EvalParams) -> list[complex]:
         heads = _line(nodes[0], nodes[-1], len(nodes) - 1, params.cutoff_n)
     else:
         heads = [dirichlet_partial_sum(nodes[0], params.cutoff_n)]
-    values, slopes = zeta_core._zeta_nodes(nodes, heads, params)
-    assert slopes is None
-    return values
+    return zeta_core._zeta_nodes(nodes, heads, params)
 
 
 @pytest.mark.parametrize(("nodes", "params", "pins"), _WALK_PINS, ids=("grid", "left", "bottom", "single"))
