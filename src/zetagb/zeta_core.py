@@ -370,9 +370,9 @@ def _pass(s: complex, params: EvalParams,
     pole_term = n_pow / (s - 1)
     n_s = cmath.exp(-s * log_n)
     half = n_s / 2
-    npow = cmath.exp((-s - 1) * log_n)
+    n_s1 = cmath.exp((-s - 1) * log_n)
     acc, dacc = _horner(s, 1.0 / (n * n), params.tail_order, derivative)
-    tail = s * npow * acc
+    tail = s * n_s1 * acc
     value = head + pole_term + (half + tail)
     if not cmath.isfinite(value):
         raise ParameterError(f"evaluation overflowed at s = {s!r} with cutoff {n}")
@@ -380,9 +380,9 @@ def _pass(s: complex, params: EvalParams,
     if derivative:
         # d/ds of the tail's leading factor s, as the complex 1 + 0j, so that
         # its product keeps the signed zeros it had
-        tail_slope = ((1.0 + 0.0j) * acc + s * dacc) * npow - log_n * tail
+        tail_slope = ((1.0 + 0.0j) * acc + s * dacc) * n_s1 - log_n * tail
         slope = head_slope - pole_term * (log_n + 1 / (s - 1)) - log_n * half + tail_slope
-    return value, slope, (head, n_pow, n_s, npow * acc)
+    return value, slope, (head, n_pow, n_s, n_s1 * acc)
 
 
 def zeta_gb(
