@@ -127,6 +127,13 @@ def test_a_bound_or_eps_that_is_not_finite_and_positive_exits_2(capsys, argv) ->
     assert ("eps must be a finite positive number" in err) == ("--eps" in argv)
 
 
+def test_eval_refuses_a_bound_that_is_not_finite(capsys) -> None:
+    # the pass at 2 + 1e20 i is finite, but the rising product of its bound is not
+    code, out, err = invoke(capsys, "eval", "--re", "2", "--im", "1e20", "--N", "40", "--nu", "9")
+    assert (code, out) == (2, "")
+    assert err == "parameter error: the remainder bound at s = (2+1e+20j) is not finite in binary64 (inf)\n"
+
+
 def test_eval_pole_exits_2(capsys) -> None:
     code, _, err = invoke(capsys, "eval", "--re", "1")
     assert code == 2

@@ -98,14 +98,39 @@ def test_refine_evaluates_once_per_newton_point(monkeypatch, record_call_stacks)
     assert rec.z_modulus == abs(zeta_core.zeta_gb(rec.s, rec.params_used).value)
 
 
-def test_a_record_holds_the_bits_of_q_gb_at_its_zero() -> None:
-    # Q built from the polish's head, or from q_gb's own pass where the
-    # polish was not kept or the zero was conjugated, is q_gb bit for bit
-    records = scan_critical_line(0, 100) + [refine_zero(complex(0.5, -14.1))]
-    assert len(records) == 30
+def _same_q(records: list[ZeroRecord]) -> None:
     for rec in records:
         q = qfunction.q_gb(rec.s, rec.params_used)
         assert (rec.q_value.real.hex(), rec.q_value.imag.hex()) == (q.real.hex(), q.imag.hex()), rec.t
+
+
+def test_a_record_holds_the_bits_of_q_gb_at_its_zero(monkeypatch) -> None:
+    # Q at a kept polish, at the last Newton point where the polish is not
+    # kept, and at a zero refined from a lower-half seed, is q_gb bit for bit
+    seeds = (complex(0.5, -14.1), complex(0.5, -251.0))
+    records = scan_critical_line(0, 100) + [refine_zero(seed) for seed in seeds]
+    assert len(records) == 31
+    _same_q(records)
+    # value-only passes, the polish's, report a value above tol with their
+    # parts unchanged, so no polish is kept
+    evaluate = zero_scan._pass
+    polishes: list[complex] = []
+
+    def unkept(s: complex, params: EvalParams, derivative: bool = False) -> tuple:
+        value, slope, parts = evaluate(s, params, derivative)
+        if not derivative:
+            polishes.append(s)
+            value = complex(1.0, 0.0)
+        return value, slope, parts
+
+    monkeypatch.setattr(zero_scan, "_pass", unkept)
+    records = scan_critical_line(0, 30) + [refine_zero(seed) for seed in seeds]
+    assert len(records) == len(polishes) == 5
+    for rec, polish in zip(records, polishes):
+        assert rec.s not in (polish, polish.conjugate())
+        assert rec.z_modulus == abs(zeta_gb(rec.s, rec.params_used).value)
+    assert [rec.t > 250 for rec in records] == [False] * 4 + [True]
+    _same_q(records)
 
 
 def test_refine_rejects_seeds_outside_the_strip() -> None:
