@@ -38,7 +38,7 @@ from .zero_scan import (
     write_records_csv,
     write_records_jsonl,
 )
-from .zeta_core import DEFAULT_TARGET_EPS, EvalParams, _check_eps, auto_params, remainder_bound, zeta_gb
+from .zeta_core import DEFAULT_TARGET_EPS, EvalParams, _check_eps, _pick, auto_params, remainder_bound, zeta_gb
 
 __all__ = ["build_parser", "run", "main"]
 
@@ -193,8 +193,9 @@ def _cmd_params(args: argparse.Namespace) -> int:
     s = complex(args.re, args.im)
     params = _explicit_params(args)
     if params is None:
-        params = auto_params(s, args.eps)
-    bound = remainder_bound(s, params.cutoff_n, params.tail_order)
+        params, bound = _pick(s, args.eps)
+    else:
+        bound = remainder_bound(s, params.cutoff_n, params.tail_order)
     fields = {
         "re": s.real, "im": s.imag,
         "N": params.cutoff_n, "nu": params.tail_order,

@@ -9,9 +9,9 @@ One builder reads 1/Q from the parts of an exact pass (``zeta_core._pass``):
 the head sum_{n<N} n^{-s}, N^{1-s}, N^{-s} and the rest of r(N, s).
 ``q_gb(s, params)`` returns Q(s) itself at the caller's (N, nu), from a
 pass of its own; it refuses s = 0 and 1 and raises SingularQError where
-|1/Q| underflows. ``refine_zero`` hands the builder its polish pass's
-parts, so Q there costs no pass, no exp and no tail of its own, with the
-same bits.
+|1/Q| underflows. ``refine_zero`` hands the builder the parts of its last
+pass, so Q there costs no pass, no exp and no tail of its own, with the
+bits of ``q_gb``; it conjugates Q with a zero refined below the real axis.
 Dividing the full evaluator by s N^{1-s} shows the algebraic identity
 
     Z(s) = s N^{1-s} * ( 1/(s(s-1)) + 1/Q(s) ),
@@ -23,10 +23,11 @@ residual, on Z and Q values already evaluated, is exposed as
 
 from __future__ import annotations
 
+import cmath
 import math
 
 from .errors import ParameterError, SingularQError
-from .zeta_core import EvalParams, _as_complex, _eval_params, _pass, _rpow
+from .zeta_core import EvalParams, _as_complex, _eval_params, _pass
 
 __all__ = ["q_gb", "consistency_identity"]
 
@@ -66,7 +67,8 @@ def consistency_identity(s: complex, z: complex, q: complex, params: EvalParams)
     pass. Pure rounding residue: small everywhere, zeros or not.
     """
     s = _defined(s)
-    lhs = s * _rpow(_eval_params(params).cutoff_n, 1 - s) * (1.0 / (s * (s - 1)) + 1.0 / q)
+    n_pow = cmath.exp((1 - s) * math.log(_eval_params(params).cutoff_n))
+    lhs = s * n_pow * (1.0 / (s * (s - 1)) + 1.0 / q)
     residual = abs(z - lhs)
     if not math.isfinite(residual):
         raise ParameterError(f"identity residual overflowed at s = {s!r}")

@@ -55,10 +55,11 @@ a zero it refines outside the bracket raises a RefinementError naming
 the bracket. Each step calls the scalar pass (``zeta_core._pass``)
 without ``zeta_gb``'s checks, which the strip check on each iterate
 makes moot. The polish step of ``refine_zero`` reads no slope, so it
-makes one value-only pass, and Q at the refined zero is built from that
-pass's parts, with no pass, exp or tail of its own. Where the polish is
-not kept, or the zero is conjugated, ``q_gb`` makes a pass of its own;
-either way ``ZeroRecord.q_value`` has the bits of ``q_gb``.
+makes one value-only pass. Q at the refined zero is built from the parts
+of the last pass kept, the polish's or the last Newton step's, with no
+pass, exp or tail of its own; a zero refined below the real axis
+conjugates its Q with it. Either way ``ZeroRecord.q_value`` has the bits
+of ``q_gb``.
 
 The certificate. The scan grid is a line of uniformly spaced nodes, an
 off-grid t_max a last side of one step, and a rectangle's boundary an
@@ -153,7 +154,7 @@ from .errors import BoundaryError, InconclusiveError, ParameterError, Refinement
 from .serialize import csv_text, dumps
 from .zeta_core import (_IM_CAP, EvalParams, _as_complex, _dirichlet_path, _eval_params, _is_real, _schedule,
                         _pass, _tail_denominator, _zeta_nodes, auto_params, remainder_bound, zeta_gb)
-from .qfunction import _q, q_gb
+from .qfunction import _q
 
 __all__ = [
     "ZeroRecord",
@@ -332,11 +333,8 @@ def refine_zero(
     params = _refine_params(s0, tol) if params is None else _eval_params(params)
 
     # the strip check on each iterate rules out s = 1 and a too small tail order
-    def f(z: complex) -> tuple[complex, complex]:
-        return _pass(z, params, True)[:2]
-
     z = s0
-    fz, deriv = f(z)
+    fz, deriv, parts = _pass(z, params, True)
     iterations = 0
     while abs(fz) > tol:
         if iterations >= max_iter:
@@ -350,13 +348,12 @@ def refine_zero(
         iterations += 1
         if not 0.0 < z.real < 1.0:
             raise RefinementError(f"iteration left the critical strip at {z!r} from seed {s0!r}")
-        fz, deriv = f(z)
+        fz, deriv, parts = _pass(z, params, True)
         if abs(step) < _STEP_FLOOR and abs(fz) > tol:
             raise RefinementError(
                 f"stalled at {z!r}: step {abs(step):.3e} below floor with |Z| = {abs(fz):.3e}"
             )
     # the polish: one more step, which squares the error, kept if |Z| still meets tol
-    parts = None
     if deriv != 0 and cmath.isfinite(deriv):
         polished = z - fz / deriv
         if 0.0 < polished.real < 1.0:
@@ -364,14 +361,16 @@ def refine_zero(
             fp, _, summed = _pass(polished, params)
             if abs(fp) <= tol:
                 z, fz, parts = polished, fp, summed
-    if z.imag < 0:
-        z, parts = z.conjugate(), None  # |Z| is unchanged: Z(conj s) = conj Z(s)
     if z.imag == 0:
         raise RefinementError(f"refinement landed on the real axis at {z!r}")
+    q = _q(z, parts)  # a slope pass's parts have the bits of a value-only pass's
+    if z.imag < 0:
+        # |Z| is unchanged, and Q(conj s) = conj Q(s) bit for bit
+        z, q = z.conjugate(), q.conjugate()
     return ZeroRecord(
         s=z,
         z_modulus=abs(fz),
-        q_value=q_gb(z, params) if parts is None else _q(z, parts),
+        q_value=q,
         refine_iterations=iterations,
         params_used=params,
     )
@@ -394,17 +393,16 @@ def _rounding(path: list[complex], count: int, cutoff_n: int) -> list[float]:
 def _walk_params(corner: complex, full: Callable[[], EvalParams]) -> tuple[EvalParams, float]:
     # the sample (N, nu) and the truncation bound, by the module docstring's
     # rule, of a walk whose path has its worst corner at ``corner``: the
-    # cheapest schedule entry bounding it by _SAMPLE_EPS, or full() where
-    # none applies. A tail order too small at the path's smallest sigma is
-    # refused before any node is built, since the walk there can overflow
-    # first. Params picked at this corner carry its bound; others read it.
-    sample = _schedule(corner, _SAMPLE_EPS) or full()
+    # cheapest schedule entry bounding it by _SAMPLE_EPS, with the bound it
+    # met there, or full() where none applies. A tail order too small at the
+    # path's smallest sigma is refused before any node is built, since the
+    # walk there can overflow first.
+    sample, bound = _schedule(corner, _SAMPLE_EPS) or (full(), None)
     n, nu = sample.cutoff_n, sample.tail_order
     _tail_denominator(corner.real, nu)
     if not nu + 1 < corner.imag * math.log(n):
         return sample, math.inf
-    picked = sample.__dict__.get("_picked_at")
-    return sample, picked[1] if picked and picked[0] == corner else remainder_bound(corner, n, nu)
+    return sample, remainder_bound(corner, n, nu) if bound is None else bound
 
 
 def _walk(

@@ -156,38 +156,17 @@ def _eval_params(params: object) -> EvalParams:
 class EvalResult:
     """Evaluated value at ``s`` plus the certified truncation bound of its params.
 
-    ``remainder_bound`` is computed on its first read, as
-    ``remainder_bound(s, N, nu)`` with the same bits (or taken from
-    ``auto_params``, which computed it at s to pick the params), and kept,
-    so a caller that never reads it does not pay for it. ``derivative`` is the
-    exact derivative of the evaluated sum, or None unless it was asked for.
+    ``remainder_bound`` has the bits of ``remainder_bound(s, N, nu)``: with
+    params from the schedule it is the bound the pick met at s, else it is
+    computed. ``derivative`` is the exact derivative of the evaluated sum,
+    or None unless it was asked for.
     """
 
     value: complex
     s: complex
     params_used: EvalParams
+    remainder_bound: float
     derivative: complex | None = None
-
-    @property
-    def remainder_bound(self) -> float:
-        # kept after the first read without functools.cached_property, which
-        # takes a lock on Python 3.11; two threads reading at once both
-        # compute the same bits
-        bound = self.__dict__.get("_bound")
-        if bound is None:
-            params = self.params_used
-            picked = params.__dict__.get("_picked_at")
-            if picked is not None and picked[0] == self.s:
-                bound = picked[1]
-            else:
-                bound = remainder_bound(self.s, params.cutoff_n, params.tail_order)
-            object.__setattr__(self, "_bound", bound)
-        return bound
-
-
-def _rpow(base: float, exponent: complex) -> complex:
-    # base^exponent for real base > 0 via the principal (real) logarithm
-    return cmath.exp(exponent * math.log(base))
 
 
 # _LOGS[n] = ln n (index 0 unused). Growth rebinds a new array, never extends
@@ -406,10 +385,14 @@ def zeta_gb(
     s = _as_complex(s)
     if s == 1:
         raise PoleError("s = 1 is the simple pole of the extension")
-    params = auto_params(s, eps) if params is None else _eval_params(params)
-    _tail_denominator(s.real, params.tail_order)
+    if params is None:
+        params, bound = _pick(s, eps)
+    else:
+        params = _eval_params(params)
+        # refuses a too small tail order before the pass, which can overflow first
+        bound = remainder_bound(s, params.cutoff_n, params.tail_order)
     value, slope, _ = _pass(s, params, derivative)
-    return EvalResult(value=value, s=s, params_used=params, derivative=slope)
+    return EvalResult(value, s, params, bound, slope)
 
 
 def auto_params(s: complex, eps: float) -> EvalParams:
@@ -419,6 +402,11 @@ def auto_params(s: complex, eps: float) -> EvalParams:
     over 2..25 and the cutoff over 2..64,128. Accuracy requests below
     1e-13 are refused: binary64 rounding already eats that.
     """
+    return _pick(s, eps)[0]
+
+
+def _pick(s: complex, eps: float) -> tuple[EvalParams, float]:
+    # auto_params' params and the bound they meet at s
     s = _as_complex(s)
     if abs(s.imag) > _IM_CAP:
         raise ParameterError(f"|Im s| = {abs(s.imag)} exceeds the supported range {_IM_CAP}")
@@ -426,15 +414,15 @@ def auto_params(s: complex, eps: float) -> EvalParams:
     if eps < _EPS_FLOOR:
         raise PrecisionError(f"eps = {eps} is below the binary64 floor {_EPS_FLOOR}")
 
-    params = _schedule(s, eps)
-    if params is None:
+    picked = _schedule(s, eps)
+    if picked is None:
         best = min((remainder_bound(s, _MAX_CUTOFF, nu) for nu in _AUTO_NU_RANGE
                     if s.real + 2 * nu + 1 > 0), default=math.inf)
         raise PrecisionError(
             f"no schedule entry certifies eps = {eps} at s = {s!r}; best bound {best:.3e}",
             best_bound=best,
         )
-    return params
+    return picked
 
 
 @lru_cache(maxsize=None)
@@ -443,17 +431,16 @@ def _schedule_rows() -> tuple[tuple[int, int, float, int], ...]:
     return tuple((nu, 2 * nu, abs(_coeffs()[nu + 1]), _TAIL_TERMS * nu) for nu in _AUTO_NU_RANGE)
 
 
-def _schedule(s: complex, eps: float) -> EvalParams | None:
+def _schedule(s: complex, eps: float) -> tuple[EvalParams, float] | None:
     # the (N, nu) of least cost N + 3 nu, nu in 2..25 and N <= _MAX_CUTOFF,
-    # whose bound at s meets eps, or None. With d = Re s + 2 nu + 1 and
+    # whose bound at s meets eps, and that bound, or None. With d = Re s + 2 nu + 1 and
     # A_nu = |c_{nu+1}| prod_{k<=2nu+1} |s + k| / d, from a running product,
     # each nu's least N solves A_nu N^-d = eps. Cost falls while a longer
     # tail shortens N by more than 3 and rises after (the tests check this
     # against a full search), so the sweep stops at the first rise. Only the
     # winner is checked against remainder_bound itself, N raised until it
     # meets eps; the closed form is shaded by 1e-12 so that it never starts
-    # above the least N. The params carry the bound they meet at s, so that a
-    # result evaluated at s need not compute it again.
+    # above the least N.
     sigma, t = s.real, s.imag
     hypot, ceil, cap, shade = math.hypot, math.ceil, _MAX_CUTOFF, _SHADE
     prod = hypot(sigma, t) * hypot(sigma + 1.0, t) * hypot(sigma + 2.0, t) * hypot(sigma + 3.0, t)
@@ -484,8 +471,5 @@ def _schedule(s: complex, eps: float) -> EvalParams | None:
     for cutoff in range(least, min(least + 4, _MAX_CUTOFF + 1)):
         bound = remainder_bound(s, cutoff, nu)
         if bound <= eps:
-            params = EvalParams(cutoff, nu)
-            # no field, so neither equality nor repr sees it
-            object.__setattr__(params, "_picked_at", (s, bound))
-            return params
+            return EvalParams(cutoff, nu), bound
     return None

@@ -479,12 +479,12 @@ def test_a_planted_off_line_pair_fails_only_the_verdicts_that_read_xi(monkeypatc
         return 1 / (stubbed(s, params).value / (s * params.cutoff_n ** (1 - s)) - 1 / (s * (s - 1)))
 
     def stubbed_pass(s: complex, params: EvalParams, derivative: bool = False) -> tuple:
-        # the stub's pass hands Q no parts, so each record's Q comes from q_gb, here Q_f
+        # the stub's pass hands Q its params for parts, and each record's Q is Q_f
         result = stubbed(s, params, derivative=derivative)
-        return result.value, result.derivative, None
+        return result.value, result.derivative, params
 
     monkeypatch.setattr(zero_scan, "_pass", stubbed_pass)
-    monkeypatch.setattr(zero_scan, "q_gb", q_f)
+    monkeypatch.setattr(zero_scan, "_q", q_f)
     records = [refine_zero(seed) for seed in (complex(0.79, 253.01), complex(0.21, 252.99))]
     for rec, zero in zip(records, (rho, 1 - rho.conjugate())):
         assert abs(rec.s - zero) <= 1e-9

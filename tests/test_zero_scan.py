@@ -88,13 +88,13 @@ def test_refine_evaluates_once_per_newton_point(monkeypatch, record_call_stacks)
     assert len([s for s, derivative in passes if derivative]) == rec.refine_iterations
     assert [s for s, derivative in passes if not derivative] == [rec.s]
     assert calls == []
-    # a conjugated iterate is not evaluated again: reflection keeps |Z|; Q
-    # at the reflected point makes its own pass through q_gb
+    # a conjugated iterate is not evaluated again: reflection keeps |Z|, and
+    # Q there is the conjugate of Q built from the polish's parts
     passes.clear()
     rec = refine_zero(complex(0.5, -14.1))
     assert len([s for s, derivative in passes if derivative]) == rec.refine_iterations
-    assert [s for s, derivative in passes if not derivative] == [rec.s.conjugate(), rec.s]
-    assert calls == [("q_gb",)]
+    assert [s for s, derivative in passes if not derivative] == [rec.s.conjugate()]
+    assert calls == []
     assert rec.z_modulus == abs(zeta_core.zeta_gb(rec.s, rec.params_used).value)
 
 

@@ -456,10 +456,9 @@ def test_evaluations_keep_their_bits() -> None:
     rows = _EVAL_PINS.strip().splitlines()
     assert len(rows) == len(cases)
     for (s, eps), row in zip(cases, rows):
-        params = zeta_core._schedule(s, eps)
         result = zeta_gb(s, eps=eps)
-        assert result.params_used == params
-        assert params._picked_at == (s, result.remainder_bound)
+        assert zeta_core._schedule(s, eps) == (result.params_used, result.remainder_bound)
+        params = result.params_used
         got = (str(params.cutoff_n), str(params.tail_order), result.value.real.hex(),
                result.value.imag.hex(), result.remainder_bound.hex())
         assert got == tuple(row.split()), s
@@ -662,19 +661,22 @@ def test_bound_rejects_an_s_where_it_is_not_finite() -> None:
     for s, value in ((0.5 + 1e300j, "inf"), (1e300 + 0j, "nan")):
         with pytest.raises(ParameterError, match=rf"is not finite in binary64 \({value}\)"):
             remainder_bound(s, 40, 9)
+    # an evaluation with explicit params computes its bound, so it refuses
+    # too, though its pass at 2 + 1e20 i is finite
+    with pytest.raises(ParameterError, match=r"is not finite in binary64 \(inf\)"):
+        zeta_gb(2 + 1e20j, EvalParams(40, 9))
 
 
-def test_the_bound_is_computed_on_its_first_read(record_call_stacks) -> None:
+def test_an_explicit_evaluation_computes_its_bound_once(record_call_stacks) -> None:
+    # inside zeta_gb, which keeps it in its result; a read computes none
     s, params = 0.5 + 100j, EvalParams(212, 9)
     calls = record_call_stacks(("remainder_bound",))
     result = zeta_gb(s, params)
+    assert calls == [("remainder_bound",)]
+    calls.clear()
+    bound = result.remainder_bound
     assert calls == []
-    first = result.remainder_bound
-    again = result.remainder_bound
-    assert len(calls) == 1
-    assert _bits(again) == _bits(first) == _bits(remainder_bound(s, 212, 9))
-    # the kept bound is no field: it shows in neither repr nor equality
-    assert "_bound" not in repr(result) and result == zeta_gb(s, params)
+    assert _bits(bound) == _bits(remainder_bound(s, 212, 9))
 
 
 def test_a_scheduled_result_reads_the_schedules_bound(record_call_stacks) -> None:
@@ -694,7 +696,7 @@ def test_a_scheduled_result_reads_the_schedules_bound(record_call_stacks) -> Non
         other = s + 0.25j
         assert _bits(zeta_gb(other, params).remainder_bound) == _bits(
             remainder_bound(other, params.cutoff_n, params.tail_order))
-    # the carried bound is no field: equality and repr ignore it
+    # the params are the plain pair: equality, hash and repr see nothing else
     picked = auto_params(0.5 + 14j, 1e-10)
     plain = EvalParams(picked.cutoff_n, picked.tail_order)
     assert picked == plain and hash(picked) == hash(plain) and repr(picked) == repr(plain)
@@ -709,8 +711,7 @@ def test_the_coefficient_table_is_built_on_first_use() -> None:
 
 
 def test_evaluation_refuses_a_too_small_tail_order_unread() -> None:
-    # the bound is computed on read, but the evaluation itself still refuses
-    # the order, with the bound's message and without reading the bound
+    # the evaluation refuses the order before its pass, with the bound's message
     with pytest.raises(ParameterError) as bound_error:
         remainder_bound(-10 + 0j, 16, 2)
     with pytest.raises(ParameterError) as eval_error:
