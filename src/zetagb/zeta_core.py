@@ -374,9 +374,11 @@ def zeta_gb(
     """Evaluate the Gram-Backlund extension at ``s``.
 
     With ``params`` omitted the cutoff and tail order come from
-    ``auto_params`` at target accuracy ``eps`` (default 1e-8). The
-    correction sum keeps its leading s factor, so s = 0 needs no
-    special route and lands on -0.5 to machine rounding.
+    ``auto_params`` at target accuracy ``eps`` (default 1e-8), and the
+    result keeps the bound they were picked by. Explicit params are
+    refused where their bound at s is not finite or the tail order is too
+    small. The correction sum keeps its leading s factor, so s = 0 needs
+    no special route and lands on -0.5 to machine rounding.
 
     With ``derivative`` set, ``EvalResult.derivative`` holds the exact
     derivative of the evaluated sum (see the module docstring), taken in
@@ -433,14 +435,14 @@ def _schedule_rows() -> tuple[tuple[int, int, float, int], ...]:
 
 def _schedule(s: complex, eps: float) -> tuple[EvalParams, float] | None:
     # the (N, nu) of least cost N + 3 nu, nu in 2..25 and N <= _MAX_CUTOFF,
-    # whose bound at s meets eps, and that bound, or None. With d = Re s + 2 nu + 1 and
-    # A_nu = |c_{nu+1}| prod_{k<=2nu+1} |s + k| / d, from a running product,
-    # each nu's least N solves A_nu N^-d = eps. Cost falls while a longer
-    # tail shortens N by more than 3 and rises after (the tests check this
-    # against a full search), so the sweep stops at the first rise. Only the
-    # winner is checked against remainder_bound itself, N raised until it
-    # meets eps; the closed form is shaded by 1e-12 so that it never starts
-    # above the least N.
+    # whose bound at s meets eps, and that bound, or None. With
+    # d = Re s + 2 nu + 1 and A_nu = |c_{nu+1}| prod_{k<=2nu+1} |s + k| / d,
+    # from a running product, each nu's least N solves A_nu N^-d = eps.
+    # Cost falls while a longer tail shortens N by more than 3 and rises
+    # after (the tests check this against a full search), so the sweep stops
+    # at the first rise. Only the winner is checked against remainder_bound
+    # itself, N raised until it meets eps; the closed form is shaded by
+    # 1e-12 so that it never starts above the least N.
     sigma, t = s.real, s.imag
     hypot, ceil, cap, shade = math.hypot, math.ceil, _MAX_CUTOFF, _SHADE
     prod = hypot(sigma, t) * hypot(sigma + 1.0, t) * hypot(sigma + 2.0, t) * hypot(sigma + 3.0, t)
