@@ -31,14 +31,14 @@ from .serialize import csv_text, dumps
 from .zero_scan import (
     Rectangle,
     ScanConfig,
-    _worst_corner,
+    _full_params,
     rectangle_winding,
     record_fields,
     scan_critical_line,
     write_records_csv,
     write_records_jsonl,
 )
-from .zeta_core import DEFAULT_TARGET_EPS, EvalParams, _check_eps, _pick, auto_params, remainder_bound, zeta_gb
+from .zeta_core import DEFAULT_TARGET_EPS, EvalParams, _check_eps, _pick, zeta_gb
 
 __all__ = ["build_parser", "run", "main"]
 
@@ -191,11 +191,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_params(args: argparse.Namespace) -> int:
     s = complex(args.re, args.im)
-    params = _explicit_params(args)
-    if params is None:
-        params, bound = _pick(s, args.eps)
-    else:
-        bound = remainder_bound(s, params.cutoff_n, params.tail_order)
+    params, bound = _pick(s, args.eps, _explicit_params(args))
     fields = {
         "re": s.real, "im": s.imag,
         "N": params.cutoff_n, "nu": params.tail_order,
@@ -233,7 +229,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     rect = Rectangle(args.sigma_min, args.sigma_max, args.t_min, args.t_max)
     params = _explicit_params(args)
     if params is None:
-        params = auto_params(_worst_corner(rect), min(args.eps, 1e-9))
+        params = _full_params(rect, min(args.eps, 1e-9))
     count, residual = rectangle_winding(rect, params)
     fields = {
         "sigma_min": rect.sigma_min, "sigma_max": rect.sigma_max,

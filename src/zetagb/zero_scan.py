@@ -64,7 +64,7 @@ of ``q_gb``.
 The certificate. The scan grid is a line of uniformly spaced nodes, an
 off-grid t_max a last side of one step, and a rectangle's boundary an
 open path of three or four such sides, so their Dirichlet sums come from
-one walk and their values from one node-kernel call (see ``zeta_core``);
+one walk and their values from one finisher call (see ``zeta_core``);
 phase-walk splits are one-node walks, one exact pass each. Those values
 only decide signs and phases, so a walk runs at a sample cutoff: the
 cheapest schedule entry whose truncation bound at the walk's worst
@@ -152,8 +152,8 @@ from itertools import accumulate
 from .bernoulli import _full_table
 from .errors import BoundaryError, InconclusiveError, ParameterError, RefinementError
 from .serialize import csv_text, dumps
-from .zeta_core import (_IM_CAP, EvalParams, _as_complex, _dirichlet_path, _eval_params, _is_real, _schedule,
-                        _pass, _tail_denominator, _zeta_nodes, auto_params, remainder_bound, zeta_gb)
+from .zeta_core import (_IM_CAP, EvalParams, _as_complex, _dirichlet_path, _eval_params, _finish, _is_real,
+                        _pass, _schedule, _tail_denominator, auto_params, remainder_bound, zeta_gb)
 from .qfunction import _q
 
 __all__ = [
@@ -422,7 +422,7 @@ def _walk(
     # or not above floor, takes the exact pass at full().
     n, nu = sample.cutoff_n, sample.tail_order
     vertices = [nodes[k] for k in accumulate(segments, initial=0)]
-    values = _zeta_nodes(nodes, _dirichlet_path(vertices, segments, n), sample)
+    values = _finish(nodes, _dirichlet_path(vertices, segments, n), sample)[0]
     for k, (z, value, rounding) in enumerate(zip(nodes, values, _rounding(vertices, len(nodes), n))):
         if not abs(value) > max(floor, _SAMPLE_MARGIN * (bound + rounding)):
             if not abs(value) > max(floor, _SAMPLE_MARGIN * (remainder_bound(z, n, nu) + rounding)):
@@ -626,6 +626,15 @@ def _worst_corner(rect: Rectangle) -> complex:
     return complex(rect.sigma_min, max(abs(rect.t_min), abs(rect.t_max)))
 
 
+def _full_params(rect: Rectangle, eps: float) -> EvalParams | None:
+    # the full-accuracy params of rect, auto_params at its worst corner and
+    # eps, or None where rectangle_winding refuses rect or makes no walk
+    worst = _worst_corner(rect)
+    if worst.imag > _IM_CAP or rect.sigma_min >= 2:
+        return None
+    return auto_params(worst, eps)
+
+
 def rectangle_winding(rect: Rectangle, params: EvalParams | None = None) -> tuple[int, float]:
     """Winding number of Z along the rectangle boundary and its residual.
 
@@ -653,7 +662,7 @@ def rectangle_winding(rect: Rectangle, params: EvalParams | None = None) -> tupl
     def full() -> EvalParams:
         nonlocal params
         if params is None:
-            params = auto_params(worst, 1e-9)
+            params = _full_params(rect, 1e-9)
         return params
 
     # the walked path's worst corner: its smallest sigma, farthest from the

@@ -45,16 +45,16 @@ exact pass; node k's terms carry k more roundings, so it drifts by
 O(k u) sum |n^{-s_k}|. An open path of such lines is one walk: at a
 vertex the terms carry on with the next line's step ratios.
 
-The kernels. Every exact pass at one point, ``zeta_gb``'s, ``q_gb``'s
-and each Newton step's, goes through ``_pass``: head + pole term +
-N^{-s}/2 + tail, and the derivative on request. It also returns what 1/Q
-reads: the head, N^{1-s}, N^{-s} and N^{-s-1} times the nested sum, so Q
-at a refined zero costs no pass, no exp and no tail of its own
-(``qfunction``). ``_zeta_nodes`` finishes every node of a walk in one
-call, in the operations of ``_pass``, the tail one order at a time over
-all nodes; what depends on N and nu alone it takes once per call.
+The finisher. One kernel, ``_finish``, turns Dirichlet heads into
+values node by node: head + pole term + N^{-s}/2 + tail, and given head
+slopes the derivatives; what depends on N and nu alone it takes once per
+call. A walk's nodes go through it in one call (``zero_scan`` certifies
+walked values), and every exact pass at one point, ``zeta_gb``'s,
+``q_gb``'s and each Newton step's, as one node through ``_pass``. Only
+``_pass`` and ``em_tail`` read a node's parts: the head, N^{1-s}, N^{-s}
+and N^{-s-1} times the nested sum, what 1/Q reads (``qfunction``).
 Callers refuse a too small tail order before their Dirichlet pass, which
-can overflow first. ``zero_scan`` certifies walked values.
+can overflow first.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ from __future__ import annotations
 import cmath
 import math
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import add, mul
@@ -276,92 +277,78 @@ def _tail_orders(tail_order: int) -> tuple[float, tuple[tuple[float, float, floa
     return c[tail_order], tuple((c[mu], 2.0 * mu - 1.0, 2.0 * mu) for mu in range(tail_order - 1, 0, -1))
 
 
-def _horner(s: complex, inv_n2: float, tail_order: int,
-            derivative: bool = False) -> tuple[complex, complex | None]:
-    # c_1 + q_1 (c_2 + q_2 (... + q_{nu-1} c_nu)) of the module docstring,
-    # and with derivative its derivative along Horner's dacc = q' acc + q dacc,
-    # q'_mu = (2s+4mu-1)/N^2; None otherwise. 1/N^2 stays in the loop: a
-    # table of coefficients scaled per (N, nu) would be rebuilt whenever N
-    # changes. The value's operations are the same either way.
-    acc, orders = _tail_orders(tail_order)
-    if not derivative:
-        for c, a, b in orders:
-            acc = c + (s + a) * (s + b) * inv_n2 * acc
-        return acc, None
-    dacc = 0.0j
-    for c, a, b in orders:
-        u, v = s + a, s + b
-        q = u * v * inv_n2
-        dacc = (u + v) * inv_n2 * acc + q * dacc
-        acc = c + q * acc
-    return acc, dacc
-
-
 def em_tail(s: complex, params: EvalParams) -> complex:
     """Abbreviated tail r(N, s), so that Z(s) = head + N^{1-s}/(s-1) + s r(N, s).
 
     The product in the mu = 1 term is empty, so that term is
     (B_2/2) * N^{-s-1}. Its truncation bound is the evaluator's
-    ``remainder_bound`` divided by |s|.
+    ``remainder_bound`` divided by |s|. Read from the evaluator's pass, it
+    refuses s = 0 and the pole s = 1.
     """
     s = _as_complex(s)
-    if s == 0:
-        raise ParameterError("the abbreviated tail divides by s; s = 0 is excluded")
-    n = _eval_params(params).cutoff_n
-    log_n = math.log(n)
-    acc, _ = _horner(s, 1.0 / (n * n), params.tail_order)
-    return cmath.exp(-s * log_n) / (2 * s) + cmath.exp((-s - 1) * log_n) * acc
+    if s == 0 or s == 1:
+        raise ParameterError("the abbreviated tail divides by s, its pass by s - 1; s = 0 and 1 are excluded")
+    _, _, ((_, _, n_s, rest),) = _finish((s,), (0j,), _eval_params(params), parts=True)
+    return n_s / (2 * s) + rest
 
 
-def _zeta_nodes(nodes: list[complex], heads: list[complex], params: EvalParams) -> list[complex]:
-    # zeta at each node from its Dirichlet head at params.cutoff_n, in the
-    # operations of _pass, the tail one order at a time over all nodes. The
-    # truncation bound is left to the caller, but its order is refused here,
-    # at the smaller Re s of the first and last nodes: an end of a line, and
-    # the smallest on a rectangle's walk, which starts and ends at its smallest sigma.
+def _finish(nodes: Sequence[complex], heads: Sequence[complex], params: EvalParams,
+            head_slopes: Sequence[complex] | None = None, parts: bool = False
+            ) -> tuple[list[complex], list[complex] | None, list[tuple[complex, ...]] | None]:
+    # (values, slopes or None, parts or None) at the nodes, from their heads
+    # at params.cutoff_n; slopes along Horner's dacc = q' acc + q dacc,
+    # q'_mu = (2s+4mu-1)/N^2, and parts (head, N^{1-s}, N^{-s}, N^{-s-1} acc).
+    # A value's operations do not depend on either. 1/N^2 stays in the loop:
+    # coefficients scaled per (N, nu) would be rebuilt whenever N changes.
     n = params.cutoff_n
     log_n = math.log(n)
     inv_n2 = 1.0 / (n * n)
-    acc, orders = _tail_orders(params.tail_order)
-    accs = [acc] * len(nodes)
-    for c, a, b in orders:
-        accs = [c + (s + a) * (s + b) * inv_n2 * acc for s, acc in zip(nodes, accs)]
+    first, orders = _tail_orders(params.tail_order)
+    exp, isfinite = cmath.exp, cmath.isfinite
     values = []
-    for s, head, acc in zip(nodes, heads, accs):
-        value = head + cmath.exp((1 - s) * log_n) / (s - 1) + (
-            cmath.exp(-s * log_n) / 2 + s * cmath.exp((-s - 1) * log_n) * acc)
-        if not cmath.isfinite(value):
+    slopes = None if head_slopes is None else []
+    kept = [] if parts else None
+    for k, s in enumerate(nodes):
+        acc = first
+        if slopes is None:
+            for c, a, b in orders:
+                acc = c + (s + a) * (s + b) * inv_n2 * acc
+        else:
+            dacc = 0.0j
+            for c, a, b in orders:
+                u, v = s + a, s + b
+                q = u * v * inv_n2
+                dacc = (u + v) * inv_n2 * acc + q * dacc
+                acc = c + q * acc
+        n_pow = exp((1 - s) * log_n)
+        pole_term = n_pow / (s - 1)
+        n_s = exp(-s * log_n)
+        half = n_s / 2
+        n_s1 = exp((-s - 1) * log_n)
+        tail = s * n_s1 * acc
+        value = heads[k] + pole_term + (half + tail)
+        if not isfinite(value):
             raise ParameterError(f"evaluation overflowed at s = {s!r} with cutoff {n}")
         values.append(value)
-    _tail_denominator(min(nodes[0].real, nodes[-1].real), params.tail_order)
-    return values
+        if slopes is not None:
+            # d/ds of the tail's leading factor s, as the complex 1 + 0j, so
+            # that its product keeps the signed zeros it had
+            tail_slope = ((1.0 + 0.0j) * acc + s * dacc) * n_s1 - log_n * tail
+            slopes.append(head_slopes[k] - pole_term * (log_n + 1 / (s - 1)) - log_n * half + tail_slope)
+        if parts:
+            kept.append((heads[k], n_pow, n_s, n_s1 * acc))
+    return values, slopes, kept
 
 
 def _pass(s: complex, params: EvalParams,
           derivative: bool = False) -> tuple[complex, complex | None, tuple[complex, ...]]:
-    # zeta_gb at s, checks aside: (value, slope or None, parts), with parts =
-    # (head, N^{1-s}, N^{-s}, N^{-s-1} acc), what 1/Q reads (``qfunction``)
-    n = params.cutoff_n
-    head = dirichlet_partial_sum(s, n, derivative=derivative)
-    head, head_slope = head if derivative else (head, None)
-    log_n = math.log(n)
-    n_pow = cmath.exp((1 - s) * log_n)
-    pole_term = n_pow / (s - 1)
-    n_s = cmath.exp(-s * log_n)
-    half = n_s / 2
-    n_s1 = cmath.exp((-s - 1) * log_n)
-    acc, dacc = _horner(s, 1.0 / (n * n), params.tail_order, derivative)
-    tail = s * n_s1 * acc
-    value = head + pole_term + (half + tail)
-    if not cmath.isfinite(value):
-        raise ParameterError(f"evaluation overflowed at s = {s!r} with cutoff {n}")
-    slope = None
+    # zeta_gb at s, checks aside: (value, slope or None, parts), from _finish
     if derivative:
-        # d/ds of the tail's leading factor s, as the complex 1 + 0j, so that
-        # its product keeps the signed zeros it had
-        tail_slope = ((1.0 + 0.0j) * acc + s * dacc) * n_s1 - log_n * tail
-        slope = head_slope - pole_term * (log_n + 1 / (s - 1)) - log_n * half + tail_slope
-    return value, slope, (head, n_pow, n_s, n_s1 * acc)
+        head, head_slope = dirichlet_partial_sum(s, params.cutoff_n, derivative=True)
+        (value,), (slope,), (parts,) = _finish((s,), (head,), params, (head_slope,), parts=True)
+        return value, slope, parts
+    (value,), _, (parts,) = _finish((s,), (dirichlet_partial_sum(s, params.cutoff_n),), params, parts=True)
+    return value, None, parts
 
 
 def zeta_gb(
@@ -387,12 +374,8 @@ def zeta_gb(
     s = _as_complex(s)
     if s == 1:
         raise PoleError("s = 1 is the simple pole of the extension")
-    if params is None:
-        params, bound = _pick(s, eps)
-    else:
-        params = _eval_params(params)
-        # refuses a too small tail order before the pass, which can overflow first
-        bound = remainder_bound(s, params.cutoff_n, params.tail_order)
+    # the bound refuses a too small tail order before the pass, which can overflow first
+    params, bound = _pick(s, eps, params)
     value, slope, _ = _pass(s, params, derivative)
     return EvalResult(value, s, params, bound, slope)
 
@@ -407,9 +390,13 @@ def auto_params(s: complex, eps: float) -> EvalParams:
     return _pick(s, eps)[0]
 
 
-def _pick(s: complex, eps: float) -> tuple[EvalParams, float]:
-    # auto_params' params and the bound they meet at s
+def _pick(s: complex, eps: float, params: EvalParams | None = None) -> tuple[EvalParams, float]:
+    # auto_params' params and the bound they meet at s, or explicit params
+    # and their bound at s, with no cap or eps check
     s = _as_complex(s)
+    if params is not None:
+        params = _eval_params(params)
+        return params, remainder_bound(s, params.cutoff_n, params.tail_order)
     if abs(s.imag) > _IM_CAP:
         raise ParameterError(f"|Im s| = {abs(s.imag)} exceeds the supported range {_IM_CAP}")
     _check_eps(eps)

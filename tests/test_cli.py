@@ -252,6 +252,20 @@ def test_count_refuses_t_above_the_cap(capsys) -> None:
     assert "exceeds the supported range 500.0" in err
 
 
+def test_count_leaves_its_pick_to_the_rectangle_checks(capsys) -> None:
+    # count picks its full-accuracy params only for a rectangle that walks:
+    # in sigma >= 1e60 that pick's bound was not finite and exited 2, where
+    # the rectangle counts 0 unwalked; above the cap the rectangle's own
+    # message names max |t|, not auto_params' |Im s|
+    code, out, err = invoke(capsys, "count", "--sigma-min", "1e60", "--sigma-max", "1e61",
+                            "--t-min", "10", "--t-max", "20")
+    assert (code, out, err) == (0, "0\n", "")
+    code, out, err = invoke(capsys, "count", "--sigma-min", "0.01", "--sigma-max", "0.99",
+                            "--t-min", "10", "--t-max", "600")
+    assert (code, out) == (2, "")
+    assert err == "parameter error: max |t| = 600.0 exceeds the supported range 500.0\n"
+
+
 def test_audit_reports_explicit_params_without_a_target(capsys) -> None:
     code, out, _ = invoke(capsys, "audit", "--t-min", "14", "--t-max", "15", "--N", "40", "--nu", "6")
     assert code == 0

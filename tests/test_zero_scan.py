@@ -225,16 +225,20 @@ def test_scan_strict_mode_raises_instead() -> None:
 
 @pytest.fixture
 def kernel_calls(monkeypatch) -> list[tuple[list[complex], EvalParams, list[complex]]]:
-    """(nodes, params, values) of every node-kernel call a walk makes."""
+    """(nodes, params, values) of every finisher call a walk makes.
+
+    Only walks reach ``zero_scan._finish``: each exact pass calls
+    ``zeta_core``'s own binding, which this leaves alone.
+    """
     calls = []
-    kernel = zero_scan._zeta_nodes
+    finish = zero_scan._finish
 
-    def record(nodes, heads, params):
-        values = kernel(nodes, heads, params)
-        calls.append((nodes, params, list(values)))
-        return values
+    def record(nodes, heads, params, *args, **kwargs):
+        finished = finish(nodes, heads, params, *args, **kwargs)
+        calls.append((nodes, params, list(finished[0])))
+        return finished
 
-    monkeypatch.setattr(zero_scan, "_zeta_nodes", record)
+    monkeypatch.setattr(zero_scan, "_finish", record)
     return calls
 
 
@@ -243,11 +247,11 @@ def test_scan_walks_the_grid_once(record_call_stacks, kernel_calls) -> None:
         ("scan_critical_line", "refine_zero", "q_gb", "zeta_gb", "dirichlet_partial_sum")
     )
     records = zero_scan.scan_critical_line(0, 30)
-    # one kernel call finishes every grid node, t = 0, 0.25, ..., 30, once,
+    # one finisher call finishes every grid node, t = 0, 0.25, ..., 30, once,
     # from one line walk's Dirichlet sums; no node falls back to zeta_gb, so
     # only refinement and Q make their own pass. Each Newton point and each
-    # polish makes its pass through zeta_core._pass, not zeta_gb and not the
-    # node kernel, so that kernel sees walk calls only.
+    # polish makes its pass through zeta_core._pass, not zeta_gb, and that
+    # pass calls zeta_core's own _finish, so zero_scan's sees walk calls only.
     assert [len(nodes) for nodes, _, _ in kernel_calls] == [121]
     assert not any("zeta_gb" in stack for stack in calls)
     # The seed, each Newton step and the polish make one pass each, and
@@ -270,7 +274,7 @@ def test_winding_walks_each_side_once(record_call_stacks, kernel_calls, rect: Re
     assert count == zeros
     sides = (rect.sigma_max - rect.sigma_min, rect.t_max - rect.t_min) * 2
     segments = [max(4, math.ceil(side / 0.25)) for side in sides]
-    # the closed boundary is one walk, whose one kernel call finishes each
+    # the closed boundary is one walk, whose one finisher call finishes each
     # base node once: a side's nodes from its first corner up to the next
     # corner, which is the next side's first node, so each corner is one node
     (walked,) = [nodes for nodes, _, _ in kernel_calls if len(nodes) > 1]
@@ -775,7 +779,7 @@ def _samples(nodes: list[complex], segments: list[int], sample: EvalParams):
     # recomputed as the walk made them
     n, nu = sample.cutoff_n, sample.tail_order
     path = _path(nodes, segments)
-    values = zeta_core._zeta_nodes(nodes, zeta_core._dirichlet_path(path, segments, n), sample)
+    values = zeta_core._finish(nodes, zeta_core._dirichlet_path(path, segments, n), sample)[0]
     for z, value, rounding in zip(nodes, values, zero_scan._rounding(path, len(nodes), n)):
         yield z, value, remainder_bound(z, n, nu), rounding
 

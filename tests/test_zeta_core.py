@@ -241,18 +241,26 @@ def test_horizontal_and_descending_lines_track_the_partial_sum() -> None:
 
 
 def test_the_node_kernel_keeps_the_bits_of_each_pass() -> None:
-    # given each node's exact head, the walks' node kernel returns the value
-    # of zeta_gb's scalar pass, bit for bit. That pass returns zeta_gb's
-    # value and derivative, and its parts are the head, N^{1-s}, N^{-s} and
-    # the rest of em_tail, so Q read from them is q_gb's
+    # given each node's exact head, the one finisher returns the value of
+    # zeta_gb's scalar pass, bit for bit, and given its head slope too, the
+    # derivative; the N^{-s} and rest of each node's parts make em_tail.
+    # That pass returns zeta_gb's value and derivative, and its parts are
+    # the head, N^{1-s}, N^{-s} and the rest of em_tail, so Q read from
+    # them is q_gb's
     rng = random.Random(20158)
     for _ in range(100):
         s = complex(rng.uniform(-1.0, 2.0), rng.uniform(0.0, 500.0))
         params = auto_params(s, rng.choice((1e-8, 1e-10, 1e-12)))
         n = params.cutoff_n
         nodes = [s + k * complex(rng.uniform(-0.1, 0.1), rng.uniform(-0.5, 0.5)) for k in range(3)]
-        values = zeta_core._zeta_nodes(nodes, [dirichlet_partial_sum(z, n) for z in nodes], params)
+        values, _, _ = zeta_core._finish(nodes, [dirichlet_partial_sum(z, n) for z in nodes], params)
         assert [_bits(v) for v in values] == [_bits(zeta_gb(z, params).value) for z in nodes]
+        heads, head_slopes = zip(*(dirichlet_partial_sum(z, n, derivative=True) for z in nodes))
+        finished = zeta_core._finish(nodes, heads, params, head_slopes, parts=True)
+        for z, value, slope, (_, _, n_s, rest) in zip(nodes, *finished):
+            both = zeta_gb(z, params, derivative=True)
+            assert _bits(value) == _bits(both.value) and _bits(slope) == _bits(both.derivative)
+            assert _bits(n_s / (2 * z) + rest) == _bits(em_tail(z, params))
         value, slope, parts = zeta_core._pass(s, params, True)
         both = zeta_gb(s, params, derivative=True)
         assert _bits(value) == _bits(both.value) and _bits(slope) == _bits(both.derivative)
@@ -268,7 +276,7 @@ def test_the_node_kernel_keeps_the_bits_of_each_pass() -> None:
 
 
 def test_zeta_gb_takes_no_partial_sum() -> None:
-    # walked sums go to the node kernel; the evaluator always makes its own
+    # walked sums go to the finisher; the evaluator always makes its own
     # head
     s, params = 0.5 + 14j, EvalParams(40, 6)
     with pytest.raises(TypeError, match="partial_sum"):
@@ -359,13 +367,13 @@ _WALK_PINS = (
 
 
 def _walked(nodes: list[complex], params: EvalParams) -> list[complex]:
-    # the values the node kernel finishes from a walk's Dirichlet sums: one
-    # line walk, or the exact pass for a single node
+    # the values the finisher makes from a walk's Dirichlet sums: one line
+    # walk, or the exact pass for a single node
     if len(nodes) > 1:
         heads = _line(nodes[0], nodes[-1], len(nodes) - 1, params.cutoff_n)
     else:
         heads = [dirichlet_partial_sum(nodes[0], params.cutoff_n)]
-    return zeta_core._zeta_nodes(nodes, heads, params)
+    return zeta_core._finish(nodes, heads, params)[0]
 
 
 @pytest.mark.parametrize(("nodes", "params", "pins"), _WALK_PINS, ids=("grid", "left", "bottom", "single"))
@@ -376,16 +384,13 @@ def test_walked_values_keep_their_bits(nodes: list[complex], params: EvalParams,
 
 
 def test_walked_values_keep_their_errors() -> None:
-    # a node that overflows, and a tail order too small at the line's
-    # smallest Re s, keep the evaluator's messages
+    # a node that overflows keeps the evaluator's message. A tail order too
+    # small at a walk's smallest Re s is refused before any node is built,
+    # by zero_scan._walk_params
+    # (test_a_rectangle_far_outside_the_strip_walks_few_nodes)
     with pytest.raises(ParameterError) as overflowed:
         _walked([complex(0.5, 1e200)], EvalParams(16, 4))
     assert str(overflowed.value) == "evaluation overflowed at s = (0.5+1e+200j) with cutoff 16"
-    line = [complex(-10.0 + k, 5.0) for k in range(7)]
-    with pytest.raises(ParameterError) as refused:
-        _walked(line, EvalParams(16, 2))
-    assert str(refused.value) == str(pytest.raises(ParameterError, remainder_bound, line[0], 16, 2).value)
-    assert str(refused.value).startswith("tail order 2 too small for Re(s) = -10.0")
 
 
 # (N, nu) the schedule picks, then the value and bound of zeta_gb with
@@ -736,8 +741,11 @@ def test_tail_reassembles_the_evaluator() -> None:
 
 
 def test_tail_rejects_origin_and_short_tables() -> None:
-    with pytest.raises(ParameterError):
-        em_tail(0 + 0j, EvalParams(16, 2))
+    # r(N, s) is read from the evaluator's pass, whose pole term divides by
+    # s - 1, so s = 1 is refused with s = 0
+    for s in (0 + 0j, 1 + 0j):
+        with pytest.raises(ParameterError, match="s = 0 and 1 are excluded"):
+            em_tail(s, EvalParams(16, 2))
     # the bound after nu = 30 terms needs B_62, beyond the table cap
     with pytest.raises(ParameterError, match="tail_order"):
         EvalParams(16, 30)
