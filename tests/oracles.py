@@ -6,6 +6,10 @@ Bernoulli generator (Akiyama-Tanigawa instead of the binomial
 recurrence), and the zero locator minimizes the modulus on a bracket
 instead of running Newton. Frozen expected values in the tests were
 computed with these routines.
+
+The one exception is ``schedule_reference``, a frozen copy of an earlier
+``zeta_core._schedule``: it reads the package's schedule rows and
+``remainder_bound``, and the tests hold the live sweep to its picks.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache
+
+from zetagb.zeta_core import _MAX_CUTOFF, _SHADE, EvalParams, _schedule_rows, remainder_bound
 
 # 100 fixed sample points for the factorization checks, drawn as
 # (sigma, t) pairs from random.Random(271828) over the box
@@ -80,3 +86,43 @@ def bisect_modulus_zero(t_lo: float, t_hi: float, width: float = 1e-10) -> float
         else:
             t_lo = a
     return 0.5 * (t_lo + t_hi)
+
+
+def schedule_reference(s: complex, eps: float) -> tuple[EvalParams, float] | None:
+    """The schedule's sweep as it was before it folded the bound's product.
+
+    Each row multiplies a pair of ``math.hypot`` factors into its product,
+    and only the winner is checked, against ``remainder_bound`` itself.
+    """
+    sigma, t = s.real, s.imag
+    hypot, ceil, cap, shade = math.hypot, math.ceil, _MAX_CUTOFF, _SHADE
+    prod = hypot(sigma, t) * hypot(sigma + 1.0, t) * hypot(sigma + 2.0, t) * hypot(sigma + 3.0, t)
+    best_cost = math.inf
+    best = None
+    for nu, two_nu, c, tail_cost in _schedule_rows():
+        a = sigma + two_nu
+        d = a + 1.0
+        prod *= hypot(a, t) * hypot(d, t)
+        if d <= 0.0:
+            continue
+        try:
+            x = (c * prod / (d * eps)) ** (1.0 / d)
+        except OverflowError:
+            continue
+        if x > cap:
+            continue
+        cutoff = max(2, ceil(x * shade))
+        cost = cutoff + tail_cost
+        if cost > best_cost:
+            break
+        if cost < best_cost:
+            best_cost, best = cost, (cutoff, nu)
+    if best is None:
+        return None
+    least, nu = best
+    # the closed form and the bound round apart by a few ulps
+    for cutoff in range(least, min(least + 4, _MAX_CUTOFF + 1)):
+        bound = remainder_bound(s, cutoff, nu)
+        if bound <= eps:
+            return EvalParams(cutoff, nu), bound
+    return None

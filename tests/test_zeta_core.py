@@ -899,6 +899,43 @@ def test_a_tail_order_whose_closed_form_overflows_is_skipped() -> None:
         auto_params(-40.9 + 400j, 1e-8)
 
 
+def _schedule_points() -> list[tuple[complex, float]]:
+    # about 20,000 seeded (s, eps): the benchmark's box at its eps and the
+    # walks', a wide box with rows whose d <= 0 or whose power overflows,
+    # the walks' corners, and |sigma| up to 1e300
+    rng = random.Random(20261021)
+    box_eps = (1e-8, 1e-9, 1e-10, 1e-12, 1e-13, 2.0 ** -15)
+    points = [(complex(rng.uniform(-1.0, 2.0), rng.uniform(0.0, 500.0)), rng.choice(box_eps))
+              for _ in range(10_000)]
+    points += [(complex(rng.uniform(-45.0, 45.0), rng.uniform(-500.0, 500.0)), 10.0 ** rng.uniform(-13.0, -1.0))
+               for _ in range(7_000)]
+    points += [(complex(sigma, rng.uniform(0.0, 500.0)), 2.0 ** -15)
+               for sigma in (-1.0, 0.01, 0.1, 0.2, 0.5) for _ in range(400)]
+    points += [(complex(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(0.0, 300.0), rng.uniform(-500.0, 500.0)),
+                10.0 ** rng.uniform(-13.0, -1.0)) for _ in range(1_000)]
+    return points
+
+
+def _schedule_outcome(schedule, s: complex, eps: float) -> tuple:
+    try:
+        picked = schedule(s, eps)
+    except ParameterError as exc:
+        return ("refused", str(exc))
+    if picked is None:
+        return (None,)
+    params, bound = picked
+    return (params.cutoff_n, params.tail_order, bound.hex())
+
+
+def test_the_schedule_keeps_the_picks_of_its_reference() -> None:
+    # the same (N, nu), the same bound bits and the same refusals as the
+    # sweep that multiplied paired hypot factors and checked its winner
+    # against remainder_bound
+    for s, eps in _schedule_points():
+        assert _schedule_outcome(zeta_core._schedule, s, eps) == _schedule_outcome(
+            oracles.schedule_reference, s, eps), (s, eps)
+
+
 def test_auto_params_certifies_its_choice() -> None:
     for s, eps in ((0.5 + 14.1j, 1e-9), (-1.5 + 30j, 1e-8), (3 + 0j, 1e-11)):
         p = auto_params(s, eps)
