@@ -31,8 +31,7 @@ from .serialize import csv_text, dumps
 from .zero_scan import (
     Rectangle,
     ScanConfig,
-    _full_params,
-    rectangle_winding,
+    _winding,
     record_fields,
     scan_critical_line,
     write_records_csv,
@@ -227,10 +226,8 @@ def _cmd_zeros(args: argparse.Namespace) -> int:
 
 def _cmd_count(args: argparse.Namespace) -> int:
     rect = Rectangle(args.sigma_min, args.sigma_max, args.t_min, args.t_max)
-    params = _explicit_params(args)
-    if params is None:
-        params = _full_params(rect, min(args.eps, 1e-9))
-    count, residual = rectangle_winding(rect, params)
+    # the rectangle picks its full-accuracy params, if any node needs them
+    count, residual = _winding(rect, _explicit_params(args), min(args.eps, 1e-9))
     fields = {
         "sigma_min": rect.sigma_min, "sigma_max": rect.sigma_max,
         "t_min": rect.t_min, "t_max": rect.t_max,

@@ -626,15 +626,6 @@ def _worst_corner(rect: Rectangle) -> complex:
     return complex(rect.sigma_min, max(abs(rect.t_min), abs(rect.t_max)))
 
 
-def _full_params(rect: Rectangle, eps: float) -> EvalParams | None:
-    # the full-accuracy params of rect, auto_params at its worst corner and
-    # eps, or None where rectangle_winding refuses rect or makes no walk
-    worst = _worst_corner(rect)
-    if worst.imag > _IM_CAP or rect.sigma_min >= 2:
-        return None
-    return auto_params(worst, eps)
-
-
 def rectangle_winding(rect: Rectangle, params: EvalParams | None = None) -> tuple[int, float]:
     """Winding number of Z along the rectangle boundary and its residual.
 
@@ -648,6 +639,12 @@ def rectangle_winding(rect: Rectangle, params: EvalParams | None = None) -> tupl
     full-accuracy values use ``auto_params`` at the worst corner with
     eps 1e-9, picked on first need.
     """
+    return _winding(rect, params, 1e-9)
+
+
+def _winding(rect: Rectangle, params: EvalParams | None, eps: float) -> tuple[int, float]:
+    # rectangle_winding, with full-accuracy params picked at eps on first
+    # need where params is None; count picks at min(--eps, 1e-9)
     if not isinstance(rect, Rectangle):
         raise ParameterError(f"rect must be a Rectangle, got {type(rect).__name__}")
     params = params if params is None else _eval_params(params)
@@ -662,7 +659,7 @@ def rectangle_winding(rect: Rectangle, params: EvalParams | None = None) -> tupl
     def full() -> EvalParams:
         nonlocal params
         if params is None:
-            params = _full_params(rect, 1e-9)
+            params = auto_params(worst, eps)
         return params
 
     # the walked path's worst corner: its smallest sigma, farthest from the

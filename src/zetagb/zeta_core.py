@@ -262,6 +262,12 @@ def remainder_bound(s: complex, cutoff_n: int, tail_order: int) -> float:
     prod = 1.0
     for k in range(2 * nu + 1):
         prod *= abs(s + k)
+    return _bound(s, cutoff_n, nu, prod, denom)
+
+
+def _bound(s: complex, cutoff_n: int, nu: int, prod: float, denom: float) -> float:
+    # the bound from prod = |s| |s + 1| ... |s + 2 nu|, folded from the left,
+    # and denom = Re s + 2 nu + 1 > 0; refused where it is not finite
     scale = math.exp(-denom * math.log(cutoff_n))
     bound = abs(_coeffs()[nu + 1]) * prod * scale * abs(s + 2 * nu + 1) / denom
     if not math.isfinite(bound):
@@ -422,23 +428,24 @@ def _schedule_rows() -> tuple[tuple[int, int, float, int], ...]:
 
 def _schedule(s: complex, eps: float) -> tuple[EvalParams, float] | None:
     # the (N, nu) of least cost N + 3 nu, nu in 2..25 and N <= _MAX_CUTOFF,
-    # whose bound at s meets eps, and that bound, or None. With
-    # d = Re s + 2 nu + 1 and A_nu = |c_{nu+1}| prod_{k<=2nu+1} |s + k| / d,
-    # from a running product, each nu's least N solves A_nu N^-d = eps.
-    # Cost falls while a longer tail shortens N by more than 3 and rises
-    # after (the tests check this against a full search), so the sweep stops
-    # at the first rise. Only the winner is checked against remainder_bound
-    # itself, N raised until it meets eps; the closed form is shaded by
-    # 1e-12 so that it never starts above the least N.
-    sigma, t = s.real, s.imag
-    hypot, ceil, cap, shade = math.hypot, math.ceil, _MAX_CUTOFF, _SHADE
-    prod = hypot(sigma, t) * hypot(sigma + 1.0, t) * hypot(sigma + 2.0, t) * hypot(sigma + 3.0, t)
+    # whose bound at s meets eps, and that bound, or None. The sweep folds
+    # remainder_bound's own product P_k = |s| |s + 1| ... |s + k| from the
+    # left, two factors a row: row nu holds P_{2nu}, and with d = Re s +
+    # 2 nu + 1 and A_nu = |c_{nu+1}| P_{2nu+1} / d its least N solves
+    # A_nu N^-d = eps. Cost falls while a longer tail shortens N by more
+    # than 3 and rises after (the tests check this against a full search),
+    # so the sweep stops at the first rise. Only the winner's bound is
+    # finished, from its P_{2nu} by _bound, N raised until it meets eps; the
+    # closed form is shaded by 1e-12 so that it never starts above the least N.
+    sigma = s.real
+    ceil, cap, shade = math.ceil, _MAX_CUTOFF, _SHADE
+    prod = abs(s) * abs(s + 1) * abs(s + 2) * abs(s + 3)
     best_cost = math.inf
     best = None
     for nu, two_nu, c, tail_cost in _schedule_rows():
-        a = sigma + two_nu
-        d = a + 1.0
-        prod *= hypot(a, t) * hypot(d, t)
+        even = prod * abs(s + two_nu)
+        prod = even * abs(s + (two_nu + 1))
+        d = (sigma + two_nu) + 1.0
         if d <= 0.0:
             continue
         try:
@@ -452,13 +459,13 @@ def _schedule(s: complex, eps: float) -> tuple[EvalParams, float] | None:
         if cost > best_cost:
             break
         if cost < best_cost:
-            best_cost, best = cost, (cutoff, nu)
+            best_cost, best = cost, (cutoff, nu, even, d)
     if best is None:
         return None
-    least, nu = best
+    least, nu, even, d = best
     # the closed form and the bound round apart by a few ulps
     for cutoff in range(least, min(least + 4, _MAX_CUTOFF + 1)):
-        bound = remainder_bound(s, cutoff, nu)
+        bound = _bound(s, cutoff, nu, even, d)
         if bound <= eps:
             return EvalParams(cutoff, nu), bound
     return None

@@ -11,7 +11,7 @@ import math
 
 import pytest
 
-from zetagb import cli
+from zetagb import zero_scan
 from zetagb.cli import run
 from zetagb.zeta_core import EvalParams, remainder_bound, zeta_gb
 
@@ -312,15 +312,29 @@ def test_count_with_a_zero_just_off_the_contour_exits_4(capsys) -> None:
 @pytest.mark.parametrize(("eps", "target"), (((), 1e-9), (("--eps", "1e-11"), 1e-11)))
 def test_count_params_meet_eps_at_the_worst_corner(capsys, monkeypatch, eps, target) -> None:
     chosen = []
-    winding = cli.rectangle_winding
-    monkeypatch.setattr(cli, "rectangle_winding", lambda rect, params: chosen.append(params) or winding(rect, params))
-    code, out, _ = invoke(capsys, "count", "--sigma-min", "0.01", "--sigma-max", "0.99",
-                          "--t-min", "493", "--t-max", "499", *eps)
-    assert (code, out) == (0, "5\n")
-    (params,) = chosen
+    pick = zero_scan.auto_params
+    monkeypatch.setattr(zero_scan, "auto_params", lambda s, eps: chosen.append((s, eps, pick(s, eps))) or chosen[-1][2])
+    argv = ("count", "--sigma-min", "0.01", "--sigma-max", "0.99", "--t-min", "493", "--t-max", "499", *eps)
+    # every node here is certified at the walk's sample: no pick is made
+    assert invoke(capsys, *argv)[:2] == (0, "5\n")
+    assert chosen == []
+    # with no schedule entry for the sample the walk needs the full params
+    monkeypatch.setattr(zero_scan, "_schedule", lambda corner, eps: None)
+    assert invoke(capsys, *argv)[:2] == (0, "5\n")
+    ((s, picked_eps, params),) = chosen
+    assert (s, picked_eps) == (complex(0.01, 499.0), target)
     # the truncation bound is largest at sigma_min: chosen at sigma_max,
     # (N=1000, nu=3) bounded 4.2e-7 there
     assert remainder_bound(complex(0.01, 499.0), params.cutoff_n, params.tail_order) <= target
+
+
+def test_count_picks_its_params_on_first_need(capsys) -> None:
+    # a pick at the worst corner, -1e15 + 30i, has no schedule entry and
+    # exited 3; the rectangle walks its mirrored right half, on which no
+    # node needs full-accuracy values
+    argv = ("count", "--sigma-min=-1e15", "--sigma-max", "1000000000000001", "--t-min", "0.1", "--t-max", "30")
+    assert invoke(capsys, *argv) == (0, "3\n", "")
+    assert invoke(capsys, *argv, "--N", "200", "--nu", "10") == (0, "3\n", "")
 
 
 def test_count_bad_rectangle_exits_2(capsys) -> None:

@@ -1038,16 +1038,18 @@ def test_a_walk_at_params_still_certifies_its_nodes(monkeypatch) -> None:
 
 def test_walks_read_few_truncation_bounds(record_call_stacks, request) -> None:
     params = zero_scan._refine_params(complex(0.5, 14.1), ScanConfig.tol)
-    calls = record_call_stacks(("_schedule", "remainder_bound"))
+    calls = record_call_stacks(("_schedule", "remainder_bound", "_bound"))
     walks, outside = request.getfixturevalue("bound_reads")
-    # params and sample params check their schedule bounds, the walk takes
-    # the sample's, picked at its corner, and only nodes that walk bound
-    # cannot certify read their own (511 calls when every node read its own)
+    # params and sample params check their schedule bounds, finished from
+    # the schedule's own products, the walk takes the sample's, picked at
+    # its corner, and only nodes that walk bound cannot certify read their
+    # own (511 calls when every node read its own)
     assert len(zero_scan.scan_critical_line(0, 100)) == 29
     reads = [stack for stack in calls if stack[-1] == "remainder_bound"]
     assert outside == []
-    assert len([stack for stack in reads if "_schedule" not in stack]) == sum(len(r) for *_, r in walks) == 4
-    assert len(reads) == 6
+    assert len(reads) == sum(len(r) for *_, r in walks) == 4
+    assert not any("_schedule" in stack for stack in reads)
+    assert len([stack for stack in calls if stack[-1] == "_bound" and "_schedule" in stack]) == 2
     # ten audit windows: each scan and each count takes one walk bound from
     # its sample, its splits none, and a node reads its own only where that
     # bound fails

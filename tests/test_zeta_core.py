@@ -685,8 +685,9 @@ def test_an_explicit_evaluation_computes_its_bound_once(record_call_stacks) -> N
 
 
 def test_a_scheduled_result_reads_the_schedules_bound(record_call_stacks) -> None:
-    # the schedule computes the winner's bound at s to certify it; the
-    # result at s keeps those bits instead of computing them again
+    # the schedule finishes the winner's bound at s from its own product to
+    # certify it, with no remainder_bound call; the result at s keeps those
+    # bits, the bits of remainder_bound, instead of computing them again
     rng = random.Random(20161)
     calls = record_call_stacks(("remainder_bound",))
     for _ in range(50):
@@ -694,13 +695,15 @@ def test_a_scheduled_result_reads_the_schedules_bound(record_call_stacks) -> Non
         calls.clear()
         result = zeta_gb(s, eps=1e-10)
         bound = result.remainder_bound
-        assert len(calls) == 1
+        assert calls == []
         params = result.params_used
         assert _bits(bound) == _bits(remainder_bound(s, params.cutoff_n, params.tail_order))
-        # the same params at another point compute that point's own bound
+        # the same params at another point compute that point's own bound, once
         other = s + 0.25j
-        assert _bits(zeta_gb(other, params).remainder_bound) == _bits(
-            remainder_bound(other, params.cutoff_n, params.tail_order))
+        calls.clear()
+        other_bound = zeta_gb(other, params).remainder_bound
+        assert calls == [("remainder_bound",)]
+        assert _bits(other_bound) == _bits(remainder_bound(other, params.cutoff_n, params.tail_order))
     # the params are the plain pair: equality, hash and repr see nothing else
     picked = auto_params(0.5 + 14j, 1e-10)
     plain = EvalParams(picked.cutoff_n, picked.tail_order)
