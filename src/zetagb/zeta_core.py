@@ -454,7 +454,9 @@ def _schedule(s: complex, eps: float) -> tuple[EvalParams, float] | None:
             continue
         if x > cap:
             continue
-        cutoff = max(2, ceil(x * shade))
+        cutoff = ceil(x * shade)
+        if cutoff < 2:  # not max(): a call a row costs more than the compare
+            cutoff = 2
         cost = cutoff + tail_cost
         if cost > best_cost:
             break
