@@ -429,13 +429,12 @@ def _schedule_rows() -> tuple[tuple[int, int, float, int], ...]:
 def _schedule(s: complex, eps: float) -> tuple[EvalParams, float] | None:
     # the (N, nu) of least cost N + 3 nu, nu in 2..25 and N <= _MAX_CUTOFF,
     # whose bound at s meets eps, and that bound, or None. The sweep folds
-    # remainder_bound's own product P_k = |s| |s + 1| ... |s + k| from the
-    # left, two factors a row: row nu holds P_{2nu}, and with d = Re s +
-    # 2 nu + 1 and A_nu = |c_{nu+1}| P_{2nu+1} / d its least N solves
-    # A_nu N^-d = eps. Cost falls while a longer tail shortens N by more
-    # than 3 and rises after (the tests check this against a full search),
-    # so the sweep stops at the first rise. Only the winner's bound is
-    # finished, from its P_{2nu} by _bound, N raised until it meets eps; the
+    # remainder_bound's own product P_k = |s| |s + 1| ... |s + k|, two factors
+    # a row: with d = Re s + 2 nu + 1 and A_nu = |c_{nu+1}| P_{2nu+1} / d, each
+    # nu's least N solves A_nu N^-d = eps. Cost falls while a longer tail
+    # shortens N by more than 3 and rises after (the tests check this against
+    # a full search), so the sweep stops at the first rise. The winner's bound
+    # is finished from its P_{2nu} by _bound, N raised until it meets eps; the
     # closed form is shaded by 1e-12 so that it never starts above the least N.
     sigma = s.real
     ceil, cap, shade = math.ceil, _MAX_CUTOFF, _SHADE
